@@ -53,8 +53,10 @@ STABILITY_WINDOW = 3
 class Functional:
     """Integer values of a 1-Lipschitz functional on B_m, in ball BFS order.
 
-    Vanishes at the identity by construction; equality and hashing use only
-    (domain_radius, vector) so deduplication is exact.
+    Vanishes at the identity by construction. A vector lists values by
+    position in one ball's BFS order, so equality and hashing use the ball
+    (by identity), domain_radius and vector; provenance, witness and the
+    stability flag are ignored, so deduplication is exact.
     """
 
     __slots__ = ("ball", "domain_radius", "vector", "provenance", "witness", "stable")
@@ -68,10 +70,10 @@ class Functional:
         witness: Element | None = None,
         stable: bool | None = None,
     ):
-        order = ball.data_up_to(domain_radius)
-        if len(vector) != len(order):
+        size = ball.size(domain_radius)
+        if len(vector) != size:
             raise DomainMismatch(
-                f"vector has {len(vector)} entries, B_{domain_radius} has {len(order)}"
+                f"vector has {len(vector)} entries, B_{domain_radius} has {size}"
             )
         if vector[0] != 0:
             raise ValueError("functional must vanish at the identity")
@@ -81,22 +83,18 @@ class Functional:
         self.provenance = provenance
         self.witness = witness
         self.stable = stable
-        self._check_lipschitz(order)
+        self._check_lipschitz()
 
-    def _check_lipschitz(self, order: list[tuple]) -> None:
-        ball = self.ball
-        group = ball.group
-        idx = ball.index_map(self.domain_radius)
-        for pos, x in enumerate(order):
-            if abs(self.vector[pos]) > ball.dist_data(x):
-                raise ValueError("functional exceeds the word norm somewhere")
-        gen_data = [s.data for s in ball.gens.elements]
-        for pos, x in enumerate(order):
-            vx = self.vector[pos]
-            for s in gen_data:
-                y = group.mul_data(x, s)
-                j = idx.get(y)
-                if j is not None and j < len(self.vector) and abs(vx - self.vector[j]) > 1:
+    def _check_lipschitz(self) -> None:
+        vec = self.vector
+        size = len(vec)
+        if any(abs(v) > d for v, d in zip(vec, self.ball.dist)):
+            raise ValueError("functional exceeds the word norm somewhere")
+        # every edge {x_i, x_j} of B_m, read once from its lower end i < j;
+        # -1 (a product outside the ball) never passes i < j
+        for col in self.ball.neighbours(size):
+            for i, j in enumerate(col[:size]):
+                if i < j < size and abs(vec[i] - vec[j]) > 1:
                     raise ValueError("functional is not 1-Lipschitz along an edge")
 
     def value(self, x: Element) -> int:
@@ -105,7 +103,7 @@ class Functional:
         return self.value_data(x.data)
 
     def value_data(self, data: tuple) -> int:
-        i = self.ball.index_map(self.domain_radius).get(data)
+        i = self.ball.index.get(data)
         if i is None or i >= len(self.vector):
             raise DomainExhausted(
                 f"{self.ball.group.format_data(data)} outside domain B_{self.domain_radius}"
@@ -115,7 +113,7 @@ class Functional:
     def restrict(self, m: int) -> "Functional":
         if m > self.domain_radius:
             raise DomainExhausted(f"cannot extend domain from {self.domain_radius} to {m}")
-        size = len(self.ball.data_up_to(m))
+        size = self.ball.size(m)
         return Functional(
             self.ball, m, self.vector[:size], self.provenance, self.witness, self.stable
         )
@@ -123,12 +121,13 @@ class Functional:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Functional)
+            and self.ball is other.ball
             and self.domain_radius == other.domain_radius
             and self.vector == other.vector
         )
 
     def __hash__(self) -> int:
-        return hash((self.domain_radius, self.vector))
+        return hash((id(self.ball), self.domain_radius, self.vector))
 
     def __repr__(self) -> str:
         return f"Functional(m={self.domain_radius}, {self.provenance}, {self.vector})"
@@ -136,28 +135,27 @@ class Functional:
 
 def busemann_functional(ball: Ball, y: Element, m: int) -> Functional:
     """b_y(x) = d(y, x) - |y| restricted to B_m."""
-    group = ball.group
     ny = ball.norm(y)  # validates membership
     if ny + m > ball.radius:
         raise OutOfBall(
             f"need radius {ny + m} to restrict b_y to B_{m}, have {ball.radius}"
         )
-    y_inv = group.inv_data(y.data)
-    vec = tuple(
-        ball.dist_data(group.mul_data(y_inv, x)) - ny for x in ball.data_up_to(m)
-    )
+    vec = _busemann_vector(ball, ball.index[y.data], m)
     return Functional(ball, m, vec, provenance="point", witness=y)
 
 
-def _sphere_vectors(ball: Ball, r: int, m: int) -> dict[tuple[int, ...], list[tuple]]:
-    """vector -> sphere-r points (data, BFS order) realizing it."""
-    group = ball.group
-    order = ball.data_up_to(m)
-    out: dict[tuple[int, ...], list[tuple]] = {}
-    for z in ball.layer_data(r):
-        z_inv = group.inv_data(z)
-        vec = tuple(ball.dist_data(group.mul_data(z_inv, x)) - r for x in order)
-        out.setdefault(vec, []).append(z)
+def _busemann_vector(ball: Ball, z: int, m: int) -> tuple[int, ...]:
+    """b_z on B_m in BFS order, for the point at position z; |z| + m <= radius."""
+    dist = ball.dist
+    nz = dist[z]
+    return tuple([dist[j] - nz for j in ball.gather(ball.inv_index(z), ball.size(m))])
+
+
+def _sphere_vectors(ball: Ball, r: int, m: int) -> dict[tuple[int, ...], list[int]]:
+    """vector -> positions of the sphere-r points realizing it, in BFS order."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for z in range(ball.size(r - 1), ball.size(r)):
+        out.setdefault(_busemann_vector(ball, z, m), []).append(z)
     return out
 
 
@@ -247,20 +245,13 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
         for rr in range(lo, r):
             stable_keys &= set(_sphere_vectors(ball, rr, m))
 
-    interior_keys: set[tuple[int, ...]] = set()
-    order = ball.data_up_to(m)
-    for z in order:
-        z_inv = group.inv_data(z)
-        nz = ball.dist_data(z)
-        interior_keys.add(
-            tuple(ball.dist_data(group.mul_data(z_inv, x)) - nz for x in order)
-        )
+    interior_keys = {_busemann_vector(ball, z, m) for z in range(ball.size(m))}
 
     reach = ball.reach_data()
     horizon = ball.radius
     classes = []
     for vec in sorted(current):
-        points = current[vec]
+        points = [ball.data[z] for z in current[vec]]
         fun = Functional(
             ball,
             m,
@@ -307,18 +298,19 @@ def busemann_point_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WI
 
 def act(h: Functional, x: Element, ball: Ball) -> Functional:
     """(x.h)(y) = h(x^-1 y) - h(x^-1), restricted to B_{m - |x|}."""
-    group = ball.group
+    if h.ball is not ball:
+        raise DomainMismatch("the functional is defined on a different ball")
     nx = ball.norm(x)
     m = h.domain_radius - nx
     if m < 0:
         raise DomainExhausted(
             f"|{x}| = {nx} exhausts the domain radius {h.domain_radius}"
         )
-    x_inv = group.inv_data(x.data)
-    base = h.value_data(x_inv)
-    vec = tuple(
-        h.value_data(group.mul_data(x_inv, y)) - base for y in ball.data_up_to(m)
-    )
+    # |x^-1 y| <= |x| + m = h.domain_radius, so every entry is in h's domain
+    x_inv = ball.inv_index(ball.index[x.data])
+    values = h.vector
+    base = values[x_inv]
+    vec = tuple([values[j] - base for j in ball.gather(x_inv, ball.size(m))])
     return Functional(ball, m, vec, provenance="action", witness=h.witness)
 
 
@@ -332,19 +324,15 @@ class ActionTable:
     @staticmethod
     def compute(approx: BoundaryApprox) -> "ActionTable":
         ball = approx.ball
-        m1 = approx.m - 1
-        size = len(ball.data_up_to(m1))
-        restricted = [c.functional.vector[:size] for c in approx.classes]
-        rows = []
-        for s in ball.gens.elements:
-            row = []
-            for c in approx.classes:
-                moved = act(c.functional, s, ball)
-                row.append(
-                    restricted.index(moved.vector) if moved.vector in restricted else None
-                )
-            rows.append(tuple(row))
-        return ActionTable(approx, tuple(rows))
+        size = ball.size(approx.m - 1)
+        first: dict[tuple[int, ...], int] = {}  # restriction -> first class
+        for i, c in enumerate(approx.classes):
+            first.setdefault(c.functional.vector[:size], i)
+        rows = tuple(
+            tuple(first.get(act(c.functional, s, ball).vector) for c in approx.classes)
+            for s in ball.gens.elements
+        )
+        return ActionTable(approx, rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,20 +397,19 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
         frontier = nxt
 
     half = ball.radius // 2
-    reps: list[tuple] = []
+    size = ball.size(half)
+    inside = {ball.index[v] for v in closure}
+    # rep^-1 x for every x in B_half, one gather per representative;
+    # |rep^-1 x| <= 2 * half <= radius keeps every entry in the ball
+    rep_translates: list[list[int]] = []
     counts = []
     for rr in range(half + 1):
-        for x in ball.layer_data(rr):
-            hit = False
-            for rep in reps:
-                if group.mul_data(group.inv_data(rep), x) in closure:
-                    hit = True
-                    break
-            if not hit:
-                reps.append(x)
-        counts.append(len(reps))
+        for x in range(ball.size(rr - 1), ball.size(rr)):
+            if not any(pos[x] in inside for pos in rep_translates):
+                rep_translates.append(ball.gather(ball.inv_index(x), size))
+        counts.append(len(rep_translates))
     stableized = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
-    return len(reps), (not escaped) and stableized
+    return len(rep_translates), (not escaped) and stableized
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,38 @@ The ball is grown by plain breadth-first search from the identity with ties
 broken by generator-list order, which fixes a deterministic parent map and a
 deterministic enumeration order used everywhere downstream (functional
 vectors, reports, CSV exports).
+
+A ball is one integer-indexed table. Position i holds the i-th element x_i
+in BFS order; ``Ball.index`` maps payloads to positions, and flat
+per-position arrays hold |x_i| (``dist``), the BFS parent position
+(``parent``) and the generator s with x_i = x_parent s (``parent_gen``).
+``offsets[k]`` is the first position of layer k, so B_m is the prefix of
+length ``size(m)``. The neighbour table keeps every product BFS computed:
+``nbr[s][i]`` is the position of x_i s. Rows of the outermost layer are
+filled on first use, with -1 for a product outside the ball, and each
+column ends with a -1 so that a -1 position looks up -1 again.
+
+Left translates of a prefix need no group arithmetic. For z = x_start,
+``gather(start, size)`` sets pos[0] = start and
+pos[k] = nbr[parent_gen[k]][pos[parent[k]]], the position of z x_k, one
+lookup per entry. Once the image of x_k leaves the ball, the images of its
+BFS descendants read -1 too, even where they are stored: callers either
+keep |z| + m <= radius, so nothing leaves, or (``segment``) use only that a
+-1 entry has |x_k| + |z x_k| > radius.
+
+Memory (tracemalloc, CPython 3.11): a grown ball retains 202 bytes per
+element on Z^2 with standard generators at radius 150 (45,301 elements),
+and 185-243 bytes per element over the example groups at 11k-80k elements,
+so the default budget of 5,000,000 elements costs about 0.9-1.2 GB.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from itertools import islice
+from typing import IO, Iterator
 
 from .errors import BallTooLarge, GroupMismatch, OutOfBall
 from .groups import Element, GeneratingSet, Group
@@ -30,6 +55,11 @@ __all__ = [
 DEFAULT_BUDGET = 5_000_000
 
 
+def _small(bound: int) -> str:
+    """Array typecode for values in 0..bound: one byte when it fits."""
+    return "B" if bound < 256 else "i"
+
+
 class Ball:
     """All elements with |x|_S <= radius, with BFS distances and parents.
 
@@ -43,42 +73,55 @@ class Ball:
         group: Group,
         gens: GeneratingSet,
         radius: int,
-        dist: dict,
-        parent: dict,
-        layers: list[list[tuple]],
+        data: list[tuple],
+        index: dict,
+        parent: array,
+        parent_gen: array,
+        offsets: list[int],
+        products: list[int],
         exhausted: bool,
     ):
         self.group = group
         self.gens = gens
         self.radius = radius
-        self._dist = dist
-        self._parent = parent
-        self._layers = layers
+        self.data = data  # position -> payload, BFS order
+        self.index = index  # payload -> position
+        self.parent = parent  # -1 at the identity
+        self.parent_gen = parent_gen  # 0 at the identity, never read there
+        self.offsets = offsets  # layer k: positions offsets[k] .. offsets[k+1]-1
         self.exhausted = exhausted
-        self._order_index: dict | None = None
+        self.dist = array(_small(radius))
+        for k in range(len(offsets) - 1):
+            self.dist.extend([k] * (offsets[k + 1] - offsets[k]))
+        # products holds x_i s row by row for the positions BFS expanded; the
+        # rim's rows start as -1 until ``neighbours`` fills them, and every
+        # column ends with the -1 that a -1 position looks up
+        n_gens = len(gens)
+        self._filled = len(products) // n_gens
+        pad = [-1] * (len(data) - self._filled + 1)
+        self._nbr = [array("i", products[g::n_gens] + pad) for g in range(n_gens)]
         self._reach: dict | None = None
 
     # -- element-facing API --------------------------------------------------
     def __len__(self) -> int:
-        return len(self._dist)
+        return len(self.data)
 
     def __contains__(self, x: Element) -> bool:
-        return x.group is self.group and x.data in self._dist
+        return x.group is self.group and x.data in self.index
 
     def norm(self, x: Element) -> int:
         """|x|_S, errors when x lies outside the computed radius."""
         if x.group is not self.group:
             raise GroupMismatch(f"{x!r} belongs to a different group")
-        d = self._dist.get(x.data)
-        if d is None:
+        i = self.index.get(x.data)
+        if i is None:
             raise OutOfBall(f"{x} lies outside the radius-{self.radius} ball")
-        return d
+        return self.dist[i]
 
     def sphere(self, r: int) -> list[Element]:
         if not (0 <= r <= self.radius):
             raise OutOfBall(f"sphere radius {r} outside 0..{self.radius}")
-        layer = self._layers[r] if r < len(self._layers) else []
-        return [Element(self.group, d) for d in layer]
+        return [Element(self.group, d) for d in self.layer_data(r)]
 
     def elements(self, max_radius: int | None = None) -> Iterator[Element]:
         """Elements in BFS order up to max_radius (default: whole ball)."""
@@ -86,48 +129,73 @@ class Ball:
             yield Element(self.group, d)
 
     def layer_sizes(self) -> list[int]:
-        return [len(layer) for layer in self._layers]
+        off = self.offsets
+        return [off[k + 1] - off[k] for k in range(len(off) - 1)]
 
-    # -- data-facing internals -------------------------------------------------
+    # -- index-facing internals ------------------------------------------------
+    def size(self, r: int) -> int:
+        """|B_r|, the length of the BFS prefix that holds the radius-r ball."""
+        if r > self.radius:
+            raise OutOfBall(f"radius {r} exceeds computed radius {self.radius}")
+        off = self.offsets
+        return off[min(r + 1, len(off) - 1)] if r >= 0 else 0
+
     def dist_data(self, data: tuple) -> int | None:
-        return self._dist.get(data)
+        i = self.index.get(data)
+        return None if i is None else self.dist[i]
 
     def layer_data(self, r: int) -> list[tuple]:
         if not (0 <= r <= self.radius):
             raise OutOfBall(f"layer {r} outside 0..{self.radius}")
-        return self._layers[r] if r < len(self._layers) else []
+        return self.data[self.size(r - 1) : self.size(r)]
 
     def data_up_to(self, r: int) -> list[tuple]:
-        if r > self.radius:
-            raise OutOfBall(f"radius {r} exceeds computed radius {self.radius}")
-        out: list[tuple] = []
-        for layer in self._layers[: r + 1]:
-            out.extend(layer)
-        return out
+        return self.data[: self.size(r)]
 
-    def index_map(self, r: int) -> dict:
-        """data -> position in the BFS enumeration of the radius-r ball."""
-        if self._order_index is None:
-            self._order_index = {
-                d: i for i, d in enumerate(self.data_up_to(self.radius))
-            }
-        # positions are global BFS positions; valid for any r <= radius
-        return self._order_index
+    def inv_index(self, i: int) -> int:
+        """Position of x_i^-1, which has the norm of x_i."""
+        return self.index[self.group.inv_data(self.data[i])]
 
-    def parent_edge(self, data: tuple) -> int | None:
-        """Generator index i with data = parent * S[i]; None at the identity."""
-        return self._parent.get(data)
+    def neighbours(self, rows: int) -> list[array]:
+        """The neighbour table, with the products of x_0 .. x_(rows-1) filled.
+
+        ``nbr[s][i]`` is the position of x_i s, or -1 when the product lies
+        outside the ball; ``nbr[s][-1]`` is -1.
+        """
+        if rows > self._filled:
+            group = self.group
+            index = self.index
+            rim = self.data[self._filled :]
+            for col, s in zip(self._nbr, self.gens.elements):
+                col[self._filled : -1] = array(
+                    "i", [index.get(group.mul_data(x, s.data), -1) for x in rim]
+                )
+            self._filled = len(self.data)
+        return self._nbr
+
+    def gather(self, start: int, size: int) -> list[int]:
+        """pos[k] = position of z x_k for the first ``size`` entries, z = x_start.
+
+        An entry is -1 when z x_k, or the image of a BFS ancestor of x_k,
+        lies outside the ball; with |z| + |x_(size-1)| <= radius none is.
+        """
+        if self.dist[start] + self.dist[size - 1] <= self.radius:
+            nbr = self._nbr  # only rows of norm < radius are read, BFS filled them
+        else:
+            nbr = self.neighbours(len(self.data))
+        pos = [start]
+        append = pos.append
+        for s, p in zip(islice(self.parent_gen, 1, size), islice(self.parent, 1, size)):
+            append(nbr[s][pos[p]])
+        return pos
 
     def parent_path_data(self, data: tuple) -> list[tuple]:
         """BFS geodesic identity .. data as raw payloads."""
-        group = self.group
-        gens = self.gens
-        path = [data]
-        cur = data
-        while self._dist[cur] > 0:
-            i = self._parent[cur]
-            cur = group.mul_data(cur, group.inv_data(gens.elements[i].data))
-            path.append(cur)
+        i = self.index[data]
+        path = []
+        while i >= 0:
+            path.append(self.data[i])
+            i = self.parent[i]
         path.reverse()
         return path
 
@@ -136,22 +204,23 @@ class Ball:
         L from the identity passing through x (capped at ball.radius)."""
         if self._reach is not None:
             return self._reach
-        group = self.group
-        gen_data = [s.data for s in self.gens.elements]
-        reach: dict = {}
-        top = len(self._layers) - 1
-        for k in range(top, -1, -1):
-            for x in self._layers[k]:
-                best = k
-                for s in gen_data:
-                    y = group.mul_data(x, s)
-                    if self._dist.get(y) == k + 1:
-                        ry = reach[y]
-                        if ry > best:
-                            best = ry
-                reach[x] = best
-        self._reach = reach
-        return reach
+        dist = self.dist
+        nbr = self._nbr
+        top = len(self.offsets) - 2  # the outermost layer grown
+        reach = [0] * len(self.data)
+        # successors sit at higher positions, so they are done first; every
+        # row below the outermost layer was filled by BFS
+        for i in range(len(self.data) - 1, -1, -1):
+            k = dist[i]
+            best = k
+            if k < top:
+                for col in nbr:
+                    j = col[i]
+                    if dist[j] == k + 1 and reach[j] > best:
+                        best = reach[j]
+            reach[i] = best
+        self._reach = dict(zip(self.data, reach))
+        return self._reach
 
     # -- exports ----------------------------------------------------------------
     def to_csv(self, fp: IO[str]) -> None:
@@ -159,11 +228,9 @@ class Ball:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["element", "distance", "parent"])
         fmt = self.group.format_data
-        for d in self.data_up_to(self.radius):
-            i = self._parent.get(d)
-            writer.writerow(
-                [fmt(d), self._dist[d], "" if i is None else self.gens.labels[i]]
-            )
+        labels = self.gens.labels
+        for i, (d, k, s) in enumerate(zip(self.data, self.dist, self.parent_gen)):
+            writer.writerow([fmt(d), k, labels[s] if i else ""])
 
 
 def grow_ball(
@@ -176,37 +243,46 @@ def grow_ball(
 
     Deterministic: layers are expanded in discovery order and generators in
     list order, so parents and enumeration order never depend on hashing.
+    Every product computed is kept in the neighbour table.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if gens.group is not group:
         raise GroupMismatch("generating set belongs to a different group")
     gen_data = [s.data for s in gens.elements]
+    mul = group.mul_data
     identity = group.identity_data()
-    dist = {identity: 0}
-    parent: dict = {}
-    layers = [[identity]]
-    frontier = [identity]
+    data = [identity]
+    index = {identity: 0}
+    parent = array("i", [-1])
+    parent_gen = array(_small(len(gen_data)), [0])
+    offsets = [0, 1]
+    products: list[int] = []
+    record = products.append
     exhausted = False
     for k in range(1, radius + 1):
-        nxt: list[tuple] = []
-        for x in frontier:
-            for i, s in enumerate(gen_data):
-                y = group.mul_data(x, s)
-                if y not in dist:
-                    if len(dist) >= budget:
+        for i in range(offsets[k - 1], offsets[k]):
+            x = data[i]
+            for g, s in enumerate(gen_data):
+                y = mul(x, s)
+                j = index.get(y)
+                if j is None:
+                    if len(data) >= budget:
                         raise BallTooLarge(
                             f"ball exceeded budget of {budget} elements at radius {k}"
                         )
-                    dist[y] = k
-                    parent[y] = i
-                    nxt.append(y)
-        layers.append(nxt)
-        frontier = nxt
-        if not nxt:
+                    j = index[y] = len(data)
+                    data.append(y)
+                    parent.append(i)
+                    parent_gen.append(g)
+                record(j)
+        offsets.append(len(data))
+        if offsets[k] == offsets[k + 1]:
             exhausted = True
             break
-    return Ball(group, gens, radius, dist, parent, layers, exhausted)
+    return Ball(
+        group, gens, radius, data, index, parent, parent_gen, offsets, products, exhausted
+    )
 
 
 def distance(ball: Ball, x: Element, y: Element) -> int:
@@ -224,16 +300,26 @@ def distance(ball: Ball, x: Element, y: Element) -> int:
 
 
 def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
-    """{z : d(x,z) + d(z,y) = d(x,y)}, scanned exhaustively inside the ball."""
+    """{z : d(x,z) + d(z,y) = d(x,y)}, scanned exhaustively inside the ball.
+
+    With u = x^-1 y and d = |u| <= R = ball.radius, z = x w lies on the
+    segment iff |w| + |u^-1 w| = d, for w in B_d. The gather from u^-1 gives
+    |u^-1 w| wherever it stays inside the ball. Skipping an entry it leaves
+    at -1 is exact: then |u^-1 w'| > R for w' = w or a BFS ancestor of w,
+    and as w' lies on a geodesic from 1 to w the triangle inequality gives
+    |w| + |u^-1 w| >= |w'| + |u^-1 w'| > R >= d, so w is not on the segment.
+    """
     group = ball.group
     d = distance(ball, x, y)
     u = group.mul_data(group.inv_data(x.data), y.data)
-    out = []
-    for w in ball.data_up_to(d):
-        rest = ball.dist_data(group.mul_data(group.inv_data(w), u))
-        if rest is not None and ball.dist_data(w) + rest == d:
-            out.append(Element(group, group.mul_data(x.data, w)))
-    return frozenset(out)
+    pos = ball.gather(ball.inv_index(ball.index[u]), ball.size(d))
+    dist = ball.dist
+    data = ball.data
+    return frozenset(
+        Element(group, group.mul_data(x.data, data[k]))
+        for k, j in enumerate(pos)
+        if j >= 0 and dist[k] + dist[j] == d
+    )
 
 
 @dataclass(frozen=True)
@@ -351,17 +437,19 @@ def geodesic_prefixes(ball: Ball, n: int, r: int) -> PrefixTree:
     if r > ball.radius:
         raise OutOfBall(f"horizon {r} exceeds ball radius {ball.radius}")
     group = ball.group
-    gen_data = [s.data for s in ball.gens.elements]
+    data = ball.data
+    dist = ball.dist
     reach = ball.reach_data()
+    nbr = ball.neighbours(ball.size(n - 1))  # rows of the nodes that branch
 
-    def build(data: tuple, depth: int) -> PrefixNode:
+    def build(i: int, depth: int) -> PrefixNode:
         children = []
         if depth < n:
-            for s in gen_data:
-                y = group.mul_data(data, s)
-                if ball.dist_data(y) == depth + 1 and reach[y] >= r:
-                    children.append(build(y, depth + 1))
-        return PrefixNode(Element(group, data), depth, reach[data], tuple(children))
+            for col in nbr:
+                j = col[i]
+                if dist[j] == depth + 1 and reach[data[j]] >= r:
+                    children.append(build(j, depth + 1))
+        return PrefixNode(Element(group, data[i]), depth, reach[data[i]], tuple(children))
 
-    root = build(group.identity_data(), 0)
+    root = build(0, 0)
     return PrefixTree(root, n, r)

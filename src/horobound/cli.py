@@ -375,8 +375,8 @@ def _cmd_ball(group: Group, gens: GeneratingSet, cfg: RunConfig):
     ball = grow_ball(group, gens, r, budget=budget)
     body = {
         "radius": r,
-        "size": len(ball.data_up_to(r)),
-        "layer_sizes": [len(ball.layer_data(k)) for k in range(r + 1)],
+        "size": ball.size(r),
+        "layer_sizes": [ball.size(k) - ball.size(k - 1) for k in range(r + 1)],
     }
     sides = {"ball.csv": _text_file(ball.to_csv)}
     n = cfg.int_param("n")
@@ -530,12 +530,14 @@ def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
 
 
 def emit_report(report: dict, format: str = "json") -> bytes:
-    """Deterministic bytes: sorted keys, two-space indent, trailing newline."""
+    """Deterministic bytes: sorted keys, two-space indent, trailing newline.
+
+    Strict: a value JSON cannot represent (an Element, a Fraction) raises
+    TypeError instead of being written as its str().
+    """
     if format != "json":
         raise ValueError(f"unknown report format {format!r}")
-    return (json.dumps(report, sort_keys=True, indent=2, default=str) + "\n").encode(
-        "utf-8"
-    )
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,34 @@ def test_functional_equality_ignores_provenance(z_ball):
     assert len({a, b}) == 1
 
 
+def test_functional_equality_needs_the_same_ball(z_ball):
+    # a vector lists values in one ball's BFS order, so equal tuples from
+    # different groups are different functionals
+    g5 = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(5,)))
+    ball5 = grow_ball(g5, symmetric_generating_set(g5, [g5.element((1,))]), 3)
+    a = Functional(z_ball, 1, (0, -1, 1))
+    b = Functional(ball5, 1, (0, -1, 1))
+    assert a.vector == b.vector
+    assert a != b
+    assert len({a, b}) == 2
+
+
+def test_lipschitz_check_reads_the_outermost_sphere():
+    # Z/5 with S = {+-1}: B_2 in BFS order is 0, 1, 4, 2, 3, and the edge
+    # 2 -- 3 lies inside the outermost sphere. Its neighbour rows are filled
+    # lazily, so a fresh ball checks the one bad edge only if it fills them.
+    g5 = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(5,)))
+    gens = symmetric_generating_set(g5, [g5.element((1,))])
+    values = {(0,): 0, (1,): 1, (4,): -1, (2,): 2, (3,): -2}
+    ball = grow_ball(g5, gens, 2)
+    assert ball.data_up_to(2) == [(0,), (1,), (4,), (2,), (3,)]
+    with pytest.raises(ValueError, match="Lipschitz"):
+        Functional(ball, 2, tuple(values[d] for d in ball.data_up_to(2)))
+    values[(2,)], values[(3,)] = 1, 0
+    ok = Functional(grow_ball(g5, gens, 2), 2, tuple(values[d] for d in ball.data_up_to(2)))
+    assert ok.vector == (0, 1, -1, 1, 0)
+
+
 @pytest.mark.parametrize("name,m", [("z2", 3), ("cylinder_n4", 2)])
 def test_busemann_functional_matches_oracle(name, m):
     group, gens = example(name)

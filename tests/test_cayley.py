@@ -128,6 +128,69 @@ def test_distance_and_segment_vs_oracle(cyl4_ball15, cyl4_pair):
         assert a in seg and b in seg
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_gather_matches_multiplication(name):
+    """gather(z^-1, |B_m|) against index(z^-1 x), products by mul_data."""
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 8)
+    mul, inv = group.mul_data, group.inv_data
+    rng = random.Random(17)
+    for zdata in rng.choices(ball.data_up_to(8), k=12):
+        start = ball.inv_index(ball.index[zdata])
+        assert ball.data[start] == inv(zdata)
+        m = rng.randrange(0, 9 - ball.dist_data(zdata))  # |z| + m <= radius
+        pos = ball.gather(start, ball.size(m))
+        assert pos == [ball.index[mul(inv(zdata), x)] for x in ball.data_up_to(m)]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_gather_leaving_the_ball(name):
+    """Past the rim an entry is -1 iff its product or an ancestor's leaves."""
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 6)
+    mul, inv = group.mul_data, group.inv_data
+    rng = random.Random(23)
+    seen_outside = False
+    for zdata in rng.choices(ball.layer_data(4) + ball.layer_data(6), k=6):
+        pos = ball.gather(ball.inv_index(ball.index[zdata]), ball.size(4))
+        for k, x in enumerate(ball.data_up_to(4)):
+            a, leaves = k, False
+            while a >= 0:
+                leaves = leaves or ball.index.get(mul(inv(zdata), ball.data[a])) is None
+                a = ball.parent[a]
+            if leaves:
+                assert pos[k] == -1
+                seen_outside = True
+            else:
+                assert pos[k] == ball.index[mul(inv(zdata), x)]
+    assert seen_outside
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_segment_past_the_rim_vs_brute_force(name):
+    """segment(1, y) with 2|y| > radius, where the gather leaves the ball."""
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 12)
+    identity = group.identity()
+    rng = random.Random(2026)
+    far = [d for d in ball.data_up_to(8) if 2 * ball.dist_data(d) > 12]
+    exercised = False
+    for ydata in rng.choices(far, k=8):
+        y = Element(group, ydata)
+        d = ball.dist_data(ydata)
+        exercised = exercised or -1 in ball.gather(ball.inv_index(ball.index[ydata]), ball.size(d))
+        expect = set()
+        for z in ball.elements(d):  # a point of the segment has |z| <= d
+            try:
+                rest = distance(ball, z, y)
+            except OutOfBall:
+                continue
+            if distance(ball, identity, z) + rest == d:
+                expect.add(z)
+        assert segment(ball, identity, y) == expect
+    assert exercised
+
+
 def test_distance_out_of_ball(z_ball):
     g = z_ball.group
     with pytest.raises(OutOfBall):

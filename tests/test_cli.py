@@ -7,6 +7,7 @@ on stdout), 1 for anything else (message on stderr).
 import io
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -257,6 +258,18 @@ def test_emit_report_format():
     assert blob.index(b'"a"') < blob.index(b'"b"')
     with pytest.raises(ValueError, match="unknown report format"):
         emit_report({}, format="yaml")
+
+
+@pytest.mark.parametrize(
+    "leak",
+    [lambda: example("z_line")[0].element((3,)), lambda: Fraction(1, 3)],
+    ids=["element", "fraction"],
+)
+def test_emit_report_is_strict(leak):
+    with pytest.raises(TypeError):
+        emit_report({"value": leak()})
+    with pytest.raises(TypeError):
+        emit_report({"nested": [{"value": leak()}]})
 
 
 # ---------------------------------------------------------------------------

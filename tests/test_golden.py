@@ -1,0 +1,51 @@
+"""Bundled runs against stored digests, so a refactor cannot change output.
+
+``tests/golden/bundled.json`` maps each bundled spec to the sha256 of its
+``emit_report`` bytes and of every side file its command writes. Criterion 11
+only compares a rerun with the run before it; this compares with the bytes
+recorded before a change. After a deliberate, documented change of output,
+rewrite the file with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import pathlib
+from importlib import resources
+
+import pytest
+
+from horobound.cli import emit_report, parse_spec, run_command
+
+SPECS = resources.files("horobound") / "specs"
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled.json"
+SPEC_NAMES = sorted(p.name for p in SPECS.iterdir() if p.name.endswith(".spec"))
+
+
+def digests(name: str) -> dict[str, str]:
+    """sha256 of the report and of each side file of one bundled run."""
+    _, _, config = parse_spec(str(SPECS / name))
+    report, sides = run_command(config)
+    out = {"report.json": hashlib.sha256(emit_report(report)).hexdigest()}
+    for side, blob in sorted(sides.items()):
+        out[side] = hashlib.sha256(blob).hexdigest()
+    return out
+
+
+def test_golden_covers_every_bundled_spec():
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(stored) == SPEC_NAMES
+    assert len(SPEC_NAMES) == 11
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_bundled_run_matches_golden(name):
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert digests(name) == stored[name]
+
+
+if __name__ == "__main__":
+    table = {name: digests(name) for name in SPEC_NAMES}
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} entries to {GOLDEN}")
