@@ -511,10 +511,17 @@ class LamplighterGroup(Group):
         return (tuple(sorted(set(int(p) for p in support))), int(shift))
 
     def mul_data(self, a: tuple, b: tuple) -> tuple:
+        # canonical in, canonical out: a shift keeps a sorted support sorted
         sup_a, s = a
         sup_b, t = b
+        if not sup_b:
+            return (sup_a, s + t)
+        if s:
+            sup_b = tuple([p + s for p in sup_b])
+        if not sup_a:
+            return (sup_b, s + t)
         moved = set(sup_a)
-        moved.symmetric_difference_update(p + s for p in sup_b)
+        moved.symmetric_difference_update(sup_b)
         return (tuple(sorted(moved)), s + t)
 
     def inv_data(self, a: tuple) -> tuple:

@@ -39,7 +39,11 @@ DEFAULT_MAX_LEVELS = 5
 
 
 class BallSystem:
-    """Nested sets B_0 .. B_{n_max} and the norm they induce."""
+    """Nested sets B_0 .. B_{n_max} and the norm they induce.
+
+    The spheres B_n minus B_{n-1} are sorted once here; every reader walks
+    them instead of sorting a level again.
+    """
 
     def __init__(
         self,
@@ -52,9 +56,17 @@ class BallSystem:
         self.levels = levels
         self.n_max = len(levels) - 1
         self._norm: dict[tuple, int] = {}
+        spheres = []
+        prev: frozenset = frozenset()
         for n, level in enumerate(levels):
-            for data in level:
-                self._norm.setdefault(data, n)
+            if not prev <= level:
+                raise AxiomViolation(f"B_{n - 1} is not inside B_{n}")
+            sphere = tuple(sorted(level - prev))
+            for data in sphere:
+                self._norm[data] = n
+            spheres.append(sphere)
+            prev = level
+        self._spheres = tuple(spheres)
 
     def norm_data(self, data: tuple) -> int | None:
         return self._norm.get(data)
@@ -65,16 +77,15 @@ class BallSystem:
     def sphere_data(self, n: int) -> list[tuple]:
         if not (0 <= n <= self.n_max):
             raise OutOfRange(f"level {n} outside 0..{self.n_max}")
-        prev = self.levels[n - 1] if n else frozenset()
-        return sorted(self.levels[n] - prev)
+        return list(self._spheres[n])
 
     def elements(self, n: int | None = None) -> list[Element]:
+        """B_n ordered by (norm, data): spheres 0..n concatenated."""
         n = self.n_max if n is None else n
         if not (0 <= n <= self.n_max):
             raise OutOfRange(f"level {n} outside 0..{self.n_max}")
         return [
-            Element(self.group, d)
-            for d in sorted(self.levels[n], key=lambda d: (self._norm[d], d))
+            Element(self.group, d) for sphere in self._spheres[: n + 1] for d in sphere
         ]
 
     def to_json_dict(self) -> dict:
@@ -86,37 +97,89 @@ class BallSystem:
 
 
 def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
-    if group.identity_data() not in elems:
+    """Raise unless the finite set elems is a subgroup.
+
+    Closure is checked on generators, not on all pairs. Walking elems in
+    sorted order, each element not yet reached becomes a generator, and the
+    reached set is closed under right multiplication by every generator.
+    At the end reached = elems and elems * G lies in elems, so every element
+    is a word in G and a * b stays in elems by induction on the length of b.
+    That costs |elems| * |G| products, and |G| <= log2 |elems| because each
+    new generator at least doubles the subgroup reached so far.
+    """
+    identity = group.identity_data()
+    if identity not in elems:
         raise NotASubgroup(f"{name} does not contain the identity")
     for a in elems:
         if group.inv_data(a) not in elems:
             raise NotASubgroup(f"{name} is not inverse-closed at {group.format_data(a)}")
-        for b in elems:
-            if group.mul_data(a, b) not in elems:
-                raise NotASubgroup(
-                    f"{name} is not closed under products at "
-                    f"{group.format_data(a)} * {group.format_data(b)}"
-                )
+
+    mul = group.mul_data
+    reached = {identity}
+    order = [identity]  # reached, in the order it was reached
+
+    def reach(a: tuple, g: tuple) -> None:
+        ag = mul(a, g)
+        if ag not in elems:
+            raise NotASubgroup(
+                f"{name} is not closed under products at "
+                f"{group.format_data(a)} * {group.format_data(g)}"
+            )
+        if ag not in reached:
+            reached.add(ag)
+            order.append(ag)
+
+    gens: list[tuple] = []
+    for g in sorted(elems):
+        if g in reached:
+            continue
+        gens.append(g)
+        old = len(order)
+        for i in range(old):  # the new generator over everything reached so far
+            reach(order[i], g)
+        i = old
+        while i < len(order):  # each newly reached element by every generator
+            a = order[i]
+            for h in gens:
+                reach(a, h)
+            i += 1
 
 
-def _expand_right(group: Group, core: Iterable[tuple], subgroup: frozenset) -> set:
+def _budget_error(n: int, budget: int, step: str, size: int) -> SizeBudget:
+    return SizeBudget(
+        f"B_{n} exceeded the element budget {budget} while {step} "
+        f"(partial size {size})"
+    )
+
+
+def _expand_right(
+    group: Group, core: Iterable[tuple], subgroup: frozenset, n: int, budget: int
+) -> set:
     """core . subgroup, walking whole right cosets at a time."""
+    mul = group.mul_data
     out: set = set()
     for m in core:
         if m in out:
             continue  # its entire coset is already present
         for f in subgroup:
-            out.add(group.mul_data(m, f))
+            out.add(mul(m, f))
+        if len(out) > budget:
+            raise _budget_error(n, budget, f"expanding by F_{n} on the right", len(out))
     return out
 
 
-def _expand_left(group: Group, subgroup: frozenset, core: Iterable[tuple]) -> set:
+def _expand_left(
+    group: Group, subgroup: frozenset, core: Iterable[tuple], n: int, budget: int
+) -> set:
+    mul = group.mul_data
     out: set = set()
     for m in core:
         if m in out:
             continue
         for f in subgroup:
-            out.add(group.mul_data(f, m))
+            out.add(mul(f, m))
+        if len(out) > budget:
+            raise _budget_error(n, budget, f"expanding by F_{n} on the left", len(out))
     return out
 
 
@@ -157,23 +220,20 @@ def build_ball_system(
     levels = [frozenset([identity])]
     b1 = frozenset({s.data for s in s1.elements} | {identity})
     levels.append(b1)
+    mul = group.mul_data
     for n in range(2, n_max + 1):
         core: set = set()
+        add = core.add
         for k in range(1, n):
+            right_factors = levels[n - k]
             for a in levels[k]:
-                for b in levels[n - k]:
-                    core.add(group.mul_data(a, b))
-            if len(core) > budget:
-                raise SizeBudget(
-                    f"B_{n} exceeded the element budget {budget} while merging products"
-                )
+                for b in right_factors:
+                    add(mul(a, b))
+                if len(core) > budget:
+                    raise _budget_error(n, budget, "merging products", len(core))
         f_n = chain[n - 1]
-        right = _expand_right(group, sorted(core), f_n)
-        if len(right) > budget:
-            raise SizeBudget(f"B_{n} exceeded the element budget {budget}")
-        full = _expand_left(group, f_n, sorted(right))
-        if len(full) > budget:
-            raise SizeBudget(f"B_{n} exceeded the element budget {budget}")
+        right = _expand_right(group, sorted(core), f_n, n, budget)
+        full = _expand_left(group, f_n, sorted(right), n, budget)
         if not core <= full:
             raise AxiomViolation(
                 f"construction lost products while building B_{n}"
@@ -252,21 +312,22 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
     checked = 0
     violations = []
     exceptional = []
-    for g_data in sorted(bs.levels[radius], key=lambda d: (bs.norm_data(d), d)):
-        ng = bs.norm_data(g_data)
-        fg = group.mul_data(f_inv, g_data)
-        nfg = bs.norm_data(fg)
-        if nfg is None:
-            raise OutOfRange(
-                f"f^-1 g escaped B_{bs.n_max} at g = {group.format_data(g_data)}"
-            )
-        checked += 1
-        g = Element(group, g_data)
-        if ng >= cut and nfg >= cut:
-            if nfg != ng:
-                violations.append((g, ng, nfg))
-        elif nfg != ng:
-            exceptional.append((g, ng, nfg))
+    mul = group.mul_data
+    norm_of = bs._norm.get
+    for ng, sphere in enumerate(bs._spheres[: radius + 1]):
+        for g_data in sphere:
+            nfg = norm_of(mul(f_inv, g_data))
+            if nfg is None:
+                raise OutOfRange(
+                    f"f^-1 g escaped B_{bs.n_max} at g = {group.format_data(g_data)}"
+                )
+            checked += 1
+            if nfg == ng:
+                continue
+            if ng >= cut and nfg >= cut:
+                violations.append((Element(group, g_data), ng, nfg))
+            else:
+                exceptional.append((Element(group, g_data), ng, nfg))
     return BsAnnihilatorReport(
         f, n, radius, cut, checked, tuple(violations), tuple(exceptional)
     )
@@ -303,19 +364,22 @@ def metric_axiom_check(
         kind = "ball"
         max_radius = source.radius
         norm_of = source.dist_data
-        sphere = lambda k: source.layer_data(k)  # noqa: E731
+        sphere = source.layer_data
     else:
         kind = "ballsystem"
         max_radius = source.n_max
-        norm_of = source.norm_data
+        norm_of = source._norm.get
         sphere = source.sphere_data
     if radius is None:
         radius = max_radius
     if radius > max_radius:
         raise OutOfRange(f"radius {radius} exceeds the computed range {max_radius}")
+    if radius < 0:
+        raise OutOfRange(f"radius {radius} is negative")
 
-    layer_sizes = tuple(len(sphere(k)) for k in range(radius + 1))
-    for x in sphere(0):
+    spheres = [sphere(k) for k in range(radius + 1)]
+    layer_sizes = tuple(len(s) for s in spheres)
+    for x in spheres[0]:
         if x != identity:
             raise AxiomViolation(
                 "a non-identity element has norm 0", element=group.format_data(x)
@@ -323,8 +387,8 @@ def metric_axiom_check(
     if norm_of(identity) != 0:
         raise AxiomViolation("the identity does not have norm 0")
 
-    for k in range(radius + 1):
-        for x in sphere(k):
+    for k, xs in enumerate(spheres):
+        for x in xs:
             ni = norm_of(group.inv_data(x))
             if ni != k:
                 raise AxiomViolation(
@@ -334,14 +398,17 @@ def metric_axiom_check(
                     inverse_norm=ni,
                 )
 
+    mul = group.mul_data
     pairs = 0
     for i in range(radius + 1):
+        xs = spheres[i]
         for j in range(radius + 1 - i):
-            for x in sphere(i):
-                for y in sphere(j):
-                    nxy = norm_of(group.mul_data(x, y))
-                    pairs += 1
-                    if nxy is None or nxy > i + j:
+            ys = spheres[j]
+            bound = i + j
+            for x in xs:
+                for y in ys:
+                    nxy = norm_of(mul(x, y))
+                    if nxy is None or nxy > bound:
                         raise AxiomViolation(
                             "triangle inequality fails",
                             x=group.format_data(x),
@@ -350,4 +417,5 @@ def metric_axiom_check(
                             norm_y=j,
                             norm_xy=nxy,
                         )
+            pairs += len(xs) * len(ys)
     return MetricAxiomReport(kind, radius, pairs, layer_sizes)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from horobound.cayley import grow_ball
 from horobound.errors import (
     BadCocycle,
     DoesNotGenerate,
@@ -109,6 +110,23 @@ def test_group_laws_random(name):
         ia = group.inv_data(a)
         assert ia == inv_o(a)
         assert group.mul_data(a, ia) == identity
+
+
+def test_lamplighter_mul_on_the_word_ball_vs_oracle():
+    group, gens = example("lamplighter_z2")
+    ball = grow_ball(group, gens, 3).data_up_to(3)
+    cases = set()
+    for a in ball:
+        for b in ball:
+            ab = group.mul_data(a, b)
+            assert ab == lamp_mul(a, b)
+            support = ab[0]
+            assert type(support) is tuple
+            assert all(p < q for p, q in zip(support, support[1:]))
+            cases.add((bool(a[0]), bool(b[0]), (a[1] > 0) - (a[1] < 0)))
+    # every fast path and the general path ran: either support empty, shift 0/+/-
+    flags = (False, True)
+    assert cases == {(x, y, s) for x in flags for y in flags for s in (-1, 0, 1)}
 
 
 def test_element_power():

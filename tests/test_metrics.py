@@ -1,12 +1,26 @@
 """Ball systems, the induced metric, and the absorption-based annihilator check."""
 
+import math
+import random
+import re
+from itertools import combinations, permutations
+
 import pytest
 
 from horobound.cayley import grow_ball
 from horobound.errors import NotASubgroup, OutOfRange, SizeBudget
 from horobound.examples import cylinder, example, lamp_chain
-from horobound.groups import Element
+from horobound.groups import (
+    Element,
+    FiniteGroupSpec,
+    FiniteTableGroup,
+    LamplighterGroup,
+    cyclic_table,
+    direct_product_table,
+)
 from horobound.metrics import (
+    BallSystem,
+    _check_subgroup,
     bs_annihilator_check,
     bs_norm,
     build_ball_system,
@@ -78,6 +92,91 @@ def test_chain_must_be_subgroups():
         )
 
 
+def _s3_table():
+    perms = sorted(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(
+        tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms) for p in perms
+    )
+
+
+def _universes():
+    lamp = LamplighterGroup()
+    yield lamp, [
+        (support, 0) for size in range(6) for support in combinations(range(-2, 3), size)
+    ]
+    for n in (4, 6):
+        group, _ = cylinder(n)
+        yield group, [(0, c) for c in range(n)]
+    for table in (cyclic_table(6), direct_product_table((2, 2, 3)), _s3_table()):
+        group = FiniteTableGroup(FiniteGroupSpec(table=table))
+        yield group, [(i,) for i in range(len(table))]
+
+
+def _generated(group, seeds):
+    out = {group.identity_data()} | set(seeds)
+    while True:
+        more = {group.mul_data(a, b) for a in out for b in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def test_closure_check_agrees_with_pairwise():
+    rng = random.Random(2026)
+    outcomes = set()
+    for group, universe in _universes():
+        for trial in range(60):
+            seeds = rng.sample(universe, rng.randint(1, 3))
+            if trial % 3 == 0:
+                subset = set(seeds)  # a bare random subset
+            else:
+                subset = _generated(group, seeds)
+                if trial % 3 == 2:
+                    subset.add(rng.choice(universe))  # a subgroup plus a stray element
+            subset.add(group.identity_data())
+            subset |= {group.inv_data(a) for a in subset}
+            elems = frozenset(subset)
+            closed = all(group.mul_data(a, b) in elems for a in elems for b in elems)
+            outcomes.add(closed)
+            if closed:
+                _check_subgroup(group, elems, "F")
+            else:
+                with pytest.raises(NotASubgroup, match="products"):
+                    _check_subgroup(group, elems, "F")
+    assert outcomes == {True, False}
+
+
+def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
+    group, _ = lamp_pair
+    chain = [frozenset(x.data for x in level) for level in lamp_chain(group, 5)]
+    calls = [0]
+    mul = LamplighterGroup.mul_data
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(LamplighterGroup, "mul_data", counted)
+    for i, f in enumerate(chain):
+        calls[0] = 0
+        _check_subgroup(group, f, f"F_{i + 1}")
+        assert calls[0] < len(f) * (math.log2(len(f)) + 1)
+
+
+def test_axiom_check_sorts_each_sphere_once(lamp_bs4, monkeypatch):
+    calls = [0]
+    sphere_data = BallSystem.sphere_data
+
+    def counted(self, n):
+        calls[0] += 1
+        return sphere_data(self, n)
+
+    monkeypatch.setattr(BallSystem, "sphere_data", counted)
+    metric_axiom_check(lamp_bs4)
+    assert calls[0] <= lamp_bs4.n_max + 1
+
+
 def test_chain_must_be_nested():
     group, gens = cylinder(4)
     torsion = [group.element((0, c)) for c in range(4)]
@@ -89,6 +188,13 @@ def test_budgets(lamp_pair):
     group, gens = lamp_pair
     with pytest.raises(SizeBudget, match="element budget"):
         build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=100)
+    # the budget fires within the first rows of B_1 B_1, naming the level reached
+    with pytest.raises(SizeBudget, match=r"B_2 .* merging products") as hit:
+        build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=5)
+    partial = int(re.search(r"partial size (\d+)", str(hit.value)).group(1))
+    assert 5 < partial <= 5 + 4  # one row adds at most |B_1| = 4 products
+    with pytest.raises(SizeBudget, match=r"B_2 .* expanding by F_2 on the right"):
+        build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=20)
     with pytest.raises(SizeBudget, match="level budget"):
         build_ball_system(group, gens, lamp_chain(group, 6), 6)
 
@@ -158,3 +264,11 @@ def test_axiom_radius_guard(z2_pair):
     ball = grow_ball(group, gens, 4)
     with pytest.raises(OutOfRange):
         metric_axiom_check(ball, radius=5)
+
+
+def test_axiom_radius_guard_negative(z2_pair, lamp_bs4):
+    group, gens = z2_pair
+    ball = grow_ball(group, gens, 4)
+    for source in (ball, lamp_bs4):
+        with pytest.raises(OutOfRange, match="negative"):
+            metric_axiom_check(source, radius=-1)
