@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from horobound.cayley import grow_ball
-from horobound.errors import NotASubgroup, OutOfRange, SizeBudget
+from horobound.errors import AxiomViolation, NotASubgroup, OutOfRange, SizeBudget
 from horobound.examples import cylinder, example, lamp_chain
 from horobound.groups import (
     Element,
@@ -183,6 +183,14 @@ def test_chain_must_be_nested():
     with pytest.raises(NotASubgroup, match="nested"):
         build_ball_system(group, gens, [torsion, [group.identity()]], 2)
 
+
+def test_ball_system_levels_must_be_nested():
+    group = LamplighterGroup()
+    e, lamp, shift = group.identity_data(), ((0,), 0), ((), 1)
+    levels = (frozenset({e}), frozenset({e, lamp}), frozenset({e, shift}))
+    chain = (frozenset({e}),) * 2
+    with pytest.raises(AxiomViolation, match="B_1 is not inside B_2"):
+        BallSystem(group, chain, levels)
 
 def test_budgets(lamp_pair):
     group, gens = lamp_pair
