@@ -229,9 +229,17 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
     r-window+1 .. r (when those radii exist); it is an interior shadow when
     some |z| <= m realizes the same vector; it is on the Busemann side when
     some realizing endpoint extends to a geodesic of the full ball radius.
+
+    Only a few z can make a class an interior shadow. For every x,
+    b_z(x) = d(z, x) - |z| >= -|z|, with equality at x = z, which lies in
+    B_m. So b_z|B_m == vec forces min(vec) = -|z| and vec[z] = min(vec):
+    only the z on sphere -min(vec) where vec takes its minimum are tried,
+    and each b_z is built at most once per call.
     """
     if not (0 < m < r):
         raise ValueError(f"need 0 < m < r, got m={m}, r={r}")
+    if window < 1:
+        raise ValueError(f"need a stability window >= 1, got {window}")
     if r + m > ball.radius:
         raise OutOfBall(f"level ({r},{m}) needs ball radius {r + m}, have {ball.radius}")
     group = ball.group
@@ -245,7 +253,17 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
         for rr in range(lo, r):
             stable_keys &= set(_sphere_vectors(ball, rr, m))
 
-    interior_keys = {_busemann_vector(ball, z, m) for z in range(ball.size(m))}
+    interior: dict[int, tuple[int, ...]] = {}  # z -> b_z|B_m, built on demand
+
+    def interior_shadow(vec: tuple[int, ...]) -> bool:
+        low = min(vec)
+        for z in range(ball.size(-low - 1), ball.size(-low)):
+            if vec[z] == low:
+                if z not in interior:
+                    interior[z] = _busemann_vector(ball, z, m)
+                if interior[z] == vec:
+                    return True
+        return False
 
     reach = ball.reach_data()
     horizon = ball.radius
@@ -266,7 +284,7 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
                 count=len(points),
                 witnesses=tuple(Element(group, p) for p in points),
                 stable=fun.stable,
-                interior_shadow=vec in interior_keys,
+                interior_shadow=interior_shadow(vec),
                 busemann=any(reach[p] >= horizon for p in points),
             )
         )
@@ -374,31 +392,53 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
     The subgroup closure runs inside the ball; if it escapes, or the coset
     count keeps growing through the last layers examined, the value is only a
     floor and ``exact`` is False.
+
+    The closure is a set of ball positions. With u = s_1 .. s_k along its BFS
+    parent path, w u is k neighbour-table lookups from w. A lookup gives -1
+    once some w s_1 .. s_j leaves the ball, although w u itself may lie
+    inside, so only then is w u multiplied out; the closure escapes exactly
+    when that product lies outside the ball.
     """
     group = ball.group
+    data, index, parent, parent_gen = ball.data, ball.index, ball.parent, ball.parent_gen
     gens = {x.data for x in kernel} | {group.inv_data(x.data) for x in kernel}
     gens.discard(group.identity_data())
-    closure = {group.identity_data()}
-    frontier = [group.identity_data()]
+    nbr = ball.neighbours(len(data))
+    walks = []  # (u, the neighbour columns s_1 .. s_k, or None for u outside the ball)
+    for u in gens:
+        i = index.get(u)
+        cols = None
+        if i is not None:
+            cols = []
+            while i > 0:
+                cols.append(nbr[parent_gen[i]])
+                i = parent[i]
+            cols.reverse()
+        walks.append((u, cols))
+    inside = {0}
+    frontier = [0]
     escaped = False
-    gen_list = sorted(gens)
     while frontier:
         nxt = []
         for w in frontier:
-            for u in gen_list:
-                v = group.mul_data(w, u)
-                if v in closure:
-                    continue
-                if ball.dist_data(v) is None:
-                    escaped = True
-                    continue
-                closure.add(v)
-                nxt.append(v)
+            for u, cols in walks:
+                v = -1
+                if cols is not None:
+                    v = w
+                    for col in cols:
+                        v = col[v]
+                if v < 0:
+                    v = index.get(group.mul_data(data[w], u), -1)
+                    if v < 0:
+                        escaped = True
+                        continue
+                if v not in inside:
+                    inside.add(v)
+                    nxt.append(v)
         frontier = nxt
 
     half = ball.radius // 2
     size = ball.size(half)
-    inside = {ball.index[v] for v in closure}
     # rep^-1 x for every x in B_half, one gather per representative;
     # |rep^-1 x| <= 2 * half <= radius keeps every entry in the ball
     rep_translates: list[list[int]] = []
@@ -437,17 +477,13 @@ def sign_match(g: Functional, h: Functional, kernel: Iterable[Element]) -> SignM
 def dominating_busemann(h: Functional, ball: Ball, r: int) -> Functional:
     """A geodesic-prefix class at the same level dominating h pointwise.
 
-    Checks the classes realized by h's own witnesses first (re-rooting the
-    geodesics to those witnesses); raises the NoDominatorAtLevel diagnostic
-    when no Busemann-side class dominates at this truncation.
+    Checks the classes equal to h first, with or without a witness; raises
+    the NoDominatorAtLevel diagnostic when no Busemann-side class dominates
+    at this truncation.
     """
     m = h.domain_radius
     candidates = busemann_point_approx(ball, r, m)
-    ordered: list[Functional] = []
-    if h.witness is not None:
-        for g in candidates:
-            if g.vector == h.vector:
-                ordered.append(g)
+    ordered = [g for g in candidates if g.vector == h.vector]
     ordered.extend(g for g in candidates if g.vector != h.vector)
     for g in ordered:
         if all(a >= b for a, b in zip(g.vector, h.vector)):

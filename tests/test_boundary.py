@@ -17,7 +17,7 @@ from horobound.boundary import (
     sign_match,
     slow_geodesic,
 )
-from horobound.cayley import geodesic_between, grow_ball
+from horobound.cayley import Ball, geodesic_between, grow_ball
 from horobound.errors import (
     DomainExhausted,
     DomainMismatch,
@@ -25,7 +25,7 @@ from horobound.errors import (
     OutOfBall,
     RangeEmpty,
 )
-from horobound.examples import example
+from horobound.examples import REGISTRY, example
 from horobound.groups import Element, FgAbelianGroup, FgAbelianSpec, symmetric_generating_set
 
 from oracles import bfs_dist, busemann_vec
@@ -159,6 +159,30 @@ def test_boundary_level_guards(z_ball):
         boundary_approx(z_ball, 3, 3)
     with pytest.raises(OutOfBall):
         boundary_approx(z_ball, 14, 3)
+    # with no outer radii to compare, every class would read as stable
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window >= 1"):
+            boundary_approx(z_ball, 10, 3, window=window)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_interior_shadow_matches_brute_force(name):
+    group, gens = REGISTRY[name]()
+    ball = grow_ball(group, gens, 13)
+    flags = set()
+    for r, m in [(6, 2), (9, 3), (10, 3)]:
+        approx = boundary_approx(ball, r, m)
+        shadows = {
+            busemann_functional(ball, Element(group, z), m).vector
+            for z in ball.data_up_to(m)
+        }
+        for c in approx.classes:
+            assert c.interior_shadow == (c.functional.vector in shadows)
+            flags.add(c.interior_shadow)
+    if name == "z_line":
+        assert flags == {True}
+    if name == "cylinder_n4":
+        assert flags == {False}
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +232,127 @@ def test_cylinder_kernel_is_everything(cyl4_ball15):
         kernel_approx(approx, 3, cyl4_ball15)
 
 
+def _tuple_kernel_index(kernel, ball):
+    """kernel_index_estimate with the subgroup closure multiplied out on payloads."""
+    group = ball.group
+    gens = {x.data for x in kernel} | {group.inv_data(x.data) for x in kernel}
+    gens.discard(group.identity_data())
+    closure = {group.identity_data()}
+    frontier = [group.identity_data()]
+    escaped = False
+    gen_list = sorted(gens)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for u in gen_list:
+                v = group.mul_data(w, u)
+                if v in closure:
+                    continue
+                if ball.dist_data(v) is None:
+                    escaped = True
+                    continue
+                closure.add(v)
+                nxt.append(v)
+        frontier = nxt
+
+    half = ball.radius // 2
+    size = ball.size(half)
+    inside = {ball.index[v] for v in closure}
+    rep_translates = []
+    counts = []
+    for rr in range(half + 1):
+        for x in range(ball.size(rr - 1), ball.size(rr)):
+            if not any(pos[x] in inside for pos in rep_translates):
+                rep_translates.append(ball.gather(ball.inv_index(x), size))
+        counts.append(len(rep_translates))
+    stableized = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
+    return len(rep_translates), (not escaped) and stableized
+
+
+def _z8():
+    group = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(8,)))
+    return group, symmetric_generating_set(group, [group.element((1,))])
+
+
+# a finite subgroup of each group, generated inside B_2; only in the finite
+# Z/8 can the closure stay inside the ball and the index be certified
+_FINITE = {
+    "z_line": [],
+    "z2": [],
+    "cylinder_n4": [(0, 1)],
+    "z2_rot4": [((0, 0), 1)],
+    "fat_cylinder_n3": [(0, 1)],
+    "lamplighter_z2": [((0,), 0)],
+    "z8": [(2,)],
+}
+
+
+def test_kernel_index_matches_tuple_closure(monkeypatch):
+    results = set()
+    fallback_calls = fallback_inside = 0
+    for name, make in sorted({**REGISTRY, "z8": _z8}.items()):
+        group, gens = make()
+        ball = grow_ball(group, gens, 8)
+        ball.neighbours(len(ball))  # from here on every mul_data is a fallback
+        kernels = [
+            kernel_approx(boundary_approx(ball, 5, 3), 2, ball),
+            [Element(group, d) for d in _FINITE[name]],
+            list(ball.elements(2)),  # its closure reaches the rim
+            # a generator outside the ball has no parent path
+            [Element(group, group.mul_data(ball.data[-1], s.data)) for s in gens],
+        ]
+        calls = []
+        mul = group.mul_data
+
+        def counting(a, b):
+            v = mul(a, b)
+            calls.append(v in ball.index)
+            return v
+
+        for kernel in kernels:
+            expected = _tuple_kernel_index(kernel, ball)
+            monkeypatch.setattr(group, "mul_data", counting)
+            got = kernel_index_estimate(kernel, ball)
+            monkeypatch.undo()
+            assert got == expected, name
+            results.add(expected)
+        fallback_calls += len(calls)
+        fallback_inside += sum(calls)
+    # both flags occur, and the fallback ran and found products inside the ball
+    assert {exact for _, exact in results} == {True, False}
+    assert fallback_calls > fallback_inside > 0
+
+
+def test_bend_level_work_counts(monkeypatch, cyl30_ball67):
+    # the cylinder_n30_diag bend level: the interior-shadow test and the
+    # kernel closure stay far below the |B_18| = 685 extra gathers and the
+    # 48,600 products they once took
+    ball = cyl30_ball67
+    gathers = []
+    gather = Ball.gather
+
+    def counting_gather(self, start, size):
+        gathers.append(size)
+        return gather(self, start, size)
+
+    monkeypatch.setattr(Ball, "gather", counting_gather)
+    approx = boundary_approx(ball, 49, 18)
+    assert len(gathers) < 300
+    monkeypatch.undo()
+
+    kernel = kernel_approx(approx, 2, ball)
+    products = []
+    mul = ball.group.mul_data
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ball.group, "mul_data", counting_mul)
+    assert kernel_index_estimate(kernel, ball) == (1, False)
+    assert 0 < len(products) < 1000
+
+
 def test_cylinder_sign_match(cyl4_ball15):
     approx = boundary_approx(cyl4_ball15, 12, 3)
     g, h = approx.stable_classes()
@@ -230,6 +375,14 @@ def test_line_dominates_itself(z_ball):
     dom = dominating_busemann(h, z_ball, 10)
     assert dom.vector == h.vector
     assert dom.provenance == "geodesic"
+
+
+def test_class_without_witness_dominates_itself(z_ball):
+    vec = boundary_approx(z_ball, 10, 3).busemann_classes()[0].vector
+    h = Functional(z_ball, 3, vec)
+    assert h.witness is None
+    dom = dominating_busemann(h, z_ball, 10)
+    assert dom.vector == vec
 
 
 def test_finite_group_has_no_dominator():

@@ -373,6 +373,20 @@ def test_main_validation_failure_exits_1(tmp_path):
     assert "ValidationError" in err and "not symmetric" in err
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_main_window_below_one_exits_1(tmp_path, window):
+    spec = tmp_path / "window.spec"
+    spec.write_text(
+        "[group]\nfamily = fg_abelian\nfree_rank = 1\n\n"
+        "[generators]\nelements = (1) (-1)\n\n"
+        f"[run]\ncommand = boundary\nr = 10\nm = 3\nwindow = {window}\n"
+    )
+    code, out, err = run_cli(["boundary", str(spec)])
+    assert code == 1
+    assert out == b""
+    assert err == f"error: need a stability window >= 1, got {window}\n"
+
+
 def test_main_diagnostic_exits_2(monkeypatch):
     def explode(group, gens, cfg):
         raise NoDominatorAtLevel("nothing dominates", level=7)
