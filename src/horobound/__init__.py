@@ -88,7 +88,6 @@ from .metrics import (
 from .polytope import RationalPolytope, convex_hull, solve_lp, supporting_functional
 from .vabelian import (
     Cloud,
-    ExtensionView,
     LipschitzHomData,
     QuotientGraph,
     SimpleCycleSet,
@@ -96,7 +95,6 @@ from .vabelian import (
     busemann_coset_separation,
     cloud_hull,
     conjugate_cloud,
-    extension_view,
     infinite_boundary_witness,
     lipschitz_hom,
     quotient_graph,
@@ -165,13 +163,11 @@ __all__ = [
     "solve_lp",
     "supporting_functional",
     # vabelian
-    "ExtensionView",
     "QuotientGraph",
     "SimpleCycleSet",
     "Cloud",
     "LipschitzHomData",
     "WitnessReport",
-    "extension_view",
     "quotient_graph",
     "simple_cycle_labels",
     "conjugate_cloud",

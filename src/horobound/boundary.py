@@ -391,7 +391,10 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
 
     The subgroup closure runs inside the ball; if it escapes, or the coset
     count keeps growing through the last layers examined, the value is only a
-    floor and ``exact`` is False.
+    floor and ``exact`` is False. So ``exact`` can be True only when the
+    closure is finite and stays inside the ball. In an infinite group such a
+    subgroup has infinite index, so there ``exact`` is always False: ``bend``
+    reports ``kernel_index_exact: false`` on cylinder_n30_diag.
 
     The closure is a set of ball positions. With u = s_1 .. s_k along its BFS
     parent path, w u is k neighbour-table lookups from w. A lookup gives -1

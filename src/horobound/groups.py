@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -43,6 +45,7 @@ IntMatrix = tuple[IntVec, ...]
 __all__ = [
     "Element",
     "Group",
+    "ExtensionGroup",
     "FgAbelianSpec",
     "VAbExtensionSpec",
     "FiniteGroupSpec",
@@ -50,8 +53,6 @@ __all__ = [
     "GroupSpec",
     "GeneratingSet",
     "build_group",
-    "multiply",
-    "inverse",
     "symmetric_generating_set",
     "cyclic_table",
     "direct_product_table",
@@ -106,6 +107,14 @@ def cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
+def _mixed_radix(orders: Sequence[int], coords: Sequence[int]) -> int:
+    """Index of coords in Z/t_1 x ... x Z/t_k, the first coordinate fastest."""
+    i = 0
+    for t, c in zip(reversed(orders), reversed(coords)):
+        i = i * t + c
+    return i
+
+
 def direct_product_table(orders: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Table of a product of cyclic groups, indexed in mixed radix."""
     size = 1
@@ -119,18 +128,12 @@ def direct_product_table(orders: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             i //= t
         return out
 
-    def encode(coords: Sequence[int]) -> int:
-        i = 0
-        for t, c in zip(reversed(orders), reversed(list(coords))):
-            i = i * t + c
-        return i
-
     rows = []
     for i in range(size):
         a = decode(i)
         rows.append(
             tuple(
-                encode([(x + y) % t for x, y, t in zip(a, decode(j), orders)])
+                _mixed_radix(orders, [(x + y) % t for x, y, t in zip(a, decode(j), orders)])
                 for j in range(size)
             )
         )
@@ -222,22 +225,49 @@ class Group:
         return Element(self, self.inv_data(a.data))
 
 
-def multiply(a: Element, b: Element) -> Element:
-    """Product a * b; errors if the elements live in different groups."""
-    if a.group is not b.group:
-        raise GroupMismatch(f"cannot multiply across groups: {a!r} * {b!r}")
-    return a * b
+class ExtensionGroup(Group):
+    """A group with a free abelian kernel Z^rank of finite index.
 
+    An element splits into a coset index in the finite quotient Q (identity
+    at 0) and a free part in Z^rank; ``table`` is Q's product and
+    ``action[q]`` the matrix by which q acts on the kernel. Kernel elements
+    are exactly those in coset 0, and ``xi`` is their coordinate vector.
+    """
 
-def inverse(a: Element) -> Element:
-    return a.inverse()
+    rank: int
+    quotient_order: int
+    table: tuple[tuple[int, ...], ...]
+    action: tuple[IntMatrix, ...]
+
+    def coset_of(self, data: tuple) -> int:
+        raise NotImplementedError
+
+    def free_part(self, data: tuple) -> IntVec:
+        raise NotImplementedError
+
+    def kernel_element(self, vec: Sequence[int]) -> Element:
+        raise NotImplementedError
+
+    def in_kernel(self, data: tuple) -> bool:
+        return self.coset_of(data) == 0
+
+    def xi(self, data: tuple) -> IntVec:
+        """Coordinates of an element of the free abelian kernel."""
+        if not self.in_kernel(data):
+            raise ValueError(f"{self.format_data(data)} is not in the free abelian kernel")
+        return self.free_part(data)
+
+    def act_vec(self, q: int, vec: Sequence) -> tuple:
+        return mat_vec(self.action[q], tuple(vec))
 
 
 # ---------------------------------------------------------------------------
 # family: finitely generated abelian
 
 
-class FgAbelianGroup(Group):
+class FgAbelianGroup(ExtensionGroup):
+    """Z^rank x T as a trivial-action extension; Q = T in mixed radix."""
+
     family = "fg_abelian"
 
     def __init__(self, spec: FgAbelianSpec):
@@ -247,9 +277,19 @@ class FgAbelianGroup(Group):
             if t < 2:
                 raise ValueError(f"torsion orders must be >= 2, got {t}")
         self.spec = spec
-        self.free_rank = spec.free_rank
+        self.rank = spec.free_rank
         self.torsion = tuple(spec.torsion)
-        self._n = self.free_rank + len(self.torsion)
+        self._n = self.rank + len(self.torsion)
+        self.quotient_order = prod(self.torsion)
+
+    # built on first use: only the vabelian pipeline reads them
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return direct_product_table(self.torsion)
+
+    @cached_property
+    def action(self) -> tuple[IntMatrix, ...]:
+        return (identity_matrix(self.rank),) * self.quotient_order
 
     def identity_data(self) -> tuple:
         return (0,) * self._n
@@ -260,21 +300,30 @@ class FgAbelianGroup(Group):
             raise ValueError(
                 f"expected {self._n} coordinates, got {len(coords)}"
             )
-        free = coords[: self.free_rank]
-        tors = tuple(c % t for c, t in zip(coords[self.free_rank:], self.torsion))
+        free = coords[: self.rank]
+        tors = tuple(c % t for c, t in zip(coords[self.rank:], self.torsion))
         return free + tors
 
     def mul_data(self, a: tuple, b: tuple) -> tuple:
-        d = self.free_rank
+        d = self.rank
         free = tuple(a[i] + b[i] for i in range(d))
         tors = tuple((a[d + i] + b[d + i]) % t for i, t in enumerate(self.torsion))
         return free + tors
 
     def inv_data(self, a: tuple) -> tuple:
-        d = self.free_rank
+        d = self.rank
         free = tuple(-a[i] for i in range(d))
         tors = tuple((-a[d + i]) % t for i, t in enumerate(self.torsion))
         return free + tors
+
+    def coset_of(self, data: tuple) -> int:
+        return _mixed_radix(self.torsion, data[self.rank:])
+
+    def free_part(self, data: tuple) -> IntVec:
+        return data[: self.rank]
+
+    def kernel_element(self, vec: Sequence[int]) -> Element:
+        return self.element(tuple(int(x) for x in vec) + (0,) * len(self.torsion))
 
     def format_data(self, data: tuple) -> str:
         return "(" + ",".join(str(x) for x in data) + ")"
@@ -285,7 +334,7 @@ class FgAbelianGroup(Group):
     def describe(self) -> dict:
         return {
             "family": self.family,
-            "free_rank": self.free_rank,
+            "free_rank": self.rank,
             "torsion": list(self.torsion),
         }
 
@@ -324,7 +373,7 @@ def _table_inverses(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(next(b for b in range(n) if table[a][b] == 0) for a in range(n))
 
 
-class VAbExtensionGroup(Group):
+class VAbExtensionGroup(ExtensionGroup):
     family = "vab_extension"
 
     def __init__(self, spec: VAbExtensionSpec):
@@ -408,17 +457,10 @@ class VAbExtensionGroup(Group):
         w = mat_vec(self._action_inv[q], tuple(-(x + y) for x, y in zip(v, c)))
         return (w, p)
 
-    # extension-specific helpers -------------------------------------------
     def coset_of(self, data: tuple) -> int:
         return data[1]
 
-    def in_kernel(self, data: tuple) -> bool:
-        return data[1] == 0
-
-    def xi(self, data: tuple) -> IntVec:
-        """Coordinates of an element of the free abelian kernel."""
-        if data[1] != 0:
-            raise ValueError(f"{self.format_data(data)} is not in the free abelian kernel")
+    def free_part(self, data: tuple) -> IntVec:
         return data[0]
 
     def kernel_element(self, vec: Sequence[int]) -> Element:
@@ -682,7 +724,7 @@ def _verify_generation(
             )
         return True
 
-    if isinstance(group, (FgAbelianGroup, VAbExtensionGroup)):
+    if isinstance(group, ExtensionGroup):
         _verify_extension_generation(group, gens)
         return True
 
@@ -708,66 +750,36 @@ def _verify_generation(
     return not (targets - seen)
 
 
-def _verify_extension_generation(group: Group, gens: Sequence[Element]) -> None:
+def _verify_extension_generation(group: ExtensionGroup, gens: Sequence[Element]) -> None:
     """Coset sweep over the finite quotient, then a kernel lattice check."""
-    if isinstance(group, FgAbelianGroup):
-        d = group.free_rank
-        torsion = group.torsion
-
-        def coset(data):
-            return data[d:]
-
-        def vec(data):
-            return data[:d]
-
-        identity_coset = (0,) * len(torsion)
-    else:
-        d = group.rank
-
-        def coset(data):
-            return (data[1],)
-
-        def vec(data):
-            return data[0]
-
-        identity_coset = (0,)
-
-    reps = {identity_coset: group.identity()}
-    order = [identity_coset]
-    frontier = [identity_coset]
+    reps = {0: group.identity()}
+    order = [0]
+    frontier = [0]
     while frontier:
         nxt = []
         for q in frontier:
             for s in gens:
                 y = reps[q] * s
-                cq = coset(y.data)
+                cq = group.coset_of(y.data)
                 if cq not in reps:
                     reps[cq] = y
                     order.append(cq)
                     nxt.append(cq)
         frontier = nxt
 
-    expected = 1
-    if isinstance(group, FgAbelianGroup):
-        for t in group.torsion:
-            expected *= t
-    else:
-        expected = group.quotient_order
-    if len(reps) != expected:
+    if len(reps) != group.quotient_order:
         raise DoesNotGenerate(
-            f"generator images reach {len(reps)} of {expected} quotient cosets"
+            f"generator images reach {len(reps)} of {group.quotient_order} quotient cosets"
         )
 
-    if d == 0:
-        return
     schreier: list[IntVec] = []
     for q in order:
         for s in gens:
             y = reps[q] * s
-            back = reps[coset(y.data)].inverse()
+            back = reps[group.coset_of(y.data)].inverse()
             k = y * back
-            schreier.append(tuple(vec(k.data)))
-    if lattice_index(schreier, d) != 1:
+            schreier.append(group.free_part(k.data))
+    if lattice_index(schreier, group.rank) != 1:
         raise DoesNotGenerate(
             "kernel relations of the generators span a proper sublattice of Z^d"
         )

@@ -20,9 +20,6 @@ __all__ = [
     "mat_det",
     "mat_inv",
     "mat_inv_int",
-    "vec_add",
-    "vec_sub",
-    "vec_neg",
     "lattice_index",
     "rref",
     "nullspace",
@@ -44,18 +41,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u: Sequence) -> tuple:
-    return tuple(-a for a in u)
 
 
 def mat_det(a: Sequence[Sequence[int]]) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .boundary import busemann_functional
 from .cayley import Ball, grow_ball, DEFAULT_BUDGET
@@ -23,34 +22,24 @@ from .errors import (
     NotConnected,
     NotExtreme,
     OutOfBall,
+    OutOfRange,
     VerificationFailed,
 )
-from .groups import (
-    Element,
-    FgAbelianGroup,
-    GeneratingSet,
-    Group,
-    VAbExtensionGroup,
-    direct_product_table,
-)
-from .linalg import identity_matrix, mat_vec
+from .groups import Element, ExtensionGroup, GeneratingSet, Group
 from .polytope import (
     Point,
     RationalPolytope,
-    SupportingFunctional,
     convex_hull,
     supporting_functional,
 )
 
 __all__ = [
-    "ExtensionView",
     "QuotientGraph",
     "SimpleCycleSet",
     "Cloud",
     "LipschitzHomData",
     "SeparationVerdict",
     "WitnessReport",
-    "extension_view",
     "quotient_graph",
     "simple_cycle_labels",
     "conjugate_cloud",
@@ -64,94 +53,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# normal form: every supported group as (Z^d, Q, action, cocycle)
+# the kernel/quotient normal form, read from the group
 
 
-class ExtensionView:
-    """Uniform access to the kernel/quotient structure of a group.
-
-    Extension groups are their own view; a finitely generated abelian group
-    splits as free part x torsion, a trivial-action extension. Families with
-    no finite-index free abelian kernel structure are rejected.
-    """
-
-    def __init__(self, group: Group):
-        if isinstance(group, VAbExtensionGroup):
-            self.group = group
-            self.rank = group.rank
-            self.quotient_order = group.quotient_order
-            self.quotient_table = group.table
-            self.action = group.action
-            self._torsion = None
-        elif isinstance(group, FgAbelianGroup):
-            self.group = group
-            self.rank = group.free_rank
-            self._torsion = group.torsion
-            self.quotient_table = (
-                direct_product_table(group.torsion) if group.torsion else ((0,),)
-            )
-            self.quotient_order = len(self.quotient_table)
-            self.action = tuple(
-                identity_matrix(self.rank) for _ in range(self.quotient_order)
-            )
-        else:
-            raise GroupMismatch(
-                f"family {group.family!r} has no declared free abelian kernel"
-            )
-        if self.rank < 1:
-            raise GroupMismatch("kernel rank is 0; the pipeline needs a free part")
-        self.q_inverse = tuple(
-            next(p for p in range(self.quotient_order) if self.quotient_table[q][p] == 0)
-            for q in range(self.quotient_order)
-        )
-
-    # torsion coordinates <-> quotient index, little-endian like the table
-    def _encode(self, coords: Sequence[int]) -> int:
-        i = 0
-        for t, c in zip(reversed(self._torsion), reversed(list(coords))):
-            i = i * t + c
-        return i
-
-    def _decode(self, i: int) -> tuple[int, ...]:
-        out = []
-        for t in self._torsion:
-            out.append(i % t)
-            i //= t
-        return tuple(out)
-
-    def coset_of(self, data: tuple) -> int:
-        if self._torsion is None:
-            return self.group.coset_of(data)
-        return self._encode(data[self.rank:])
-
-    def in_kernel(self, data: tuple) -> bool:
-        return self.coset_of(data) == 0
-
-    def xi(self, data: tuple) -> tuple[int, ...]:
-        if not self.in_kernel(data):
-            raise ValueError(
-                f"{self.group.format_data(data)} is not in the free abelian kernel"
-            )
-        return tuple(data[0]) if self._torsion is None else data[: self.rank]
-
-    def free_part(self, data: tuple) -> tuple[int, ...]:
-        """xi extended to all elements: the translation coordinates."""
-        return tuple(data[0]) if self._torsion is None else data[: self.rank]
-
-    def kernel_element(self, vec: Sequence[int]) -> Element:
-        if self._torsion is None:
-            return self.group.kernel_element(vec)
-        return self.group.element(tuple(int(x) for x in vec) + (0,) * len(self._torsion))
-
-    def act_vec(self, q: int, vec: Sequence) -> tuple:
-        return tuple(mat_vec(self.action[q], tuple(vec)))
-
-    def quotient_mul(self, q: int, p: int) -> int:
-        return self.quotient_table[q][p]
-
-
-def extension_view(group: Group) -> ExtensionView:
-    return ExtensionView(group)
+def _extension(group: Group) -> ExtensionGroup:
+    """The group itself, once it is known to have a free abelian kernel of rank >= 1."""
+    if not isinstance(group, ExtensionGroup):
+        raise GroupMismatch(f"family {group.family!r} has no declared free abelian kernel")
+    if group.rank < 1:
+        raise GroupMismatch("kernel rank is 0; the pipeline needs a free part")
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +73,8 @@ def extension_view(group: Group) -> ExtensionView:
 class QuotientGraph:
     """Finite graph on kernel cosets with one labeled edge per generator."""
 
-    group: Group
+    group: ExtensionGroup
     gens: GeneratingSet
-    view: ExtensionView
     edges: tuple[tuple[int, ...], ...]  # edges[q][s] = q . coset(s)
     base: int = 0
 
@@ -185,12 +95,9 @@ def quotient_graph(group: Group, gens: GeneratingSet) -> QuotientGraph:
     """Coset graph of the free abelian kernel, with connectivity verified."""
     if gens.group is not group:
         raise GroupMismatch("generating set belongs to a different group")
-    view = extension_view(group)
-    nq = view.quotient_order
-    gen_cosets = [view.coset_of(s.data) for s in gens.elements]
-    edges = tuple(
-        tuple(view.quotient_mul(q, c) for c in gen_cosets) for q in range(nq)
-    )
+    nq = _extension(group).quotient_order
+    gen_cosets = [group.coset_of(s.data) for s in gens.elements]
+    edges = tuple(tuple(group.table[q][c] for c in gen_cosets) for q in range(nq))
     seen = {0}
     frontier = [0]
     while frontier:
@@ -206,7 +113,7 @@ def quotient_graph(group: Group, gens: GeneratingSet) -> QuotientGraph:
         raise NotConnected(
             f"generators do not reach cosets {missing}; S fails to generate modulo the kernel"
         )
-    return QuotientGraph(group, gens, view, edges)
+    return QuotientGraph(group, gens, edges)
 
 
 @dataclass(frozen=True)
@@ -247,7 +154,6 @@ def simple_cycle_labels(qg: QuotientGraph) -> SimpleCycleSet:
     to be inverse-closed, which reversing each cycle guarantees.
     """
     group = qg.group
-    view = qg.view
     gens = qg.gens
     base = qg.base
     identity = group.identity_data()
@@ -259,7 +165,7 @@ def simple_cycle_labels(qg: QuotientGraph) -> SimpleCycleSet:
             nxt = group.mul_data(acc, elt.data)
             if target == base:
                 if nxt != identity:
-                    if not view.in_kernel(nxt):
+                    if not group.in_kernel(nxt):
                         raise VerificationFailed(
                             f"cycle word closed outside the kernel at {group.format_data(nxt)}"
                         )
@@ -296,7 +202,7 @@ def simple_cycle_labels(qg: QuotientGraph) -> SimpleCycleSet:
 class Cloud:
     """F = {pi_q(xi(x))/|x|_S}: exact rational points with provenance."""
 
-    view: ExtensionView
+    group: ExtensionGroup
     points: tuple[Point, ...]
     provenance: dict  # point -> tuple of (q, Element)
 
@@ -323,35 +229,34 @@ def conjugate_cloud(cycles: SimpleCycleSet, group: Group) -> Cloud:
     """
     if group is not cycles.graph.group:
         raise GroupMismatch("cycle set was built over a different group")
-    view = cycles.graph.view
     prov: dict[Point, list[tuple[int, Element]]] = {}
     for x in cycles.labels:
         nx = cycles.norms[x.data]
-        xi = view.xi(x.data)
-        for q in range(view.quotient_order):
-            pt = tuple(Fraction(c, nx) for c in view.act_vec(q, xi))
+        xi = group.xi(x.data)
+        for q in range(group.quotient_order):
+            pt = tuple(Fraction(c, nx) for c in group.act_vec(q, xi))
             prov.setdefault(pt, []).append((q, x))
     points = tuple(sorted(prov))
     pts = set(points)
     for p in points:
         if tuple(-c for c in p) not in pts:
             raise VerificationFailed(f"cloud is not centrally symmetric at {p}")
-    for q in range(view.quotient_order):
-        if {tuple(Fraction(c) for c in view.act_vec(q, p)) for p in points} != pts:
+    for q in range(group.quotient_order):
+        if {tuple(Fraction(c) for c in group.act_vec(q, p)) for p in points} != pts:
             raise VerificationFailed(f"cloud is not invariant under the action of q={q}")
     provenance = {p: tuple(sorted(prov[p], key=lambda qx: (qx[0], qx[1].data))) for p in points}
-    return Cloud(view, points, provenance)
+    return Cloud(group, points, provenance)
 
 
 def cloud_hull(cloud: Cloud) -> RationalPolytope:
     """Exact hull of the cloud; symmetric clouds must contain the origin."""
     poly = convex_hull(cloud.points)
-    origin = (Fraction(0),) * cloud.view.rank
+    origin = (Fraction(0),) * cloud.group.rank
     if not poly.contains(origin):
         raise VerificationFailed("hull of a symmetric cloud must contain the origin")
     verts = set(poly.vertices)
-    for q in range(cloud.view.quotient_order):
-        if {tuple(Fraction(c) for c in cloud.view.act_vec(q, v)) for v in verts} != verts:
+    for q in range(cloud.group.quotient_order):
+        if {tuple(Fraction(c) for c in cloud.group.act_vec(q, v)) for v in verts} != verts:
             raise VerificationFailed(f"hull vertices are not permuted by the action of q={q}")
     return poly
 
@@ -377,21 +282,23 @@ class Step1Report:
 
 def step1_membership(poly: RationalPolytope, ball: Ball, r: int) -> Step1Report:
     """Check xi(x)/|x|_S in P for every nontrivial kernel element of B_r."""
+    if r < 0:
+        raise OutOfRange(f"radius {r} is negative")
     if r > ball.radius:
         raise OutOfBall(f"radius {r} exceeds the computed radius {ball.radius}")
-    view = extension_view(ball.group)
+    group = _extension(ball.group)
     checked = 0
     violations = []
     for data in ball.data_up_to(r):
-        if not view.in_kernel(data):
+        if not group.in_kernel(data):
             continue
         n = ball.dist_data(data)
         if n == 0:
             continue
         checked += 1
-        pt = tuple(Fraction(c, n) for c in view.xi(data))
+        pt = tuple(Fraction(c, n) for c in group.xi(data))
         if not poly.contains(pt):
-            violations.append(Element(ball.group, data))
+            violations.append(Element(group, data))
     return Step1Report(r, checked, tuple(violations))
 
 
@@ -420,18 +327,17 @@ class LipschitzHomData:
     checked: int
 
     def f(self, y: Element) -> Fraction:
-        view = extension_view(y.group)
         return sum(
-            (a * b for a, b in zip(self.phi, view.xi(y.data))), Fraction(0)
+            (a * b for a, b in zip(self.phi, _extension(y.group).xi(y.data))), Fraction(0)
         )
 
     def in_cyclic(self, y: Element) -> bool:
         """Whether y is a power of x."""
-        view = extension_view(y.group)
-        if not view.in_kernel(y.data):
+        group = _extension(y.group)
+        if not group.in_kernel(y.data):
             return False
-        vy = view.xi(y.data)
-        vx = view.xi(self.x.data)
+        vy = group.xi(y.data)
+        vx = group.xi(self.x.data)
         ratio = None
         for a, b in zip(vy, vx):
             if b == 0:
@@ -470,17 +376,17 @@ def lipschitz_hom(
     defining properties are then checked exhaustively on the kernel part of
     the ball and any failure raises with the offending element.
     """
-    view = cloud.view
+    group = cloud.group
     ept = tuple(Fraction(c) for c in e_prime)
     if ept not in poly.vertices:
         raise NotExtreme(f"{e_prime} is not an extreme point of the hull")
     if ept not in cloud.provenance:
         raise VerificationFailed(f"{e_prime} has no recorded cloud provenance")
     q, w = cloud.provenance_of(ept)
-    xi_w = view.xi(w.data)
+    xi_w = group.xi(w.data)
     nw = ball.norm(w)
     e = tuple(Fraction(c, nw) for c in xi_w)
-    if tuple(Fraction(c) for c in view.act_vec(q, e)) != ept:
+    if tuple(Fraction(c) for c in group.act_vec(q, e)) != ept:
         raise VerificationFailed("provenance does not reproduce the extreme point")
     support = supporting_functional(poly, e)
     phi = support.phi
@@ -490,13 +396,13 @@ def lipschitz_hom(
         p = gcd(p, abs(c))
     if p == 0:
         raise VerificationFailed(f"cycle label {w} has zero free part")
-    x = view.kernel_element(tuple(c // p for c in xi_w))
+    x = group.kernel_element(tuple(c // p for c in xi_w))
     if (x ** p).data != w.data:
         raise VerificationFailed(f"{w} is not the {p}-th power of {x}")
 
     def f_of(data: tuple) -> Fraction:
         return sum(
-            (a * Fraction(b) for a, b in zip(phi, view.xi(data))), Fraction(0)
+            (a * Fraction(b) for a, b in zip(phi, group.xi(data))), Fraction(0)
         )
 
     if f_of(w.data) != nw:
@@ -510,7 +416,7 @@ def lipschitz_hom(
     locus = []
     checked = 0
     for data in ball.data_up_to(ball.radius):
-        if not view.in_kernel(data):
+        if not group.in_kernel(data):
             continue
         checked += 1
         val = f_of(data)
@@ -567,12 +473,11 @@ def busemann_coset_separation(
     prediction flag records whether y^-1 z lies outside <x>, the condition
     under which the limits must eventually differ.
     """
-    view = extension_view(ball.group)
+    group = _extension(ball.group)
     for elt in (y, z):
-        if not view.in_kernel(elt.data):
+        if not group.in_kernel(elt.data):
             raise ValueError(f"{elt} is not in the free abelian kernel")
     predicted = not data.in_cyclic(y.inverse() * z)
-    group = ball.group
     n_used = 0
     for k in range(n, 0, -1):
         wk = (data.w ** k).data
@@ -667,10 +572,9 @@ def infinite_boundary_witness(
     that the boundary at this level has at least k classes; the report is
     honest about falling short.
     """
-    view = extension_view(group)
-    if view.rank < 2:
+    if _extension(group).rank < 2:
         raise ValueError(
-            f"kernel rank {view.rank} < 2: a line has a two-point boundary, nothing to count"
+            f"kernel rank {group.rank} < 2: a line has a two-point boundary, nothing to count"
         )
     if not (0 < m < r):
         raise ValueError(f"need 0 < m < r, got m={m}, r={r}")
@@ -686,7 +590,7 @@ def infinite_boundary_witness(
     kept: list[tuple[Element, int, Element, tuple[int, ...]]] = []
     seen_vectors: set[tuple[int, ...]] = set()
     for cand in ball.data_up_to(r - nx):
-        if not view.in_kernel(cand):
+        if not group.in_kernel(cand):
             continue
         y = Element(group, cand)
         if any(data.in_cyclic(prev.inverse() * y) for prev, _, _, _ in kept):

@@ -4,14 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from horobound.errors import GroupMismatch, NotExtreme, VerificationFailed
-from horobound.examples import example
+from horobound.cayley import grow_ball
+from horobound.errors import GroupMismatch, NotConnected, NotExtreme, OutOfRange, VerificationFailed
+from horobound.examples import REGISTRY, cylinder, example
+from horobound.groups import (
+    ExtensionGroup,
+    FgAbelianGroup,
+    FgAbelianSpec,
+    GeneratingSet,
+    symmetric_generating_set,
+)
 from horobound.vabelian import (
     Cloud,
     busemann_coset_separation,
     cloud_hull,
     conjugate_cloud,
-    extension_view,
     infinite_boundary_witness,
     lipschitz_hom,
     quotient_graph,
@@ -24,39 +31,83 @@ from oracles import l1
 
 
 # ---------------------------------------------------------------------------
-# extension views and quotient graphs
+# the kernel/quotient normal form and quotient graphs
 
 
-def test_view_of_plane(z2_pair):
+def test_plane_normal_form(z2_pair):
     group, _ = z2_pair
-    view = extension_view(group)
-    assert view.rank == 2 and view.quotient_order == 1
-    assert view.in_kernel((3, -2))
-    assert view.xi((3, -2)) == (3, -2)
-    assert view.kernel_element((3, -2)).data == (3, -2)
+    assert group.rank == 2 and group.quotient_order == 1
+    assert group.in_kernel((3, -2))
+    assert group.xi((3, -2)) == (3, -2)
+    assert group.kernel_element((3, -2)).data == (3, -2)
 
 
-def test_view_of_extension(ext4_pair):
+def test_extension_normal_form(ext4_pair):
     group, _ = ext4_pair
-    view = extension_view(group)
-    assert view.rank == 1 and view.quotient_order == 4
-    assert view.in_kernel(((5,), 0)) and not view.in_kernel(((5,), 1))
-    assert view.xi(((5,), 0)) == (5,)
+    assert group.rank == 1 and group.quotient_order == 4
+    assert group.in_kernel(((5,), 0)) and not group.in_kernel(((5,), 1))
+    assert group.xi(((5,), 0)) == (5,)
     with pytest.raises(ValueError, match="kernel"):
-        view.xi(((5,), 2))
-    assert view.act_vec(2, (3,)) == (3,)
+        group.xi(((5,), 2))
+    assert group.act_vec(2, (3,)) == (3,)
 
 
-def test_view_rotation_acts(rot4_pair):
-    view = extension_view(rot4_pair[0])
-    assert view.act_vec(1, (1, 0)) == (0, 1)
-    assert view.act_vec(2, (1, 0)) == (-1, 0)
-    assert view.act_vec(1, (0, 1)) == (-1, 0)
+def test_rotation_acts_on_the_kernel(rot4_pair):
+    group = rot4_pair[0]
+    assert group.act_vec(1, (1, 0)) == (0, 1)
+    assert group.act_vec(2, (1, 0)) == (-1, 0)
+    assert group.act_vec(1, (0, 1)) == (-1, 0)
 
 
-def test_view_needs_declared_kernel(lamp_pair):
-    with pytest.raises(GroupMismatch):
-        extension_view(lamp_pair[0])
+def _unit_generators(spec):
+    group = FgAbelianGroup(spec)
+    n = spec.free_rank + len(spec.torsion)
+    units = [group.element(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    return group, symmetric_generating_set(group, units)
+
+
+NORMAL_FORM_CASES = [
+    *(name for name, make in REGISTRY.items() if isinstance(make()[0], ExtensionGroup)),
+    FgAbelianSpec(1, (2, 3)),
+    FgAbelianSpec(1, (2, 2)),
+    FgAbelianSpec(1, (3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("case", NORMAL_FORM_CASES, ids=str)
+def test_normal_form_contract(case):
+    group, gens = example(case) if isinstance(case, str) else _unit_generators(case)
+    ball = grow_ball(group, gens, 3)
+    elems = ball.data_up_to(3)
+    cosets = set()
+    off_kernel = 0
+    for x in elems:
+        cx = group.coset_of(x)
+        cosets.add(cx)
+        for y in elems:
+            assert group.coset_of(group.mul_data(x, y)) == group.table[cx][group.coset_of(y)]
+        if group.in_kernel(x):
+            assert group.kernel_element(group.xi(x)).data == x
+        else:
+            off_kernel += 1
+            with pytest.raises(ValueError, match="kernel"):
+                group.xi(x)
+    assert cosets == set(range(group.quotient_order))
+    assert (off_kernel > 0) == (group.quotient_order > 1)
+
+
+def test_normal_form_guards(lamp_pair):
+    with pytest.raises(GroupMismatch, match="no declared free abelian kernel"):
+        quotient_graph(*lamp_pair)
+    z5, z5_gens = _unit_generators(FgAbelianSpec(0, (5,)))
+    with pytest.raises(GroupMismatch, match="rank is 0"):
+        quotient_graph(z5, z5_gens)
+    group, gens = cylinder(4)
+    a = gens.elements[0]
+    assert a.data == (1, 0)
+    partial = GeneratingSet((a, a.inverse()), ("a", "a^-1"), (1, 0), False)
+    with pytest.raises(NotConnected, match=r"cosets \[1, 2, 3\]"):
+        quotient_graph(group, partial)
 
 
 def test_quotient_graph_trivial(z2_pair):
@@ -132,12 +183,11 @@ def test_cloud_extension_normalizes(ext4_pair):
     cloud = conjugate_cloud(cycles, group)
     # (4;0)/4, (2;0)/2 and (1;0)/1 all normalize to the same point
     assert cloud.points == ((-1,), (1,))
-    assert len(cloud.provenance[(Fraction(1),)]) == 3 * cloud.view.quotient_order
+    assert len(cloud.provenance[(Fraction(1),)]) == 3 * cloud.group.quotient_order
 
 
 def test_cloud_hull_guards_origin(ext4_pair):
-    view = extension_view(ext4_pair[0])
-    shifted = Cloud(view, ((Fraction(1),), (Fraction(2),)), {})
+    shifted = Cloud(ext4_pair[0], ((Fraction(1),), (Fraction(2),)), {})
     with pytest.raises(VerificationFailed):
         cloud_hull(shifted)
 
@@ -174,6 +224,14 @@ def test_step1_on_plane(z2_pair, z2_ball12):
     assert report.ok
     assert report.checked == 144
     assert report.violations == ()
+
+
+def test_step1_rejects_a_negative_radius(z2_pair, z2_ball12):
+    _, poly = _plane_pipeline(z2_pair, z2_ball12)
+    assert step1_membership(poly, z2_ball12, 0).checked == 0
+    for r in (-1, -2):
+        with pytest.raises(OutOfRange, match="negative"):
+            step1_membership(poly, z2_ball12, r)
 
 
 def test_select_extreme(z2_pair, z2_ball12):
