@@ -43,7 +43,7 @@ from .boundary import (
 from .cayley import (
     Ball,
     GeodesicPrefix,
-    PrefixTree,
+    PrefixDag,
     distance,
     geodesic_between,
     geodesic_prefixes,
@@ -122,7 +122,7 @@ __all__ = [
     # cayley
     "Ball",
     "GeodesicPrefix",
-    "PrefixTree",
+    "PrefixDag",
     "grow_ball",
     "distance",
     "segment",

@@ -266,7 +266,6 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
         return False
 
     reach = ball.reach_data()
-    horizon = ball.radius
     classes = []
     for vec in sorted(current):
         points = [ball.data[z] for z in current[vec]]
@@ -285,7 +284,7 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
                 witnesses=tuple(Element(group, p) for p in points),
                 stable=fun.stable,
                 interior_shadow=interior_shadow(vec),
-                busemann=any(reach[p] >= horizon for p in points),
+                busemann=any(reach[z] >= ball.radius for z in current[vec]),
             )
         )
     return BoundaryApprox(ball, r, m, window, tuple(classes))
@@ -593,8 +592,7 @@ def slow_geodesic(
         Element(group, group.mul_data(a_t_inv, alpha.vertices[t + j].data))
         for j in range(ell + 1)
     )
-    reach = ball.reach_data()
-    beta = GeodesicPrefix(beta_verts, horizon=reach.get(beta_verts[-1].data))
+    beta = GeodesicPrefix(beta_verts)
     kern = kernel_approx(approx, kernel_radius, ball)
     index, exact = kernel_index_estimate(kern, ball)
     bound = 6 * index + 1

@@ -1,4 +1,4 @@
-"""Word-metric balls, geodesic segments and prefix trees on Cayley graphs.
+"""Word-metric balls, geodesic segments and geodesic-prefix DAGs on Cayley graphs.
 
 The ball is grown by plain breadth-first search from the identity with ties
 broken by generator-list order, which fixes a deterministic parent map and a
@@ -23,6 +23,13 @@ BFS descendants read -1 too, even where they are stored: callers either
 keep |z| + m <= radius, so nothing leaves, or (``segment``) use only that a
 -1 entry has |x_k| + |z x_k| > radius.
 
+``reach_data`` gives, per position, how far a geodesic from the identity
+through x_i extends inside the ball. The length-n geodesic prefixes that
+extend to length r are the paths of one DAG on the ball: its vertices are
+the positions x with |x| <= n and reach(x) >= r, its edges the neighbour
+entries that go one layer up (``PrefixDag``). Prefixes are counted layer by
+layer in O(|B_n| |S|), never listed; there can be exponentially many.
+
 Memory (tracemalloc, CPython 3.11): a grown ball retains 202 bytes per
 element on Z^2 with standard generators at radius 150 (45,301 elements),
 and 185-243 bytes per element over the example groups at 11k-80k elements,
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import csv
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterator
 
@@ -43,8 +50,7 @@ from .groups import Element, GeneratingSet, Group
 __all__ = [
     "Ball",
     "GeodesicPrefix",
-    "PrefixNode",
-    "PrefixTree",
+    "PrefixDag",
     "grow_ball",
     "distance",
     "segment",
@@ -100,7 +106,7 @@ class Ball:
         self._filled = len(products) // n_gens
         pad = [-1] * (len(data) - self._filled + 1)
         self._nbr = [array("i", products[g::n_gens] + pad) for g in range(n_gens)]
-        self._reach: dict | None = None
+        self._reach: array | None = None
 
     # -- element-facing API --------------------------------------------------
     def __len__(self) -> int:
@@ -199,28 +205,28 @@ class Ball:
         path.reverse()
         return path
 
-    def reach_data(self) -> dict:
-        """For each stored x: the largest verified L with a geodesic of length
-        L from the identity passing through x (capped at ball.radius)."""
+    def reach_data(self) -> array:
+        """Per position i: the largest verified L with a geodesic of length L
+        from the identity passing through x_i (capped at ball.radius)."""
         if self._reach is not None:
             return self._reach
         dist = self.dist
         nbr = self._nbr
         top = len(self.offsets) - 2  # the outermost layer grown
-        reach = [0] * len(self.data)
+        reach = array(_small(self.radius), dist)
         # successors sit at higher positions, so they are done first; every
         # row below the outermost layer was filled by BFS
         for i in range(len(self.data) - 1, -1, -1):
             k = dist[i]
-            best = k
             if k < top:
+                best = k
                 for col in nbr:
                     j = col[i]
                     if dist[j] == k + 1 and reach[j] > best:
                         best = reach[j]
-            reach[i] = best
-        self._reach = dict(zip(self.data, reach))
-        return self._reach
+                reach[i] = best
+        self._reach = reach
+        return reach
 
     # -- exports ----------------------------------------------------------------
     def to_csv(self, fp: IO[str]) -> None:
@@ -324,14 +330,9 @@ def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
 
 @dataclass(frozen=True)
 class GeodesicPrefix:
-    """A geodesic path, verified pointwise inside its supporting ball.
-
-    ``horizon`` is the largest verified L such that the path extends to a
-    geodesic of length L from its start (None when not computed).
-    """
+    """A geodesic path, verified pointwise inside its supporting ball."""
 
     vertices: tuple[Element, ...]
-    horizon: int | None = None
 
     def __post_init__(self):
         if not self.vertices:
@@ -363,93 +364,75 @@ def geodesic_between(ball: Ball, x: Element, y: Element) -> GeodesicPrefix:
     u = group.mul_data(group.inv_data(x.data), y.data)
     path = ball.parent_path_data(u)
     verts = tuple(Element(group, group.mul_data(x.data, w)) for w in path)
-    prefix = GeodesicPrefix(verts, horizon=None)
+    prefix = GeodesicPrefix(verts)
     if d <= 6:  # cheap sizes: verify pairwise, else trust BFS layering
         prefix.verify(ball)
     return prefix
 
 
 @dataclass(frozen=True)
-class PrefixNode:
-    element: Element
-    depth: int
-    horizon: int
-    children: tuple["PrefixNode", ...] = field(default=())
+class PrefixDag:
+    """All length-n geodesic prefixes that extend to geodesics of length r.
 
-    def count_at_depth(self, depth: int) -> int:
-        if self.depth == depth:
-            return 1
-        return sum(c.count_at_depth(depth) for c in self.children)
+    Layer k holds the positions x with |x| = k and reach(x) >= r, and the
+    edges are the neighbour-table entries x -> x s that go one layer up. A
+    prefix is a path from the identity to the top layer, so the DAG has at
+    most |B_n| vertices however many prefixes there are.
+    """
 
+    ball: Ball
+    depth: int  # n
+    min_horizon: int  # r
+    layers: tuple[tuple[int, ...], ...]  # layers[k]: vertex positions at norm k
 
-@dataclass(frozen=True)
-class PrefixTree:
-    """All length-n geodesic prefixes that extend to geodesics of length r."""
-
-    root: PrefixNode
-    depth: int
-    min_horizon: int
-
-    def prefixes(self) -> list[GeodesicPrefix]:
-        out: list[GeodesicPrefix] = []
-
-        def walk(node: PrefixNode, acc: list[Element]) -> None:
-            acc.append(node.element)
-            if node.depth == self.depth:
-                out.append(GeodesicPrefix(tuple(acc), horizon=node.horizon))
-            else:
-                for c in node.children:
-                    walk(c, acc)
-            acc.pop()
-
-        walk(self.root, [])
-        return out
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Pairs (i, j) with x_j = x_i s, layer by layer, each edge once."""
+        ball = self.ball
+        dist = ball.dist
+        reach = ball.reach_data()
+        nbr = ball.neighbours(ball.size(self.depth - 1))
+        for k, layer in enumerate(self.layers[:-1]):
+            for i in layer:
+                for col in nbr:
+                    j = col[i]
+                    if dist[j] == k + 1 and reach[j] >= self.min_horizon:
+                        yield i, j
 
     def count(self) -> int:
-        return self.root.count_at_depth(self.depth)
+        """Number of prefixes: paths into each vertex, summed layer by layer."""
+        paths = [0] * self.ball.size(self.depth)
+        for i in self.layers[0]:
+            paths[i] = 1
+        for i, j in self.edges():
+            paths[j] += paths[i]
+        return sum(paths[j] for j in self.layers[-1])
 
     def to_dot(self, fp: IO[str]) -> None:
+        fmt = self.ball.group.format_data
+        data = self.ball.data
+        reach = self.ball.reach_data()
         fp.write("digraph prefixes {\n")
-        counter = 0
-
-        def walk(node: PrefixNode) -> int:
-            nonlocal counter
-            me = counter
-            counter += 1
-            fp.write(f'  n{me} [label="{node.element} h={node.horizon}"];\n')
-            for c in node.children:
-                cid = walk(c)
-                fp.write(f"  n{me} -> n{cid};\n")
-            return me
-
-        walk(self.root)
+        for layer in self.layers:
+            for i in layer:
+                fp.write(f'  n{i} [label="{fmt(data[i])} h={reach[i]}"];\n')
+        for i, j in self.edges():
+            fp.write(f"  n{i} -> n{j};\n")
         fp.write("}\n")
 
 
-def geodesic_prefixes(ball: Ball, n: int, r: int) -> PrefixTree:
-    """Tree of all length-n prefixes extendable to geodesics of length r.
+def geodesic_prefixes(ball: Ball, n: int, r: int) -> PrefixDag:
+    """DAG of all length-n prefixes extendable to geodesics of length r.
 
-    A node survives iff its endpoint's verified extendability horizon is at
-    least r; each node is annotated with that horizon.
+    A vertex x needs reach(x) >= r. Every such x is reached through its BFS
+    parent, whose reach is at least as large, so each vertex lies on a prefix.
     """
     if not (0 <= n <= r):
         raise ValueError(f"need 0 <= n <= r, got n={n}, r={r}")
     if r > ball.radius:
         raise OutOfBall(f"horizon {r} exceeds ball radius {ball.radius}")
-    group = ball.group
-    data = ball.data
-    dist = ball.dist
     reach = ball.reach_data()
-    nbr = ball.neighbours(ball.size(n - 1))  # rows of the nodes that branch
-
-    def build(i: int, depth: int) -> PrefixNode:
-        children = []
-        if depth < n:
-            for col in nbr:
-                j = col[i]
-                if dist[j] == depth + 1 and reach[data[j]] >= r:
-                    children.append(build(j, depth + 1))
-        return PrefixNode(Element(group, data[i]), depth, reach[data[i]], tuple(children))
-
-    root = build(0, 0)
-    return PrefixTree(root, n, r)
+    layers = tuple(
+        tuple(i for i in range(ball.size(k - 1), ball.size(k)) if reach[i] >= r)
+        for k in range(n + 1)
+    )
+    return PrefixDag(ball, n, r, layers)

@@ -28,7 +28,7 @@ The generator list must be symmetric exactly as written; a missing inverse is
 a ValidationError, not something to silently repair.
 
 Exit codes: 0 success, 2 a diagnostic finding (truncation artifacts such as a
-violated finite-scale bound), 1 hard errors. Reports are emitted on stdout
+violated finite-scale bound), 1 hard and usage errors. Reports are emitted on stdout
 with sorted keys; reruns with equal configuration are byte-identical. With
 ``--out DIR`` the report plus command-specific CSV/DOT side files are also
 written under DIR.
@@ -381,13 +381,13 @@ def _cmd_ball(group: Group, gens: GeneratingSet, cfg: RunConfig):
     sides = {"ball.csv": _text_file(ball.to_csv)}
     n = cfg.int_param("n")
     if n is not None:
-        tree = geodesic_prefixes(ball, n, r)
+        dag = geodesic_prefixes(ball, n, r)
         body["prefix_tree"] = {
-            "depth": tree.depth,
-            "min_horizon": tree.min_horizon,
-            "count": len(tree.prefixes()),
+            "depth": dag.depth,
+            "min_horizon": dag.min_horizon,
+            "count": dag.count(),
         }
-        sides["prefixes.dot"] = _text_file(tree.to_dot)
+        sides["prefixes.dot"] = _text_file(dag.to_dot)
     return body, sides
 
 
@@ -548,10 +548,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horobound",
         description="Boundary, annihilator and metric experiments on finitely generated groups.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
+        p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("spec", help="path to a group spec file")
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--m", type=int, default=None)
@@ -566,7 +567,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h
+        return 1 if exc.code else 0
     try:
         _, _, config = parse_spec(args.spec)
         config = replace(

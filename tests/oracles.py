@@ -122,6 +122,25 @@ def oracle_segment(dist, mul, inv, universe, x, y):
     return out
 
 
+def oracle_geodesic_prefixes(mul, gens, identity, n, r):
+    """Vertex tuples (v_0, ..., v_n) of the length-n prefixes of every
+    geodesic word of length r: all words, each step one BFS layer up."""
+    dist = bfs_dist(mul, gens, identity, r)
+    out = set()
+
+    def walk(path):
+        if len(path) == r + 1:
+            out.add(tuple(path[: n + 1]))
+            return
+        for s in gens:
+            y = mul(path[-1], s)
+            if dist.get(y) == len(path):
+                walk(path + [y])
+
+    walk([identity])
+    return out
+
+
 def l1(v):
     return sum(abs(x) for x in v)
 

@@ -16,9 +16,24 @@ from horobound.cayley import (
 )
 from horobound.errors import BallTooLarge, GroupMismatch, OutOfBall
 from horobound.examples import REGISTRY, example
-from horobound.groups import Element, FgAbelianGroup, FgAbelianSpec, symmetric_generating_set
+from horobound.groups import (
+    Element,
+    FgAbelianGroup,
+    FgAbelianSpec,
+    FiniteGroupSpec,
+    FiniteTableGroup,
+    cyclic_table,
+    symmetric_generating_set,
+)
 
-from oracles import bfs_dist, cyl_closed_norm, diag_norm, l1, oracle_segment
+from oracles import (
+    bfs_dist,
+    cyl_closed_norm,
+    diag_norm,
+    l1,
+    oracle_geodesic_prefixes,
+    oracle_segment,
+)
 
 
 def _oracle_table(group, gens, radius):
@@ -215,29 +230,65 @@ def test_geodesic_verify_rejects_detour(z2_ball12):
         bad.verify(z2_ball12)
 
 
-def test_prefix_tree_on_line(z_ball):
-    tree = geodesic_prefixes(z_ball, 3, 6)
-    assert tree.count() == 2
-    assert tree.min_horizon == 6
-    got = {
-        tuple(str(v) for v in p.vertices): p.horizon for p in tree.prefixes()
-    }
-    assert got == {
-        ("(0)", "(1)", "(2)", "(3)"): 15,
-        ("(0)", "(-1)", "(-2)", "(-3)"): 15,
-    }
+def test_prefix_dag_on_line(z_ball):
+    dag = geodesic_prefixes(z_ball, 3, 6)
+    assert dag.count() == 2
+    assert (dag.depth, dag.min_horizon) == (3, 6)
+    fmt = z_ball.group.format_data
+    assert [[fmt(z_ball.data[i]) for i in layer] for layer in dag.layers] == [
+        ["(0)"], ["(1)", "(-1)"], ["(2)", "(-2)"], ["(3)", "(-3)"]
+    ]
+    reach = z_ball.reach_data()
+    assert {reach[i] for layer in dag.layers for i in layer} == {15}
 
 
-def test_prefix_tree_on_plane(z2_ball12):
-    tree = geodesic_prefixes(z2_ball12, 2, 4)
-    assert tree.count() == 12
-    for p in tree.prefixes():
-        assert p.length == 2
-        assert p.horizon >= 4
-        p.verify(z2_ball12)
+def _dag_matches_brute_force(group, gens, radius):
+    """Every 0 <= n <= r < radius: count, layers and edges against the oracle."""
+    ball = grow_ball(group, gens, radius)
+    gen_data = [s.data for s in gens]
+    for r in range(radius):
+        for n in range(r + 1):
+            dag = geodesic_prefixes(ball, n, r)
+            want = oracle_geodesic_prefixes(
+                group.mul_data, gen_data, group.identity_data(), n, r
+            )
+            assert dag.count() == len(want), (n, r)
+            got = [{ball.data[i] for i in layer} for layer in dag.layers]
+            assert got == [{p[k] for p in want} for k in range(n + 1)], (n, r)
+            edges = [(ball.data[i], ball.data[j]) for i, j in dag.edges()]
+            assert len(edges) == len(set(edges))
+            assert set(edges) == {(p[k], p[k + 1]) for p in want for k in range(n)}
 
 
-def test_prefix_tree_argument_checks(z_ball):
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_prefix_dag_matches_brute_force(name):
+    _dag_matches_brute_force(*example(name), 7)
+
+
+@pytest.mark.parametrize("order, gens", [(5, ["1"]), (12, ["1", "4"])])
+def test_prefix_dag_on_finite_groups(order, gens):
+    # past the diameter no prefix extends, not even the empty one at n = 0;
+    # Z/12 with 1, 4 has dead ends at norm 2 next to elements of norm 2 that
+    # go on to norm 3
+    group = FiniteTableGroup(FiniteGroupSpec(cyclic_table(order)))
+    _dag_matches_brute_force(
+        group, symmetric_generating_set(group, [group.parse(g) for g in gens]), 6
+    )
+
+
+def test_prefix_count_closed_forms(z_pair, z2_pair):
+    # Z^2, standard generators: C(n, a) words to each (x, y) with |x| = a,
+    # |y| = n - a, so 4 + 4 (2^n - 2) = 4 (2^n - 1) prefixes, for any r >= n
+    z2 = grow_ball(*z2_pair, 20)
+    z = grow_ball(*z_pair, 20)
+    for n in range(1, 21):
+        for r in {n, 20}:
+            assert geodesic_prefixes(z2, n, r).count() == 4 * (2**n - 1)
+            assert geodesic_prefixes(z, n, r).count() == 2
+    assert geodesic_prefixes(z2, 0, 20).count() == 1
+
+
+def test_prefix_dag_argument_checks(z_ball):
     with pytest.raises(ValueError):
         geodesic_prefixes(z_ball, 5, 3)
     with pytest.raises(OutOfBall):
@@ -255,16 +306,21 @@ def test_ball_csv(z_ball):
     assert len(lines) == 1 + len(z_ball)
 
 
-def test_prefix_tree_dot(z_ball):
+def test_prefix_dag_dot(z_ball):
     buf = io.StringIO()
-    geodesic_prefixes(z_ball, 2, 4).to_dot(buf)
+    dag = geodesic_prefixes(z_ball, 2, 4)
+    dag.to_dot(buf)
     text = buf.getvalue()
     assert text.startswith("digraph prefixes {\n")
     assert text.endswith("}\n")
     assert 'label="(0) h=15"' in text
+    lines = text.splitlines()[1:-1]
+    assert len(lines) == 5 + 4  # vertices (0), (+-1), (+-2); one edge into each but (0)
+    assert len(set(lines)) == len(lines)
 
 
 def test_reach_data_on_line(z_ball):
     reach = z_ball.reach_data()
     # every point of the line extends to a geodesic hitting the ball rim
-    assert all(v == 15 for v in reach.values())
+    assert len(reach) == len(z_ball)
+    assert all(v == 15 for v in reach)

@@ -331,9 +331,24 @@ def test_main_ball_with_prefix_tree(tmp_path):
     assert csv[0] == "element,distance,parent"
     assert csv[1] == "(0),0,"
     assert csv[2] == "(1),1,s0"  # no labels in the spec, so generator 0 is s0
-    dot = (tmp_path / "prefixes.dot").read_text()
-    assert dot.startswith("digraph prefixes {")
-    assert 'label="(1) h=6"' in dot
+    # one line per DAG vertex (all of B_3 has reach 6) and per edge
+    assert (tmp_path / "prefixes.dot").read_text() == (
+        "digraph prefixes {\n"
+        '  n0 [label="(0) h=6"];\n'
+        '  n1 [label="(1) h=6"];\n'
+        '  n2 [label="(-1) h=6"];\n'
+        '  n3 [label="(2) h=6"];\n'
+        '  n4 [label="(-2) h=6"];\n'
+        '  n5 [label="(3) h=6"];\n'
+        '  n6 [label="(-3) h=6"];\n'
+        "  n0 -> n1;\n"
+        "  n0 -> n2;\n"
+        "  n1 -> n3;\n"
+        "  n2 -> n4;\n"
+        "  n3 -> n5;\n"
+        "  n4 -> n6;\n"
+        "}\n"
+    )
 
 
 def test_main_subcommand_overrides_run_section():
@@ -385,6 +400,34 @@ def test_main_window_below_one_exits_1(tmp_path, window):
     assert code == 1
     assert out == b""
     assert err == f"error: need a stability window >= 1, got {window}\n"
+
+
+Z2_SPEC = spec_path("z2_standard.spec")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ball", Z2_SPEC, "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+        # no prefix matching: --n is not --n-max, --bud is not --budget
+        (["ball", Z2_SPEC, "--r", "3", "--n", "5"], "unrecognized arguments: --n 5"),
+        (["ball", Z2_SPEC, "--bud", "10"], "unrecognized arguments: --bud 10"),
+        (["ball"], "the following arguments are required: spec"),
+    ],
+)
+def test_main_usage_error_exits_1(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == b""
+    assert err.startswith("usage: horobound")
+    assert err.endswith(f"error: {message}\n")
+
+
+def test_main_help_exits_0():
+    code, out, err = run_cli(["ball", "-h"])
+    assert code == 0
+    assert out.startswith(b"usage: horobound ball")
+    assert err == ""
 
 
 def test_main_diagnostic_exits_2(monkeypatch):
