@@ -50,7 +50,6 @@ from .cayley import (
     grow_ball,
     segment,
 )
-from .cli import emit_report, main, parse_spec, run_command
 from .errors import (
     AxiomViolation,
     BoundViolated,
@@ -182,11 +181,6 @@ __all__ = [
     "bs_norm",
     "bs_annihilator_check",
     "metric_axiom_check",
-    # cli
-    "parse_spec",
-    "run_command",
-    "emit_report",
-    "main",
     # errors
     "HoroboundError",
     "Diagnostic",

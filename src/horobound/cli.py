@@ -205,17 +205,21 @@ def _parse_group_section(sec: configparser.SectionProxy) -> GroupSpec:
         rank = _parse_int("group", "rank", sec["rank"])
         quo = sec["quotient"].strip()
         if quo.startswith("cyclic:"):
-            table = cyclic_table(_parse_int("group", "quotient", quo[len("cyclic:"):]))
+            try:
+                table = cyclic_table(_parse_int("group", "quotient", quo[len("cyclic:"):]))
+            except ValueError as exc:
+                raise SchemaError(f"[group] quotient: {exc}") from None
         else:
             table = _parse_rows("group", "quotient", quo)
         nq = len(table)
-        action = []
-        for q in range(nq):
-            key = f"action.{q}"
-            if key in sec:
-                action.append(_parse_rows("group", key, sec[key]))
-            else:
-                action.append(identity_matrix(rank))
+        action = [identity_matrix(rank)] * nq
+        for key in sec:
+            if not key.startswith("action."):
+                continue
+            q = _parse_int("group", key, key[len("action."):])
+            if not 0 <= q < nq:
+                raise SchemaError(f"[group] {key}: index outside the quotient 0..{nq - 1}")
+            action[q] = _parse_rows("group", key, sec[key])
         zero = (0,) * rank
         cocycle = [[zero] * nq for _ in range(nq)]
         for key in sec:
@@ -529,14 +533,12 @@ def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
     return report, sides
 
 
-def emit_report(report: dict, format: str = "json") -> bytes:
-    """Deterministic bytes: sorted keys, two-space indent, trailing newline.
+def emit_report(report: dict) -> bytes:
+    """Deterministic JSON bytes: sorted keys, two-space indent, trailing newline.
 
     Strict: a value JSON cannot represent (an Element, a Fraction) raises
     TypeError instead of being written as its str().
     """
-    if format != "json":
-        raise ValueError(f"unknown report format {format!r}")
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 

@@ -9,6 +9,11 @@ Families:
 * ``finite``         -- an explicit multiplication table, identity at index 0.
 * ``lamplighter_z2`` -- (sum_Z Z/2) x| Z, elements (finite lamp support, shift).
 
+The first three share one normal form, ``ExtensionGroup``: a coset index in a
+finite quotient Q and a free part in Z^d. A finite table is the rank-0 case
+with Q the group itself. On that normal form ``subgroup_index`` decides
+[G : <X>] exactly (Schreier's lemma), and generation is index 1.
+
 Every element is stored in a canonical form, so equality of stored data is
 equality in the group; this is what makes breadth-first searches over balls
 exact. All structural invariants are checked eagerly at build time.
@@ -53,6 +58,8 @@ __all__ = [
     "GroupSpec",
     "GeneratingSet",
     "build_group",
+    "coset_sweep",
+    "subgroup_index",
     "symmetric_generating_set",
     "cyclic_table",
     "direct_product_table",
@@ -491,15 +498,19 @@ class VAbExtensionGroup(ExtensionGroup):
 # family: finite table group
 
 
-class FiniteTableGroup(Group):
+class FiniteTableGroup(ExtensionGroup):
+    """An explicit table as the rank-0 extension: Q is the group itself."""
+
     family = "finite"
+    rank = 0
 
     def __init__(self, spec: FiniteGroupSpec):
         table = tuple(tuple(row) for row in spec.table)
         _check_table(table, "group")
         self.spec = spec
         self.table = table
-        self.order = len(table)
+        self.order = self.quotient_order = len(table)
+        self.action = (identity_matrix(0),) * self.order
         self.inverses = _table_inverses(table)
 
     def identity_data(self) -> tuple:
@@ -519,6 +530,15 @@ class FiniteTableGroup(Group):
 
     def inv_data(self, a: tuple) -> tuple:
         return (self.inverses[a[0]],)
+
+    def coset_of(self, data: tuple) -> int:
+        return data[0]
+
+    def free_part(self, data: tuple) -> IntVec:
+        return ()
+
+    def kernel_element(self, vec: Sequence[int]) -> Element:
+        return self.identity()
 
     def format_data(self, data: tuple) -> str:
         return f"({data[0]})"
@@ -664,11 +684,11 @@ def symmetric_generating_set(
     """Close the listed elements under inverse, label them, verify generation.
 
     Listed elements come first in their given order (duplicates dropped);
-    missing inverses are appended as ``<label>^-1``. Verification is exact for
-    the fg_abelian / vab_extension families (finite-quotient coset sweep plus
-    an integer lattice index check on the kernel) and for finite groups (full
-    closure). For the lamplighter, a BFS up to ``witness_radius`` must reach
-    every declared witness, otherwise the set is flagged unverified.
+    missing inverses are appended as ``<label>^-1``. Verification is exact on
+    the extension normal form (fg_abelian, vab_extension and finite): the set
+    must span a subgroup of index 1. For the lamplighter, a BFS up to
+    ``witness_radius`` must reach every declared witness, otherwise the set is
+    flagged unverified.
     """
     listed: list[Element] = []
     for x in elements:
@@ -700,32 +720,59 @@ def symmetric_generating_set(
     return GeneratingSet(tuple(elems), tuple(labs), inverse_index, verified)
 
 
+def coset_sweep(group: ExtensionGroup, elems: Sequence[Element]) -> dict[int, tuple]:
+    """Breadth-first sweep of <elems> over the quotient Q.
+
+    Maps each coset that <elems> reaches to the data of a representative in
+    <elems>, in sweep order starting from the identity's coset 0.
+    """
+    reps = {0: group.identity_data()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for s in elems:
+                y = group.mul_data(reps[q], s.data)
+                cq = group.coset_of(y)
+                if cq not in reps:
+                    reps[cq] = y
+                    nxt.append(cq)
+        frontier = nxt
+    return reps
+
+
+def subgroup_index(group: ExtensionGroup, elems: Sequence[Element]) -> int | None:
+    """[G : <elems>], or None when the index is infinite.
+
+    [G:H] = [Q:pi(H)] * [Z^d : H cap Z^d]. The coset sweep gives pi(H). The
+    Schreier generators rep(q) s rep(q s)^-1 generate H cap Z^d (Schreier's
+    lemma), so their lattice index is the second factor; 0 means infinite.
+    """
+    for x in elems:
+        if x.group is not group:
+            raise GroupMismatch(f"element {x!r} belongs to a different group")
+    reps = coset_sweep(group, elems)
+    schreier: list[IntVec] = []
+    for rep in reps.values():
+        for s in elems:
+            y = group.mul_data(rep, s.data)
+            back = group.inv_data(reps[group.coset_of(y)])
+            schreier.append(group.free_part(group.mul_data(y, back)))
+    lattice = lattice_index(schreier, group.rank)
+    return group.quotient_order // len(reps) * lattice or None
+
+
 def _verify_generation(
     group: Group,
     gens: Sequence[Element],
     witnesses: Iterable[Element] | None,
     witness_radius: int,
 ) -> bool:
-    if isinstance(group, FiniteTableGroup):
-        seen = {group.identity_data()}
-        frontier = [group.identity_data()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = group.mul_data(x, s.data)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(seen) != group.order:
-            raise DoesNotGenerate(
-                f"generators reach {len(seen)} of {group.order} elements"
-            )
-        return True
-
     if isinstance(group, ExtensionGroup):
-        _verify_extension_generation(group, gens)
+        index = subgroup_index(group, gens)
+        if index != 1:
+            what = "infinite index" if index is None else f"index {index}"
+            raise DoesNotGenerate(f"generators span a subgroup of {what}")
         return True
 
     # Lamplighter: generation is not decidable from a finite sweep; certify
@@ -748,38 +795,3 @@ def _verify_generation(
                     nxt.append(y)
         frontier = nxt
     return not (targets - seen)
-
-
-def _verify_extension_generation(group: ExtensionGroup, gens: Sequence[Element]) -> None:
-    """Coset sweep over the finite quotient, then a kernel lattice check."""
-    reps = {0: group.identity()}
-    order = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for s in gens:
-                y = reps[q] * s
-                cq = group.coset_of(y.data)
-                if cq not in reps:
-                    reps[cq] = y
-                    order.append(cq)
-                    nxt.append(cq)
-        frontier = nxt
-
-    if len(reps) != group.quotient_order:
-        raise DoesNotGenerate(
-            f"generator images reach {len(reps)} of {group.quotient_order} quotient cosets"
-        )
-
-    schreier: list[IntVec] = []
-    for q in order:
-        for s in gens:
-            y = reps[q] * s
-            back = reps[group.coset_of(y.data)].inverse()
-            k = y * back
-            schreier.append(group.free_part(k.data))
-    if lattice_index(schreier, group.rank) != 1:
-        raise DoesNotGenerate(
-            "kernel relations of the generators span a proper sublattice of Z^d"
-        )

@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     VerificationFailed,
 )
-from .groups import Element, ExtensionGroup, GeneratingSet, Group
+from .groups import Element, ExtensionGroup, GeneratingSet, Group, coset_sweep
 from .polytope import (
     Point,
     RationalPolytope,
@@ -96,23 +96,14 @@ def quotient_graph(group: Group, gens: GeneratingSet) -> QuotientGraph:
     if gens.group is not group:
         raise GroupMismatch("generating set belongs to a different group")
     nq = _extension(group).quotient_order
-    gen_cosets = [group.coset_of(s.data) for s in gens.elements]
-    edges = tuple(tuple(group.table[q][c] for c in gen_cosets) for q in range(nq))
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for q2 in edges[q]:
-                if q2 not in seen:
-                    seen.add(q2)
-                    nxt.append(q2)
-        frontier = nxt
-    if len(seen) != nq:
-        missing = sorted(set(range(nq)) - seen)
+    reached = coset_sweep(group, gens.elements)
+    if len(reached) != nq:
+        missing = sorted(set(range(nq)) - reached.keys())
         raise NotConnected(
             f"generators do not reach cosets {missing}; S fails to generate modulo the kernel"
         )
+    gen_cosets = [group.coset_of(s.data) for s in gens.elements]
+    edges = tuple(tuple(group.table[q][c] for c in gen_cosets) for q in range(nq))
     return QuotientGraph(group, gens, edges)
 
 

@@ -141,6 +141,35 @@ def oracle_geodesic_prefixes(mul, gens, identity, n, r):
     return out
 
 
+def oracle_coset_count(mul, inv, identity, gens, sub, radius):
+    """Number of pieces into which the cosets x<sub> cut the ball B_radius.
+
+    Two ball elements share a piece when a path of steps x -> x h, h in
+    sub or its inverses, joins them inside the ball. Each piece lies in one
+    coset, so once the ball meets every coset and each coset's trace on it
+    is joined, the count is the index; for an infinite index it keeps
+    growing with the radius.
+    """
+    ball = bfs_dist(mul, gens, identity, radius)
+    steps = list(sub) + [inv(h) for h in sub]
+    seen = set()
+    count = 0
+    for x in ball:
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for h in steps:
+                z = mul(y, h)
+                if z in ball and z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return count
+
+
 def l1(v):
     return sum(abs(x) for x in v)
 

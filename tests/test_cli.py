@@ -6,6 +6,8 @@ on stdout), 1 for anything else (message on stderr).
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -16,6 +18,7 @@ import horobound.cli as cli_mod
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import NoDominatorAtLevel, SchemaError, ValidationError
 from horobound.examples import example
+from horobound.groups import cyclic_table
 
 SPECS = resources.files("horobound") / "specs"
 
@@ -134,6 +137,21 @@ SCHEMA_CASES = [
     (
         "[group]\nfamily = fg_abelian\nfree_rank = 1\n\n[generators]\nelements = x y\n",
         r"\[generators\] elements",
+    ),
+    (
+        "[group]\nfamily = vab_extension\nrank = 1\nquotient = cyclic:0\n"
+        "\n[generators]\nelements = (1;0) (-1;0)\n",
+        r"\[group\] quotient: cyclic order must be >= 1, got 0",
+    ),
+    (
+        "[group]\nfamily = vab_extension\nrank = 1\nquotient = cyclic:2\naction.7 = -1\n"
+        "\n[generators]\nelements = (1;0) (-1;0) (0;1)\n",
+        r"\[group\] action\.7: index outside the quotient 0\.\.1",
+    ),
+    (
+        "[group]\nfamily = vab_extension\nrank = 1\nquotient = cyclic:2\naction.one = -1\n"
+        "\n[generators]\nelements = (1;0) (-1;0) (0;1)\n",
+        r"\[group\] action\.one: expected an integer, got 'one'",
     ),
 ]
 
@@ -256,8 +274,6 @@ def test_emit_report_format():
     blob = emit_report({"b": 1, "a": 2})
     assert blob.endswith(b"\n")
     assert blob.index(b'"a"') < blob.index(b'"b"')
-    with pytest.raises(ValueError, match="unknown report format"):
-        emit_report({}, format="yaml")
 
 
 @pytest.mark.parametrize(
@@ -349,6 +365,49 @@ def test_main_ball_with_prefix_tree(tmp_path):
         "  n4 -> n6;\n"
         "}\n"
     )
+
+
+def _finite_spec(tmp_path, elements):
+    table = "; ".join(" ".join(map(str, row)) for row in cyclic_table(6))
+    spec = tmp_path / "z6.spec"
+    spec.write_text(
+        f"[group]\nfamily = finite\ntable = {table}\n\n"
+        f"[generators]\nelements = {elements}\n\n[run]\ncommand = ball\nr = 3\n"
+    )
+    return str(spec)
+
+
+def test_main_ball_on_finite_table(tmp_path):
+    code, out, err = run_cli(["ball", _finite_spec(tmp_path, "(1) (5)")])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["group"] == {"family": "finite", "order": 6}
+    assert report["size"] == 6
+    assert report["layer_sizes"] == [1, 2, 2, 1]
+
+
+def test_main_finite_non_generating_exits_1(tmp_path):
+    code, out, err = run_cli(["ball", _finite_spec(tmp_path, "(2) (4)")])
+    assert code == 1 and out == b""
+    assert err.startswith("error: ValidationError: ")
+    assert err.endswith("[generators]: generators span a subgroup of index 2\n")
+
+
+def test_module_entry_point_loads_once():
+    # the package root does not import cli, so -m runs it without a
+    # "found in sys.modules" RuntimeWarning
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "horobound.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: horobound" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_main_subcommand_overrides_run_section():

@@ -1,10 +1,12 @@
 """Group families: canonical forms, arithmetic against oracles, generating sets."""
 
 import random
+from importlib import resources
 
 import pytest
 
 from horobound.cayley import grow_ball
+from horobound.cli import parse_spec
 from horobound.errors import (
     BadCocycle,
     DoesNotGenerate,
@@ -15,6 +17,7 @@ from horobound.errors import (
 )
 from horobound.examples import REGISTRY, example
 from horobound.groups import (
+    ExtensionGroup,
     FgAbelianGroup,
     FgAbelianSpec,
     FiniteGroupSpec,
@@ -26,10 +29,20 @@ from horobound.groups import (
     build_group,
     cyclic_table,
     direct_product_table,
+    subgroup_index,
     symmetric_generating_set,
 )
 
-from oracles import cyl_ops, lamp_inv, lamp_mul, rot4_inv, rot4_mul, zd_inv, zd_mul
+from oracles import (
+    cyl_ops,
+    lamp_inv,
+    lamp_mul,
+    oracle_coset_count,
+    rot4_inv,
+    rot4_mul,
+    zd_inv,
+    zd_mul,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +259,130 @@ def test_generator_from_wrong_group_rejected():
 
 def test_does_not_generate_lattice():
     g = FgAbelianGroup(FgAbelianSpec(free_rank=1))
-    with pytest.raises(DoesNotGenerate):
+    with pytest.raises(DoesNotGenerate, match="subgroup of index 2$"):
         symmetric_generating_set(g, [g.element((2,))])
+    z2 = FgAbelianGroup(FgAbelianSpec(free_rank=2))
+    with pytest.raises(DoesNotGenerate, match="subgroup of infinite index$"):
+        symmetric_generating_set(z2, [z2.element((1, 1))])
 
 
 def test_does_not_generate_cosets():
     g = FgAbelianGroup(FgAbelianSpec(free_rank=1, torsion=(4,)))
-    with pytest.raises(DoesNotGenerate):
+    with pytest.raises(DoesNotGenerate, match="subgroup of index 4$"):
         symmetric_generating_set(g, [g.element((1, 0))])
+
+
+def test_does_not_generate_finite():
+    g = FiniteTableGroup(FiniteGroupSpec(table=cyclic_table(6)))
+    assert symmetric_generating_set(g, [g.element((1,))]).verified
+    with pytest.raises(DoesNotGenerate, match="subgroup of index 2$"):
+        symmetric_generating_set(g, [g.element((2,))])
+
+
+# ---------------------------------------------------------------------------
+# subgroup index
+
+
+def _z2_index(*vecs):
+    g = FgAbelianGroup(FgAbelianSpec(free_rank=2))
+    return subgroup_index(g, [g.element(v) for v in vecs])
+
+
+@pytest.mark.parametrize(
+    "vecs, index",
+    [
+        ([(2, 0)], None),  # <a^2>
+        ([(1, 0)], None),  # <a>
+        ([], None),
+        ([(1, 0), (0, 2)], 2),  # <a, b^2>
+        ([(1, 1), (1, -1)], 2),  # <ab, ab^-1>
+        ([(2, 0), (0, 2)], 4),  # <a^2, b^2>
+        ([(2, 0), (0, 2), (-2, -2), (4, 6)], 4),  # redundant generators
+        ([(1, 0), (0, 1)], 1),
+    ],
+)
+def test_subgroup_index_z2(vecs, index):
+    assert _z2_index(*vecs) == index
+
+
+def test_subgroup_index_finite():
+    g = FiniteTableGroup(FiniteGroupSpec(table=cyclic_table(12)))
+    # <4> = {0, 4, 8} has order 3 and index 4; <3> has order 4 and index 3
+    assert subgroup_index(g, [g.element((4,))]) == 4
+    assert subgroup_index(g, [g.element((3,))]) == 3
+    assert subgroup_index(g, [g.element((4,)), g.element((6,))]) == 2
+    assert subgroup_index(g, [g.element((4,)), g.element((3,))]) == 1
+    assert subgroup_index(g, []) == 12
+    t = FiniteTableGroup(FiniteGroupSpec(table=direct_product_table((2, 2))))
+    assert subgroup_index(t, [t.element((1,)), t.element((2,))]) == 1
+    assert subgroup_index(t, [t.element((3,))]) == 2
+
+
+def test_subgroup_index_rejects_foreign_elements():
+    g = FgAbelianGroup(FgAbelianSpec(free_rank=1))
+    other = FgAbelianGroup(FgAbelianSpec(free_rank=1))
+    with pytest.raises(GroupMismatch):
+        subgroup_index(g, [other.element((1,))])
+
+
+EXTENSION_NAMES = [n for n, make in REGISTRY.items() if isinstance(make()[0], ExtensionGroup)]
+EXTENSION_SPECS = [
+    p for p in resources.files("horobound").joinpath("specs").iterdir()
+    if p.name.endswith(".spec")
+    and isinstance(parse_spec(str(p))[0], ExtensionGroup)
+]
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_subgroup_index_of_registry_generators(name):
+    group, gens = example(name)
+    assert subgroup_index(group, gens.elements) == 1
+
+
+@pytest.mark.parametrize("path", EXTENSION_SPECS, ids=lambda p: p.name)
+def test_subgroup_index_of_bundled_generators(path):
+    group, gens, _ = parse_spec(str(path))
+    assert subgroup_index(group, gens.elements) == 1
+
+
+# hand-written arithmetic on the same element data as each REGISTRY group
+COSET_ORACLE_OPS = {
+    "z_line": (zd_mul, zd_inv, (0,)),
+    "z2": (zd_mul, zd_inv, (0, 0)),
+    "cylinder_n4": cyl_ops(4),
+    "fat_cylinder_n3": cyl_ops(3),
+    "z2_rot4": (rot4_mul, rot4_inv, ((0, 0), 0)),
+}
+
+
+def test_coset_oracle_covers_registry_extensions():
+    assert sorted(COSET_ORACLE_OPS) == sorted(EXTENSION_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(COSET_ORACLE_OPS))
+def test_subgroup_index_matches_coset_oracle(name):
+    mul, inv, identity = COSET_ORACLE_OPS[name]
+    group, gens = example(name)
+    s = gens.elements
+    subgroups = {
+        "S": s,
+        "squares": [x ** 2 for x in s],
+        "cubes": [x ** 3 for x in s],
+        "cyclic": s[:1],
+        "first squared": [s[0] ** 2, *s[1:]],
+    }
+    finite = 0
+    for what, sub in subgroups.items():
+        index = subgroup_index(group, sub)
+        data = [x.data for x in sub]
+        gen_data = [x.data for x in s]
+        counts = [oracle_coset_count(mul, inv, identity, gen_data, data, r) for r in (8, 10)]
+        if index is None:
+            assert counts[0] < counts[1], (what, counts)
+        else:
+            finite += 1
+            assert counts == [index, index], (what, index, counts)
+    assert finite >= 3
 
 
 def test_lamplighter_verification_is_witness_based():

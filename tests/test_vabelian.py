@@ -11,7 +11,11 @@ from horobound.groups import (
     ExtensionGroup,
     FgAbelianGroup,
     FgAbelianSpec,
+    FiniteGroupSpec,
+    FiniteTableGroup,
     GeneratingSet,
+    cyclic_table,
+    direct_product_table,
     symmetric_generating_set,
 )
 from horobound.vabelian import (
@@ -71,12 +75,22 @@ NORMAL_FORM_CASES = [
     FgAbelianSpec(1, (2, 3)),
     FgAbelianSpec(1, (2, 2)),
     FgAbelianSpec(1, (3, 2, 2)),
+    FiniteGroupSpec(direct_product_table((2, 3))),
 ]
+
+
+def _case_pair(case):
+    if isinstance(case, str):
+        return example(case)
+    if isinstance(case, FiniteGroupSpec):
+        group = FiniteTableGroup(case)
+        return group, symmetric_generating_set(group, [group.element((1,)), group.element((2,))])
+    return _unit_generators(case)
 
 
 @pytest.mark.parametrize("case", NORMAL_FORM_CASES, ids=str)
 def test_normal_form_contract(case):
-    group, gens = example(case) if isinstance(case, str) else _unit_generators(case)
+    group, gens = _case_pair(case)
     ball = grow_ball(group, gens, 3)
     elems = ball.data_up_to(3)
     cosets = set()
@@ -102,6 +116,10 @@ def test_normal_form_guards(lamp_pair):
     z5, z5_gens = _unit_generators(FgAbelianSpec(0, (5,)))
     with pytest.raises(GroupMismatch, match="rank is 0"):
         quotient_graph(z5, z5_gens)
+    # a finite table is the rank-0 normal form, so it meets the same guard
+    t5 = FiniteTableGroup(FiniteGroupSpec(cyclic_table(5)))
+    with pytest.raises(GroupMismatch, match="rank is 0"):
+        quotient_graph(t5, symmetric_generating_set(t5, [t5.element((1,))]))
     group, gens = cylinder(4)
     a = gens.elements[0]
     assert a.data == (1, 0)
