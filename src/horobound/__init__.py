@@ -33,7 +33,6 @@ from .boundary import (
     bend_scan,
     boundary_approx,
     busemann_functional,
-    busemann_point_approx,
     dominating_busemann,
     kernel_approx,
     kernel_index_estimate,
@@ -137,7 +136,6 @@ __all__ = [
     "SignMatch",
     "busemann_functional",
     "boundary_approx",
-    "busemann_point_approx",
     "act",
     "kernel_approx",
     "kernel_index_estimate",

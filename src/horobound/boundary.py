@@ -37,7 +37,6 @@ __all__ = [
     "SlowGeodesic",
     "busemann_functional",
     "boundary_approx",
-    "busemann_point_approx",
     "act",
     "kernel_approx",
     "kernel_index_estimate",
@@ -53,23 +52,16 @@ STABILITY_WINDOW = 3
 class Functional:
     """Integer values of a 1-Lipschitz functional on B_m, in ball BFS order.
 
-    Vanishes at the identity by construction. A vector lists values by
-    position in one ball's BFS order, so equality and hashing use the ball
-    (by identity), domain_radius and vector; provenance, witness and the
-    stability flag are ignored, so deduplication is exact.
+    The value (ball, domain_radius, vector) and nothing else: it vanishes at
+    the identity by construction, and a vector lists values by position in
+    one ball's BFS order, so equality and hashing use the ball (by identity),
+    domain_radius and vector. How a class is realized at a level (its
+    witnesses, stability and Busemann flag) lives on ``BoundaryClass``.
     """
 
-    __slots__ = ("ball", "domain_radius", "vector", "provenance", "witness", "stable")
+    __slots__ = ("ball", "domain_radius", "vector")
 
-    def __init__(
-        self,
-        ball: Ball,
-        domain_radius: int,
-        vector: tuple[int, ...],
-        provenance: str = "point",
-        witness: Element | None = None,
-        stable: bool | None = None,
-    ):
+    def __init__(self, ball: Ball, domain_radius: int, vector: tuple[int, ...]):
         size = ball.size(domain_radius)
         if len(vector) != size:
             raise DomainMismatch(
@@ -80,9 +72,6 @@ class Functional:
         self.ball = ball
         self.domain_radius = domain_radius
         self.vector = vector
-        self.provenance = provenance
-        self.witness = witness
-        self.stable = stable
         self._check_lipschitz()
 
     def _check_lipschitz(self) -> None:
@@ -114,9 +103,7 @@ class Functional:
         if m > self.domain_radius:
             raise DomainExhausted(f"cannot extend domain from {self.domain_radius} to {m}")
         size = self.ball.size(m)
-        return Functional(
-            self.ball, m, self.vector[:size], self.provenance, self.witness, self.stable
-        )
+        return Functional(self.ball, m, self.vector[:size])
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,7 +117,7 @@ class Functional:
         return hash((id(self.ball), self.domain_radius, self.vector))
 
     def __repr__(self) -> str:
-        return f"Functional(m={self.domain_radius}, {self.provenance}, {self.vector})"
+        return f"Functional(m={self.domain_radius}, {self.vector})"
 
 
 def busemann_functional(ball: Ball, y: Element, m: int) -> Functional:
@@ -141,7 +128,7 @@ def busemann_functional(ball: Ball, y: Element, m: int) -> Functional:
             f"need radius {ny + m} to restrict b_y to B_{m}, have {ball.radius}"
         )
     vec = _busemann_vector(ball, ball.index[y.data], m)
-    return Functional(ball, m, vec, provenance="point", witness=y)
+    return Functional(ball, m, vec)
 
 
 def _busemann_vector(ball: Ball, z: int, m: int) -> tuple[int, ...]:
@@ -268,45 +255,18 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
     reach = ball.reach_data()
     classes = []
     for vec in sorted(current):
-        points = [ball.data[z] for z in current[vec]]
-        fun = Functional(
-            ball,
-            m,
-            vec,
-            provenance="point",
-            witness=Element(group, points[0]),
-            stable=(vec in stable_keys) if window_ok else False,
-        )
+        points = current[vec]
         classes.append(
             BoundaryClass(
-                functional=fun,
+                functional=Functional(ball, m, vec),
                 count=len(points),
-                witnesses=tuple(Element(group, p) for p in points),
-                stable=fun.stable,
+                witnesses=tuple(Element(group, ball.data[z]) for z in points),
+                stable=vec in stable_keys,
                 interior_shadow=interior_shadow(vec),
-                busemann=any(reach[z] >= ball.radius for z in current[vec]),
+                busemann=any(reach[z] >= ball.radius for z in points),
             )
         )
     return BoundaryApprox(ball, r, m, window, tuple(classes))
-
-
-def busemann_point_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) -> list[Functional]:
-    """Restrictions b_z|B_m over endpoints z of maximally extendable prefixes.
-
-    Only sphere-r endpoints whose geodesics verifiably extend to the full
-    ball radius count; this is the finite surrogate for initial segments of
-    infinite geodesics. Each functional's ``stable`` flag reports whether its
-    vector also occurred at the previous window-1 outer radii.
-    """
-    approx = boundary_approx(ball, r, m, window)
-    out = []
-    for c in approx.classes:
-        if c.busemann:
-            f = c.functional
-            out.append(
-                Functional(ball, m, f.vector, provenance="geodesic", witness=f.witness, stable=f.stable)
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +283,20 @@ def act(h: Functional, x: Element, ball: Ball) -> Functional:
         raise DomainExhausted(
             f"|{x}| = {nx} exhausts the domain radius {h.domain_radius}"
         )
-    # |x^-1 y| <= |x| + m = h.domain_radius, so every entry is in h's domain
-    x_inv = ball.inv_index(ball.index[x.data])
+    return Functional(ball, m, _translate(h, ball.index[x.data], m))
+
+
+def _translate(h: Functional, x_pos: int, m: int) -> tuple[int, ...]:
+    """The vector of x.h on B_m, for x at ball position x_pos.
+
+    Needs |x| + m <= h.domain_radius: then |x^-1 y| <= h.domain_radius for
+    every y in B_m, so every entry is in h's domain.
+    """
+    ball = h.ball
+    x_inv = ball.inv_index(x_pos)
     values = h.vector
     base = values[x_inv]
-    vec = tuple([values[j] - base for j in ball.gather(x_inv, ball.size(m))])
-    return Functional(ball, m, vec, provenance="action", witness=h.witness)
+    return tuple([values[j] - base for j in ball.gather(x_inv, ball.size(m))])
 
 
 @dataclass(frozen=True)
@@ -341,12 +309,16 @@ class ActionTable:
     @staticmethod
     def compute(approx: BoundaryApprox) -> "ActionTable":
         ball = approx.ball
-        size = ball.size(approx.m - 1)
+        m = approx.m - 1  # every generator has norm 1
+        size = ball.size(m)
         first: dict[tuple[int, ...], int] = {}  # restriction -> first class
         for i, c in enumerate(approx.classes):
             first.setdefault(c.functional.vector[:size], i)
         rows = tuple(
-            tuple(first.get(act(c.functional, s, ball).vector) for c in approx.classes)
+            tuple(
+                first.get(_translate(c.functional, ball.index[s.data], m))
+                for c in approx.classes
+            )
             for s in ball.gens.elements
         )
         return ActionTable(approx, rows)
@@ -371,18 +343,17 @@ def kernel_approx(
         raise DomainExhausted(
             f"search radius {search_radius} leaves no common domain inside B_{approx.m}"
         )
+    if ball is not approx.ball:
+        raise DomainMismatch("the approximation is defined on a different ball")
     classes = approx.busemann_classes()
     out = []
-    for data in ball.data_up_to(search_radius):
-        x = Element(ball.group, data)
-        if all(_fixes(h, x, ball) for h in classes):
-            out.append(x)
+    for x in range(ball.size(search_radius)):
+        # x.h and h agree on B_{m - |x|}, the largest domain x.h has
+        m = approx.m - ball.dist[x]
+        size = ball.size(m)
+        if all(_translate(h, x, m) == h.vector[:size] for h in classes):
+            out.append(Element(ball.group, ball.data[x]))
     return out
-
-
-def _fixes(h: Functional, x: Element, ball: Ball) -> bool:
-    moved = act(h, x, ball)
-    return moved.vector == h.vector[: len(moved.vector)]
 
 
 def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, bool]:
@@ -479,12 +450,11 @@ def sign_match(g: Functional, h: Functional, kernel: Iterable[Element]) -> SignM
 def dominating_busemann(h: Functional, ball: Ball, r: int) -> Functional:
     """A geodesic-prefix class at the same level dominating h pointwise.
 
-    Checks the classes equal to h first, with or without a witness; raises
-    the NoDominatorAtLevel diagnostic when no Busemann-side class dominates
-    at this truncation.
+    Checks the classes equal to h first; raises the NoDominatorAtLevel
+    diagnostic when no Busemann-side class dominates at this truncation.
     """
     m = h.domain_radius
-    candidates = busemann_point_approx(ball, r, m)
+    candidates = boundary_approx(ball, r, m).busemann_classes()
     ordered = [g for g in candidates if g.vector == h.vector]
     ordered.extend(g for g in candidates if g.vector != h.vector)
     for g in ordered:

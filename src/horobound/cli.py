@@ -213,12 +213,14 @@ def _parse_group_section(sec: configparser.SectionProxy) -> GroupSpec:
             table = _parse_rows("group", "quotient", quo)
         nq = len(table)
         action = [identity_matrix(rank)] * nq
+        named: dict[object, str] = {}  # quotient index -> the key that set it
         for key in sec:
             if not key.startswith("action."):
                 continue
             q = _parse_int("group", key, key[len("action."):])
             if not 0 <= q < nq:
                 raise SchemaError(f"[group] {key}: index outside the quotient 0..{nq - 1}")
+            _claim_index(named, q, key)
             action[q] = _parse_rows("group", key, sec[key])
         zero = (0,) * rank
         cocycle = [[zero] * nq for _ in range(nq)]
@@ -232,6 +234,7 @@ def _parse_group_section(sec: configparser.SectionProxy) -> GroupSpec:
             p = _parse_int("group", key, parts[2])
             if not (0 <= q < nq and 0 <= p < nq):
                 raise SchemaError(f"[group] {key}: indices outside the quotient 0..{nq - 1}")
+            _claim_index(named, (q, p), key)
             cocycle[q][p] = _parse_int_row("group", key, sec[key])
         return VAbExtensionSpec(
             rank=rank,
@@ -251,6 +254,13 @@ def _parse_group_section(sec: configparser.SectionProxy) -> GroupSpec:
         return LamplighterZ2Spec()
 
     raise SchemaError(f"[group] unknown family {family!r}")
+
+
+def _claim_index(named: dict[object, str], index: object, key: str) -> None:
+    """Record that key sets index; a second spelling of one index is an error."""
+    if index in named:
+        raise SchemaError(f"[group] {named[index]} and {key} set the same quotient index")
+    named[index] = key
 
 
 def _reject_unknown(sec: configparser.SectionProxy, known: set[str]) -> None:

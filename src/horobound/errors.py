@@ -146,7 +146,7 @@ class SizeBudget(HoroboundError):
 
 
 class OutOfRange(HoroboundError):
-    """A norm query lies outside the constructed range."""
+    """A query or parameter lies outside its admissible range."""
 
 
 class AxiomViolation(HoroboundError):

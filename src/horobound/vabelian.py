@@ -569,6 +569,8 @@ def infinite_boundary_witness(
         )
     if not (0 < m < r):
         raise ValueError(f"need 0 < m < r, got m={m}, r={r}")
+    if k < 1:
+        raise OutOfRange(f"need k >= 1 distinct restrictions, got k={k}")
     ball = grow_ball(group, gens, r + m, budget=budget)
     qg = quotient_graph(group, gens)
     cycles = simple_cycle_labels(qg)

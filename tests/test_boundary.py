@@ -10,7 +10,6 @@ from horobound.boundary import (
     bend_scan,
     boundary_approx,
     busemann_functional,
-    busemann_point_approx,
     dominating_busemann,
     kernel_approx,
     kernel_index_estimate,
@@ -58,13 +57,6 @@ def test_functional_restrict_and_identity(z_ball):
         h.value(z_ball.group.element((4,)))
 
 
-def test_functional_equality_ignores_provenance(z_ball):
-    a = Functional(z_ball, 1, (0, -1, 1), provenance="point")
-    b = Functional(z_ball, 1, (0, -1, 1), provenance="geodesic")
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-
-
 def test_functional_equality_needs_the_same_ball(z_ball):
     # a vector lists values in one ball's BFS order, so equal tuples from
     # different groups are different functionals
@@ -109,7 +101,6 @@ def test_busemann_functional_matches_oracle(name, m):
         assert h.vector == busemann_vec(
             table, group.mul_data, group.inv_data, y, domain
         )
-        assert h.witness.data == y
 
 
 def test_busemann_functional_needs_room(z2_ball12):
@@ -138,9 +129,10 @@ def test_line_boundary_level(z_ball):
 
 
 def test_line_busemann_points(z_ball):
-    points = busemann_point_approx(z_ball, 10, 3)
+    approx = boundary_approx(z_ball, 10, 3)
+    points = approx.stable_busemann_classes()
     assert len(points) == 2
-    assert all(f.provenance == "geodesic" and f.stable for f in points)
+    assert points == approx.busemann_classes() == approx.stable_classes()
 
 
 def test_plane_boundary_grows(z2_ball12):
@@ -197,7 +189,6 @@ def test_act_definition_holds(z2_ball12):
     for _ in range(20):
         x = Element(group, rng.choice(pool))
         moved = act(h, x, z2_ball12)
-        assert moved.provenance == "action"
         hx = h.value(x.inverse())
         for y in moved.ball.data_up_to(moved.domain_radius):
             shifted = group.mul_data(group.inv_data(x.data), y)
@@ -217,6 +208,51 @@ def test_action_table_on_line(z_ball):
         "generators": ["a", "a^-1"],
         "matches": [[0, 1], [0, 1]],
     }
+
+
+def _act_matches(approx):
+    """The action table by its definition: s.h through act, then restrictions."""
+    ball = approx.ball
+    funs = [c.functional for c in approx.classes]
+    rows = []
+    for s in ball.gens.elements:
+        row = []
+        for h in funs:
+            moved = act(h, s, ball)
+            same = [i for i, g in enumerate(funs) if g.restrict(moved.domain_radius) == moved]
+            row.append(same[0] if same else None)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _act_kernel(approx, search_radius, ball):
+    """kernel_approx by its definition: x fixes h when x.h equals h restricted."""
+    classes = approx.busemann_classes()
+    out = []
+    for x in ball.elements(search_radius):
+        moved = [act(h, x, ball) for h in classes]
+        if all(g == h.restrict(g.domain_radius) for g, h in zip(moved, classes)):
+            out.append(x.data)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_kernel_and_action_table_match_act(name):
+    group, gens = REGISTRY[name]()
+    ball = grow_ball(group, gens, 11)
+    for r, m in [(6, 3), (8, 3)]:
+        approx = boundary_approx(ball, r, m)
+        assert approx.action_table().matches == _act_matches(approx)
+        for search_radius in range(m):
+            kernel = kernel_approx(approx, search_radius, ball)
+            assert [x.data for x in kernel] == _act_kernel(approx, search_radius, ball)
+
+
+def test_kernel_approx_needs_the_approximation_ball(z_ball):
+    approx = boundary_approx(z_ball, 10, 3)
+    other = grow_ball(z_ball.group, z_ball.gens, z_ball.radius)
+    with pytest.raises(DomainMismatch):
+        kernel_approx(approx, 2, other)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +409,12 @@ def test_sign_match_domain_mismatch(z_ball):
 def test_line_dominates_itself(z_ball):
     h = boundary_approx(z_ball, 10, 3).busemann_classes()[0]
     dom = dominating_busemann(h, z_ball, 10)
-    assert dom.vector == h.vector
-    assert dom.provenance == "geodesic"
+    assert dom == h
 
 
 def test_class_without_witness_dominates_itself(z_ball):
     vec = boundary_approx(z_ball, 10, 3).busemann_classes()[0].vector
-    h = Functional(z_ball, 3, vec)
-    assert h.witness is None
+    h = Functional(z_ball, 3, vec)  # a bare vector, not one of the level's classes
     dom = dominating_busemann(h, z_ball, 10)
     assert dom.vector == vec
 

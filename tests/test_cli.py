@@ -7,6 +7,7 @@ on stdout), 1 for anything else (message on stderr).
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +155,22 @@ SCHEMA_CASES = [
         r"\[group\] action\.one: expected an integer, got 'one'",
     ),
 ]
+
+# two spellings of one quotient index: neither line may silently win
+_CYCLIC2 = "[group]\nfamily = vab_extension\nrank = 1\nquotient = cyclic:2\n"
+_CYCLIC2_GENS = "\n[generators]\nelements = (1;0) (-1;0) (0;1)\n"
+for a, b in [
+    ("action.1", "action.01"),
+    ("action.01", "action.1"),
+    ("cocycle.1.1", "cocycle.01.1"),
+    ("cocycle.01.1", "cocycle.1.1"),
+]:
+    SCHEMA_CASES.append(
+        (
+            f"{_CYCLIC2}{a} = -1\n{b} = 1\n{_CYCLIC2_GENS}",
+            rf"\[group\] {re.escape(a)} and {re.escape(b)} set the same quotient index",
+        )
+    )
 
 
 @pytest.mark.parametrize("text,match", SCHEMA_CASES)
@@ -501,6 +518,31 @@ def test_main_diagnostic_exits_2(monkeypatch):
         "message": "nothing dominates",
         "detail": {"level": 7},
     }
+
+
+def test_main_bound_violated_exits_2(tmp_path):
+    # on Z the kernel is everything, so 6[G:K]+1 = 7, while the slow
+    # geodesic to x = (80) moves the stable classes by 8 at scan_m = 8
+    spec = tmp_path / "line_bend.spec"
+    spec.write_text(
+        "[group]\nfamily = fg_abelian\nfree_rank = 1\n\n"
+        "[generators]\nelements = (1) (-1)\n\n"
+        "[run]\ncommand = bend\nr = 90\nm = 80\nscan_m = 8\nell = 8\nx = (80)\n"
+    )
+    code, out, err = run_cli(["bend", str(spec)])
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert report["diagnostic"] == "BoundViolated"
+    assert report["detail"]["value"] == -8
+    assert report["detail"]["bound"] == 7
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_main_witness_k_below_one_exits_1(k):
+    code, out, err = run_cli(["witness", Z2_SPEC, "--k", k])
+    assert code == 1
+    assert out == b""
+    assert err == f"error: OutOfRange: need k >= 1 distinct restrictions, got k={k}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,14 @@ def test_coset_separation_plane(z2_pair, z2_ball12):
 # the full witness pipeline
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_witness_needs_k_at_least_one(z2_pair, k):
+    # k < 1 could never be reached, so the report would read ok with no goal
+    group, gens = z2_pair
+    with pytest.raises(OutOfRange, match=f"got k={k}"):
+        infinite_boundary_witness(group, gens, 14, 2, k=k)
+
+
 def test_witness_pipeline_plane(z2_pair, z2_ball16):
     group, gens = z2_pair
     report = infinite_boundary_witness(group, gens, 14, 2, k=5)
