@@ -62,7 +62,9 @@ def indistinguishability_profile(
 
     The comparison radius defaults to the largest the ball supports for this
     x, namely ball.radius - |x|. Candidacy means the whole outer annulus of
-    width gap is disagreement-free.
+    width gap is disagreement-free. With y = x_k, d(x, y) = |x^-1 x_k| is
+    read from one gather from x^-1, which stays inside the ball because
+    |x| + r <= ball.radius; y = 1 disagrees exactly when x != 1.
     """
     nx = ball.norm(x)
     if r is None:
@@ -73,17 +75,15 @@ def indistinguishability_profile(
         )
     if r < 1:
         raise OutOfBall(f"comparison radius {r} is empty")
-    group = ball.group
-    x_inv = group.inv_data(x.data)
+    if gap < 0 or gap >= r:
+        raise ValueError(f"gap must lie in 0..{r - 1}, got {gap}")
+    dist = ball.dist
+    pos = ball.gather(ball.inv_index(ball.index[x.data]), ball.size(r))
     rho = -1
-    for k in range(r, 0, -1):
-        if any(
-            ball.dist_data(group.mul_data(x_inv, y)) != k for y in ball.layer_data(k)
-        ):
-            rho = k
+    for k in range(len(pos) - 1, -1, -1):
+        if dist[pos[k]] != dist[k]:
+            rho = dist[k]
             break
-    if rho == -1 and nx != 0:
-        rho = 0  # d(x, 1) = |x| != 0 = d(1, 1)
     return Profile(x, rho, r, gap)
 
 
@@ -158,8 +158,6 @@ def annihilator_candidates(
     if not (0 < m < ball.radius):
         raise OutOfBall(f"need 0 < m < ball radius {ball.radius}, got m={m}")
     r = ball.radius - m
-    if gap < 0 or gap >= r:
-        raise ValueError(f"gap must lie in 0..{r - 1}, got {gap}")
     group = ball.group
     profiles = []
     candidates = []
@@ -227,16 +225,15 @@ def functional_annihilator(approx: BoundaryApprox, m: int) -> FunctionalZeroSets
             f"evaluation radius {m} exceeds the class domain B_{approx.m}"
         )
     ball = approx.ball
-    stable = approx.stable_classes()
-    stable_bus = approx.stable_busemann_classes()
+    stable = [h.vector for h in approx.stable_classes()]
+    stable_bus = [h.vector for h in approx.stable_busemann_classes()]
     zeros_all = []
     zeros_bus = []
-    for data in ball.data_up_to(m):
-        x = Element(ball.group, data)
-        if all(h.value(x) == 0 for h in stable):
-            zeros_all.append(x)
-        if all(h.value(x) == 0 for h in stable_bus):
-            zeros_bus.append(x)
+    for i, data in enumerate(ball.data_up_to(m)):
+        if all(v[i] == 0 for v in stable):
+            zeros_all.append(Element(ball.group, data))
+        if all(v[i] == 0 for v in stable_bus):
+            zeros_bus.append(Element(ball.group, data))
     return FunctionalZeroSets(
         m, tuple(zeros_all), tuple(zeros_bus), len(stable), len(stable_bus)
     )
@@ -257,55 +254,33 @@ def generated_subgroup_bound(
 
     The bound defaults to the largest witness radius rho(u) + 1 among the
     inputs: genuine annihilator elements generate a subgroup trapped in that
-    ball. A product escaping the bound aborts with a diagnostic carrying the
-    escapee, which is evidence that some input is not an annihilator element
-    (or that its witness radius was underestimated).
+    ball. ``Ball.closure`` does the walk. When a product (or an input) leaves
+    the bound, the diagnostic carries the first escapee and the size of the
+    closure inside the bound; that is evidence that some input is not an
+    annihilator element (or that its witness radius was underestimated).
     """
     group = ball.group
-    seed = sorted({g.data for g in candidates} | {group.identity_data()})
+    seed = sorted({g.data for g in candidates})
     if r_bound is None:
         r_bound = 0
         for d in seed:
-            p = indistinguishability_profile(Element(group, d), ball)
+            p = indistinguishability_profile(Element(group, d), ball, gap=0)
             r_bound = max(r_bound, p.witness_radius)
-    if r_bound > ball.radius:
-        raise OutOfBall(
-            f"bound {r_bound} exceeds the computed radius {ball.radius}"
+    inside, escaped = ball.closure(seed, r_bound)
+    if escaped is not None:
+        raise ClosureEscapedBound(
+            "closure left the witness-radius ball; some input is "
+            "likely not an annihilator element",
+            escaped=group.format_data(escaped),
+            r_bound=r_bound,
+            partial_size=len(inside),
         )
-    for d in seed:
-        dist = ball.dist_data(d)
-        if dist is None or dist > r_bound:
-            raise ClosureEscapedBound(
-                "a generator already lies outside the bound",
-                escaped=group.format_data(d),
-                r_bound=r_bound,
-                partial_size=1,
-            )
-    closure = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for u in seed:
-                v = group.mul_data(w, u)
-                if v in closure:
-                    continue
-                dist = ball.dist_data(v)
-                if dist is None or dist > r_bound:
-                    raise ClosureEscapedBound(
-                        "closure left the witness-radius ball; some input is "
-                        "likely not an annihilator element",
-                        escaped=group.format_data(v),
-                        r_bound=r_bound,
-                        partial_size=len(closure),
-                    )
-                closure.add(v)
-                nxt.append(v)
-        frontier = nxt
-    ordered = sorted(closure, key=lambda d: (ball.dist_data(d), d))
-    max_norm = max(ball.dist_data(d) for d in closure)
+    ordered = sorted(inside, key=lambda i: (ball.dist[i], ball.data[i]))
     return ClosureReport(
-        tuple(Element(group, d) for d in ordered), len(closure), max_norm, r_bound
+        tuple(Element(group, ball.data[i]) for i in ordered),
+        len(inside),
+        ball.dist[ordered[-1]],
+        r_bound,
     )
 
 

@@ -23,6 +23,7 @@ from .errors import (
     GroupMismatch,
     NoDominatorAtLevel,
     OutOfBall,
+    OutOfRange,
     RangeEmpty,
 )
 from .groups import Element
@@ -339,6 +340,8 @@ def kernel_approx(
     the identity is always in the result and the result is inverse-closed
     within the searched radius.
     """
+    if search_radius < 0:
+        raise OutOfRange(f"search radius {search_radius} is negative")
     if search_radius >= approx.m:
         raise DomainExhausted(
             f"search radius {search_radius} leaves no common domain inside B_{approx.m}"
@@ -365,50 +368,11 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
     closure is finite and stays inside the ball. In an infinite group such a
     subgroup has infinite index, so there ``exact`` is always False: ``bend``
     reports ``kernel_index_exact: false`` on cylinder_n30_diag.
-
-    The closure is a set of ball positions. With u = s_1 .. s_k along its BFS
-    parent path, w u is k neighbour-table lookups from w. A lookup gives -1
-    once some w s_1 .. s_j leaves the ball, although w u itself may lie
-    inside, so only then is w u multiplied out; the closure escapes exactly
-    when that product lies outside the ball.
     """
     group = ball.group
-    data, index, parent, parent_gen = ball.data, ball.index, ball.parent, ball.parent_gen
     gens = {x.data for x in kernel} | {group.inv_data(x.data) for x in kernel}
     gens.discard(group.identity_data())
-    nbr = ball.neighbours(len(data))
-    walks = []  # (u, the neighbour columns s_1 .. s_k, or None for u outside the ball)
-    for u in gens:
-        i = index.get(u)
-        cols = None
-        if i is not None:
-            cols = []
-            while i > 0:
-                cols.append(nbr[parent_gen[i]])
-                i = parent[i]
-            cols.reverse()
-        walks.append((u, cols))
-    inside = {0}
-    frontier = [0]
-    escaped = False
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for u, cols in walks:
-                v = -1
-                if cols is not None:
-                    v = w
-                    for col in cols:
-                        v = col[v]
-                if v < 0:
-                    v = index.get(group.mul_data(data[w], u), -1)
-                    if v < 0:
-                        escaped = True
-                        continue
-                if v not in inside:
-                    inside.add(v)
-                    nxt.append(v)
-        frontier = nxt
+    inside, escaped = ball.closure(sorted(gens), ball.radius)
 
     half = ball.radius // 2
     size = ball.size(half)
@@ -422,7 +386,7 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
                 rep_translates.append(ball.gather(ball.inv_index(x), size))
         counts.append(len(rep_translates))
     stableized = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
-    return len(rep_translates), (not escaped) and stableized
+    return len(rep_translates), escaped is None and stableized
 
 
 @dataclass(frozen=True)

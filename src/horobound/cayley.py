@@ -195,6 +195,60 @@ class Ball:
             append(nbr[s][pos[p]])
         return pos
 
+    def closure(self, gens: list[tuple], bound: int) -> tuple[set[int], tuple | None]:
+        """Positions of the products of ``gens`` that lie in B_bound, and the
+        first product that leaves B_bound (None when none does).
+
+        Breadth-first from the identity, layer by layer, expanding each
+        position by ``gens`` in list order, so the seeds are the first layer.
+        The walk goes on past an escape and gathers everything reachable
+        inside B_bound. For a generator u = s_1 .. s_k along its BFS parent
+        path, w u is k neighbour-table lookups from w. A lookup reads -1 once
+        some w s_1 .. s_j leaves the ball (or reaches an unfilled rim row),
+        although w u itself may lie inside, so only then is w u multiplied
+        out; u outside the ball is always multiplied.
+        """
+        if not (0 <= bound <= self.radius):
+            raise OutOfBall(f"bound {bound} outside 0..{self.radius}")
+        group, data, index, dist = self.group, self.data, self.index, self.dist
+        nbr = self.neighbours(self.size(bound))
+        walks = []  # (u, the neighbour columns s_1 .. s_k, or None for u outside the ball)
+        for u in gens:
+            i = index.get(u)
+            cols = None
+            if i is not None:
+                cols = []
+                while i > 0:
+                    cols.append(nbr[self.parent_gen[i]])
+                    i = self.parent[i]
+                cols.reverse()
+            walks.append((u, cols))
+        inside = {0}
+        frontier = [0]
+        escaped = None
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for u, cols in walks:
+                    v = -1
+                    if cols is not None:
+                        v = w
+                        for col in cols:
+                            v = col[v]
+                    if v < 0:
+                        prod = group.mul_data(data[w], u)
+                        v = index.get(prod, -1)
+                    if v in inside:
+                        continue
+                    if v < 0 or dist[v] > bound:
+                        if escaped is None:
+                            escaped = prod if v < 0 else data[v]
+                        continue
+                    inside.add(v)
+                    nxt.append(v)
+            frontier = nxt
+        return inside, escaped
+
     def parent_path_data(self, data: tuple) -> list[tuple]:
         """BFS geodesic identity .. data as raw payloads."""
         i = self.index[data]

@@ -280,10 +280,9 @@ def step1_membership(poly: RationalPolytope, ball: Ball, r: int) -> Step1Report:
     group = _extension(ball.group)
     checked = 0
     violations = []
-    for data in ball.data_up_to(r):
+    for data, n in zip(ball.data_up_to(r), ball.dist):
         if not group.in_kernel(data):
             continue
-        n = ball.dist_data(data)
         if n == 0:
             continue
         checked += 1
@@ -406,12 +405,11 @@ def lipschitz_hom(
     )
     locus = []
     checked = 0
-    for data in ball.data_up_to(ball.radius):
+    for data, n in zip(ball.data, ball.dist):
         if not group.in_kernel(data):
             continue
         checked += 1
         val = f_of(data)
-        n = ball.dist_data(data)
         if abs(val) > n:
             raise VerificationFailed(
                 f"|f({ball.group.format_data(data)})| = {val} exceeds the norm {n}"
@@ -582,13 +580,13 @@ def infinite_boundary_witness(
     nx = ball.norm(data.x)
     kept: list[tuple[Element, int, Element, tuple[int, ...]]] = []
     seen_vectors: set[tuple[int, ...]] = set()
-    for cand in ball.data_up_to(r - nx):
+    for cand, n_cand in zip(ball.data_up_to(r - nx), ball.dist):
         if not group.in_kernel(cand):
             continue
         y = Element(group, cand)
         if any(data.in_cyclic(prev.inverse() * y) for prev, _, _, _ in kept):
             continue
-        n = (r - ball.dist_data(cand)) // nx
+        n = (r - n_cand) // nx
         u = y * (data.x ** n)
         fn = busemann_functional(ball, u, m)
         if fn.vector in seen_vectors:

@@ -81,6 +81,17 @@ def rot4_inv(a):
     return ((-v[0], -v[1]), (-a[1]) % 4)
 
 
+# (mul, inv) on the element data of each group in horobound.examples.REGISTRY
+REGISTRY_OPS = {
+    "z_line": (zd_mul, zd_inv),
+    "z2": (zd_mul, zd_inv),
+    "cylinder_n4": cyl_ops(4)[:2],
+    "fat_cylinder_n3": cyl_ops(3)[:2],
+    "z2_rot4": (rot4_mul, rot4_inv),
+    "lamplighter_z2": (lamp_mul, lamp_inv),
+}
+
+
 # -- metric oracles -----------------------------------------------------------
 
 def bfs_dist(mul, gens, identity, radius):

@@ -22,6 +22,7 @@ from horobound.errors import (
     DomainMismatch,
     NoDominatorAtLevel,
     OutOfBall,
+    OutOfRange,
     RangeEmpty,
 )
 from horobound.examples import REGISTRY, example
@@ -266,6 +267,8 @@ def test_cylinder_kernel_is_everything(cyl4_ball15):
     assert kernel_index_estimate(kernel, cyl4_ball15) == (1, False)
     with pytest.raises(DomainExhausted):
         kernel_approx(approx, 3, cyl4_ball15)
+    with pytest.raises(OutOfRange):  # B_-1 is empty, not even the identity
+        kernel_approx(approx, -1, cyl4_ball15)
 
 
 def _tuple_kernel_index(kernel, ball):

@@ -34,6 +34,7 @@ from horobound.groups import (
 )
 
 from oracles import (
+    REGISTRY_OPS,
     cyl_ops,
     lamp_inv,
     lamp_mul,
@@ -87,25 +88,10 @@ def test_lamplighter_canonical_sorts_support():
 # ---------------------------------------------------------------------------
 # arithmetic against independent implementations
 
-ORACLES = {
-    "z_line": (lambda a, b: zd_mul(a, b), zd_inv),
-    "z2": (lambda a, b: zd_mul(a, b), zd_inv),
-    "cylinder_n4": cyl_ops(4)[:2],
-    "fat_cylinder_n3": cyl_ops(3)[:2],
-    "z2_rot4": (rot4_mul, rot4_inv),
-    "lamplighter_z2": (lamp_mul, lamp_inv),
-}
-
-
-def _rot4_pack(data):
-    # library layout ((x, y), q) matches the oracle layout already
-    return data
-
-
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_group_laws_random(name):
     group, gens = example(name)
-    mul_o, inv_o = ORACLES[name]
+    mul_o, inv_o = REGISTRY_OPS[name]
     rng = random.Random(7)
     pool = [s.data for s in gens]
     elems = list(pool)
