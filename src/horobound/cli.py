@@ -99,6 +99,29 @@ COMMANDS = (
     "bend",
 )
 
+# [run] parameters that have a command-line flag (--r, --n-max, ...), with
+# the flag's value type; the parser, main and the missing-parameter message
+# all read this one table
+FLAG_PARAMS = (
+    ("r", int),
+    ("m", int),
+    ("n_max", int),
+    ("k", int),
+    ("budget", int),
+    ("gap", int),
+    ("extreme", str),
+)
+
+# every [run] key some command reads besides command and seed: the flagged
+# ones and those only a [run] entry sets. Any other key is a misspelling. It
+# is one union for all commands, because the subcommand on the command line
+# may run a spec under another command than its own
+RUN_KEYS = frozenset(dict(FLAG_PARAMS)) | {"n", "window", "scan_m", "ell", "x"}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -131,19 +154,20 @@ class RunConfig:
     def require_int(self, key: str) -> int:
         v = self.int_param(key)
         if v is None:
-            raise SchemaError(
-                f"command {self.command!r} needs parameter {key!r}"
-                f" (--{key.replace('_', '-')} or a [run] entry)"
-            )
+            raise self._missing(key)
         return v
 
     def require_str(self, key: str) -> str:
         raw = self.param(key)
         if raw is None:
-            raise SchemaError(
-                f"command {self.command!r} needs parameter {key!r} (a [run] entry)"
-            )
+            raise self._missing(key)
         return raw
+
+    def _missing(self, key: str) -> SchemaError:
+        flag = f"{_flag(key)} or " if key in dict(FLAG_PARAMS) else ""
+        return SchemaError(
+            f"command {self.command!r} needs parameter {key!r} ({flag}a [run] entry)"
+        )
 
     def with_params(self, **updates: object) -> "RunConfig":
         merged = dict(self.params)
@@ -358,8 +382,10 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
                     raise SchemaError(f"{path}: [run] unknown command {command!r}")
             elif key == "seed":
                 seed = _parse_int("run", "seed", value)
-            else:
+            elif key in RUN_KEYS:
                 params[key] = value.strip()
+            else:
+                raise SchemaError(f"{path}: [run] unknown key {key!r}")
 
     config = RunConfig(
         command=command,
@@ -566,13 +592,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("spec", help="path to a group spec file")
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--gap", type=int, default=None)
-        p.add_argument("--extreme", type=str, default=None, metavar="lex|index:<i>")
+        for key, kind in FLAG_PARAMS:
+            p.add_argument(
+                _flag(key),
+                type=kind,
+                default=None,
+                dest=key,
+                metavar="lex|index:<i>" if key == "extreme" else None,
+            )
         p.add_argument("--out", type=str, default=None, metavar="DIR")
         p.add_argument("--seed", type=int, default=None)
     return parser
@@ -590,15 +617,7 @@ def main(argv: list[str] | None = None) -> int:
             command=args.command,
             out=args.out,
             seed=args.seed if args.seed is not None else config.seed,
-        ).with_params(
-            r=args.r,
-            m=args.m,
-            n_max=args.n_max,
-            k=args.k,
-            budget=args.budget,
-            gap=args.gap,
-            extreme=args.extreme,
-        )
+        ).with_params(**{key: getattr(args, key) for key, _ in FLAG_PARAMS})
         report, sides = run_command(config)
     except Diagnostic as exc:
         payload = {

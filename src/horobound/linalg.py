@@ -1,7 +1,10 @@
 """Small exact linear algebra kit: integer matrices, lattices, rational RREF.
 
-Everything here is pure Python over ``int`` and ``fractions.Fraction``; sizes
-are tiny (ambient dimension <= 3 in practice) so clarity beats asymptotics.
+Every rational elimination (``rref``, ``mat_inv``, ``nullspace`` and the
+simplex in ``polytope``) goes through one Gauss-Jordan step, ``pivot``;
+integer determinants use Bareiss elimination at every size. Everything here
+is pure Python over ``int`` and ``fractions.Fraction``; sizes are tiny
+(ambient dimension <= 3 in practice) so clarity beats asymptotics.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "mat_inv",
     "mat_inv_int",
     "lattice_index",
+    "pivot",
     "rref",
     "nullspace",
     "primitive_integer",
@@ -44,21 +48,10 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
 
 
 def mat_det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (expansion for d<=3, else Bareiss)."""
+    """Determinant of a square integer matrix by Bareiss fraction-free elimination."""
     d = len(a)
     if d == 0:
         return 1
-    if d == 1:
-        return a[0][0]
-    if d == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if d == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    # Bareiss fraction-free elimination for the general case.
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -78,33 +71,21 @@ def mat_det(a: Sequence[Sequence[int]]) -> int:
 
 
 def mat_inv(a: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
+    """Exact inverse: the right half of rref([A | I]); raises ValueError when singular."""
     d = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-           for i, row in enumerate(a)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
+    m, pivots = rref(aug)
+    if pivots != list(range(d)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[d:]) for row in m)
 
 
 def mat_inv_int(a: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, kept integral."""
     inv = mat_inv(a)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix inverse is not integral")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix inverse is not integral")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -151,39 +132,44 @@ def lattice_index(vectors: Sequence[Sequence[int]], dim: int) -> int:
     return index
 
 
+def pivot(m: list[list[Fraction]], row: int, col: int) -> None:
+    """One Gauss-Jordan step in place: scale ``row`` so that m[row][col] = 1,
+    then clear column ``col`` from every other row. m[row][col] must be nonzero."""
+    inv = Fraction(1) / m[row][col]
+    m[row] = [x * inv for x in m[row]]
+    for i in range(len(m)):
+        if i != row and m[i][col] != 0:
+            f = m[i][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[row])]
+
+
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction; returns (matrix, pivot columns)."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv_p = Fraction(1) / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         if r == len(m):
             break
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pivot(m, r, c)
+        pivots.append(c)
     return m, pivots
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space of the given matrix, exact."""
-    if not rows:
-        return []
-    cols = len(rows[0])
+def nullspace(rows: Sequence[Sequence], cols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space of a matrix with ``cols`` columns, exact.
+
+    With no rows (or only zero rows) this is the standard basis of Q^cols.
+    """
     m, pivots = rref(rows)
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * cols
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):

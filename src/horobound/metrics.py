@@ -189,7 +189,6 @@ def build_ball_system(
     f_chain: Sequence[Iterable[Element]],
     n_max: int,
     budget: int = DEFAULT_SET_BUDGET,
-    max_levels: int = DEFAULT_MAX_LEVELS,
 ) -> BallSystem:
     """Compute B_0..B_{n_max} for the chain, verifying every assumption.
 
@@ -200,8 +199,10 @@ def build_ball_system(
     """
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
-    if n_max > max_levels:
-        raise SizeBudget(f"n_max {n_max} exceeds the level budget {max_levels}")
+    if n_max > DEFAULT_MAX_LEVELS:
+        raise SizeBudget(
+            f"n_max {n_max} exceeds the level budget {DEFAULT_MAX_LEVELS}"
+        )
     if len(f_chain) < n_max:
         raise NotASubgroup(
             f"chain supplies {len(f_chain)} subgroups, need {n_max}"

@@ -2,9 +2,12 @@
 
 Everything runs over Fraction: feasibility, optimality, extremality, and
 hull membership are decided, not approximated. The simplex uses Bland's rule,
-so it terminates and is deterministic; hulls are produced in both vertex and
+so it terminates and is deterministic, and pivots with ``linalg.pivot``, the
+one Gauss-Jordan step of the package. Hulls are produced in both vertex and
 inequality form and the two descriptions are cross-checked against each other
-before being returned.
+before being returned. Every hull takes one path: facets are built in the
+pivot coordinates of its affine hull and lifted back, so a point (no pivot
+coordinates) and a full-dimensional set (all of them) are not special cases.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionCap, NotExtreme
-from .linalg import nullspace, primitive_integer, rref
+from .linalg import nullspace, pivot, primitive_integer, rref
 
 __all__ = [
     "LPResult",
@@ -34,16 +37,6 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: tuple[Fraction, ...] | None
     value: Fraction | None
-
-
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = Fraction(1) / tab[row][col]
-    tab[row] = [v * inv for v in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-    basis[row] = col
 
 
 def _simplex_min(
@@ -72,7 +65,8 @@ def _simplex_min(
                     best_row, best_ratio = i, ratio
         if best_row is None:
             return "unbounded"
-        _pivot(tab, basis, best_row, col)
+        pivot(tab, best_row, col)
+        basis[best_row] = col
         f = cost[col]
         if f != 0:
             cost[:] = [a - f * b for a, b in zip(cost, tab[best_row])]
@@ -105,7 +99,8 @@ def _solve_standard(
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
-                _pivot(tab, basis, i, col)
+                pivot(tab, i, col)
+                basis[i] = col
     keep = [i for i in range(m) if basis[i] < n]  # all-zero rows are redundant
     tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
@@ -137,7 +132,6 @@ def solve_lp(
     obj = [Fraction(v) for v in objective]
     n_ub = len(a_ub)
     # columns: x+ (n), x- (n), slack per inequality
-    width = 2 * n + n_ub
     rows = []
     rhs = []
     for k, row in enumerate(a_ub):
@@ -191,12 +185,9 @@ class RationalPolytope:
         return True
 
     def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> str:
-            return str(x)
-
         return {
             "dim": self.dim,
-            "vertices": [[frac(c) for c in v] for v in self.vertices],
+            "vertices": [[str(c) for c in v] for v in self.vertices],
             "inequalities": [[list(a), b] for a, b in self.inequalities],
             "equalities": [[list(a), b] for a, b in self.equalities],
         }
@@ -206,16 +197,10 @@ def _hyperplanes(points: Sequence[Point], extremes: Sequence[Point], k: int):
     """Candidate facet normals from k-subsets of extreme points (ambient dim k)."""
     seen = set()
     for subset in combinations(extremes, k):
-        if k == 1:
-            normals = [(Fraction(1),)]
-        else:
-            diffs = [
-                [subset[j][i] - subset[0][i] for i in range(k)]
-                for j in range(1, k)
-            ]
-            normals = nullspace(diffs)
-            if len(normals) != 1:
-                continue  # affinely dependent subset
+        diffs = [[subset[j][i] - subset[0][i] for i in range(k)] for j in range(1, k)]
+        normals = nullspace(diffs, k)
+        if len(normals) != 1:
+            continue  # affinely dependent subset, or k = 0
         a = normals[0]
         b = sum(ai * pi for ai, pi in zip(a, subset[0]))
         vals = [sum(ai * pi for ai, pi in zip(a, q)) for q in points]
@@ -234,10 +219,13 @@ def _hyperplanes(points: Sequence[Point], extremes: Sequence[Point], k: int):
 def convex_hull(points: Sequence[Sequence]) -> RationalPolytope:
     """Exact hull of rational points in ambient dimension 1..3.
 
-    Extreme points are certified one at a time by LP membership tests, the
-    inequality description by hyperplane enumeration inside the affine hull,
-    and the result is rejected outright if the two descriptions disagree on
-    any input point.
+    Extreme points are certified one at a time by LP membership tests. The
+    equalities span the null space of the differences p - p0; the inequality
+    description comes from hyperplane enumeration in the k pivot coordinates
+    of those differences, onto which the affine hull projects bijectively,
+    lifted back with zeros elsewhere (k = 0 gives no facets, k = d is the
+    identity projection). The result is rejected outright if the two
+    descriptions disagree on any input point.
     """
     pts = sorted({tuple(Fraction(v) for v in p) for p in points})
     if not pts:
@@ -254,32 +242,25 @@ def convex_hull(points: Sequence[Sequence]) -> RationalPolytope:
 
     p0 = pts[0]
     diffs = [[q[i] - p0[i] for i in range(d)] for q in pts[1:]]
-    _, pivots = rref(diffs) if diffs else ([], [])
-    k = len(pivots)
-
+    _, pivots = rref(diffs)
     equalities = []
-    if k < d:
-        for nrm in nullspace(diffs) if diffs else _standard_basis(d):
-            b = sum(ai * pi for ai, pi in zip(nrm, p0))
-            key = primitive_integer(tuple(nrm) + (b,))
-            equalities.append((key[:-1], key[-1]))
+    for nrm in nullspace(diffs, d):
+        b = sum(ai * pi for ai, pi in zip(nrm, p0))
+        key = primitive_integer(tuple(nrm) + (b,))
+        equalities.append((key[:-1], key[-1]))
 
-    if k == 0:
-        poly = RationalPolytope(0, tuple(extremes), (), tuple(equalities))
-    elif k == d:
-        ineqs = sorted(_hyperplanes(pts, extremes, d))
-        poly = RationalPolytope(d, tuple(extremes), tuple(ineqs), ())
-    else:
-        # project to pivot coordinates, build facets there, lift back
-        proj = [tuple(p[c] for c in pivots) for p in pts]
-        proj_ext = [tuple(p[c] for c in pivots) for p in extremes]
-        lifted = []
-        for a, b in _hyperplanes(proj, proj_ext, k):
-            full = [0] * d
-            for ai, c in zip(a, pivots):
-                full[c] = ai
-            lifted.append((tuple(full), b))
-        poly = RationalPolytope(k, tuple(extremes), tuple(sorted(lifted)), tuple(equalities))
+    # project to pivot coordinates, build facets there, lift back
+    proj = [tuple(p[c] for c in pivots) for p in pts]
+    proj_ext = [tuple(p[c] for c in pivots) for p in extremes]
+    lifted = []
+    for a, b in _hyperplanes(proj, proj_ext, len(pivots)):
+        full = [0] * d
+        for ai, c in zip(a, pivots):
+            full[c] = ai
+        lifted.append((tuple(full), b))
+    poly = RationalPolytope(
+        len(pivots), tuple(extremes), tuple(sorted(lifted)), tuple(equalities)
+    )
 
     for p in pts:
         if not poly.contains(p):
@@ -295,12 +276,6 @@ def convex_hull(points: Sequence[Sequence]) -> RationalPolytope:
         if poly.dim >= 1 and tight < poly.dim:
             raise ValueError("hull descriptions disagree: a vertex is not a face point")
     return poly
-
-
-def _standard_basis(d: int) -> list[tuple[Fraction, ...]]:
-    return [
-        tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)
-    ]
 
 
 @dataclass(frozen=True)

@@ -296,6 +296,30 @@ def step1_membership(poly: RationalPolytope, ball: Ball, r: int) -> Step1Report:
 # the Lipschitz functional on the kernel
 
 
+def _pullback(
+    group: ExtensionGroup, phi: tuple[Fraction, ...], data: tuple
+) -> Fraction:
+    """f(y) = phi . xi(y) for kernel data y."""
+    return sum((a * b for a, b in zip(phi, group.xi(data))), Fraction(0))
+
+
+def _in_cyclic(group: ExtensionGroup, x_data: tuple, data: tuple) -> bool:
+    """Whether the element with this data is a power of the kernel element x."""
+    if not group.in_kernel(data):
+        return False
+    ratio = None
+    for a, b in zip(group.xi(data), group.xi(x_data)):
+        if b == 0:
+            if a != 0:
+                return False
+        else:
+            r = Fraction(a, b)
+            if ratio is not None and r != ratio:
+                return False
+            ratio = r
+    return ratio is None or ratio.denominator == 1
+
+
 @dataclass(frozen=True)
 class LipschitzHomData:
     """A supporting functional pulled back to the kernel, fully verified.
@@ -317,28 +341,11 @@ class LipschitzHomData:
     checked: int
 
     def f(self, y: Element) -> Fraction:
-        return sum(
-            (a * b for a, b in zip(self.phi, _extension(y.group).xi(y.data))), Fraction(0)
-        )
+        return _pullback(_extension(y.group), self.phi, y.data)
 
     def in_cyclic(self, y: Element) -> bool:
         """Whether y is a power of x."""
-        group = _extension(y.group)
-        if not group.in_kernel(y.data):
-            return False
-        vy = group.xi(y.data)
-        vx = group.xi(self.x.data)
-        ratio = None
-        for a, b in zip(vy, vx):
-            if b == 0:
-                if a != 0:
-                    return False
-            else:
-                r = Fraction(a, b)
-                if ratio is not None and r != ratio:
-                    return False
-                ratio = r
-        return ratio is None or ratio.denominator == 1
+        return _in_cyclic(_extension(y.group), self.x.data, y.data)
 
     def to_json_dict(self) -> dict:
         return {
@@ -390,33 +397,26 @@ def lipschitz_hom(
     if (x ** p).data != w.data:
         raise VerificationFailed(f"{w} is not the {p}-th power of {x}")
 
-    def f_of(data: tuple) -> Fraction:
-        return sum(
-            (a * Fraction(b) for a, b in zip(phi, group.xi(data))), Fraction(0)
-        )
-
-    if f_of(w.data) != nw:
+    f_w = _pullback(group, phi, w.data)
+    if f_w != nw:
         raise VerificationFailed(
-            f"f({w}) = {f_of(w.data)} but |{w}| = {nw}; support normalization broke"
+            f"f({w}) = {f_w} but |{w}| = {nw}; support normalization broke"
         )
 
-    data_stub = LipschitzHomData(
-        ept, q, w, e, phi, support.margin, x, p, (), 0
-    )
     locus = []
     checked = 0
     for data, n in zip(ball.data, ball.dist):
         if not group.in_kernel(data):
             continue
         checked += 1
-        val = f_of(data)
+        val = _pullback(group, phi, data)
         if abs(val) > n:
             raise VerificationFailed(
                 f"|f({ball.group.format_data(data)})| = {val} exceeds the norm {n}"
             )
         if val == n:
             y = Element(ball.group, data)
-            if not data_stub.in_cyclic(y):
+            if not _in_cyclic(group, x.data, data):
                 raise VerificationFailed(
                     f"equality locus escapes <x>: f({y}) = |{y}| = {n}"
                 )
@@ -534,14 +534,16 @@ class WitnessReport:
 def select_extreme(poly: RationalPolytope, selector: str) -> Point:
     if selector == "lex":
         return poly.vertices[0]
-    if selector.startswith("index:"):
-        i = int(selector.split(":", 1)[1])
-        if not (0 <= i < len(poly.vertices)):
-            raise NotExtreme(
-                f"extreme index {i} out of range 0..{len(poly.vertices) - 1}"
-            )
-        return poly.vertices[i]
-    raise ValueError(f"unknown extreme-point selector {selector!r}")
+    kind, _, raw = selector.partition(":")
+    try:
+        i = int(raw) if kind == "index" else None
+    except ValueError:
+        i = None
+    if i is None:
+        raise ValueError(f"unknown extreme-point selector {selector!r}")
+    if not (0 <= i < len(poly.vertices)):
+        raise NotExtreme(f"extreme index {i} out of range 0..{len(poly.vertices) - 1}")
+    return poly.vertices[i]
 
 
 def infinite_boundary_witness(

@@ -4,12 +4,14 @@ Exit codes: 0 for a completed run, 2 for a structured diagnostic (payload
 on stdout), 1 for anything else (message on stderr).
 """
 
+import inspect
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -154,6 +156,11 @@ SCHEMA_CASES = [
         "\n[generators]\nelements = (1;0) (-1;0) (0;1)\n",
         r"\[group\] action\.one: expected an integer, got 'one'",
     ),
+    (
+        "[group]\nfamily = fg_abelian\nfree_rank = 1\n\n[generators]\nelements = (1) (-1)\n"
+        "\n[run]\ncommand = annihilator\nr = 12\nm = 3\ngapp = 0\n",
+        r"\[run\] unknown key 'gapp'",
+    ),
 ]
 
 # two spellings of one quotient index: neither line may silently win
@@ -246,10 +253,34 @@ def test_runconfig_int_param_rejects_garbage():
 
 def test_runconfig_require_int_missing():
     cfg = _config()
-    with pytest.raises(SchemaError, match="needs parameter 'ell'"):
+    with pytest.raises(SchemaError, match=r"needs parameter 'ell' \(a \[run\] entry\)"):
         cfg.require_int("ell")
-    with pytest.raises(SchemaError, match="needs parameter 'x'"):
+    with pytest.raises(SchemaError, match=r"needs parameter 'x' \(a \[run\] entry\)"):
         cfg.require_str("x")
+    with pytest.raises(SchemaError, match=r"needs parameter 'r' \(--r or a \[run\] entry\)"):
+        replace(cfg, params=()).require_int("r")
+
+
+@pytest.mark.parametrize("key", sorted(cli_mod.RUN_KEYS))
+def test_missing_parameter_names_only_real_flags(key):
+    cfg = replace(_config(), params=())
+    with pytest.raises(SchemaError) as info:
+        cfg.require_int(key)
+    named = re.findall(r"--[a-z-]+", str(info.value))
+    parser = cli_mod._build_parser()
+    for flag in named:
+        args = parser.parse_args(["ball", Z2_SPEC, flag, "1"])
+        assert getattr(args, key) == ("1" if key == "extreme" else 1)
+    assert bool(named) == (key in dict(cli_mod.FLAG_PARAMS))
+
+
+def test_run_keys_are_the_keys_commands_read():
+    # a key some handler reads but RUN_KEYS lacks would be rejected in a spec;
+    # one RUN_KEYS lists but no handler reads would hide a misspelling
+    source = inspect.getsource(cli_mod)
+    calls = r"cfg\.(?:param|int_param|require_int|require_str)\(\"(\w+)\""
+    read = set(re.findall(calls, source))
+    assert read == cli_mod.RUN_KEYS
 
 
 def test_runconfig_with_params_merges_sorted():
@@ -535,6 +566,14 @@ def test_main_bound_violated_exits_2(tmp_path):
     assert report["diagnostic"] == "BoundViolated"
     assert report["detail"]["value"] == -8
     assert report["detail"]["bound"] == 7
+
+
+def test_main_polytope_bad_selector_exits_1():
+    argv = ["polytope", spec_path("cylinder_n4_ext.spec"), "--extreme", "index:x"]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == b""
+    assert err == "error: unknown extreme-point selector 'index:x'\n"
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

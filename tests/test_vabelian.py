@@ -258,8 +258,9 @@ def test_select_extreme(z2_pair, z2_ball12):
     assert select_extreme(poly, "index:3") == (1, 0)
     with pytest.raises(NotExtreme):
         select_extreme(poly, "index:7")
-    with pytest.raises(ValueError):
-        select_extreme(poly, "best")
+    for selector in ("best", "index:x", "index"):
+        with pytest.raises(ValueError, match=f"unknown extreme-point selector '{selector}'"):
+            select_extreme(poly, selector)
 
 
 def test_lipschitz_hom_plane(z2_pair, z2_ball12):
