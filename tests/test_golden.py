@@ -3,8 +3,9 @@
 ``tests/golden/bundled.json`` maps each bundled spec to the sha256 of its
 ``emit_report`` bytes and of every side file its command writes. Criterion 11
 only compares a rerun with the run before it; this compares with the bytes
-recorded before a change. After a deliberate, documented change of output,
-rewrite the file with::
+recorded before a change. ``EXTRA_RUNS`` adds runs of a bundled spec under
+another command at fixed parameters, stored under ``run_key``. After a
+deliberate, documented change of output, rewrite the file with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,6 +13,7 @@ rewrite the file with::
 import hashlib
 import json
 import pathlib
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -22,10 +24,28 @@ SPECS = resources.files("horobound") / "specs"
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled.json"
 SPEC_NAMES = sorted(p.name for p in SPECS.iterdir() if p.name.endswith(".spec"))
 
+# (spec, command, params): the lamplighter outside ``ballsystem``. ``ball``
+# with n set pins ball.csv and prefixes.dot; the annihilator report lists
+# its candidates by (norm, data).
+EXTRA_RUNS = (
+    ("lamplighter.spec", "ball", {"r": 6, "n": 4}),
+    ("lamplighter.spec", "boundary", {"r": 4, "m": 2}),
+    ("lamplighter.spec", "annihilator", {"r": 4, "m": 2}),
+)
 
-def digests(name: str) -> dict[str, str]:
+
+def run_key(spec: str, command: str, params: dict) -> str:
+    return f"{spec}:{command}:" + ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+
+
+EXTRA_KEYS = {run_key(*run): run for run in EXTRA_RUNS}
+
+
+def digests(name: str, command: str | None = None, params: dict | None = None) -> dict[str, str]:
     """sha256 of the report and of each side file of one bundled run."""
     _, _, config = parse_spec(str(SPECS / name))
+    if command is not None:
+        config = replace(config, command=command).with_params(**params)
     report, sides = run_command(config)
     out = {"report.json": hashlib.sha256(emit_report(report)).hexdigest()}
     for side, blob in sorted(sides.items()):
@@ -35,7 +55,7 @@ def digests(name: str) -> dict[str, str]:
 
 def test_golden_covers_every_bundled_spec():
     stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert sorted(stored) == SPEC_NAMES
+    assert sorted(stored) == sorted(SPEC_NAMES + list(EXTRA_KEYS))
     assert len(SPEC_NAMES) == 11
 
 
@@ -45,7 +65,14 @@ def test_bundled_run_matches_golden(name):
     assert digests(name) == stored[name]
 
 
+@pytest.mark.parametrize("key", sorted(EXTRA_KEYS))
+def test_extra_run_matches_golden(key):
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert digests(*EXTRA_KEYS[key]) == stored[key]
+
+
 if __name__ == "__main__":
     table = {name: digests(name) for name in SPEC_NAMES}
+    table.update({key: digests(*run) for key, run in EXTRA_KEYS.items()})
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} entries to {GOLDEN}")
