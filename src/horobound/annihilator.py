@@ -260,7 +260,7 @@ def generated_subgroup_bound(
     annihilator element (or that its witness radius was underestimated).
     """
     group = ball.group
-    seed = sorted({g.data for g in candidates})
+    seed = sorted({g.data for g in candidates}, key=group.sort_key)
     if r_bound is None:
         r_bound = 0
         for d in seed:
@@ -275,7 +275,7 @@ def generated_subgroup_bound(
             r_bound=r_bound,
             partial_size=len(inside),
         )
-    ordered = sorted(inside, key=lambda i: (ball.dist[i], ball.data[i]))
+    ordered = sorted(inside, key=lambda i: (ball.dist[i], group.sort_key(ball.data[i])))
     return ClosureReport(
         tuple(Element(group, ball.data[i]) for i in ordered),
         len(inside),
@@ -320,7 +320,8 @@ def index_bound_check(
         raise ValueError("index and factor are positive integers")
     bound = h_index * subgroup_factor
     count = len(report.candidates)
-    ranked = sorted(report.candidates, key=lambda e: (report.ball.norm(e), e.data))
+    key = report.ball.group.sort_key
+    ranked = sorted(report.candidates, key=lambda e: (report.ball.norm(e), key(e.data)))
     offending = tuple(ranked[bound:]) if count > bound else ()
     return IndexBoundCheck(
         count, h_index, subgroup_factor, bound, count <= bound, bound - count, offending

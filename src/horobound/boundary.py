@@ -372,7 +372,7 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
     group = ball.group
     gens = {x.data for x in kernel} | {group.inv_data(x.data) for x in kernel}
     gens.discard(group.identity_data())
-    inside, escaped = ball.closure(sorted(gens), ball.radius)
+    inside, escaped = ball.closure(sorted(gens, key=group.sort_key), ball.radius)
 
     half = ball.radius // 2
     size = ball.size(half)

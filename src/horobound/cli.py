@@ -496,7 +496,7 @@ def _cmd_ballsystem(group: Group, gens: GeneratingSet, cfg: RunConfig):
     bs = build_ball_system(group, gens, chain, n_max, budget=budget)
     checks = [
         bs_annihilator_check(bs, Element(group, data), 1).to_json_dict()
-        for data in sorted(bs.chain[0])
+        for data in sorted(bs.chain[0], key=group.sort_key)
     ]
     body = {
         "levels": bs.to_json_dict(),

@@ -7,7 +7,7 @@ Families:
 * ``vab_extension``  -- Z^d extended by a finite quotient Q: pairs (v, q) with
                         unimodular action matrices and an integral 2-cocycle.
 * ``finite``         -- an explicit multiplication table, identity at index 0.
-* ``lamplighter_z2`` -- (sum_Z Z/2) x| Z, elements (finite lamp support, shift).
+* ``lamplighter_z2`` -- (sum_Z Z/2) x| Z, elements (lamp bitmask, lowest lamp, shift).
 
 The first three share one normal form, ``ExtensionGroup``: a coset index in a
 finite quotient Q and a free part in Z^d. A finite table is the rank-0 case
@@ -33,6 +33,7 @@ from .errors import (
     GroupMismatch,
     IdentityGenerator,
     NonUnimodularAction,
+    SizeBudget,
     TableNotGroup,
 )
 from .linalg import (
@@ -57,6 +58,7 @@ __all__ = [
     "LamplighterZ2Spec",
     "GroupSpec",
     "GeneratingSet",
+    "TABLE_ORDER_BUDGET",
     "build_group",
     "coset_sweep",
     "subgroup_index",
@@ -107,10 +109,28 @@ class LamplighterZ2Spec:
 GroupSpec = Union[FgAbelianSpec, VAbExtensionSpec, FiniteGroupSpec, LamplighterZ2Spec]
 
 
+# Validating a table of order n walks all n^3 triples, once for
+# associativity and, for an extension, once more for the cocycle identity.
+# Past this order a table is refused before any triple is visited.
+TABLE_ORDER_BUDGET = 64
+
+
+def _check_table_order(n: int, what: str) -> None:
+    if n > TABLE_ORDER_BUDGET:
+        raise SizeBudget(
+            f"{what} has order {n}, past the table budget {TABLE_ORDER_BUDGET}"
+            f" (its validation walks {n}^3 triples)"
+        )
+
+
 def cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Multiplication table of Z/n with identity at index 0."""
+    """Multiplication table of Z/n with identity at index 0.
+
+    Refused past ``TABLE_ORDER_BUDGET``, before the n^2 entries are built.
+    """
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
+    _check_table_order(n, f"Z/{n}")
     return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
@@ -188,7 +208,14 @@ class Element:
 
 
 class Group:
-    """Shared machinery; subclasses provide the data-level operations."""
+    """Shared machinery; subclasses provide the data-level operations.
+
+    ``canonical`` maps accepted input forms to the stored data, and it is
+    idempotent: ``canonical(x.data) == x.data`` for every element x, so data
+    read back from a ball can be fed to ``element`` again. Stored data need
+    not sort in a meaningful order; ``sort_key(data)`` gives the order every
+    report uses (by default the data itself).
+    """
 
     family = "abstract"
 
@@ -204,6 +231,9 @@ class Group:
 
     def canonical(self, data) -> tuple:
         raise NotImplementedError
+
+    def sort_key(self, data: tuple):
+        return data
 
     def format_data(self, data: tuple) -> str:
         raise NotImplementedError
@@ -354,6 +384,7 @@ def _check_table(table: Sequence[Sequence[int]], what: str) -> None:
     n = len(table)
     if n == 0:
         raise TableNotGroup(f"{what}: empty table")
+    _check_table_order(n, f"{what} table")
     for row in table:
         if len(row) != n or any(not (0 <= x < n) for x in row):
             raise TableNotGroup(f"{what}: table is not square over 0..{n - 1}")
@@ -558,7 +589,14 @@ class FiniteTableGroup(ExtensionGroup):
 
 
 class LamplighterGroup(Group):
-    """(sum_Z Z/2) x| Z: data = (sorted tuple of lit lamp positions, shift)."""
+    """(sum_Z Z/2) x| Z = F_2[t, t^-1] x| Z on Python ints.
+
+    data = (mask, low, shift): lamp low + i is lit iff bit i of mask is set.
+    A nonempty mask is odd, so low is the lowest lit lamp, and the empty
+    support is (0, 0, shift); the form is canonical for any positions. The
+    product (f, s) * (g, u) = (f + t^s g, s + u) is one shift and one XOR.
+    ``sort_key`` orders by (sorted tuple of lit lamps, shift).
+    """
 
     family = "lamplighter_z2"
 
@@ -566,33 +604,65 @@ class LamplighterGroup(Group):
         self.spec = spec or LamplighterZ2Spec()
 
     def identity_data(self) -> tuple:
-        return ((), 0)
+        return (0, 0, 0)
 
     def canonical(self, data) -> tuple:
-        support, shift = data
-        return (tuple(sorted(set(int(p) for p in support))), int(shift))
+        """(support, shift) with support any iterable of positions (a set:
+        repeats do not cancel), or an already encoded (mask, low, shift)."""
+        if len(data) == 3:
+            mask, low, shift = (int(x) for x in data)
+            if mask < 0:
+                raise ValueError(f"lamp mask must be >= 0, got {mask}")
+        else:
+            support, shift = data
+            positions = {int(p) for p in support}
+            low = min(positions, default=0)
+            mask = sum(1 << (p - low) for p in positions)
+            shift = int(shift)
+        if not mask:
+            return (0, 0, shift)
+        zeros = (mask & -mask).bit_length() - 1
+        return (mask >> zeros, low + zeros, shift)
 
     def mul_data(self, a: tuple, b: tuple) -> tuple:
-        # canonical in, canonical out: a shift keeps a sorted support sorted
-        sup_a, s = a
-        sup_b, t = b
-        if not sup_b:
-            return (sup_a, s + t)
-        if s:
-            sup_b = tuple([p + s for p in sup_b])
-        if not sup_a:
-            return (sup_b, s + t)
-        moved = set(sup_a)
-        moved.symmetric_difference_update(sup_b)
-        return (tuple(sorted(moved)), s + t)
+        # canonical in, canonical out: only equal lows can clear bit 0
+        ma, la, s = a
+        mb, lb, u = b
+        if not mb:
+            return (ma, la, s + u)
+        lb += s
+        if not ma:
+            return (mb, lb, s + u)
+        if la < lb:
+            return (ma ^ (mb << (lb - la)), la, s + u)
+        if lb < la:
+            return (mb ^ (ma << (la - lb)), lb, s + u)
+        m = ma ^ mb
+        if not m:
+            return (0, 0, s + u)
+        zeros = (m & -m).bit_length() - 1
+        return (m >> zeros, la + zeros, s + u)
 
     def inv_data(self, a: tuple) -> tuple:
-        sup, s = a
-        return (tuple(sorted(p - s for p in sup)), -s)
+        mask, low, s = a
+        return (mask, low - s, -s) if mask else (0, 0, -s)
+
+    @staticmethod
+    def support(data: tuple) -> tuple[int, ...]:
+        """The lit lamp positions, ascending."""
+        mask, low, _ = data
+        out = []
+        while mask:
+            bit = mask & -mask
+            out.append(low + bit.bit_length() - 1)
+            mask ^= bit
+        return tuple(out)
+
+    def sort_key(self, data: tuple) -> tuple:
+        return (self.support(data), data[2])
 
     def format_data(self, data: tuple) -> str:
-        sup, s = data
-        return "({" + ",".join(str(p) for p in sup) + "};" + f"{s})"
+        return "({" + ",".join(str(p) for p in self.support(data)) + "};" + f"{data[2]})"
 
     def parse(self, text: str) -> Element:
         m = re.fullmatch(r"\s*\(\{([^}]*)\}\s*;\s*(-?\d+)\s*\)\s*", text)

@@ -41,8 +41,8 @@ DEFAULT_MAX_LEVELS = 5
 class BallSystem:
     """Nested sets B_0 .. B_{n_max} and the norm they induce.
 
-    The spheres B_n minus B_{n-1} are sorted once here; every reader walks
-    them instead of sorting a level again.
+    The spheres B_n minus B_{n-1} are sorted once here, by the group's sort
+    key; every reader walks them instead of sorting a level again.
     """
 
     def __init__(
@@ -61,7 +61,8 @@ class BallSystem:
         for n, level in enumerate(levels):
             if not prev <= level:
                 raise AxiomViolation(f"B_{n - 1} is not inside B_{n}")
-            sphere = tuple(sorted(level - prev))
+            sphere = [data for data in level if data not in prev]
+            sphere.sort(key=group.sort_key)
             for data in sphere:
                 self._norm[data] = n
             spheres.append(sphere)
@@ -100,7 +101,7 @@ def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
     """Raise unless the finite set elems is a subgroup.
 
     Closure is checked on generators, not on all pairs. Walking elems in
-    sorted order, each element not yet reached becomes a generator, and the
+    sort-key order, each element not yet reached becomes a generator, and the
     reached set is closed under right multiplication by every generator.
     At the end reached = elems and elems * G lies in elems, so every element
     is a word in G and a * b stays in elems by induction on the length of b.
@@ -130,7 +131,7 @@ def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
             order.append(ag)
 
     gens: list[tuple] = []
-    for g in sorted(elems):
+    for g in sorted(elems, key=group.sort_key):
         if g in reached:
             continue
         gens.append(g)
@@ -183,6 +184,26 @@ def _expand_left(
     return out
 
 
+def _build_level(group: Group, levels: list, f_n: frozenset, budget: int) -> frozenset:
+    """B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n for n = len(levels)."""
+    n = len(levels)
+    mul = group.mul_data
+    core: set = set()
+    add = core.add
+    for k in range(1, n):
+        right_factors = levels[n - k]
+        for a in levels[k]:
+            for b in right_factors:
+                add(mul(a, b))
+            if len(core) > budget:
+                raise _budget_error(n, budget, "merging products", len(core))
+    right = _expand_right(group, core, f_n, n, budget)
+    full = _expand_left(group, f_n, right, n, budget)
+    if not core <= full:
+        raise AxiomViolation(f"construction lost products while building B_{n}")
+    return frozenset(full)
+
+
 def build_ball_system(
     group: Group,
     s1: GeneratingSet,
@@ -221,25 +242,8 @@ def build_ball_system(
     levels = [frozenset([identity])]
     b1 = frozenset({s.data for s in s1.elements} | {identity})
     levels.append(b1)
-    mul = group.mul_data
     for n in range(2, n_max + 1):
-        core: set = set()
-        add = core.add
-        for k in range(1, n):
-            right_factors = levels[n - k]
-            for a in levels[k]:
-                for b in right_factors:
-                    add(mul(a, b))
-                if len(core) > budget:
-                    raise _budget_error(n, budget, "merging products", len(core))
-        f_n = chain[n - 1]
-        right = _expand_right(group, sorted(core), f_n, n, budget)
-        full = _expand_left(group, f_n, sorted(right), n, budget)
-        if not core <= full:
-            raise AxiomViolation(
-                f"construction lost products while building B_{n}"
-            )
-        levels.append(frozenset(full))
+        levels.append(_build_level(group, levels, chain[n - 1], budget))
 
     for n, level in enumerate(levels):
         for x in level:

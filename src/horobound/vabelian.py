@@ -169,9 +169,10 @@ def simple_cycle_labels(qg: QuotientGraph) -> SimpleCycleSet:
                 visited.discard(target)
 
     dfs(base, {base}, [], identity)
-    label_data = sorted({x.data for x, _ in pairs})
+    label_set = {x.data for x, _ in pairs}
+    label_data = sorted(label_set)
     for d in label_data:
-        if group.inv_data(d) not in label_data:
+        if group.inv_data(d) not in label_set:
             raise VerificationFailed(
                 f"cycle labels are not inverse-closed at {group.format_data(d)}"
             )

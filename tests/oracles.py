@@ -60,6 +60,23 @@ def lamp_inv(a):
     return (tuple(sorted(x - a[1] for x in a[0])), -a[1])
 
 
+def lamp_parse(text):
+    """(lamps as written, shift) from lamplighter text such as ``({-1,2};3)``."""
+    lamps, shift = text.strip()[2:-1].split("};")
+    return (tuple(int(p) for p in lamps.split(",") if p), int(shift))
+
+
+def oracle_form(group):
+    """data -> the form the REGISTRY_OPS oracles read.
+
+    The lamplighter goes through its element text, so no oracle reads the
+    package's encoding; every other family's data is used as it is.
+    """
+    if group.family == "lamplighter_z2":
+        return lambda data: lamp_parse(group.format_data(data))
+    return lambda data: data
+
+
 ROT90 = ((0, -1), (1, 0))
 
 
@@ -196,6 +213,19 @@ def cyl_closed_norm(n, x, y):
     if (k - x) % 2:
         k += 1
     return k
+
+
+def lamp_word_norm(lamps, k):
+    """Word norm of (lamps, k) in Z/2 wr Z with S = {t^+-1, a} (Cleary-Taback 2005).
+
+    A word is a walk of the cursor from 0 to k that toggles each lit lamp
+    once on the way. The walk covers the hull [lo, hi] of the lamps, 0 and
+    k, the shortest way being to sweep to one end, then to the other, then
+    back to k.
+    """
+    lo = min(0, k, *lamps)
+    hi = max(0, k, *lamps)
+    return len(lamps) + min(-lo + (hi - lo) + (hi - k), hi + (hi - lo) + (k - lo))
 
 
 def diag_norm(x1, x2, n=30):

@@ -1,6 +1,7 @@
 """Indistinguishability profiles and the candidate annihilator subgroup."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -14,14 +15,14 @@ from horobound.annihilator import (
 from horobound.boundary import boundary_approx
 from horobound.cayley import grow_ball
 from horobound.errors import ClosureEscapedBound, OutOfBall
-from horobound.examples import REGISTRY, cylinder
+from horobound.examples import REGISTRY, cylinder, example
 from horobound.groups import Element
 
-from oracles import REGISTRY_OPS, bfs_dist
+from oracles import REGISTRY_OPS, bfs_dist, oracle_form
 
 TORSION4 = {(0, 0), (0, 1), (0, 2), (0, 3)}
 
-# a finite subgroup of each group, generated inside B_2
+# a finite subgroup of each group, generated inside B_2, in oracle form
 FINITE = {
     "z_line": [],
     "z2": [],
@@ -33,10 +34,13 @@ FINITE = {
 
 
 def _oracle(name, radius):
+    """The group, its oracle ops, the oracle's norm table and the map from
+    group data to oracle form; the table is keyed in oracle form."""
     group, gens = REGISTRY[name]()
     mul, inv = REGISTRY_OPS[name]
-    table = bfs_dist(mul, [s.data for s in gens], group.identity_data(), radius)
-    return group, gens, mul, inv, table
+    form = oracle_form(group)
+    table = bfs_dist(mul, [form(s.data) for s in gens], form(group.identity_data()), radius)
+    return group, gens, mul, inv, table, form
 
 
 def test_identity_profile(cyl4_ball15):
@@ -89,13 +93,14 @@ def test_profile_gap_guard(cyl4_ball15):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_profiles_match_oracle(name):
     radius, m = 8, 3
-    group, gens, mul, inv, table = _oracle(name, radius)
+    group, gens, mul, inv, table, form = _oracle(name, radius)
     ball = grow_ball(group, gens, radius)
     for x in ball.data_up_to(m):
-        r = radius - table[x]
+        xo = form(x)
+        r = radius - table[xo]
         # max{|y| <= r : d(x, y) != d(1, y)} with d(x, y) = |x^-1 y|
         rho = max(
-            (k for y, k in table.items() if k <= r and table[mul(inv(x), y)] != k),
+            (k for y, k in table.items() if k <= r and table[mul(inv(xo), y)] != k),
             default=-1,
         )
         p = indistinguishability_profile(Element(group, x), ball)
@@ -212,13 +217,13 @@ def _payload_closure(seeds, bound, mul, identity, table):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_closure_matches_payload_closure(name):
     radius, bound = 8, 5
-    group, gens, mul, inv, table = _oracle(name, radius)
+    group, gens, mul, inv, table, form = _oracle(name, radius)
     ball = grow_ball(group, gens, radius)
-    finite = FINITE[name]
+    finite = [group.element(d).data for d in FINITE[name]]
     far = ball.layer_data(bound + 1)[0]
-    outside = next(
-        d for d in (mul(ball.data[-1], s.data) for s in gens) if d not in table
-    )
+    outside = group.element(next(
+        d for d in (mul(form(ball.data[-1]), form(s.data)) for s in gens) if d not in table
+    )).data
     seed_sets = [
         finite,
         [s.data for s in gens],
@@ -229,16 +234,20 @@ def test_closure_matches_payload_closure(name):
         finite + [outside],  # a seed outside the ball
     ]
     for seeds in seed_sets:
-        seeds = sorted(set(seeds))
+        # generated_subgroup_bound walks its seeds in sort-key order
+        seeds = sorted(set(seeds), key=group.sort_key)
         closure, escaped = _payload_closure(
-            seeds, bound, mul, group.identity_data(), table
+            [form(d) for d in seeds], bound, mul, form(group.identity_data()), table
         )
+        if escaped is not None:
+            escaped = group.element(escaped).data
         inside, got = ball.closure(seeds, bound)
-        assert {ball.data[i] for i in inside} == closure and got == escaped
+        assert {form(ball.data[i]) for i in inside} == closure and got == escaped
         elements = [Element(group, d) for d in seeds]
         if escaped is None:
             report = generated_subgroup_bound(elements, ball, r_bound=bound)
-            assert [x.data for x in report.elements] == sorted(
+            # reports list by (norm, data), data in the oracle's tuple order
+            assert [form(x.data) for x in report.elements] == sorted(
                 closure, key=lambda d: (table[d], d)
             )
             assert report.size == len(closure)
@@ -249,6 +258,32 @@ def test_closure_matches_payload_closure(name):
         assert info.value.payload["escaped"] == group.format_data(escaped)
         assert info.value.payload["partial_size"] == len(closure)
         assert info.value.payload["r_bound"] == bound
+
+
+def test_lamplighter_reports_rank_by_support_tuple():
+    # on F_2 of the lamplighter (lamps on [-2, 2]) the encoded data sorts
+    # otherwise than the (support tuple, shift) form the reports rank by
+    group, gens = example("lamplighter_z2")
+    form = oracle_form(group)
+    ball = grow_ball(group, gens, 13)
+    lamps = [group.element(((p,), 0)) for p in range(-2, 3)]
+    closure = generated_subgroup_bound(lamps, ball, r_bound=13)
+    assert closure.size == 32
+    want = sorted((ball.norm(x), form(x.data)) for x in closure.elements)
+    assert [(ball.norm(x), form(x.data)) for x in closure.elements] == want
+    by_data = sorted(closure.elements, key=lambda x: (ball.norm(x), x.data))
+    assert [(ball.norm(x), form(x.data)) for x in by_data] != want
+
+    report = replace(annihilator_candidates(ball, 1), candidates=closure.elements[::-1])
+    offending = index_bound_check(report, 1).offending
+    assert [(ball.norm(x), form(x.data)) for x in offending] == want[1:]
+
+    # both seeds lie outside the bound; the first in support order escapes,
+    # although its data (mask 9) sorts after the other's (mask 3)
+    seeds = [group.parse("({0,1};0)"), group.parse("({-1,2};0)")]
+    with pytest.raises(ClosureEscapedBound) as info:
+        generated_subgroup_bound(seeds, ball, r_bound=2)
+    assert info.value.payload["escaped"] == "({-1,2};0)"
 
 
 def test_closure_bound_guard(cyl4_ball15):

@@ -335,7 +335,7 @@ def test_kernel_index_matches_tuple_closure(monkeypatch):
         ball.neighbours(len(ball))  # from here on every mul_data is a fallback
         kernels = [
             kernel_approx(boundary_approx(ball, 5, 3), 2, ball),
-            [Element(group, d) for d in _FINITE[name]],
+            [group.element(d) for d in _FINITE[name]],
             list(ball.elements(2)),  # its closure reaches the rim
             # a generator outside the ball has no parent path
             [Element(group, group.mul_data(ball.data[-1], s.data)) for s in gens],

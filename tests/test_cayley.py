@@ -31,6 +31,9 @@ from oracles import (
     cyl_closed_norm,
     diag_norm,
     l1,
+    lamp_mul,
+    lamp_word_norm,
+    oracle_form,
     oracle_geodesic_prefixes,
     oracle_segment,
 )
@@ -78,6 +81,20 @@ def test_cylinder_norm_closed_form(cyl4_ball15):
 def test_diag_cylinder_norm_closed_form(cyl30_ball67):
     for data in cyl30_ball67.data_up_to(20):
         assert cyl30_ball67.dist_data(data) == diag_norm(*data)
+
+
+def test_lamplighter_norm_closed_form(lamp_pair):
+    group, gens = lamp_pair
+    form = oracle_form(group)
+    # the closed form against plain BFS on tuples first
+    table = bfs_dist(lamp_mul, [form(s.data) for s in gens], ((), 0), 6)
+    for (lamps, k), n in table.items():
+        assert lamp_word_norm(lamps, k) == n
+    # then against the ball, where BFS on tuples would be slow
+    ball = grow_ball(group, gens, 16)
+    assert len(ball) == 31762
+    for data, n in zip(ball.data, ball.dist):
+        assert lamp_word_norm(*form(data)) == n
 
 
 def test_norm_errors(z2_ball12, z_ball):

@@ -21,7 +21,7 @@ import horobound.cli as cli_mod
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import NoDominatorAtLevel, SchemaError, ValidationError
 from horobound.examples import example
-from horobound.groups import cyclic_table
+from horobound.groups import TABLE_ORDER_BUDGET, cyclic_table
 
 SPECS = resources.files("horobound") / "specs"
 
@@ -432,6 +432,19 @@ def test_main_ball_on_finite_table(tmp_path):
     assert report["group"] == {"family": "finite", "order": 6}
     assert report["size"] == 6
     assert report["layer_sizes"] == [1, 2, 2, 1]
+
+
+def test_main_quotient_past_the_table_budget_exits_1(tmp_path):
+    n = TABLE_ORDER_BUDGET + 1
+    spec = tmp_path / "big.spec"
+    spec.write_text(
+        f"[group]\nfamily = vab_extension\nrank = 1\nquotient = cyclic:{n}\n"
+        "\n[generators]\nelements = (1;0) (-1;0) (0;1)\n"
+    )
+    code, out, err = run_cli(["ball", str(spec), "--r", "2"])
+    assert code == 1 and out == b""
+    assert err.startswith(f"error: SizeBudget: Z/{n} has order {n}, past the table budget")
+    assert err.count("\n") == 1
 
 
 def test_main_finite_non_generating_exits_1(tmp_path):

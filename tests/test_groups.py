@@ -13,6 +13,7 @@ from horobound.errors import (
     GroupMismatch,
     IdentityGenerator,
     NonUnimodularAction,
+    SizeBudget,
     TableNotGroup,
 )
 from horobound.examples import REGISTRY, example
@@ -24,6 +25,7 @@ from horobound.groups import (
     FiniteTableGroup,
     LamplighterGroup,
     LamplighterZ2Spec,
+    TABLE_ORDER_BUDGET,
     VAbExtensionGroup,
     VAbExtensionSpec,
     build_group,
@@ -38,7 +40,9 @@ from oracles import (
     cyl_ops,
     lamp_inv,
     lamp_mul,
+    lamp_parse,
     oracle_coset_count,
+    oracle_form,
     rot4_inv,
     rot4_mul,
     zd_inv,
@@ -80,9 +84,68 @@ def test_parse_rejects_garbage():
 def test_lamplighter_canonical_sorts_support():
     g = LamplighterGroup()
     x = g.element(((3, 0, 0, -2), 5))
-    assert x.data == ((-2, 0, 3), 5)
+    assert lamp_parse(str(x)) == ((-2, 0, 3), 5)
+    assert x.data == (0b100101, -2, 5)  # lamps -2, 0, 3 as bits 0, 2, 5 above -2
     assert str(x) == "({-2,0,3};5)"
     assert g.parse("({-2,0,3};5)") == x
+
+
+def test_lamplighter_support_is_a_set():
+    g = LamplighterGroup()
+    assert g.parse("({0,0};0)") == g.parse("({0};0)")
+    assert str(g.parse("({0,0};0)")) == "({0};0)"
+    assert g.element(((0, 0), 0)).data == g.element(((0,), 0)).data == (1, 0, 0)
+
+
+def test_lamplighter_canonical_is_idempotent_on_encoded_data():
+    g = LamplighterGroup()
+    assert g.canonical((0b100, 1, 7)) == (1, 3, 7)  # trailing zeros move into low
+    assert g.canonical((0, 5, -2)) == (0, 0, -2)  # no lamps: low is 0
+    with pytest.raises(ValueError, match="mask"):
+        g.canonical((-1, 0, 0))
+    group, gens = example("lamplighter_z2")
+    for data in grow_ball(group, gens, 5).data_up_to(5):
+        assert group.canonical(data) == data
+        assert group.element(data).data == data
+
+
+def _random_lamps(rng):
+    """(lamps, shift) in tuple form, around a centre far from 0, with
+    supports up to 400 positions wide and shifts beyond +-64."""
+    centre = rng.choice((0, -3, -100, 150, -1000))
+    width = rng.choice((2, 40, 200))
+    lamps = rng.sample(range(centre - width, centre + width), rng.randint(0, 4))
+    shift = rng.choice((0, 1, -1, 65, -65, 130, -300)) + rng.randint(-2, 2)
+    return (tuple(sorted(lamps)), shift)
+
+
+def test_lamplighter_encoding_vs_tuple_oracle():
+    group = LamplighterGroup()
+    form = oracle_form(group)
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(600):
+        a, b = _random_lamps(rng), _random_lamps(rng)
+        x, y = group.element(a), group.element(b)
+        assert form(x.data) == a
+        assert group.canonical(x.data) == x.data
+        assert group.parse(str(x)) == x
+        xy = form(group.mul_data(x.data, y.data))
+        assert xy == lamp_mul(a, b)
+        assert form(group.inv_data(x.data)) == lamp_inv(a)
+        # b moved back under a's shift cancels a's lamps exactly
+        c = (tuple(p - a[1] for p in a[0]), b[1])
+        assert group.mul_data(x.data, group.element(c).data) == group.element(((), a[1] + b[1])).data
+        assert lamp_mul(a, c) == ((), a[1] + b[1])
+        if xy[0]:
+            seen.add("negative" if xy[0][0] < 0 else "non-negative")
+            if xy[0][-1] - xy[0][0] >= 64:
+                seen.add("wider than 64")
+        if abs(a[1]) > 64:
+            seen.add("shift beyond 64")
+        if a[0] and b[0] and a[0][0] == b[0][0] + a[1]:
+            seen.add("equal lows")
+    assert seen == {"negative", "non-negative", "wider than 64", "shift beyond 64", "equal lows"}
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +155,7 @@ def test_lamplighter_canonical_sorts_support():
 def test_group_laws_random(name):
     group, gens = example(name)
     mul_o, inv_o = REGISTRY_OPS[name]
+    form = oracle_form(group)
     rng = random.Random(7)
     pool = [s.data for s in gens]
     elems = list(pool)
@@ -102,30 +166,38 @@ def test_group_laws_random(name):
     for _ in range(200):
         a, b, c = (rng.choice(elems) for _ in range(3))
         ab = group.mul_data(a, b)
-        assert ab == mul_o(a, b)
+        assert form(ab) == mul_o(form(a), form(b))
         assert group.mul_data(ab, c) == group.mul_data(a, group.mul_data(b, c))
         assert group.mul_data(a, identity) == a
         assert group.mul_data(identity, a) == a
         ia = group.inv_data(a)
-        assert ia == inv_o(a)
+        assert form(ia) == inv_o(form(a))
         assert group.mul_data(a, ia) == identity
 
 
 def test_lamplighter_mul_on_the_word_ball_vs_oracle():
     group, gens = example("lamplighter_z2")
+    form = oracle_form(group)
     ball = grow_ball(group, gens, 3).data_up_to(3)
     cases = set()
+    lows = set()
     for a in ball:
+        fa = form(a)
         for b in ball:
-            ab = group.mul_data(a, b)
-            assert ab == lamp_mul(a, b)
+            fb = form(b)
+            ab = form(group.mul_data(a, b))
+            assert ab == lamp_mul(fa, fb)
             support = ab[0]
-            assert type(support) is tuple
             assert all(p < q for p, q in zip(support, support[1:]))
-            cases.add((bool(a[0]), bool(b[0]), (a[1] > 0) - (a[1] < 0)))
+            cases.add((bool(fa[0]), bool(fb[0]), (fa[1] > 0) - (fa[1] < 0)))
+            if fa[0] and fb[0]:
+                d = fa[0][0] - (fb[0][0] + fa[1])
+                lows.add(((d > 0) - (d < 0), bool(ab[0])))
     # every fast path and the general path ran: either support empty, shift 0/+/-
     flags = (False, True)
     assert cases == {(x, y, s) for x in flags for y in flags for s in (-1, 0, 1)}
+    # both masks lit: either low lower, or equal lows with and without cancelling
+    assert lows == {(-1, True), (1, True), (0, True), (0, False)}
 
 
 def test_element_power():
@@ -133,7 +205,9 @@ def test_element_power():
     assert (g.element((3,)) ** -2).data == (-6,)
     assert (g.element((3,)) ** 0).is_identity()
     lamp = LamplighterGroup()
-    assert (lamp.element(((0,), 1)) ** 3).data == ((0, 1, 2), 3)
+    cube = lamp.element(((0,), 1)) ** 3
+    assert cube.data == lamp.element(((0, 1, 2), 3)).data
+    assert lamp_parse(str(cube)) == ((0, 1, 2), 3)
 
 
 def test_element_mul_across_groups_rejected():
@@ -151,6 +225,23 @@ def test_cyclic_table():
     t = cyclic_table(4)
     assert t[1][3] == 0 and t[2][3] == 1
     assert FiniteTableGroup(FiniteGroupSpec(table=t)).order == 4
+
+
+def test_table_order_budget_refuses_before_any_triple():
+    n = TABLE_ORDER_BUDGET + 1
+    with pytest.raises(SizeBudget, match=rf"Z/{n} has order {n}, past the table budget"):
+        cyclic_table(n)
+    # one entry per row is not even square, so refusing with SizeBudget shows
+    # the order is checked before the table is read at all
+    narrow = ((0,),) * n
+    with pytest.raises(SizeBudget, match=rf"group table has order {n}"):
+        FiniteTableGroup(FiniteGroupSpec(table=narrow))
+    with pytest.raises(SizeBudget, match=rf"quotient table has order {n}"):
+        VAbExtensionGroup(
+            VAbExtensionSpec(rank=0, quotient_table=narrow, action=(), cocycle=())
+        )
+    with pytest.raises(TableNotGroup, match="not square"):
+        FiniteTableGroup(FiniteGroupSpec(table=narrow[:-1]))
 
 
 def test_direct_product_table():

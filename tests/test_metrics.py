@@ -27,7 +27,7 @@ from horobound.metrics import (
     metric_axiom_check,
 )
 
-from oracles import lamp_mul, oracle_ball_system
+from oracles import lamp_mul, oracle_ball_system, oracle_form
 
 
 def test_level_sizes(lamp_bs4):
@@ -44,16 +44,20 @@ def test_levels_match_defining_formula(lamp_pair):
     group, gens = lamp_pair
     chain = lamp_chain(group, 3)
     bs = build_ball_system(group, gens, chain, 3)
-    raw_chain = [{x.data for x in level} for level in chain]
+    form = oracle_form(group)
+    raw_chain = [{form(x.data) for x in level} for level in chain]
     expect = oracle_ball_system(
         lamp_mul,
-        group.identity_data(),
-        {s.data for s in gens},
+        form(group.identity_data()),
+        {form(s.data) for s in gens},
         raw_chain,
         3,
     )
     for n in range(4):
-        assert {x.data for x in bs.elements(n)} == expect[n]
+        assert {form(x.data) for x in bs.elements(n)} == expect[n]
+        # each sphere in the order of its tuple form
+        previous = expect[n - 1] if n else set()
+        assert [form(d) for d in bs.sphere_data(n)] == sorted(expect[n] - previous)
 
 
 def test_bs_norm(lamp_bs4):
@@ -103,7 +107,9 @@ def _s3_table():
 def _universes():
     lamp = LamplighterGroup()
     yield lamp, [
-        (support, 0) for size in range(6) for support in combinations(range(-2, 3), size)
+        lamp.element((support, 0)).data
+        for size in range(6)
+        for support in combinations(range(-2, 3), size)
     ]
     for n in (4, 6):
         group, _ = cylinder(n)
@@ -147,6 +153,17 @@ def test_closure_check_agrees_with_pairwise():
     assert outcomes == {True, False}
 
 
+def test_subgroup_walk_follows_the_sort_key():
+    # two commuting involutions whose product is missing; the walk takes
+    # ({-1,2};0) first, as its support sorts first, although its data
+    # (mask 9) sorts after the data of ({0,1};0) (mask 3)
+    group = LamplighterGroup()
+    a, b = group.parse("({-1,2};0)"), group.parse("({0,1};0)")
+    elems = frozenset({group.identity_data(), a.data, b.data})
+    with pytest.raises(NotASubgroup, match=re.escape("at ({-1,2};0) * ({0,1};0)")):
+        _check_subgroup(group, elems, "F")
+
+
 def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
     group, _ = lamp_pair
     chain = [frozenset(x.data for x in level) for level in lamp_chain(group, 5)]
@@ -186,7 +203,8 @@ def test_chain_must_be_nested():
 
 def test_ball_system_levels_must_be_nested():
     group = LamplighterGroup()
-    e, lamp, shift = group.identity_data(), ((0,), 0), ((), 1)
+    e = group.identity_data()
+    lamp, shift = group.element(((0,), 0)).data, group.element(((), 1)).data
     levels = (frozenset({e}), frozenset({e, lamp}), frozenset({e, shift}))
     chain = (frozenset({e}),) * 2
     with pytest.raises(AxiomViolation, match="B_1 is not inside B_2"):
