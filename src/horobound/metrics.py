@@ -185,7 +185,11 @@ def _expand_left(
 
 
 def _build_level(group: Group, levels: list, f_n: frozenset, budget: int) -> frozenset:
-    """B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n for n = len(levels)."""
+    """B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n for n = len(levels).
+
+    A function of its own so that the intermediate sets are freed on return,
+    before ``BallSystem`` holds the sort keys of a whole sphere.
+    """
     n = len(levels)
     mul = group.mul_data
     core: set = set()
