@@ -185,9 +185,12 @@ def test_lamplighter_mul_on_the_word_ball_vs_oracle():
         fa = form(a)
         for b in ball:
             fb = form(b)
-            ab = form(group.mul_data(a, b))
+            data = group.mul_data(a, b)
+            assert group.canonical(data) == data
+            ab = form(data)
             assert ab == lamp_mul(fa, fb)
             support = ab[0]
+            assert type(support) is tuple
             assert all(p < q for p, q in zip(support, support[1:]))
             cases.add((bool(fa[0]), bool(fb[0]), (fa[1] > 0) - (fa[1] < 0)))
             if fa[0] and fb[0]:
