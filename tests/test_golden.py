@@ -26,11 +26,14 @@ SPEC_NAMES = sorted(p.name for p in SPECS.iterdir() if p.name.endswith(".spec"))
 
 # (spec, command, params): the lamplighter outside ``ballsystem``. ``ball``
 # with n set pins ball.csv and prefixes.dot; the annihilator report lists
-# its candidates by (norm, data).
+# its candidates by (norm, data). ``ballsystem`` on Z^2 at n_max = 5 builds
+# levels on the degenerate chain F_n = {e}, where every block k > n - k >= 2
+# is reached and every element is its own coset representative.
 EXTRA_RUNS = (
     ("lamplighter.spec", "ball", {"r": 6, "n": 4}),
     ("lamplighter.spec", "boundary", {"r": 4, "m": 2}),
     ("lamplighter.spec", "annihilator", {"r": 4, "m": 2}),
+    ("z2_standard.spec", "ballsystem", {"n_max": 5}),
 )
 
 
