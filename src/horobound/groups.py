@@ -588,6 +588,9 @@ class FiniteTableGroup(ExtensionGroup):
 # family: lamplighter over Z/2
 
 
+_LIT_FIRST = str.maketrans("01", "10")
+
+
 class LamplighterGroup(Group):
     """(sum_Z Z/2) x| Z = F_2[t, t^-1] x| Z on Python ints.
 
@@ -659,7 +662,17 @@ class LamplighterGroup(Group):
         return tuple(out)
 
     def sort_key(self, data: tuple) -> tuple:
-        return (self.support(data), data[2])
+        """A key in the order of (support tuple, shift), with no per-lamp loop.
+
+        The key is (mask > 0, low, lamps, shift), where ``lamps`` spells the
+        mask from bit 0 up with a lit lamp as "0" and a dark one as "1". An
+        empty support sorts first, then a lower first lamp. With equal lows,
+        at the first lamp where two supports differ, the one with that lamp
+        lit sorts first, unless the other has no lamps left: then the other
+        is a prefix of it, in the tuple and in the string alike.
+        """
+        mask, low, shift = data
+        return (mask > 0, low, bin(mask)[:1:-1].translate(_LIT_FIRST), shift)
 
     def format_data(self, data: tuple) -> str:
         return "({" + ",".join(str(p) for p in self.support(data)) + "};" + f"{data[2]})"

@@ -11,7 +11,7 @@ asserted while building, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .cayley import Ball
 from .errors import (
@@ -81,7 +81,7 @@ class BallSystem:
         return list(self._spheres[n])
 
     def elements(self, n: int | None = None) -> list[Element]:
-        """B_n ordered by (norm, data): spheres 0..n concatenated."""
+        """B_n ordered by (norm, sort key): spheres 0..n concatenated."""
         n = self.n_max if n is None else n
         if not (0 <= n <= self.n_max):
             raise OutOfRange(f"level {n} outside 0..{self.n_max}")
@@ -97,8 +97,8 @@ class BallSystem:
         }
 
 
-def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
-    """Raise unless the finite set elems is a subgroup.
+def _check_subgroup(group: Group, elems: frozenset, name: str) -> tuple[tuple, ...]:
+    """Raise unless the finite set elems is a subgroup; return generators G.
 
     Closure is checked on generators, not on all pairs. Walking elems in
     sort-key order, each element not yet reached becomes a generator, and the
@@ -144,6 +144,7 @@ def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
             for h in gens:
                 reach(a, h)
             i += 1
+    return tuple(gens)
 
 
 def _budget_error(n: int, budget: int, step: str, size: int) -> SizeBudget:
@@ -184,23 +185,109 @@ def _expand_left(
     return out
 
 
-def _build_level(group: Group, levels: list, f_n: frozenset, budget: int) -> frozenset:
+def _coset_reps(
+    group: Group,
+    level: frozenset,
+    subgroup: frozenset,
+    act: Callable[[tuple, tuple], tuple],
+    name: str,
+) -> list:
+    """Representatives R with level = {act(r, f) : r in R, f in subgroup}.
+
+    Walking level in sort-key order, each element not yet covered becomes a
+    representative and its whole coset is covered, each member checked to lie
+    in level. The cosets of distinct representatives are disjoint, so this
+    costs |level| products and proves the equality exactly.
+    """
+    covered: set = set()
+    reps = []
+    for a in sorted(level, key=group.sort_key):
+        if a in covered:
+            continue
+        reps.append(a)
+        for f in subgroup:
+            b = act(a, f)
+            if b not in level:
+                raise AxiomViolation(
+                    f"{name} is not a union of cosets of its subgroup",
+                    element=group.format_data(a),
+                    by=group.format_data(f),
+                )
+            covered.add(b)
+    return reps
+
+
+def _check_invariant(
+    group: Group,
+    level: frozenset,
+    gens: tuple,
+    act: Callable[[tuple, tuple], tuple],
+    name: str,
+) -> None:
+    """Raise unless act(b, g) lies in level for every b in level and g in gens.
+
+    A finite subgroup is the monoid its generators span, so this shows the
+    level invariant under the whole subgroup at |level| * |gens| products.
+    """
+    for g in gens:
+        for b in level:
+            if act(b, g) not in level:
+                raise AxiomViolation(
+                    f"{name} is not invariant under its subgroup",
+                    element=group.format_data(b),
+                    by=group.format_data(g),
+                )
+
+
+def _block_factors(
+    group: Group, levels: list, chain: tuple, chain_gens: list, k: int, j: int
+) -> tuple[Iterable[tuple], Iterable[tuple]]:
+    """Rows and columns whose products are exactly the set B_k B_j.
+
+    With k, j >= 2 both levels are F-bi-invariant, and F_min(k, j) lies in
+    the larger F. If k <= j, B_k = R F_k and F_k B_j = B_j, so B_k B_j = R B_j.
+    If k > j, B_j = F_j L and B_k F_j = B_k, so B_k B_j = B_k L. Both facts
+    are checked, not trusted. A block with k = 1 or j = 1 stays all-pairs, as
+    B_1 is a bare generating set.
+    """
+    if k == 1 or j == 1:
+        return levels[k], levels[j]
+    mul = group.mul_data
+
+    def on_left(b, f):
+        return mul(f, b)
+
+    if k <= j:
+        f, gens = chain[k - 1], chain_gens[k - 1]
+        _check_invariant(group, levels[j], gens, on_left, f"B_{j} (F_{k} on the left)")
+        return _coset_reps(group, levels[k], f, mul, f"B_{k} (F_{k} on the right)"), levels[j]
+    f, gens = chain[j - 1], chain_gens[j - 1]
+    _check_invariant(group, levels[k], gens, mul, f"B_{k} (F_{j} on the right)")
+    return levels[k], _coset_reps(group, levels[j], f, on_left, f"B_{j} (F_{j} on the left)")
+
+
+def _build_level(
+    group: Group, levels: list, chain: tuple, chain_gens: list, budget: int
+) -> frozenset:
     """B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n for n = len(levels).
 
-    A function of its own so that the intermediate sets are freed on return,
-    before ``BallSystem`` holds the sort keys of a whole sphere.
+    chain_gens[i] generates chain[i] = F_{i+1}. Each block B_k B_{n-k} is
+    multiplied out over the factors of ``_block_factors``. A function of its
+    own so that the intermediate sets are freed on return, before
+    ``BallSystem`` holds the sort keys of a whole sphere.
     """
     n = len(levels)
     mul = group.mul_data
     core: set = set()
     add = core.add
     for k in range(1, n):
-        right_factors = levels[n - k]
-        for a in levels[k]:
-            for b in right_factors:
+        rows, columns = _block_factors(group, levels, chain, chain_gens, k, n - k)
+        for a in rows:
+            for b in columns:
                 add(mul(a, b))
             if len(core) > budget:
                 raise _budget_error(n, budget, "merging products", len(core))
+    f_n = chain[n - 1]
     right = _expand_right(group, core, f_n, n, budget)
     full = _expand_left(group, f_n, right, n, budget)
     if not core <= full:
@@ -224,6 +311,8 @@ def build_ball_system(
     """
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
+    if budget < 1:
+        raise OutOfRange(f"budget must be >= 1, got {budget}")
     if n_max > DEFAULT_MAX_LEVELS:
         raise SizeBudget(
             f"n_max {n_max} exceeds the level budget {DEFAULT_MAX_LEVELS}"
@@ -237,8 +326,9 @@ def build_ball_system(
     chain = tuple(
         frozenset(x.data for x in f_chain[i]) for i in range(n_max)
     )
+    chain_gens = []
     for i, f in enumerate(chain):
-        _check_subgroup(group, f, f"F_{i + 1}")
+        chain_gens.append(_check_subgroup(group, f, f"F_{i + 1}"))
         if i and not chain[i - 1] <= f:
             raise NotASubgroup(f"chain is not nested: F_{i} is not inside F_{i + 1}")
 
@@ -247,7 +337,7 @@ def build_ball_system(
     b1 = frozenset({s.data for s in s1.elements} | {identity})
     levels.append(b1)
     for n in range(2, n_max + 1):
-        levels.append(_build_level(group, levels, chain[n - 1], budget))
+        levels.append(_build_level(group, levels, chain, chain_gens, budget))
 
     for n, level in enumerate(levels):
         for x in level:

@@ -295,10 +295,22 @@ def in_convex_polygon(point, hull_ccw):
 # -- ball systems, straight from the defining formula --------------------------
 
 def oracle_ball_system(mul, identity, s1, chain, n_max):
-    """[B_0 .. B_n_max] with B_n = F_n (U_k B_k B_{n-k}) F_n, as plain sets."""
+    """[B_0 .. B_n_max] with B_n = F_n (U_k B_k B_{n-k}) F_n, as plain sets.
+
+    Each block B_k B_{n-k} is multiplied out over all pairs. A product with
+    the subgroup F skips every x that is already in it, since x F (or F x)
+    is then a coset it holds already.
+    """
 
     def prod(xs, ys):
         return {mul(x, y) for x in xs for y in ys}
+
+    def by_subgroup(xs, f, on_left):
+        out = set()
+        for x in xs:
+            if x not in out:
+                out |= {mul(g, x) if on_left else mul(x, g) for g in f}
+        return out
 
     levels = [{identity}, set(s1) | {identity}]
     for n in range(2, n_max + 1):
@@ -306,5 +318,5 @@ def oracle_ball_system(mul, identity, s1, chain, n_max):
         for k in range(1, n):
             core |= prod(levels[k], levels[n - k])
         f = set(chain[n - 1])
-        levels.append(prod(prod(f, core), f))
+        levels.append(by_subgroup(by_subgroup(core, f, True), f, False))
     return levels

@@ -597,6 +597,14 @@ def test_main_witness_k_below_one_exits_1(k):
     assert err == f"error: OutOfRange: need k >= 1 distinct restrictions, got k={k}\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_main_ballsystem_budget_below_one_exits_1(budget):
+    code, out, err = run_cli(["ballsystem", spec_path("lamplighter.spec"), "--budget", budget])
+    assert code == 1
+    assert out == b""
+    assert err == f"error: OutOfRange: budget must be >= 1, got {budget}\n"
+
+
 # ---------------------------------------------------------------------------
 # bundled examples
 

@@ -148,6 +148,42 @@ def test_lamplighter_encoding_vs_tuple_oracle():
     assert seen == {"negative", "non-negative", "wider than 64", "shift beyond 64", "equal lows"}
 
 
+def test_lamplighter_sort_key_is_support_then_shift():
+    group = LamplighterGroup()
+    rng = random.Random(2026)
+    xs = [group.identity_data(), group.element(((), -5)).data]
+    for _ in range(300):
+        lamps, shift = _random_lamps(rng)
+        xs.append(group.element((lamps, shift)).data)
+        # the same low: one more or one fewer lamp, a lamp toggled, another shift
+        extra = rng.randint(1, 130)
+        xs.append(group.element((lamps + ((lamps[-1] if lamps else 0) + extra,), shift)).data)
+        xs.append(group.element((lamps[:-1], shift)).data)
+        if lamps:
+            toggled = set(lamps) ^ {lamps[0] + rng.randint(1, 70)}
+            xs.append(group.element((toggled, shift)).data)
+        xs.append(group.element((lamps, shift + rng.choice((-1, 1)))).data)
+    rng.shuffle(xs)
+    expect = sorted(xs, key=lambda d: (group.support(d), d[2]))
+    assert sorted(xs, key=group.sort_key) == expect
+    seen = set()
+    for a, b in zip(expect, expect[1:]):
+        sa, sb = group.support(a), group.support(b)
+        if not sa:
+            seen.add("empty")
+        elif sa == sb:
+            seen.add("shift tie")
+        elif sb and sa[0] == sb[0]:
+            seen.add("negative equal lows" if sa[0] < 0 else "equal lows")
+            if sb[:len(sa)] == sa:
+                seen.add("prefix")
+        if a[0].bit_length() > 64:
+            seen.add("wider than 64")
+    assert seen == {
+        "empty", "shift tie", "equal lows", "negative equal lows", "prefix", "wider than 64"
+    }
+
+
 # ---------------------------------------------------------------------------
 # arithmetic against independent implementations
 

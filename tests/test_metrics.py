@@ -17,9 +17,12 @@ from horobound.groups import (
     LamplighterGroup,
     cyclic_table,
     direct_product_table,
+    symmetric_generating_set,
 )
 from horobound.metrics import (
     BallSystem,
+    _block_factors,
+    _build_level,
     _check_subgroup,
     bs_annihilator_check,
     bs_norm,
@@ -40,24 +43,74 @@ def test_level_sizes(lamp_bs4):
     assert [len(lamp_bs4.sphere_data(n)) for n in range(4)] == [1, 3, 412, 3296]
 
 
-def test_levels_match_defining_formula(lamp_pair):
-    group, gens = lamp_pair
-    chain = lamp_chain(group, 3)
-    bs = build_ball_system(group, gens, chain, 3)
+def _assert_levels_match_oracle(bs, mul, s1):
+    group = bs.group
     form = oracle_form(group)
-    raw_chain = [{form(x.data) for x in level} for level in chain]
     expect = oracle_ball_system(
-        lamp_mul,
+        mul,
         form(group.identity_data()),
-        {form(s.data) for s in gens},
-        raw_chain,
-        3,
+        {form(s.data) for s in s1},
+        [{form(x) for x in level} for level in bs.chain],
+        bs.n_max,
     )
-    for n in range(4):
+    for n in range(bs.n_max + 1):
         assert {form(x.data) for x in bs.elements(n)} == expect[n]
         # each sphere in the order of its tuple form
         previous = expect[n - 1] if n else set()
         assert [form(d) for d in bs.sphere_data(n)] == sorted(expect[n] - previous)
+
+
+def _assert_blocks_match_oracle(bs, mul, reps):
+    """Each block with k, n - k >= 2 against all pairs of B_k B_{n-k}.
+
+    The levels alone would not show a lost product: F_n (B_1 B_{n-1} u
+    B_{n-1} B_1) F_n already holds every such block.
+    """
+    group = bs.group
+    form = oracle_form(group)
+    levels = [frozenset(form(x) for x in level) for level in bs.levels]
+    chain_gens = [_check_subgroup(group, f, "F") for f in bs.chain]
+    sizes = {}
+    for n in range(4, bs.n_max + 1):
+        for k in range(2, n - 1):
+            rows, columns = _block_factors(group, bs.levels, bs.chain, chain_gens, k, n - k)
+            got = {form(group.mul_data(a, b)) for a in rows for b in columns}
+            assert got == {mul(a, b) for a in levels[k] for b in levels[n - k]}
+            sizes[k, n - k] = (len(rows), len(columns))
+    assert sizes == reps
+
+
+def test_levels_match_defining_formula(lamp_pair, lamp_bs4):
+    # B_4 reaches the coset-representative block B_2 B_2 (k <= n - k)
+    _assert_levels_match_oracle(lamp_bs4, lamp_mul, lamp_pair[1])
+    _assert_blocks_match_oracle(lamp_bs4, lamp_mul, {(2, 2): (13, 416)})
+
+
+def _dihedral_64():
+    """D_32 = <r, s> as a table, with index 32 f + k for s^f r^k."""
+    elems = [(f, k) for f in range(2) for k in range(32)]
+
+    def mul(a, b):
+        return ((a[0] + b[0]) % 2, ((-a[1] if b[0] else a[1]) + b[1]) % 32)
+
+    table = tuple(tuple(32 * c[0] + c[1] for c in (mul(a, b) for b in elems)) for a in elems)
+    return FiniteTableGroup(FiniteGroupSpec(table=table))
+
+
+def test_levels_match_defining_formula_on_a_finite_chain():
+    # D_32 on the reflections s and s r; F_1 = F_2 = <s>, then <s, r^16>,
+    # neither of them normal. B_5 reaches the blocks B_2 B_3 (k <= n - k)
+    # and B_3 B_2 (k > n - k), and no level is the whole group.
+    group = _dihedral_64()
+    gens = symmetric_generating_set(group, [group.element((32,)), group.element((33,))])
+    small = [group.element((i,)) for i in (0, 32)]
+    large = [group.element((i,)) for i in (0, 16, 32, 48)]
+    bs = build_ball_system(group, gens, [small, small, large, large, large], 5)
+    assert bs.layer_sizes() == [1, 3, 6, 20, 28, 36]
+    _assert_levels_match_oracle(bs, group.mul_data, gens)
+    _assert_blocks_match_oracle(
+        bs, group.mul_data, {(2, 2): (3, 6), (2, 3): (3, 20), (3, 2): (20, 3)}
+    )
 
 
 def test_bs_norm(lamp_bs4):
@@ -179,6 +232,67 @@ def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
         calls[0] = 0
         _check_subgroup(group, f, f"F_{i + 1}")
         assert calls[0] < len(f) * (math.log2(len(f)) + 1)
+
+
+@pytest.mark.parametrize(
+    "n, bad, match",
+    [
+        # k = n - k = 2: F_2 B_2 inside B_2, then B_2 = R F_2
+        (4, "right", r"B_2 \(F_2 on the left\) is not invariant"),
+        (4, "left", r"B_2 \(F_2 on the right\) is not a union of cosets"),
+        # k = 3 > n - k = 2: B_3 F_2 inside B_3, then B_2 = F_2 L
+        (5, "b3", r"B_3 \(F_2 on the right\) is not invariant"),
+        (5, "b2", r"B_2 \(F_2 on the left\) is not a union of cosets"),
+    ],
+)
+def test_level_blocks_check_invariance(lamp_pair, n, bad, match):
+    group, gens = lamp_pair
+    chain = tuple(frozenset(x.data for x in level) for level in lamp_chain(group, n))
+    chain_gens = [_check_subgroup(group, f, f"F_{i + 1}") for i, f in enumerate(chain)]
+    t, f2 = group.element(((), 1)).data, chain[1]
+    # t F_2 lights [-1, 3] and F_2 t lights [-2, 2]: each is a union of
+    # cosets of F_2 on one side only
+    right_cosets = f2 | {group.mul_data(t, f) for f in f2}
+    left_cosets = f2 | {group.mul_data(f, t) for f in f2}
+    e = group.identity_data()
+    levels = [frozenset({e}), frozenset(s.data for s in gens) | {e}]
+    if n == 4:
+        levels += [right_cosets if bad == "right" else left_cosets, chain[2]]
+    else:
+        # the B_2 B_3 block passes, so B_2 is right- and B_3 left-invariant
+        levels += [right_cosets, left_cosets if bad == "b3" else chain[2], chain[3]]
+    with pytest.raises(AxiomViolation, match=match):
+        _build_level(group, levels, chain, chain_gens, 10**6)
+
+
+def test_ball_system_work_counts(lamp_pair, monkeypatch):
+    # subgroup checks, level blocks over coset representatives and the F_n
+    # expansions; all-pairs level blocks alone made 206,096 products
+    group, gens = lamp_pair
+    chain = lamp_chain(group, 4)
+    calls = [0]
+    mul = LamplighterGroup.mul_data
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(LamplighterGroup, "mul_data", counted)
+    build_ball_system(group, gens, chain, 4)
+    assert calls[0] == 103_272
+
+
+def test_budget_below_one_is_refused(lamp_pair, monkeypatch):
+    group, gens = lamp_pair
+    chain = lamp_chain(group, 3)
+
+    def refuse(self, a, b):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(LamplighterGroup, "mul_data", refuse)  # no level is built
+    for budget in (0, -1):
+        with pytest.raises(OutOfRange, match=f"budget must be >= 1, got {budget}"):
+            build_ball_system(group, gens, chain, 3, budget=budget)
 
 
 def test_axiom_check_sorts_each_sphere_once(lamp_bs4, monkeypatch):
