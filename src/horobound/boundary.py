@@ -12,7 +12,7 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cayley import Ball, GeodesicPrefix, geodesic_between

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import add, mod, neg
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -295,7 +296,15 @@ class ExtensionGroup(Group):
         return self.free_part(data)
 
     def act_vec(self, q: int, vec: Sequence) -> tuple:
-        return mat_vec(self.action[q], tuple(vec))
+        """The image of a kernel vector under the action of quotient element q."""
+        if not 0 <= q < self.quotient_order:
+            raise ValueError(
+                f"quotient index {q} out of range 0..{self.quotient_order - 1}"
+            )
+        vec = tuple(vec)
+        if len(vec) != self.rank:
+            raise ValueError(f"expected a rank-{self.rank} vector, got {vec}")
+        return mat_vec(self.action[q], vec)
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +350,21 @@ class FgAbelianGroup(ExtensionGroup):
         tors = tuple(c % t for c, t in zip(coords[self.rank:], self.torsion))
         return free + tors
 
+    # Products run in C through map over operator functions: a generator
+    # expression per product costs more than the arithmetic it does.
     def mul_data(self, a: tuple, b: tuple) -> tuple:
+        s = tuple(map(add, a, b))
+        if not self.torsion:
+            return s
         d = self.rank
-        free = tuple(a[i] + b[i] for i in range(d))
-        tors = tuple((a[d + i] + b[d + i]) % t for i, t in enumerate(self.torsion))
-        return free + tors
+        return s[:d] + tuple(map(mod, s[d:], self.torsion))
 
     def inv_data(self, a: tuple) -> tuple:
+        s = tuple(map(neg, a))
+        if not self.torsion:
+            return s
         d = self.rank
-        free = tuple(-a[i] for i in range(d))
-        tors = tuple((-a[d + i]) % t for i, t in enumerate(self.torsion))
-        return free + tors
+        return s[:d] + tuple(map(mod, s[d:], self.torsion))
 
     def coset_of(self, data: tuple) -> int:
         return _mixed_radix(self.torsion, data[self.rank:])
@@ -481,18 +494,20 @@ class VAbExtensionGroup(ExtensionGroup):
             raise ValueError(f"quotient index {q} out of range")
         return (vec, q)
 
+    # (v; q)(w; p) = (v + A_q w + c(q, p); qp), summed in C through map
+    # rather than a generator expression per product.
     def mul_data(self, a: tuple, b: tuple) -> tuple:
         v, q = a
         w, p = b
         tw = mat_vec(self.action[q], w)
         c = self.cocycle[q][p]
-        return (tuple(x + y + z for x, y, z in zip(v, tw, c)), self.table[q][p])
+        return (tuple(map(add, map(add, v, tw), c)), self.table[q][p])
 
     def inv_data(self, a: tuple) -> tuple:
         v, q = a
         p = self.q_inverse[q]
         c = self.cocycle[q][p]
-        w = mat_vec(self._action_inv[q], tuple(-(x + y) for x, y in zip(v, c)))
+        w = mat_vec(self._action_inv[q], tuple(map(neg, map(add, v, c))))
         return (w, p)
 
     def coset_of(self, data: tuple) -> int:

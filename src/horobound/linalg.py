@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 IntVec = tuple[int, ...]
@@ -44,7 +45,12 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    """A v, for a matrix whose rows all have len(v) entries (not checked).
+
+    Each row is summed in C through map; this runs once per extension-group
+    product, where a generator expression would cost more than the sum.
+    """
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_det(a: Sequence[Sequence[int]]) -> int:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .boundary import busemann_functional
 from .cayley import Ball, grow_ball, DEFAULT_BUDGET
@@ -404,13 +405,23 @@ def lipschitz_hom(
             f"f({w}) = {f_w} but |{w}| = {nw}; support normalization broke"
         )
 
+    # The check runs in integers: with D the lcm of phi's denominators,
+    # -n <= f(y) < n exactly when -n*D <= (D*phi) . xi(y) < n*D, one C-level
+    # sum per kernel element instead of a Fraction sum. A Fraction is built
+    # only for f(y) = n or a failure, so every message reads as before.
+    den = lcm(*(c.denominator for c in phi))
+    phi_int = tuple(c.numerator * (den // c.denominator) for c in phi)
     locus = []
     checked = 0
     for data, n in zip(ball.data, ball.dist):
         if not group.in_kernel(data):
             continue
         checked += 1
-        val = _pullback(group, phi, data)
+        bound = n * den
+        s = sum(map(mul, phi_int, group.free_part(data)))
+        if -bound <= s < bound:
+            continue
+        val = Fraction(s, den)
         if abs(val) > n:
             raise VerificationFailed(
                 f"|f({ball.group.format_data(data)})| = {val} exceeds the norm {n}"

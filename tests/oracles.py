@@ -98,6 +98,54 @@ def rot4_inv(a):
     return ((-v[0], -v[1]), (-a[1]) % 4)
 
 
+def two_z_ops():
+    """Z as 2Z by Z/2 with c(1, 1) = (1): data ((v,), q) is the integer 2v + q."""
+
+    def to_int(a):
+        return 2 * a[0][0] + a[1]
+
+    def from_int(n):
+        return ((n // 2,), n % 2)
+
+    def mul(a, b):
+        return from_int(to_int(a) + to_int(b))
+
+    def inv(a):
+        return from_int(-to_int(a))
+
+    return mul, inv
+
+
+def klein_ops():
+    """The Klein bottle group <a, b | b a b^-1 = a^-1> on the kernel <a, b^2>.
+
+    Data ((v1, v2), q) is a^v1 b^(2 v2 + q), so b acts on the kernel by
+    diag(-1, 1) and c(1, 1) = (0, 1) = b^2. In the words a^m b^n the product
+    is a^m b^n a^k b^l = a^(m + (-1)^n k) b^(n + l).
+    """
+
+    def to_word(a):
+        return a[0][0], 2 * a[0][1] + a[1]
+
+    def from_word(m, n):
+        return ((m, n // 2), n % 2)
+
+    def mul(a, b):
+        (m, n), (k, l) = to_word(a), to_word(b)
+        return from_word(m + (-1) ** n * k, n + l)
+
+    def inv(a):
+        m, n = to_word(a)
+        return from_word(-((-1) ** n) * m, -n)
+
+    return mul, inv
+
+
+def mat_vec(a, v):
+    """A v entry by entry, as a generator of index sums."""
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+
+
 # (mul, inv) on the element data of each group in horobound.examples.REGISTRY
 REGISTRY_OPS = {
     "z_line": (zd_mul, zd_inv),

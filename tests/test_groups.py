@@ -34,10 +34,12 @@ from horobound.groups import (
     subgroup_index,
     symmetric_generating_set,
 )
+from horobound.linalg import identity_matrix
 
 from oracles import (
     REGISTRY_OPS,
     cyl_ops,
+    klein_ops,
     lamp_inv,
     lamp_mul,
     lamp_parse,
@@ -45,6 +47,8 @@ from oracles import (
     oracle_form,
     rot4_inv,
     rot4_mul,
+    torsion_ops,
+    two_z_ops,
     zd_inv,
     zd_mul,
 )
@@ -209,6 +213,54 @@ def test_group_laws_random(name):
         ia = group.inv_data(a)
         assert form(ia) == inv_o(form(a))
         assert group.mul_data(a, ia) == identity
+
+
+def _order_two_extension(rank, flip, c11):
+    """Z^rank by Z/2, the non-identity element acting by `flip`, with c(1, 1) = c11."""
+    zero = (0,) * rank
+    return VAbExtensionGroup(
+        VAbExtensionSpec(
+            rank=rank,
+            quotient_table=cyclic_table(2),
+            action=(identity_matrix(rank), flip),
+            cocycle=((zero, zero), (zero, c11)),
+        )
+    )
+
+
+# every REGISTRY cocycle is zero; the last two cases are not
+PRODUCT_CASES = {
+    "Z x Z/2 x Z/3": (lambda: FgAbelianGroup(FgAbelianSpec(1, (2, 3))), lambda: torsion_ops((2, 3))),
+    "Z^2 x Z/3": (lambda: FgAbelianGroup(FgAbelianSpec(2, (3,))), lambda: torsion_ops((3,))),
+    "Z/2 x Z/4": (lambda: FgAbelianGroup(FgAbelianSpec(0, (2, 4))), lambda: torsion_ops((2, 4))),
+    "Z as 2Z by Z/2": (lambda: _order_two_extension(1, ((1,),), (1,)), two_z_ops),
+    "Klein bottle": (lambda: _order_two_extension(2, ((-1, 0), (0, 1)), (0, 1)), klein_ops),
+}
+
+
+def _random_data(group, rng, scale=10**6):
+    free = tuple(rng.randint(-scale, scale) for _ in range(group.rank))
+    if isinstance(group, FgAbelianGroup):
+        return free + tuple(rng.randrange(t) for t in group.torsion)
+    return (free, rng.randrange(group.quotient_order))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_products_beyond_the_registry_vs_closed_forms(name):
+    make_group, make_ops = PRODUCT_CASES[name]
+    group = make_group()
+    mul_o, inv_o = make_ops()
+    identity = group.identity_data()
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b, c = (_random_data(group, rng) for _ in range(3))
+        ab = group.mul_data(a, b)
+        assert ab == mul_o(a, b)
+        assert group.canonical(ab) == ab
+        ia = group.inv_data(a)
+        assert ia == inv_o(a)
+        assert group.mul_data(a, ia) == identity == group.mul_data(ia, a)
+        assert group.mul_data(ab, c) == group.mul_data(a, group.mul_data(b, c))
 
 
 def test_lamplighter_mul_on_the_word_ball_vs_oracle():

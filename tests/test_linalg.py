@@ -1,8 +1,10 @@
 """Exact linear algebra against independent oracles: determinants against
 the Leibniz sum, inverses against the identity, null spaces against A·v = 0
-and the rank from nonzero minors, lattice_index against a residue count."""
+and the rank from nonzero minors, lattice_index against a residue count,
+mat_vec against the index-sum formula."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -17,6 +19,8 @@ from horobound.linalg import (
     mat_vec,
     nullspace,
 )
+
+from oracles import mat_vec as mat_vec_oracle
 
 
 def _det(rows):
@@ -185,3 +189,18 @@ def test_nullspace_of_no_rows_is_the_standard_basis():
     assert nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert nullspace([], 0) == []
     assert nullspace([(0, 0)], 2) == [(1, 0), (0, 1)]
+
+
+def test_mat_vec_random_against_index_sums():
+    rng = random.Random(23)
+    for _ in range(200):
+        n, d = rng.randint(0, 4), rng.randint(0, 4)
+        a = _random_matrix(rng, n, d)
+        v = tuple(rng.randint(-10**6, 10**6) for _ in range(d))
+        assert mat_vec(a, v) == mat_vec_oracle(a, v)
+        fa = tuple(tuple(Fraction(x, rng.randint(1, 9)) for x in row) for row in a)
+        fv = tuple(Fraction(x, rng.randint(1, 9)) for x in v)
+        for m, w in ((fa, fv), (fa, v), (a, fv)):
+            got, want = mat_vec(m, w), mat_vec_oracle(m, w)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]

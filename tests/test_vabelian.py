@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from horobound import vabelian
 from horobound.cayley import grow_ball
 from horobound.errors import GroupMismatch, NotConnected, NotExtreme, OutOfRange, VerificationFailed
 from horobound.examples import REGISTRY, cylinder, example
@@ -18,6 +19,7 @@ from horobound.groups import (
     direct_product_table,
     symmetric_generating_set,
 )
+from horobound.polytope import SupportingFunctional
 from horobound.vabelian import (
     Cloud,
     busemann_coset_separation,
@@ -61,6 +63,21 @@ def test_rotation_acts_on_the_kernel(rot4_pair):
     assert group.act_vec(1, (1, 0)) == (0, 1)
     assert group.act_vec(2, (1, 0)) == (-1, 0)
     assert group.act_vec(1, (0, 1)) == (-1, 0)
+    assert group.act_vec(3, [Fraction(1, 2), 0]) == (0, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("q", [-1, 4, 7])
+def test_act_vec_rejects_a_quotient_index_out_of_range(rot4_pair, q):
+    # a negative index must not wrap round to the last action matrix
+    with pytest.raises(ValueError, match=rf"quotient index {q} out of range 0\.\.3"):
+        rot4_pair[0].act_vec(q, (1, 0))
+
+
+@pytest.mark.parametrize("vec", [(), (5,), (1, 0, 0)])
+def test_act_vec_rejects_a_vector_of_the_wrong_length(rot4_pair, vec):
+    # neither a zero-padded product nor a bare IndexError
+    with pytest.raises(ValueError, match="expected a rank-2 vector"):
+        rot4_pair[0].act_vec(1, vec)
 
 
 def _unit_generators(spec):
@@ -290,6 +307,46 @@ def test_lipschitz_hom_extension(ext4_pair, ext4_ball10):
     assert data.margin == 2
     assert data.conjugator == 0
     assert data.f(group.element(((-4,), 0))) == 4
+
+
+def _lipschitz_hom_with_phi(monkeypatch, z2_pair, ball, phi):
+    """lipschitz_hom on Z^2 at the extreme point (1, 0), with phi put in its place."""
+    phi = tuple(Fraction(c) for c in phi)
+    monkeypatch.setattr(
+        vabelian,
+        "supporting_functional",
+        lambda poly, e: SupportingFunctional(tuple(e), phi, Fraction(1)),
+    )
+    cloud, poly = _plane_pipeline(z2_pair, ball)
+    return lipschitz_hom(poly, select_extreme(poly, "index:3"), cloud, ball)
+
+
+@pytest.mark.parametrize(
+    "phi, text",
+    [
+        ((1, 2), "|f((0,1))| = 2 exceeds the norm 1"),
+        ((1, Fraction(-3, 2)), "|f((0,1))| = -3/2 exceeds the norm 1"),
+    ],
+)
+def test_lipschitz_hom_rejects_a_functional_above_the_norm(monkeypatch, z2_pair, z2_ball12, phi, text):
+    # f(w) = |w| = 1 at w = (1, 0), so only the kernel loop can catch it
+    with pytest.raises(VerificationFailed) as info:
+        _lipschitz_hom_with_phi(monkeypatch, z2_pair, z2_ball12, phi)
+    assert str(info.value) == text
+
+
+def test_lipschitz_hom_rejects_an_equality_locus_off_the_cycle(monkeypatch, z2_pair, z2_ball12):
+    # phi = (1, 1) is 1-Lipschitz, but f = |.| also on (0, 1), which is not a power of x = (1, 0)
+    with pytest.raises(VerificationFailed) as info:
+        _lipschitz_hom_with_phi(monkeypatch, z2_pair, z2_ball12, (1, 1))
+    assert str(info.value) == "equality locus escapes <x>: f((0,1)) = |(0,1)| = 1"
+
+
+def test_lipschitz_hom_checks_a_fractional_functional_exactly(monkeypatch, z2_pair, z2_ball12):
+    # phi = (1, 1/2): |f(y)| <= |y| with equality exactly on the non-negative powers of x
+    data = _lipschitz_hom_with_phi(monkeypatch, z2_pair, z2_ball12, (1, Fraction(1, 2)))
+    assert data.checked == 313
+    assert {y.data for y in data.equality_locus} == {(k, 0) for k in range(13)}
 
 
 def test_coset_separation_plane(z2_pair, z2_ball12):
