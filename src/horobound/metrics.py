@@ -6,11 +6,17 @@ and defines B_n = F_n (union of B_k B_{n-k}) F_n; the resulting norm
 element of every F_n eventually looks like the identity. Sets are exact and
 the subgroup/symmetry/submultiplicativity facts the metric rests on are
 asserted while building, not assumed.
+
+``metric_axiom_check`` proves the triangle inequality of a ball system on
+coset transversals: once a walk shows B_k = R_k F_k, bi-invariance lets the
+pairs R_i^-1 x R_j stand for all of S_i x S_j inside B_{i+j}. Its
+``pairs_checked`` counts the pairs covered, not the products taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain as concat, repeat
 from typing import Callable, Iterable, Sequence, Union
 
 from .cayley import Ball
@@ -42,7 +48,8 @@ class BallSystem:
     """Nested sets B_0 .. B_{n_max} and the norm they induce.
 
     The spheres B_n minus B_{n-1} are sorted once here, by the group's sort
-    key; every reader walks them instead of sorting a level again.
+    key; every reader walks them instead of sorting a level again. Only the
+    spheres and norms are kept, not the level sets.
     """
 
     def __init__(
@@ -53,7 +60,6 @@ class BallSystem:
     ):
         self.group = group
         self.chain = chain
-        self.levels = levels
         self.n_max = len(levels) - 1
         self._norm: dict[tuple, int] = {}
         spheres = []
@@ -73,7 +79,7 @@ class BallSystem:
         return self._norm.get(data)
 
     def layer_sizes(self) -> list[int]:
-        return [len(level) for level in self.levels]
+        return list(accumulate(len(sphere) for sphere in self._spheres))
 
     def sphere_data(self, n: int) -> list[tuple]:
         if not (0 <= n <= self.n_max):
@@ -154,66 +160,57 @@ def _budget_error(n: int, budget: int, step: str, size: int) -> SizeBudget:
     )
 
 
-def _expand_right(
-    group: Group, core: Iterable[tuple], subgroup: frozenset, n: int, budget: int
+def _expand(
+    group: Group, core: Iterable[tuple], subgroup: frozenset, n: int, budget: int, side: str
 ) -> set:
-    """core . subgroup, walking whole right cosets at a time."""
+    """core . subgroup (side "right") or subgroup . core, a whole coset at a time."""
     mul = group.mul_data
+    size = len(subgroup)
     out: set = set()
     for m in core:
         if m in out:
             continue  # its entire coset is already present
-        for f in subgroup:
-            out.add(mul(m, f))
+        if side == "right":
+            out.update(map(mul, repeat(m, size), subgroup))
+        else:
+            out.update(map(mul, subgroup, repeat(m, size)))
         if len(out) > budget:
-            raise _budget_error(n, budget, f"expanding by F_{n} on the right", len(out))
-    return out
-
-
-def _expand_left(
-    group: Group, subgroup: frozenset, core: Iterable[tuple], n: int, budget: int
-) -> set:
-    mul = group.mul_data
-    out: set = set()
-    for m in core:
-        if m in out:
-            continue
-        for f in subgroup:
-            out.add(mul(f, m))
-        if len(out) > budget:
-            raise _budget_error(n, budget, f"expanding by F_{n} on the left", len(out))
+            raise _budget_error(n, budget, f"expanding by F_{n} on the {side}", len(out))
     return out
 
 
 def _coset_reps(
     group: Group,
-    level: frozenset,
+    parts: Sequence[Sequence[tuple]],
+    left: set,
     subgroup: frozenset,
     act: Callable[[tuple, tuple], tuple],
     name: str,
 ) -> list:
     """Representatives R with level = {act(r, f) : r in R, f in subgroup}.
 
-    Walking level in sort-key order, each element not yet covered becomes a
-    representative and its whole coset is covered, each member checked to lie
-    in level. The cosets of distinct representatives are disjoint, so this
-    costs |level| products and proves the equality exactly.
+    The concatenated ``parts`` list level once in walk order; ``left`` is a
+    fresh set of level. Each element still in ``left`` becomes a
+    representative and its coset is struck from ``left``. Cosets are
+    disjoint, so a member not found lies outside level. This costs |level|
+    products, proves the equality exactly and keeps none of the products.
     """
-    covered: set = set()
+    size = len(subgroup)
+    strike = left.remove  # unlike difference_update, never resizes the table
     reps = []
-    for a in sorted(level, key=group.sort_key):
-        if a in covered:
+    for a in concat.from_iterable(parts):
+        if a not in left:
             continue
         reps.append(a)
-        for f in subgroup:
-            b = act(a, f)
-            if b not in level:
-                raise AxiomViolation(
-                    f"{name} is not a union of cosets of its subgroup",
-                    element=group.format_data(a),
-                    by=group.format_data(f),
-                )
-            covered.add(b)
+        try:
+            any(map(strike, map(act, repeat(a, size), subgroup)))  # each remove is None
+        except KeyError as exc:
+            f = next(f for f in subgroup if act(a, f) == exc.args[0])
+            raise AxiomViolation(
+                f"{name} is not a union of cosets of its subgroup",
+                element=group.format_data(a),
+                by=group.format_data(f),
+            ) from None
     return reps
 
 
@@ -260,10 +257,14 @@ def _block_factors(
     if k <= j:
         f, gens = chain[k - 1], chain_gens[k - 1]
         _check_invariant(group, levels[j], gens, on_left, f"B_{j} (F_{k} on the left)")
-        return _coset_reps(group, levels[k], f, mul, f"B_{k} (F_{k} on the right)"), levels[j]
+        walk = [sorted(levels[k], key=group.sort_key)]
+        reps = _coset_reps(group, walk, set(levels[k]), f, mul, f"B_{k} (F_{k} on the right)")
+        return reps, levels[j]
     f, gens = chain[j - 1], chain_gens[j - 1]
     _check_invariant(group, levels[k], gens, mul, f"B_{k} (F_{j} on the right)")
-    return levels[k], _coset_reps(group, levels[j], f, on_left, f"B_{j} (F_{j} on the left)")
+    walk = [sorted(levels[j], key=group.sort_key)]
+    reps = _coset_reps(group, walk, set(levels[j]), f, on_left, f"B_{j} (F_{j} on the left)")
+    return levels[k], reps
 
 
 def _build_level(
@@ -288,10 +289,13 @@ def _build_level(
             if len(core) > budget:
                 raise _budget_error(n, budget, "merging products", len(core))
     f_n = chain[n - 1]
-    right = _expand_right(group, core, f_n, n, budget)
-    full = _expand_left(group, f_n, right, n, budget)
-    if not core <= full:
+    right = _expand(group, core, f_n, n, budget, "right")
+    kept = core <= right
+    del core, add  # freed before the left expansion, the largest step
+    full = _expand(group, right, f_n, n, budget, "left")
+    if not (kept and right <= full):
         raise AxiomViolation(f"construction lost products while building B_{n}")
+    del right
     return frozenset(full)
 
 
@@ -448,14 +452,51 @@ class MetricAxiomReport:
         }
 
 
+def _transversals(bs: BallSystem, radius: int) -> dict[int, list]:
+    """R_k with B_k = R_k F_k for each level 2 <= k <= radius it can walk.
+
+    F_k must be a subgroup of more than one element holding every F walked
+    below it. A level that fails this, or is not a union of cosets, is left
+    out and checked pair by pair: coset structure is not a metric axiom.
+    """
+    group = bs.group
+    reps: dict[int, list] = {}
+    below: frozenset = frozenset()
+    for k in range(2, radius + 1):
+        f = bs.chain[k - 1]
+        if len(f) == 1 or not below <= f:
+            continue
+        walk = bs._spheres[: k + 1]
+        try:
+            _check_subgroup(group, f, f"F_{k}")
+            # copying a dict sizes the set once; adding one by one can double it
+            left = set(bs._norm) if k == bs.n_max else set(concat.from_iterable(walk))
+            reps[k] = _coset_reps(group, walk, left, f, group.mul_data, f"B_{k}")
+        except (NotASubgroup, AxiomViolation):
+            continue
+        below = f
+    return reps
+
+
 def metric_axiom_check(
     source: Union[Ball, BallSystem], radius: int | None = None
 ) -> MetricAxiomReport:
     """Identity, symmetry and triangle axioms over all in-range pairs.
 
-    Pairs (x, y) with |x| + |y| <= radius are checked exhaustively; properness
-    at scale is reported as the finite layer sizes. The first failure raises
+    Every pair (x, y) with |x| + |y| <= radius is covered; properness at
+    scale is reported as the finite layer sizes. The first failure raises
     with a witness; a clean pass returns the report.
+
+    On a ball system the triangle inequality is proved on coset transversals.
+    Where ``_transversals`` walks level k, B_k = R_k F_k, and by symmetry
+    B_k = F_k R_k^-1. Block (i, j) needs S_i S_j inside B_{i+j}. If B_{i+j}
+    is walked, it is F_{i+j}-bi-invariant and holds F_i, F_j of walked i, j,
+    so x runs over R_i^-1 (S_i if i is not walked) and y over R_j (or S_j):
+    each pair of S_i x S_j is f x y f' with f, f' in F_{i+j}. Other blocks,
+    and all of a word ball, go pair by pair. x and y lie in B_i and B_j, so a
+    failing pair is a genuine violation, reported with its own norms.
+    ``pairs_checked`` counts the pairs covered, sum |S_i| |S_j|, not the
+    products taken.
     """
     group = source.group
     identity = group.identity_data()
@@ -497,24 +538,28 @@ def metric_axiom_check(
                     inverse_norm=ni,
                 )
 
+    reps = {} if kind == "ball" else _transversals(source, radius)
+    inv = group.inv_data
+    rows = {k: [inv(r) for r in rs] for k, rs in reps.items()}
     mul = group.mul_data
     pairs = 0
     for i in range(radius + 1):
-        xs = spheres[i]
         for j in range(radius + 1 - i):
-            ys = spheres[j]
             bound = i + j
+            factored = bound in reps
+            xs = rows[i] if factored and i in rows else spheres[i]
+            ys = reps[j] if factored and j in reps else spheres[j]
             for x in xs:
                 for y in ys:
                     nxy = norm_of(mul(x, y))
                     if nxy is None or nxy > bound:
                         raise AxiomViolation(
-                            "triangle inequality fails",
+                            f"triangle inequality fails: x*y lies outside B_{bound}",
                             x=group.format_data(x),
                             y=group.format_data(y),
-                            norm_x=i,
-                            norm_y=j,
+                            norm_x=norm_of(x),
+                            norm_y=norm_of(y),
                             norm_xy=nxy,
                         )
-            pairs += len(xs) * len(ys)
+            pairs += len(spheres[i]) * len(spheres[j])
     return MetricAxiomReport(kind, radius, pairs, layer_sizes)

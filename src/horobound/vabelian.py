@@ -424,7 +424,7 @@ def lipschitz_hom(
         val = Fraction(s, den)
         if abs(val) > n:
             raise VerificationFailed(
-                f"|f({ball.group.format_data(data)})| = {val} exceeds the norm {n}"
+                f"|f({ball.group.format_data(data)})| = {abs(val)} exceeds the norm {n}"
             )
         if val == n:
             y = Element(ball.group, data)

@@ -141,6 +141,21 @@ def klein_ops():
     return mul, inv
 
 
+def dihedral_ops(n):
+    """D_n on indices n f + k for s^f r^k (r a rotation, s a reflection)."""
+
+    def mul(a, b):
+        f, k = divmod(a[0], n)
+        g, m = divmod(b[0], n)
+        return (n * ((f + g) % 2) + ((-k if g else k) + m) % n,)
+
+    def inv(a):
+        f, k = divmod(a[0], n)
+        return (a[0],) if f else ((-k) % n,)
+
+    return mul, inv, (0,)
+
+
 def mat_vec(a, v):
     """A v entry by entry, as a generator of index sums."""
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
@@ -368,3 +383,32 @@ def oracle_ball_system(mul, identity, s1, chain, n_max):
         f = set(chain[n - 1])
         levels.append(by_subgroup(by_subgroup(core, f, True), f, False))
     return levels
+
+
+# -- metric axioms, pair by pair ---------------------------------------------
+
+def oracle_metric_violation(mul, inv, identity, norm, radius):
+    """The first failed axiom of an integer norm up to radius, or None.
+
+    norm maps elements to their norms; an element it lacks has no norm.
+    Identity comes first, then symmetry, then the triangle inequality over
+    every pair (x, y) with |x| + |y| <= radius, multiplied out one by one.
+    The result is ("identity", x), ("symmetry", x) or ("triangle", x, y).
+    """
+    inside = sorted((n, x) for x, n in norm.items() if n <= radius)
+    if norm.get(identity) != 0:
+        return ("identity", identity)
+    for n, x in inside:
+        if n == 0 and x != identity:
+            return ("identity", x)
+    for n, x in inside:
+        if norm.get(inv(x)) != n:
+            return ("symmetry", x)
+    for nx, x in inside:
+        for ny, y in inside:
+            if nx + ny > radius:
+                break
+            nxy = norm.get(mul(x, y))
+            if nxy is None or nxy > nx + ny:
+                return ("triangle", x, y)
+    return None

@@ -3,11 +3,13 @@
 import math
 import random
 import re
+from importlib import resources
 from itertools import combinations, permutations
 
 import pytest
 
 from horobound.cayley import grow_ball
+from horobound.cli import parse_spec, run_command
 from horobound.errors import AxiomViolation, NotASubgroup, OutOfRange, SizeBudget
 from horobound.examples import cylinder, example, lamp_chain
 from horobound.groups import (
@@ -24,13 +26,21 @@ from horobound.metrics import (
     _block_factors,
     _build_level,
     _check_subgroup,
+    _transversals,
     bs_annihilator_check,
     bs_norm,
     build_ball_system,
     metric_axiom_check,
 )
 
-from oracles import lamp_mul, oracle_ball_system, oracle_form
+from oracles import (
+    dihedral_ops,
+    lamp_inv,
+    lamp_mul,
+    oracle_ball_system,
+    oracle_form,
+    oracle_metric_violation,
+)
 
 
 def test_level_sizes(lamp_bs4):
@@ -68,12 +78,13 @@ def _assert_blocks_match_oracle(bs, mul, reps):
     """
     group = bs.group
     form = oracle_form(group)
-    levels = [frozenset(form(x) for x in level) for level in bs.levels]
+    data = [frozenset(x.data for x in bs.elements(n)) for n in range(bs.n_max + 1)]
+    levels = [frozenset(form(x) for x in level) for level in data]
     chain_gens = [_check_subgroup(group, f, "F") for f in bs.chain]
     sizes = {}
     for n in range(4, bs.n_max + 1):
         for k in range(2, n - 1):
-            rows, columns = _block_factors(group, bs.levels, bs.chain, chain_gens, k, n - k)
+            rows, columns = _block_factors(group, data, bs.chain, chain_gens, k, n - k)
             got = {form(group.mul_data(a, b)) for a in rows for b in columns}
             assert got == {mul(a, b) for a in levels[k] for b in levels[n - k]}
             sizes[k, n - k] = (len(rows), len(columns))
@@ -86,26 +97,28 @@ def test_levels_match_defining_formula(lamp_pair, lamp_bs4):
     _assert_blocks_match_oracle(lamp_bs4, lamp_mul, {(2, 2): (13, 416)})
 
 
-def _dihedral_64():
-    """D_32 = <r, s> as a table, with index 32 f + k for s^f r^k."""
-    elems = [(f, k) for f in range(2) for k in range(32)]
-
-    def mul(a, b):
-        return ((a[0] + b[0]) % 2, ((-a[1] if b[0] else a[1]) + b[1]) % 32)
-
-    table = tuple(tuple(32 * c[0] + c[1] for c in (mul(a, b) for b in elems)) for a in elems)
+def _dihedral(n):
+    """D_n = <r, s> as a table, with index n f + k for s^f r^k."""
+    mul, _, _ = dihedral_ops(n)
+    table = tuple(tuple(mul((a,), (b,))[0] for b in range(2 * n)) for a in range(2 * n))
     return FiniteTableGroup(FiniteGroupSpec(table=table))
 
 
-def test_levels_match_defining_formula_on_a_finite_chain():
-    # D_32 on the reflections s and s r; F_1 = F_2 = <s>, then <s, r^16>,
-    # neither of them normal. B_5 reaches the blocks B_2 B_3 (k <= n - k)
-    # and B_3 B_2 (k > n - k), and no level is the whole group.
-    group = _dihedral_64()
+def _dihedral_ball_system():
+    """D_32 on the reflections s and s r; F_1 = F_2 = <s>, then <s, r^16>,
+    neither of them normal."""
+    group = _dihedral(32)
     gens = symmetric_generating_set(group, [group.element((32,)), group.element((33,))])
     small = [group.element((i,)) for i in (0, 32)]
     large = [group.element((i,)) for i in (0, 16, 32, 48)]
-    bs = build_ball_system(group, gens, [small, small, large, large, large], 5)
+    return build_ball_system(group, gens, [small, small, large, large, large], 5), gens
+
+
+def test_levels_match_defining_formula_on_a_finite_chain():
+    # B_5 reaches the blocks B_2 B_3 (k <= n - k) and B_3 B_2 (k > n - k),
+    # and no level is the whole group
+    bs, gens = _dihedral_ball_system()
+    group = bs.group
     assert bs.layer_sizes() == [1, 3, 6, 20, 28, 36]
     _assert_levels_match_oracle(bs, group.mul_data, gens)
     _assert_blocks_match_oracle(
@@ -217,17 +230,23 @@ def test_subgroup_walk_follows_the_sort_key():
         _check_subgroup(group, elems, "F")
 
 
-def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
-    group, _ = lamp_pair
-    chain = [frozenset(x.data for x in level) for level in lamp_chain(group, 5)]
+def _count_products(monkeypatch, cls):
+    """Patch cls.mul_data to count its calls; returns the one-item counter."""
     calls = [0]
-    mul = LamplighterGroup.mul_data
+    mul = cls.mul_data
 
     def counted(self, a, b):
         calls[0] += 1
         return mul(self, a, b)
 
-    monkeypatch.setattr(LamplighterGroup, "mul_data", counted)
+    monkeypatch.setattr(cls, "mul_data", counted)
+    return calls
+
+
+def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
+    group, _ = lamp_pair
+    chain = [frozenset(x.data for x in level) for level in lamp_chain(group, 5)]
+    calls = _count_products(monkeypatch, LamplighterGroup)
     for i, f in enumerate(chain):
         calls[0] = 0
         _check_subgroup(group, f, f"F_{i + 1}")
@@ -270,14 +289,7 @@ def test_ball_system_work_counts(lamp_pair, monkeypatch):
     # expansions; all-pairs level blocks alone made 206,096 products
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
-    calls = [0]
-    mul = LamplighterGroup.mul_data
-
-    def counted(self, a, b):
-        calls[0] += 1
-        return mul(self, a, b)
-
-    monkeypatch.setattr(LamplighterGroup, "mul_data", counted)
+    calls = _count_products(monkeypatch, LamplighterGroup)
     build_ball_system(group, gens, chain, 4)
     assert calls[0] == 103_272
 
@@ -412,3 +424,192 @@ def test_axiom_radius_guard_negative(z2_pair, lamp_bs4):
     for source in (ball, lamp_bs4):
         with pytest.raises(OutOfRange, match="negative"):
             metric_axiom_check(source, radius=-1)
+
+
+def spec_path(name):
+    return str(resources.files("horobound") / "specs" / name)
+
+
+def _with_norm(bs, norm, chain=None):
+    """A hand-built BallSystem with the given norm, cut at bs.n_max."""
+    levels = tuple(
+        frozenset(d for d, n in norm.items() if n <= k) for k in range(bs.n_max + 1)
+    )
+    return BallSystem(bs.group, bs.chain if chain is None else chain, levels)
+
+
+def _walked(bs):
+    return set(_transversals(bs, bs.n_max))
+
+
+def test_axiom_check_work_counts(lamp_bs4, monkeypatch):
+    # three subgroup checks (5,664), three coset walks over B_2, B_3, B_4
+    # (35,360) and the blocks over transversals (643); all pairs took 254,464
+    calls = _count_products(monkeypatch, LamplighterGroup)
+    report = metric_axiom_check(lamp_bs4)
+    assert calls[0] == 41_667
+    assert report.pairs_checked == 254_464
+    assert _walked(lamp_bs4) == {2, 3, 4}
+
+
+def test_axiom_check_walks_no_trivial_subgroup(monkeypatch):
+    # the degenerate chain F_n = {e} of ``ballsystem`` on Z^2: no level is
+    # walked and each pair is one product
+    group, gens, _ = parse_spec(spec_path("z2_standard.spec"))
+    bs = build_ball_system(group, gens, [[group.identity()]] * 5, 5)
+    assert _walked(bs) == set()
+    calls = _count_products(monkeypatch, type(group))
+    report = metric_axiom_check(bs)
+    assert calls[0] == report.pairs_checked == 681
+
+
+def test_ballsystem_run_work_counts(monkeypatch):
+    # parsing 30, build 103,272, axiom check 41,667, annihilator checks
+    # 29,696; the all-pairs axiom check made it 387,492
+    calls = _count_products(monkeypatch, LamplighterGroup)
+    _, _, config = parse_spec(spec_path("lamplighter.spec"))
+    run_command(config)
+    assert calls[0] == 174_695
+
+
+def test_axiom_check_reports_a_missing_product(lamp_pair):
+    # B_3 without the double coset F_3 t^3 F_3 and its inverse: the levels
+    # stay symmetric unions of cosets, so the violation is found among the
+    # representative pairs of a walked level, with their own norms
+    group, gens = lamp_pair
+    bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+    f3, t3 = bs.chain[2], group.element(((), 3)).data
+    mul, inv = group.mul_data, group.inv_data
+    norm = dict(bs._norm)
+    for x in (t3, inv(t3)):
+        for a in f3:
+            for b in f3:
+                norm.pop(mul(mul(a, x), b), None)
+    hand = _with_norm(bs, norm)
+    reps = _transversals(hand, 3)
+    assert set(reps) == {2, 3}
+    with pytest.raises(AxiomViolation, match="triangle inequality fails") as hit:
+        metric_axiom_check(hand)
+    w = hit.value.witness
+    assert w["norm_xy"] is None or w["norm_xy"] > w["norm_x"] + w["norm_y"]
+    assert group.parse(w["y"]).data in reps[2]  # t^-1 * t^-2, block (1, 2)
+    assert bs_norm(hand, group.parse(w["x"])) == w["norm_x"]
+    assert bs_norm(hand, group.parse(w["y"])) == w["norm_y"]
+
+
+def test_axiom_check_reports_a_level_off_its_cosets(lamp_pair):
+    # t^2 and t^-2 moved from B_2 to B_3: B_2 is no longer a union of F_2
+    # cosets, so it is not walked, and the pair t^-1 * t^-1 names the level
+    group, gens = lamp_pair
+    bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+    t, t2 = group.element(((), -1)), group.element(((), 2)).data
+    norm = dict(bs._norm)
+    norm[t2] = norm[group.inv_data(t2)] = 3
+    hand = _with_norm(bs, norm)
+    assert _walked(hand) == {3}
+    with pytest.raises(AxiomViolation, match=r"outside B_2") as hit:
+        metric_axiom_check(hand)
+    assert hit.value.witness == {
+        "x": str(t), "y": str(t), "norm_x": 1, "norm_y": 1, "norm_xy": 3
+    }
+
+
+def test_axiom_check_does_not_trust_a_chain_out_of_nesting():
+    # D_16 on r^13 with F_1 = <r^2>, F_2 = {e}, F_3 = <s r^2>, F_4 = <s r^11>,
+    # levels from the defining formula, then four elements of B_4 dropped.
+    # B_3 and B_4 are unions of cosets, but F_3 is not inside F_4, so B_4
+    # is not walked; trusting it would miss the violation
+    group = _dihedral(16)
+    mul, inv, identity = dihedral_ops(16)
+    ids = ((0, 2, 4, 6, 8, 10, 12, 14), (0,), (0, 18), (0, 27))
+    chain = [frozenset((i,) for i in f) for f in ids]
+    levels = oracle_ball_system(mul, identity, {(13,), (3,)}, chain, 4)
+    levels[4] -= {(5,), (11,), (16,), (22,)}
+    bs = BallSystem(group, tuple(chain), tuple(frozenset(level) for level in levels))
+    assert _walked(bs) == {3}
+    norm = {d: n for n, sphere in enumerate(bs._spheres) for d in sphere}
+    assert oracle_metric_violation(mul, inv, identity, norm, 4)[0] == "triangle"
+    with pytest.raises(AxiomViolation, match="triangle inequality fails"):
+        metric_axiom_check(bs)
+
+
+def _mutant(bs, rng):
+    """bs with the norm of a seeded random set of elements moved, and now
+    and then one F_k replaced by a trivial group, a non-subgroup or a
+    subgroup that breaks the nesting."""
+    group, n_max = bs.group, bs.n_max
+    mul, inv = group.mul_data, group.inv_data
+    x = rng.choice([d for n in range(n_max + 1) for d in bs.sphere_data(n)])
+    kind = rng.randrange(4)
+    if kind == 0:
+        moved = {x}
+    elif kind == 1:
+        moved = {x, inv(x)}
+    elif kind == 2:  # a double coset of F_k and its inverse
+        f = bs.chain[rng.randrange(n_max)]
+        moved = {mul(mul(a, y), b) for y in (x, inv(x)) for a in f for b in f}
+    else:  # an element just outside B_n_max and its inverse
+        y = mul(rng.choice(bs.sphere_data(n_max)), rng.choice(bs.sphere_data(1)))
+        moved = {y, inv(y)}
+    to = 0 if rng.random() < 0.05 else rng.randint(1, n_max + 1)
+    norm = dict(bs._norm)
+    for y in moved:
+        if to > n_max:
+            norm.pop(y, None)
+        else:
+            norm[y] = to
+    chain = bs.chain
+    if rng.random() < 0.3:
+        k = rng.randrange(n_max)
+        f = chain[k]
+        new = rng.choice([
+            frozenset({group.identity_data()}),
+            f - {max(f)} if len(f) > 1 else f,
+            chain[-1],
+        ])
+        chain = chain[:k] + (new,) + chain[k + 1:]
+    return _with_norm(bs, norm, chain)
+
+
+_AXIOMS = {
+    "a non-identity element has norm 0": "identity",
+    "the identity does not have norm 0": "identity",
+    "symmetry fails": "symmetry",
+    "triangle inequality fails": "triangle",
+}
+
+
+@pytest.mark.parametrize("name", ["dihedral_n5", "lamplighter_n3"])
+def test_axiom_check_agrees_with_all_pairs(lamp_pair, name):
+    if name == "dihedral_n5":
+        bs, _ = _dihedral_ball_system()
+        mul, inv, identity = dihedral_ops(32)
+    else:
+        group, gens = lamp_pair
+        bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+        mul, inv, identity = lamp_mul, lamp_inv, ((), 0)
+    group = bs.group
+    form = oracle_form(group)
+    every_level = set(range(2, bs.n_max + 1))
+    assert _walked(bs) == every_level
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(60):
+        mutant = _mutant(bs, rng)
+        norm = {form(d): n for n, sphere in enumerate(mutant._spheres) for d in sphere}
+        verdict = oracle_metric_violation(mul, inv, identity, norm, mutant.n_max)
+        try:
+            metric_axiom_check(mutant)
+        except AxiomViolation as exc:
+            assert verdict is not None, str(exc)
+            assert _AXIOMS[str(exc).split(":")[0]] == verdict[0], str(exc)
+            if verdict[0] == "triangle":
+                w = exc.witness
+                x, y = (form(group.parse(w[k]).data) for k in ("x", "y"))
+                assert (norm.get(x), norm.get(y)) == (w["norm_x"], w["norm_y"])
+                assert norm.get(mul(x, y)) == w["norm_xy"]
+                assert w["norm_xy"] is None or w["norm_xy"] > w["norm_x"] + w["norm_y"]
+        else:
+            assert verdict is None
+        seen.add((verdict[0] if verdict else None, _walked(mutant) == every_level))
+    assert {(None, True), (None, False), ("triangle", True), ("triangle", False)} <= seen
