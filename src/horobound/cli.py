@@ -74,6 +74,7 @@ from .metrics import (
     DEFAULT_SET_BUDGET,
     bs_annihilator_check,
     build_ball_system,
+    check_n_max,
     metric_axiom_check,
 )
 from .vabelian import (
@@ -89,34 +90,26 @@ from .vabelian import (
 
 __all__ = ["RunConfig", "parse_spec", "run_command", "emit_report", "main"]
 
-COMMANDS = (
-    "ball",
-    "boundary",
-    "annihilator",
-    "polytope",
-    "witness",
-    "ballsystem",
-    "bend",
-)
-
-# [run] parameters that have a command-line flag (--r, --n-max, ...), with
-# the flag's value type; the parser, main and the missing-parameter message
-# all read this one table
-FLAG_PARAMS = (
-    ("r", int),
-    ("m", int),
-    ("n_max", int),
-    ("k", int),
-    ("budget", int),
-    ("gap", int),
-    ("extreme", str),
-)
+# the command-line flags of each command (--r, --n-max, ...): the [run] keys
+# its handler reads that have a flag. The parser and the missing-parameter
+# message both read this one table. Every flag but --extreme takes an
+# integer; --out and --seed go on every command
+COMMAND_FLAGS = {
+    "ball": ("r", "budget"),
+    "boundary": ("r", "m", "budget"),
+    "annihilator": ("r", "m", "budget", "gap"),
+    "polytope": ("r", "budget", "extreme"),
+    "witness": ("r", "m", "k", "budget", "extreme"),
+    "ballsystem": ("n_max", "budget"),
+    "bend": ("r", "m", "budget"),
+}
+COMMANDS = tuple(COMMAND_FLAGS)
 
 # every [run] key some command reads besides command and seed: the flagged
 # ones and those only a [run] entry sets. Any other key is a misspelling. It
 # is one union for all commands, because the subcommand on the command line
 # may run a spec under another command than its own
-RUN_KEYS = frozenset(dict(FLAG_PARAMS)) | {"n", "window", "scan_m", "ell", "x"}
+RUN_KEYS = frozenset().union(*COMMAND_FLAGS.values()) | {"n", "window", "scan_m", "ell", "x"}
 
 
 def _flag(key: str) -> str:
@@ -164,7 +157,7 @@ class RunConfig:
         return raw
 
     def _missing(self, key: str) -> SchemaError:
-        flag = f"{_flag(key)} or " if key in dict(FLAG_PARAMS) else ""
+        flag = f"{_flag(key)} or " if key in COMMAND_FLAGS.get(self.command, ()) else ""
         return SchemaError(
             f"command {self.command!r} needs parameter {key!r} ({flag}a [run] entry)"
         )
@@ -488,6 +481,7 @@ def _cmd_witness(group: Group, gens: GeneratingSet, cfg: RunConfig):
 def _cmd_ballsystem(group: Group, gens: GeneratingSet, cfg: RunConfig):
     n_max = cfg.int_param("n_max", 4)
     budget = cfg.int_param("budget", DEFAULT_SET_BUDGET)
+    check_n_max(n_max)  # before any chain is built
     if isinstance(group, LamplighterGroup):
         chain = lamp_chain(group, n_max)
     else:
@@ -592,10 +586,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("spec", help="path to a group spec file")
-        for key, kind in FLAG_PARAMS:
+        for key in COMMAND_FLAGS[name]:
             p.add_argument(
                 _flag(key),
-                type=kind,
+                type=str if key == "extreme" else int,
                 default=None,
                 dest=key,
                 metavar="lex|index:<i>" if key == "extreme" else None,
@@ -617,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
             command=args.command,
             out=args.out,
             seed=args.seed if args.seed is not None else config.seed,
-        ).with_params(**{key: getattr(args, key) for key, _ in FLAG_PARAMS})
+        ).with_params(**{key: getattr(args, key) for key in COMMAND_FLAGS[args.command]})
         report, sides = run_command(config)
     except Diagnostic as exc:
         payload = {

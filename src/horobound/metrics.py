@@ -1,7 +1,9 @@
 """Integer-valued left-invariant metrics that are not word metrics.
 
 The ball-system construction takes a nested chain of finite subgroups F_n
-and defines B_n = F_n (union of B_k B_{n-k}) F_n; the resulting norm
+and defines B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n. On a nested
+chain only the two outer blocks count, B_n = F_n (B_1 B_{n-1} u B_{n-1} B_1) F_n
+(proved at ``_build_level``), and that is how each level is built. The norm
 |g| = min{n : g in B_n} is a proper left-invariant metric in which every
 element of every F_n eventually looks like the identity. Sets are exact and
 the subgroup/symmetry/submultiplicativity facts the metric rests on are
@@ -17,15 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain as concat, repeat
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .cayley import Ball
-from .errors import (
-    AxiomViolation,
-    NotASubgroup,
-    OutOfRange,
-    SizeBudget,
-)
+from .errors import AxiomViolation, NotASubgroup, OutOfRange, SizeBudget
 from .groups import Element, GeneratingSet, Group
 
 __all__ = [
@@ -36,6 +33,7 @@ __all__ = [
     "MetricAxiomReport",
     "build_ball_system",
     "bs_norm",
+    "check_n_max",
     "bs_annihilator_check",
     "metric_axiom_check",
 ]
@@ -103,8 +101,8 @@ class BallSystem:
         }
 
 
-def _check_subgroup(group: Group, elems: frozenset, name: str) -> tuple[tuple, ...]:
-    """Raise unless the finite set elems is a subgroup; return generators G.
+def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
+    """Raise unless the finite set elems is a subgroup.
 
     Closure is checked on generators, not on all pairs. Walking elems in
     sort-key order, each element not yet reached becomes a generator, and the
@@ -150,7 +148,6 @@ def _check_subgroup(group: Group, elems: frozenset, name: str) -> tuple[tuple, .
             for h in gens:
                 reach(a, h)
             i += 1
-    return tuple(gens)
 
 
 def _budget_error(n: int, budget: int, step: str, size: int) -> SizeBudget:
@@ -184,10 +181,9 @@ def _coset_reps(
     parts: Sequence[Sequence[tuple]],
     left: set,
     subgroup: frozenset,
-    act: Callable[[tuple, tuple], tuple],
     name: str,
 ) -> list:
-    """Representatives R with level = {act(r, f) : r in R, f in subgroup}.
+    """Representatives R with level = R subgroup, a union of left cosets.
 
     The concatenated ``parts`` list level once in walk order; ``left`` is a
     fresh set of level. Each element still in ``left`` becomes a
@@ -195,6 +191,7 @@ def _coset_reps(
     disjoint, so a member not found lies outside level. This costs |level|
     products, proves the equality exactly and keeps none of the products.
     """
+    mul = group.mul_data
     size = len(subgroup)
     strike = left.remove  # unlike difference_update, never resizes the table
     reps = []
@@ -203,9 +200,9 @@ def _coset_reps(
             continue
         reps.append(a)
         try:
-            any(map(strike, map(act, repeat(a, size), subgroup)))  # each remove is None
+            any(map(strike, map(mul, repeat(a, size), subgroup)))  # each remove is None
         except KeyError as exc:
-            f = next(f for f in subgroup if act(a, f) == exc.args[0])
+            f = next(f for f in subgroup if mul(a, f) == exc.args[0])
             raise AxiomViolation(
                 f"{name} is not a union of cosets of its subgroup",
                 element=group.format_data(a),
@@ -214,77 +211,30 @@ def _coset_reps(
     return reps
 
 
-def _check_invariant(
-    group: Group,
-    level: frozenset,
-    gens: tuple,
-    act: Callable[[tuple, tuple], tuple],
-    name: str,
-) -> None:
-    """Raise unless act(b, g) lies in level for every b in level and g in gens.
+def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> frozenset:
+    """B_n = F_n (B_1 B_{n-1} u B_{n-1} B_1) F_n for n = len(levels).
 
-    A finite subgroup is the monoid its generators span, so this shows the
-    level invariant under the whole subgroup at |level| * |gens| products.
-    """
-    for g in gens:
-        for b in level:
-            if act(b, g) not in level:
-                raise AxiomViolation(
-                    f"{name} is not invariant under its subgroup",
-                    element=group.format_data(b),
-                    by=group.format_data(g),
-                )
+    The definition unions every block B_k B_{n-k}, 0 < k < n, but on a nested
+    chain the middle blocks (k, n-k >= 2) add nothing. Induct on k, taking
+    2 <= k <= n-k. B_k = F_k (union of B_i B_{k-i}, 0 < i < k) F_k, and
+    F_k B_{n-k} = B_{n-k} since F_k lies in F_{n-k} and B_{n-k} is
+    F_{n-k}-invariant. So B_k B_{n-k} lies in the union of F_k B_i B_{k-i} B_{n-k},
+    where B_{k-i} B_{n-k} is a block of B_{n-i}. As F_k lies in F_n,
+    F_n B_k B_{n-k} F_n lies in the union of F_n B_i B_{n-i} F_n over i < k,
+    which by induction lies in F_n B_1 B_{n-1} F_n. For k > n-k the mirror
+    argument ends in B_{n-1} B_1. The caller checks the nesting it rests on.
+    Neither outer block can go: on A_5, F_3 B_1 B_2 F_3 can miss part of B_3.
 
-
-def _block_factors(
-    group: Group, levels: list, chain: tuple, chain_gens: list, k: int, j: int
-) -> tuple[Iterable[tuple], Iterable[tuple]]:
-    """Rows and columns whose products are exactly the set B_k B_j.
-
-    With k, j >= 2 both levels are F-bi-invariant, and F_min(k, j) lies in
-    the larger F. If k <= j, B_k = R F_k and F_k B_j = B_j, so B_k B_j = R B_j.
-    If k > j, B_j = F_j L and B_k F_j = B_k, so B_k B_j = B_k L. Both facts
-    are checked, not trusted. A block with k = 1 or j = 1 stays all-pairs, as
-    B_1 is a bare generating set.
-    """
-    if k == 1 or j == 1:
-        return levels[k], levels[j]
-    mul = group.mul_data
-
-    def on_left(b, f):
-        return mul(f, b)
-
-    if k <= j:
-        f, gens = chain[k - 1], chain_gens[k - 1]
-        _check_invariant(group, levels[j], gens, on_left, f"B_{j} (F_{k} on the left)")
-        walk = [sorted(levels[k], key=group.sort_key)]
-        reps = _coset_reps(group, walk, set(levels[k]), f, mul, f"B_{k} (F_{k} on the right)")
-        return reps, levels[j]
-    f, gens = chain[j - 1], chain_gens[j - 1]
-    _check_invariant(group, levels[k], gens, mul, f"B_{k} (F_{j} on the right)")
-    walk = [sorted(levels[j], key=group.sort_key)]
-    reps = _coset_reps(group, walk, set(levels[j]), f, on_left, f"B_{j} (F_{j} on the left)")
-    return levels[k], reps
-
-
-def _build_level(
-    group: Group, levels: list, chain: tuple, chain_gens: list, budget: int
-) -> frozenset:
-    """B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n for n = len(levels).
-
-    chain_gens[i] generates chain[i] = F_{i+1}. Each block B_k B_{n-k} is
-    multiplied out over the factors of ``_block_factors``. A function of its
-    own so that the intermediate sets are freed on return, before
-    ``BallSystem`` holds the sort keys of a whole sphere.
+    A function of its own so that the intermediate sets are freed on return,
+    before ``BallSystem`` holds the sort keys of a whole sphere.
     """
     n = len(levels)
     mul = group.mul_data
     core: set = set()
     add = core.add
-    for k in range(1, n):
-        rows, columns = _block_factors(group, levels, chain, chain_gens, k, n - k)
-        for a in rows:
-            for b in columns:
+    for k in {1, n - 1}:  # the two outer blocks, one block when n = 2
+        for a in levels[k]:
+            for b in levels[n - k]:
                 add(mul(a, b))
             if len(core) > budget:
                 raise _budget_error(n, budget, "merging products", len(core))
@@ -297,6 +247,15 @@ def _build_level(
         raise AxiomViolation(f"construction lost products while building B_{n}")
     del right
     return frozenset(full)
+
+
+def check_n_max(n_max: int) -> None:
+    """Refuse n_max outside 1..DEFAULT_MAX_LEVELS, before a chain is built:
+    F_n of the lamplighter chain has 2^(2n+1) elements."""
+    if n_max < 1:
+        raise OutOfRange(f"n_max must be >= 1, got {n_max}")
+    if n_max > DEFAULT_MAX_LEVELS:
+        raise SizeBudget(f"n_max {n_max} exceeds the level budget {DEFAULT_MAX_LEVELS}")
 
 
 def build_ball_system(
@@ -313,42 +272,28 @@ def build_ball_system(
     computed level is asserted (the chain and S_1 make it automatic, but the
     metric depends on it, so it is checked, not trusted).
     """
-    if n_max < 1:
-        raise OutOfRange(f"n_max must be >= 1, got {n_max}")
+    check_n_max(n_max)
     if budget < 1:
         raise OutOfRange(f"budget must be >= 1, got {budget}")
-    if n_max > DEFAULT_MAX_LEVELS:
-        raise SizeBudget(
-            f"n_max {n_max} exceeds the level budget {DEFAULT_MAX_LEVELS}"
-        )
     if len(f_chain) < n_max:
-        raise NotASubgroup(
-            f"chain supplies {len(f_chain)} subgroups, need {n_max}"
-        )
+        raise NotASubgroup(f"chain supplies {len(f_chain)} subgroups, need {n_max}")
     if s1.group is not group:
         raise NotASubgroup("generating set belongs to a different group")
-    chain = tuple(
-        frozenset(x.data for x in f_chain[i]) for i in range(n_max)
-    )
-    chain_gens = []
+    chain = tuple(frozenset(x.data for x in f_chain[i]) for i in range(n_max))
     for i, f in enumerate(chain):
-        chain_gens.append(_check_subgroup(group, f, f"F_{i + 1}"))
+        _check_subgroup(group, f, f"F_{i + 1}")
         if i and not chain[i - 1] <= f:
             raise NotASubgroup(f"chain is not nested: F_{i} is not inside F_{i + 1}")
 
     identity = group.identity_data()
-    levels = [frozenset([identity])]
-    b1 = frozenset({s.data for s in s1.elements} | {identity})
-    levels.append(b1)
+    levels = [frozenset([identity]), frozenset({s.data for s in s1.elements} | {identity})]
     for n in range(2, n_max + 1):
-        levels.append(_build_level(group, levels, chain, chain_gens, budget))
+        levels.append(_build_level(group, levels, chain, budget))
 
     for n, level in enumerate(levels):
         for x in level:
             if group.inv_data(x) not in level:
-                raise AxiomViolation(
-                    f"B_{n} is not symmetric", element=group.format_data(x)
-                )
+                raise AxiomViolation(f"B_{n} is not symmetric", element=group.format_data(x))
     return BallSystem(group, chain, tuple(levels))
 
 
@@ -471,7 +416,7 @@ def _transversals(bs: BallSystem, radius: int) -> dict[int, list]:
             _check_subgroup(group, f, f"F_{k}")
             # copying a dict sizes the set once; adding one by one can double it
             left = set(bs._norm) if k == bs.n_max else set(concat.from_iterable(walk))
-            reps[k] = _coset_reps(group, walk, left, f, group.mul_data, f"B_{k}")
+            reps[k] = _coset_reps(group, walk, left, f, f"B_{k}")
         except (NotASubgroup, AxiomViolation):
             continue
         below = f

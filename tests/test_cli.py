@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -21,7 +22,7 @@ import horobound.cli as cli_mod
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import NoDominatorAtLevel, SchemaError, ValidationError
 from horobound.examples import example
-from horobound.groups import TABLE_ORDER_BUDGET, cyclic_table
+from horobound.groups import TABLE_ORDER_BUDGET, Group, cyclic_table
 
 SPECS = resources.files("horobound") / "specs"
 
@@ -263,23 +264,47 @@ def test_runconfig_require_int_missing():
 
 @pytest.mark.parametrize("key", sorted(cli_mod.RUN_KEYS))
 def test_missing_parameter_names_only_real_flags(key):
-    cfg = replace(_config(), params=())
-    with pytest.raises(SchemaError) as info:
-        cfg.require_int(key)
-    named = re.findall(r"--[a-z-]+", str(info.value))
+    # the message names a flag exactly when the command has that flag
     parser = cli_mod._build_parser()
-    for flag in named:
-        args = parser.parse_args(["ball", Z2_SPEC, flag, "1"])
-        assert getattr(args, key) == ("1" if key == "extreme" else 1)
-    assert bool(named) == (key in dict(cli_mod.FLAG_PARAMS))
+    for command, flags in cli_mod.COMMAND_FLAGS.items():
+        cfg = replace(_config(), command=command, params=())
+        with pytest.raises(SchemaError) as info:
+            cfg.require_int(key)
+        named = re.findall(r"--[a-z-]+", str(info.value))
+        for flag in named:
+            args = parser.parse_args([command, Z2_SPEC, flag, "1"])
+            assert getattr(args, key) == ("1" if key == "extreme" else 1)
+        assert bool(named) == (key in flags)
+
+
+FLAGGED = sorted(frozenset().union(*cli_mod.COMMAND_FLAGS.values()))
+READS = r"cfg\.(?:param|int_param|require_int|require_str)\(\"(\w+)\""
+
+
+def test_command_flags_are_the_flagged_keys_each_handler_reads():
+    for command, handler in cli_mod._HANDLERS.items():
+        read = set(re.findall(READS, inspect.getsource(handler)))
+        assert read & set(FLAGGED) == set(cli_mod.COMMAND_FLAGS[command]), command
+
+
+@pytest.mark.parametrize("key", FLAGGED)
+@pytest.mark.parametrize("command", cli_mod.COMMANDS)
+def test_flag_is_accepted_only_by_commands_that_read_it(monkeypatch, command, key):
+    flag, value = cli_mod._flag(key), ("index:0" if key == "extreme" else "7")
+    monkeypatch.setitem(cli_mod._HANDLERS, command, lambda group, gens, cfg: ({}, {}))
+    code, out, err = run_cli([command, Z2_SPEC, flag, value])
+    if key in cli_mod.COMMAND_FLAGS[command]:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["params"][key] == value
+    else:
+        assert (code, out) == (1, b"")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 def test_run_keys_are_the_keys_commands_read():
     # a key some handler reads but RUN_KEYS lacks would be rejected in a spec;
     # one RUN_KEYS lists but no handler reads would hide a misspelling
-    source = inspect.getsource(cli_mod)
-    calls = r"cfg\.(?:param|int_param|require_int|require_str)\(\"(\w+)\""
-    read = set(re.findall(calls, source))
+    read = set(re.findall(READS, inspect.getsource(cli_mod)))
     assert read == cli_mod.RUN_KEYS
 
 
@@ -532,6 +557,11 @@ Z2_SPEC = spec_path("z2_standard.spec")
         # no prefix matching: --n is not --n-max, --bud is not --budget
         (["ball", Z2_SPEC, "--r", "3", "--n", "5"], "unrecognized arguments: --n 5"),
         (["ball", Z2_SPEC, "--bud", "10"], "unrecognized arguments: --bud 10"),
+        # a flag of another command
+        (
+            ["ball", spec_path("z_line.spec"), "--r", "2", "--gap", "-5", "--extreme", "x"],
+            "unrecognized arguments: --gap -5 --extreme x",
+        ),
         (["ball"], "the following arguments are required: spec"),
     ],
 )
@@ -603,6 +633,41 @@ def test_main_ballsystem_budget_below_one_exits_1(budget):
     assert code == 1
     assert out == b""
     assert err == f"error: OutOfRange: budget must be >= 1, got {budget}\n"
+
+
+HUGE = str(10**12)
+
+
+@pytest.mark.parametrize(
+    "spec, n_max, message",
+    [
+        ("lamplighter.spec", "0", "OutOfRange: n_max must be >= 1, got 0"),
+        ("lamplighter.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 5"),
+        ("z2_standard.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 5"),
+    ],
+)
+def test_main_ballsystem_refuses_n_max_before_building_a_chain(monkeypatch, spec, n_max, message):
+    # F_n of the lamplighter chain has 2^(2n+1) elements and the degenerate
+    # chain on Z^2 is a list of n_max lists, so n_max is checked first. The
+    # guards make a chain being built fail at once instead of filling memory
+    calls = [0]
+    identity = Group.identity
+
+    def counted(self):
+        calls[0] += 1
+        assert calls[0] < 1000, "a degenerate chain is being built"
+        return identity(self)
+
+    def refuse(group, n):
+        raise AssertionError("a lamplighter chain was built")
+
+    monkeypatch.setattr(Group, "identity", counted)
+    monkeypatch.setattr(cli_mod, "lamp_chain", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(["ballsystem", spec_path(spec), "--n-max", n_max])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, b"")
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ import pytest
 
 from horobound.cayley import grow_ball
 from horobound.cli import parse_spec, run_command
-from horobound.errors import AxiomViolation, NotASubgroup, OutOfRange, SizeBudget
+from horobound.errors import (
+    AxiomViolation,
+    DoesNotGenerate,
+    NotASubgroup,
+    OutOfRange,
+    SizeBudget,
+)
 from horobound.examples import cylinder, example, lamp_chain
 from horobound.groups import (
     Element,
@@ -23,8 +29,6 @@ from horobound.groups import (
 )
 from horobound.metrics import (
     BallSystem,
-    _block_factors,
-    _build_level,
     _check_subgroup,
     _transversals,
     bs_annihilator_check,
@@ -34,6 +38,7 @@ from horobound.metrics import (
 )
 
 from oracles import (
+    cyl_ops,
     dihedral_ops,
     lamp_inv,
     lamp_mul,
@@ -70,31 +75,9 @@ def _assert_levels_match_oracle(bs, mul, s1):
         assert [form(d) for d in bs.sphere_data(n)] == sorted(expect[n] - previous)
 
 
-def _assert_blocks_match_oracle(bs, mul, reps):
-    """Each block with k, n - k >= 2 against all pairs of B_k B_{n-k}.
-
-    The levels alone would not show a lost product: F_n (B_1 B_{n-1} u
-    B_{n-1} B_1) F_n already holds every such block.
-    """
-    group = bs.group
-    form = oracle_form(group)
-    data = [frozenset(x.data for x in bs.elements(n)) for n in range(bs.n_max + 1)]
-    levels = [frozenset(form(x) for x in level) for level in data]
-    chain_gens = [_check_subgroup(group, f, "F") for f in bs.chain]
-    sizes = {}
-    for n in range(4, bs.n_max + 1):
-        for k in range(2, n - 1):
-            rows, columns = _block_factors(group, data, bs.chain, chain_gens, k, n - k)
-            got = {form(group.mul_data(a, b)) for a in rows for b in columns}
-            assert got == {mul(a, b) for a in levels[k] for b in levels[n - k]}
-            sizes[k, n - k] = (len(rows), len(columns))
-    assert sizes == reps
-
-
 def test_levels_match_defining_formula(lamp_pair, lamp_bs4):
-    # B_4 reaches the coset-representative block B_2 B_2 (k <= n - k)
+    # B_4 has the middle block B_2 B_2, which the build does not multiply out
     _assert_levels_match_oracle(lamp_bs4, lamp_mul, lamp_pair[1])
-    _assert_blocks_match_oracle(lamp_bs4, lamp_mul, {(2, 2): (13, 416)})
 
 
 def _dihedral(n):
@@ -115,15 +98,131 @@ def _dihedral_ball_system():
 
 
 def test_levels_match_defining_formula_on_a_finite_chain():
-    # B_5 reaches the blocks B_2 B_3 (k <= n - k) and B_3 B_2 (k > n - k),
-    # and no level is the whole group
+    # B_5 has the middle blocks B_2 B_3 and B_3 B_2, and no level is the
+    # whole group
     bs, gens = _dihedral_ball_system()
-    group = bs.group
     assert bs.layer_sizes() == [1, 3, 6, 20, 28, 36]
-    _assert_levels_match_oracle(bs, group.mul_data, gens)
-    _assert_blocks_match_oracle(
-        bs, group.mul_data, {(2, 2): (3, 6), (2, 3): (3, 20), (3, 2): (20, 3)}
+    _assert_levels_match_oracle(bs, dihedral_ops(32)[0], gens)
+
+
+def _dihedral_subgroup(m, d, i):
+    """<r^d, s r^i> in D_m, of index d; not normal once d >= 3."""
+    return frozenset((k,) for k in range(0, m, d)) | frozenset(
+        (m + (i + k) % m,) for k in range(0, m, d)
     )
+
+
+def _random_chain(subgroups, rng):
+    """Five nested subgroups: a sorted draw, with repeats, from a nested list."""
+    return [subgroups[j] for j in sorted(rng.choices(range(len(subgroups)), k=5))]
+
+
+def _random_generators(group, pool, rng):
+    """A random pair from pool, closed under inverses, that generates group."""
+    while True:
+        try:
+            return symmetric_generating_set(group, [group.element(x) for x in rng.sample(pool, 2)])
+        except DoesNotGenerate:
+            continue
+
+
+def _alternating():
+    """A_5 as a table on indices into its sorted even permutations (index 0
+    is e), with the product on indices and the permutation -> index map."""
+    perms = [p for p in permutations(range(5)) if sum(
+        p[i] > p[j] for i in range(5) for j in range(i + 1, 5)
+    ) % 2 == 0]
+    index = {p: i for i, p in enumerate(perms)}
+
+    def mul(a, b):
+        p, q = perms[a[0]], perms[b[0]]
+        return (index[tuple(p[q[k]] for k in range(5))],)
+
+    order = len(perms)
+    table = tuple(tuple(mul((a,), (b,))[0] for b in range(order)) for a in range(order))
+    return FiniteTableGroup(FiniteGroupSpec(table=table)), mul, index
+
+
+def _ball_system(group, gens, chain):
+    return build_ball_system(group, gens, [[Element(group, x) for x in f] for f in chain], 5)
+
+
+def _random_ball_systems(rng):
+    """(family, ball system, oracle product, S_1) on random chains and S_1.
+
+    D_m: {e} < <s r^i> < <r^d, s r^i> < ... with each d a proper divisor of
+    the last and >= 3, so no subgroup but {e} is normal. Z x Z/n: the
+    subgroups c Z/n of the torsion part, each c a divisor of the last. A_5:
+    {e} < <t>, t an involution, and then <t, x> for a random x if it has
+    order at most 6.
+    """
+    for m in (12, 15, 16, 20, 24, 28, 30, 32):  # D_32 is the largest table allowed
+        group = _dihedral(m)
+        i, ds = rng.randrange(m), [m]
+        while rng.random() < 0.7:
+            smaller = [d for d in range(3, ds[-1]) if ds[-1] % d == 0]
+            if not smaller:
+                break
+            ds.append(rng.choice(smaller))
+        subgroups = [frozenset({(0,)})] + [_dihedral_subgroup(m, d, i) for d in ds]
+        gens = _random_generators(group, [(x,) for x in range(1, 2 * m)], rng)
+        bs = _ball_system(group, gens, _random_chain(subgroups, rng))
+        yield "dihedral", bs, dihedral_ops(m)[0], gens
+    for n in (4, 6, 8, 12):
+        group, _ = cylinder(n)
+        cs = [n]
+        while cs[-1] > 1:
+            cs.append(rng.choice([c for c in range(1, cs[-1]) if cs[-1] % c == 0]))
+        subgroups = [frozenset((0, x) for x in range(0, n, c)) for c in cs]
+        pool = [(x, c) for x in range(-2, 3) for c in range(n) if (x, c) != (0, 0)]
+        gens = _random_generators(group, pool, rng)
+        bs = _ball_system(group, gens, _random_chain(subgroups, rng))
+        yield "cylinder", bs, cyl_ops(n)[0], gens
+    group, mul, _ = _alternating()
+    order = group.order
+    involutions = [(x,) for x in range(1, order) if mul((x,), (x,)) == (0,)]
+    for _ in range(12):
+        subgroups = [frozenset({(0,)}), frozenset({(0,), rng.choice(involutions)})]
+        more = _generated(group, subgroups[-1] | {(rng.randrange(order),)})
+        if len(more) <= 6:
+            subgroups.append(frozenset(more))
+        gens = _random_generators(group, [(x,) for x in range(1, order)], rng)
+        bs = _ball_system(group, gens, _random_chain(subgroups, rng))
+        yield "alternating", bs, mul, gens
+
+
+def test_two_outer_blocks_match_every_block_on_random_chains():
+    # the oracle multiplies out every block B_k B_{n-k}; a level B_n with
+    # n >= 4 that is neither B_{n-1} nor the whole group is one where the
+    # middle blocks could have added elements
+    rng = random.Random(2026)
+    open_levels = set()
+    for family, bs, mul, gens in _random_ball_systems(rng):
+        _assert_levels_match_oracle(bs, mul, gens)
+        sizes = bs.layer_sizes()
+        order = None if family == "cylinder" else bs.group.order
+        for n in (4, 5):
+            if sizes[n] > sizes[n - 1] and sizes[n] != order:
+                open_levels.add(family)
+    assert open_levels == {"dihedral", "cylinder", "alternating"}
+
+
+def test_mirror_block_is_needed():
+    # A_5 with F_1 = {e} and F_n = <t> after it: F_3 B_1 B_2 F_3 misses four
+    # elements of B_3 that only the mirror block B_2 B_1 supplies
+    group, mul, index = _alternating()
+    t, a, b = ((index[p],) for p in ((3, 2, 1, 0, 4), (0, 1, 3, 4, 2), (3, 2, 4, 1, 0)))
+    gens = symmetric_generating_set(group, [group.element(a), group.element(b)])
+    f = frozenset({(0,), t})
+    bs = _ball_system(group, gens, [frozenset({(0,)}), f, f, f, f])
+    assert bs.layer_sizes() == [1, 5, 22, 42, 58, 60]
+    _assert_levels_match_oracle(bs, mul, gens)
+    short = [
+        len({mul(mul(g, mul(x.data, y.data)), h)
+             for x in bs.elements(1) for y in bs.elements(n - 1) for g in f for h in f})
+        for n in range(2, 6)
+    ]
+    assert short == [22, 38, 58, 60]
 
 
 def test_bs_norm(lamp_bs4):
@@ -253,45 +352,14 @@ def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
         assert calls[0] < len(f) * (math.log2(len(f)) + 1)
 
 
-@pytest.mark.parametrize(
-    "n, bad, match",
-    [
-        # k = n - k = 2: F_2 B_2 inside B_2, then B_2 = R F_2
-        (4, "right", r"B_2 \(F_2 on the left\) is not invariant"),
-        (4, "left", r"B_2 \(F_2 on the right\) is not a union of cosets"),
-        # k = 3 > n - k = 2: B_3 F_2 inside B_3, then B_2 = F_2 L
-        (5, "b3", r"B_3 \(F_2 on the right\) is not invariant"),
-        (5, "b2", r"B_2 \(F_2 on the left\) is not a union of cosets"),
-    ],
-)
-def test_level_blocks_check_invariance(lamp_pair, n, bad, match):
-    group, gens = lamp_pair
-    chain = tuple(frozenset(x.data for x in level) for level in lamp_chain(group, n))
-    chain_gens = [_check_subgroup(group, f, f"F_{i + 1}") for i, f in enumerate(chain)]
-    t, f2 = group.element(((), 1)).data, chain[1]
-    # t F_2 lights [-1, 3] and F_2 t lights [-2, 2]: each is a union of
-    # cosets of F_2 on one side only
-    right_cosets = f2 | {group.mul_data(t, f) for f in f2}
-    left_cosets = f2 | {group.mul_data(f, t) for f in f2}
-    e = group.identity_data()
-    levels = [frozenset({e}), frozenset(s.data for s in gens) | {e}]
-    if n == 4:
-        levels += [right_cosets if bad == "right" else left_cosets, chain[2]]
-    else:
-        # the B_2 B_3 block passes, so B_2 is right- and B_3 left-invariant
-        levels += [right_cosets, left_cosets if bad == "b3" else chain[2], chain[3]]
-    with pytest.raises(AxiomViolation, match=match):
-        _build_level(group, levels, chain, chain_gens, 10**6)
-
-
 def test_ball_system_work_counts(lamp_pair, monkeypatch):
-    # subgroup checks, level blocks over coset representatives and the F_n
-    # expansions; all-pairs level blocks alone made 206,096 products
+    # subgroup checks and F_n expansions 62,328, and the outer blocks
+    # B_1 B_1, B_1 B_2 u B_2 B_1 and B_1 B_3 u B_3 B_1 33,040
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
     calls = _count_products(monkeypatch, LamplighterGroup)
     build_ball_system(group, gens, chain, 4)
-    assert calls[0] == 103_272
+    assert calls[0] == 95_368
 
 
 def test_budget_below_one_is_refused(lamp_pair, monkeypatch):
@@ -464,12 +532,11 @@ def test_axiom_check_walks_no_trivial_subgroup(monkeypatch):
 
 
 def test_ballsystem_run_work_counts(monkeypatch):
-    # parsing 30, build 103,272, axiom check 41,667, annihilator checks
-    # 29,696; the all-pairs axiom check made it 387,492
+    # parsing 30, build 95,368, axiom check 41,667, annihilator checks 29,696
     calls = _count_products(monkeypatch, LamplighterGroup)
     _, _, config = parse_spec(spec_path("lamplighter.spec"))
     run_command(config)
-    assert calls[0] == 174_695
+    assert calls[0] == 166_791
 
 
 def test_axiom_check_reports_a_missing_product(lamp_pair):
