@@ -58,34 +58,27 @@ class Functional:
     one ball's BFS order, so equality and hashing use the ball (by identity),
     domain_radius and vector. How a class is realized at a level (its
     witnesses, stability and Busemann flag) lives on ``BoundaryClass``.
+
+    Every construction checks the vector against the norm and every edge of
+    B_m through ``Ball.check_lipschitz``, which walks the edges once per
+    distinct vector on a ball.
     """
 
     __slots__ = ("ball", "domain_radius", "vector")
 
-    def __init__(self, ball: Ball, domain_radius: int, vector: tuple[int, ...]):
+    def __init__(self, ball: Ball, domain_radius: int, vector: Sequence[int]):
         size = ball.size(domain_radius)
         if len(vector) != size:
             raise DomainMismatch(
                 f"vector has {len(vector)} entries, B_{domain_radius} has {size}"
             )
+        vector = tuple(vector)
         if vector[0] != 0:
             raise ValueError("functional must vanish at the identity")
+        ball.check_lipschitz(vector)  # once per distinct vector on this ball
         self.ball = ball
         self.domain_radius = domain_radius
         self.vector = vector
-        self._check_lipschitz()
-
-    def _check_lipschitz(self) -> None:
-        vec = self.vector
-        size = len(vec)
-        if any(abs(v) > d for v, d in zip(vec, self.ball.dist)):
-            raise ValueError("functional exceeds the word norm somewhere")
-        # every edge {x_i, x_j} of B_m, read once from its lower end i < j;
-        # -1 (a product outside the ball) never passes i < j
-        for col in self.ball.neighbours(size):
-            for i, j in enumerate(col[:size]):
-                if i < j < size and abs(vec[i] - vec[j]) > 1:
-                    raise ValueError("functional is not 1-Lipschitz along an edge")
 
     def value(self, x: Element) -> int:
         if x.group is not self.ball.group:

@@ -142,7 +142,11 @@ class NotASubgroup(HoroboundError):
 
 
 class SizeBudget(HoroboundError):
-    """Ball-system construction exceeded the element budget."""
+    """An enumeration passed its budget; the message gives the partial size.
+
+    Raised by ball-system construction (elements per level, levels), by a
+    finite table past its order budget, and by the simple-cycle DFS (steps).
+    """
 
 
 class OutOfRange(HoroboundError):

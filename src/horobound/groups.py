@@ -495,11 +495,12 @@ class VAbExtensionGroup(ExtensionGroup):
         return (vec, q)
 
     # (v; q)(w; p) = (v + A_q w + c(q, p); qp), summed in C through map
-    # rather than a generator expression per product.
+    # rather than a generator expression per product. A_1 = I is enforced
+    # above, so q = 0 multiplies by no matrix.
     def mul_data(self, a: tuple, b: tuple) -> tuple:
         v, q = a
         w, p = b
-        tw = mat_vec(self.action[q], w)
+        tw = mat_vec(self.action[q], w) if q else w
         c = self.cocycle[q][p]
         return (tuple(map(add, map(add, v, tw), c)), self.table[q][p])
 
@@ -507,8 +508,8 @@ class VAbExtensionGroup(ExtensionGroup):
         v, q = a
         p = self.q_inverse[q]
         c = self.cocycle[q][p]
-        w = mat_vec(self._action_inv[q], tuple(map(neg, map(add, v, c))))
-        return (w, p)
+        w = tuple(map(neg, map(add, v, c)))
+        return (mat_vec(self._action_inv[q], w) if q else w, p)
 
     def coset_of(self, data: tuple) -> int:
         return data[1]

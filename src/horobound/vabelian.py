@@ -24,6 +24,7 @@ from .errors import (
     NotExtreme,
     OutOfBall,
     OutOfRange,
+    SizeBudget,
     VerificationFailed,
 )
 from .groups import Element, ExtensionGroup, GeneratingSet, Group, coset_sweep
@@ -68,6 +69,11 @@ def _extension(group: Group) -> ExtensionGroup:
 
 # ---------------------------------------------------------------------------
 # quotient graph and simple cycles
+
+# The simple-cycle DFS tries one (coset, generator) step per group product,
+# and the number of simple paths can grow exponentially in |Q|. Past this
+# many steps it stops; the bundled specs need at most 750 (cylinder_n6).
+CYCLE_DFS_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -143,16 +149,27 @@ def simple_cycle_labels(qg: QuotientGraph) -> SimpleCycleSet:
 
     A path may revisit no intermediate coset and closes only at the base, so
     word lengths never exceed the quotient order. The label set is verified
-    to be inverse-closed, which reversing each cycle guarantees.
+    to be inverse-closed, which reversing each cycle guarantees. Past
+    ``CYCLE_DFS_BUDGET`` steps the DFS raises ``SizeBudget`` with the number
+    of cycles found so far.
     """
     group = qg.group
     gens = qg.gens
     base = qg.base
     identity = group.identity_data()
     pairs: list[tuple[Element, tuple[int, ...]]] = []
+    budget = CYCLE_DFS_BUDGET
+    steps = 0
 
     def dfs(vertex: int, visited: set[int], word: list[int], acc: tuple) -> None:
+        nonlocal steps
         for s, elt in enumerate(gens.elements):
+            steps += 1
+            if steps > budget:
+                raise SizeBudget(
+                    f"simple-cycle DFS exceeded its budget of {budget} steps "
+                    f"({len(pairs)} cycles found so far)"
+                )
             target = qg.edges[vertex][s]
             nxt = group.mul_data(acc, elt.data)
             if target == base:

@@ -16,7 +16,7 @@ from horobound.boundary import (
     sign_match,
     slow_geodesic,
 )
-from horobound.cayley import Ball, geodesic_between, grow_ball
+from horobound.cayley import Ball, geodesic_between, grow_ball, segment
 from horobound.errors import (
     DomainExhausted,
     DomainMismatch,
@@ -81,9 +81,82 @@ def test_lipschitz_check_reads_the_outermost_sphere():
     assert ball.data_up_to(2) == [(0,), (1,), (4,), (2,), (3,)]
     with pytest.raises(ValueError, match="Lipschitz"):
         Functional(ball, 2, tuple(values[d] for d in ball.data_up_to(2)))
+    with pytest.raises(ValueError, match="Lipschitz"):  # not remembered as checked
+        Functional(ball, 2, tuple(values[d] for d in ball.data_up_to(2)))
     values[(2,)], values[(3,)] = 1, 0
     ok = Functional(grow_ball(g5, gens, 2), 2, tuple(values[d] for d in ball.data_up_to(2)))
     assert ok.vector == (0, 1, -1, 1, 0)
+
+
+def test_functional_stores_a_caller_list_as_a_tuple(z_ball):
+    h = Functional(z_ball, 1, [0, -1, 1])
+    assert h.vector == (0, -1, 1)
+    assert h == Functional(z_ball, 1, (0, -1, 1))
+    assert len({h, Functional(z_ball, 1, (0, -1, 1))}) == 1
+
+
+def _mutant(ball: Ball, vec: tuple, rng: random.Random) -> tuple:
+    """vec with one entry pushed past the norm bound or 2 away from its BFS parent."""
+    i = rng.randrange(1, len(vec))
+    out = list(vec)
+    if rng.random() < 0.5:
+        out[i] = rng.choice((1, -1)) * (ball.dist[i] + 1)
+    else:
+        out[i] = vec[ball.parent[i]] + rng.choice((2, -2))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_checked_vectors_never_admit_a_mutant(name):
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 8)
+    rng = random.Random(16)
+    pool = ball.data_up_to(5)
+    for _ in range(20):
+        h = busemann_functional(ball, Element(group, rng.choice(pool)), 3)
+        assert Functional(ball, 3, h.vector) == h  # now a remembered vector
+        bad = _mutant(ball, h.vector, rng)
+        for _ in range(2):  # a rejected vector is rejected every time
+            with pytest.raises(ValueError, match="word norm|Lipschitz"):
+                Functional(ball, 3, bad)
+
+
+def test_one_vector_is_checked_on_each_ball(z_ball):
+    # x -> x on B_2 of Z, in BFS order 0, 1, -1, 2, -2; on Z/5 (order 0, 1,
+    # 4, 2, 3) the same tuple puts 2 and -2 on the edge 2 -- 3
+    g5 = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(5,)))
+    ball5 = grow_ball(g5, symmetric_generating_set(g5, [g5.element((1,))]), 3)
+    vec = (0, 1, -1, 2, -2)
+    assert Functional(z_ball, 2, vec).vector == vec
+    with pytest.raises(ValueError, match="Lipschitz"):
+        Functional(ball5, 2, vec)
+
+
+def test_edge_walk_runs_once_per_distinct_vector_and_ball(monkeypatch):
+    walked = []
+    walk = Ball._walk_lipschitz
+
+    def spy(ball, vec):
+        walked.append((id(ball), vec))
+        walk(ball, vec)
+
+    monkeypatch.setattr(Ball, "_walk_lipschitz", spy)
+    built = set()
+    balls = []  # kept alive, so that no two balls share an id
+    for name in sorted(REGISTRY):  # criterion 06 at a smaller size
+        group, gens = example(name)
+        ball = grow_ball(group, gens, 10)
+        balls.append(ball)
+        rng = random.Random(2026)
+        identity = group.identity()
+        for ydata in rng.choices(ball.data_up_to(6), k=40):
+            y = group.element(ydata)
+            for z in segment(ball, identity, y):
+                h = busemann_functional(ball, z, 4)
+                built.add((id(ball), h.vector))
+                built.add((id(ball), h.restrict(2).vector))
+    assert len(walked) == len(set(walked)) == len(built)
+    assert set(walked) == built
 
 
 @pytest.mark.parametrize("name,m", [("z2", 3), ("cylinder_n4", 2)])

@@ -19,6 +19,7 @@ from importlib import resources
 import pytest
 
 import horobound.cli as cli_mod
+from horobound import vabelian
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import NoDominatorAtLevel, SchemaError, ValidationError
 from horobound.examples import example
@@ -470,6 +471,17 @@ def test_main_quotient_past_the_table_budget_exits_1(tmp_path):
     assert code == 1 and out == b""
     assert err.startswith(f"error: SizeBudget: Z/{n} has order {n}, past the table budget")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["polytope", "witness"])
+def test_main_cycle_dfs_budget_exits_1(monkeypatch, command):
+    monkeypatch.setattr(vabelian, "CYCLE_DFS_BUDGET", 2)
+    code, out, err = run_cli([command, spec_path("z2_standard.spec")])
+    assert code == 1 and out == b""
+    assert err == (
+        "error: SizeBudget: simple-cycle DFS exceeded its budget of 2 steps"
+        " (2 cycles found so far)\n"
+    )
 
 
 def test_main_finite_non_generating_exits_1(tmp_path):

@@ -6,7 +6,14 @@ import pytest
 
 from horobound import vabelian
 from horobound.cayley import grow_ball
-from horobound.errors import GroupMismatch, NotConnected, NotExtreme, OutOfRange, VerificationFailed
+from horobound.errors import (
+    GroupMismatch,
+    NotConnected,
+    NotExtreme,
+    OutOfRange,
+    SizeBudget,
+    VerificationFailed,
+)
 from horobound.examples import REGISTRY, cylinder, example
 from horobound.groups import (
     ExtensionGroup,
@@ -414,3 +421,13 @@ def test_witness_needs_rank_two(z_pair):
 def test_witness_level_guard(z2_pair):
     with pytest.raises(ValueError):
         infinite_boundary_witness(*z2_pair, 5, 5)
+
+
+def test_cycle_dfs_stops_at_its_budget(monkeypatch, z2_pair):
+    # on Z^2 the quotient is one coset, so each of the 4 steps closes a cycle
+    qg = quotient_graph(*z2_pair)
+    monkeypatch.setattr(vabelian, "CYCLE_DFS_BUDGET", 4)
+    assert len(simple_cycle_labels(qg).pairs) == 4
+    monkeypatch.setattr(vabelian, "CYCLE_DFS_BUDGET", 2)
+    with pytest.raises(SizeBudget, match=r"budget of 2 steps \(2 cycles found so far\)"):
+        simple_cycle_labels(qg)
