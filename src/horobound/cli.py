@@ -45,8 +45,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .annihilator import annihilator_candidates
-from .boundary import boundary_approx, slow_geodesic
+from .annihilator import DEFAULT_GAP, annihilator_candidates
+from .boundary import STABILITY_WINDOW, boundary_approx, slow_geodesic
 from .cayley import DEFAULT_BUDGET, geodesic_prefixes, grow_ball
 from .errors import (
     Diagnostic,
@@ -78,6 +78,8 @@ from .metrics import (
     metric_axiom_check,
 )
 from .vabelian import (
+    DEFAULT_SELECTOR,
+    WITNESS_K,
     cloud_hull,
     conjugate_cloud,
     infinite_boundary_witness,
@@ -90,30 +92,35 @@ from .vabelian import (
 
 __all__ = ["RunConfig", "parse_spec", "run_command", "emit_report", "main"]
 
-# the command-line flags of each command (--r, --n-max, ...): the [run] keys
-# its handler reads that have a flag. The parser and the missing-parameter
-# message both read this one table. Every flag but --extreme takes an
-# integer; --out and --seed go on every command
-COMMAND_FLAGS = {
-    "ball": ("r", "budget"),
-    "boundary": ("r", "m", "budget"),
-    "annihilator": ("r", "m", "budget", "gap"),
-    "polytope": ("r", "budget", "extreme"),
-    "witness": ("r", "m", "k", "budget", "extreme"),
-    "ballsystem": ("n_max", "budget"),
-    "bend": ("r", "m", "budget"),
-}
-COMMANDS = tuple(COMMAND_FLAGS)
+REQUIRED = object()  # the default of a parameter that has none
 
-# every [run] key some command reads besides command and seed: the flagged
-# ones and those only a [run] entry sets. Any other key is a misspelling. It
-# is one union for all commands, because the subcommand on the command line
-# may run a spec under another command than its own
-RUN_KEYS = frozenset().union(*COMMAND_FLAGS.values()) | {"n", "window", "scan_m", "ell", "x"}
+# each command's parameters in the order they are read, and the value a
+# missing one takes. The parser gives a command a flag per parameter outside
+# RUN_ONLY; [run] accepts the parameters of every command, since the
+# subcommand may run a spec under another command; each handler gets exactly
+# its row, typed. TEXT parameters are strings, all others integers
+PARAMS: dict[str, dict[str, object]] = {
+    "ball": {"r": REQUIRED, "budget": DEFAULT_BUDGET, "n": None},
+    "boundary": {"r": REQUIRED, "m": REQUIRED, "window": STABILITY_WINDOW, "budget": DEFAULT_BUDGET},
+    "annihilator": {"r": REQUIRED, "m": REQUIRED, "budget": DEFAULT_BUDGET, "gap": DEFAULT_GAP},
+    "polytope": {"r": REQUIRED, "budget": DEFAULT_BUDGET, "extreme": DEFAULT_SELECTOR},
+    "witness": {"r": REQUIRED, "m": REQUIRED, "k": WITNESS_K, "budget": DEFAULT_BUDGET,
+                "extreme": DEFAULT_SELECTOR},
+    "ballsystem": {"n_max": 4, "budget": DEFAULT_SET_BUDGET},
+    "bend": {"r": REQUIRED, "m": REQUIRED, "scan_m": REQUIRED, "ell": REQUIRED,
+             "budget": DEFAULT_BUDGET, "x": REQUIRED},
+}
+RUN_ONLY = frozenset({"n", "window", "scan_m", "ell", "x"})
+TEXT = frozenset({"extreme", "x"})
+RUN_KEYS = frozenset().union(*PARAMS.values())
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
+
+
+def _flagged(command: str) -> list[str]:
+    return [key for key in PARAMS[command] if key not in RUN_ONLY]
 
 
 @dataclass(frozen=True)
@@ -127,40 +134,28 @@ class RunConfig:
     witnesses: tuple[str, ...]
     params: tuple[tuple[str, str], ...]
     out: str | None = None
-    seed: int | None = None
 
-    def param(self, key: str) -> str | None:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return None
-
-    def int_param(self, key: str, default: int | None = None) -> int | None:
-        raw = self.param(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise SchemaError(f"parameter {key!r} must be an integer, got {raw!r}") from None
-
-    def require_int(self, key: str) -> int:
-        v = self.int_param(key)
-        if v is None:
-            raise self._missing(key)
-        return v
-
-    def require_str(self, key: str) -> str:
-        raw = self.param(key)
-        if raw is None:
-            raise self._missing(key)
-        return raw
-
-    def _missing(self, key: str) -> SchemaError:
-        flag = f"{_flag(key)} or " if key in COMMAND_FLAGS.get(self.command, ()) else ""
-        return SchemaError(
-            f"command {self.command!r} needs parameter {key!r} ({flag}a [run] entry)"
-        )
+    def read_params(self) -> dict[str, object]:
+        """The command's PARAMS row, typed, with each absent key at its default."""
+        given = dict(self.params)
+        typed: dict[str, object] = {}
+        for key, default in PARAMS[self.command].items():
+            raw = given.get(key)
+            if raw is None:
+                if default is REQUIRED:
+                    flag = "" if key in RUN_ONLY else f"{_flag(key)} or "
+                    raise SchemaError(
+                        f"command {self.command!r} needs parameter {key!r} ({flag}a [run] entry)"
+                    )
+                typed[key] = default
+            elif key in TEXT:
+                typed[key] = raw
+            else:
+                try:
+                    typed[key] = int(raw)
+                except ValueError:
+                    raise SchemaError(f"parameter {key!r} must be an integer, got {raw!r}") from None
+        return typed
 
     def with_params(self, **updates: object) -> "RunConfig":
         merged = dict(self.params)
@@ -175,7 +170,7 @@ class RunConfig:
             "generators": list(self.generators),
             "labels": list(self.labels) if self.labels else None,
             "params": dict(self.params),
-            "seed": self.seed,
+            "seed": None,  # kept while the stored reports carry it
         }
 
 
@@ -296,6 +291,16 @@ def _parse_elements(group: Group, section: str, key: str, raw: str) -> list[Elem
     return out
 
 
+def _ini_error(exc: configparser.Error) -> str:
+    """One line for a configparser error, with the line number it names."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        lineno, line = exc.errors[0]  # line as repr() shows it
+        return f"line {lineno}: expected 'key = value', got {line}"
+    return " ".join(str(exc).split())
+
+
 def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
     """Read and validate a spec file.
 
@@ -315,8 +320,8 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
             cp.read_file(fh, source=path)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except configparser.Error as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    except configparser.Error as exc:  # its text runs over several lines
+        raise SchemaError(f"{path}: {_ini_error(exc)}") from None
 
     for required in ("group", "generators"):
         if required not in cp:
@@ -366,15 +371,12 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
 
     params: dict[str, str] = {}
     command = None
-    seed = None
     if "run" in cp:
         for key, value in cp["run"].items():
             if key == "command":
                 command = value.strip()
-                if command not in COMMANDS:
+                if command not in PARAMS:
                     raise SchemaError(f"{path}: [run] unknown command {command!r}")
-            elif key == "seed":
-                seed = _parse_int("run", "seed", value)
             elif key in RUN_KEYS:
                 params[key] = value.strip()
             else:
@@ -387,7 +389,6 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
         labels=labels,
         witnesses=tuple(str(w) for w in witnesses),
         params=tuple(sorted(params.items())),
-        seed=seed,
     )
     return group, gens, config
 
@@ -402,19 +403,17 @@ def _text_file(write) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _cmd_ball(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    r = cfg.require_int("r")
-    budget = cfg.int_param("budget", DEFAULT_BUDGET)
-    ball = grow_ball(group, gens, r, budget=budget)
+def _cmd_ball(group: Group, gens: GeneratingSet, p: dict):
+    r = p["r"]
+    ball = grow_ball(group, gens, r, budget=p["budget"])
     body = {
         "radius": r,
         "size": ball.size(r),
         "layer_sizes": [ball.size(k) - ball.size(k - 1) for k in range(r + 1)],
     }
     sides = {"ball.csv": _text_file(ball.to_csv)}
-    n = cfg.int_param("n")
-    if n is not None:
-        dag = geodesic_prefixes(ball, n, r)
+    if p["n"] is not None:
+        dag = geodesic_prefixes(ball, p["n"], r)
         body["prefix_tree"] = {
             "depth": dag.depth,
             "min_horizon": dag.min_horizon,
@@ -424,35 +423,25 @@ def _cmd_ball(group: Group, gens: GeneratingSet, cfg: RunConfig):
     return body, sides
 
 
-def _cmd_boundary(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    r = cfg.require_int("r")
-    m = cfg.require_int("m")
-    window = cfg.int_param("window", 3)
-    budget = cfg.int_param("budget", DEFAULT_BUDGET)
-    ball = grow_ball(group, gens, r + m, budget=budget)
-    approx = boundary_approx(ball, r, m, window=window)
+def _cmd_boundary(group: Group, gens: GeneratingSet, p: dict):
+    ball = grow_ball(group, gens, p["r"] + p["m"], budget=p["budget"])
+    approx = boundary_approx(ball, p["r"], p["m"], window=p["window"])
     return approx.to_json_dict(), {}
 
 
-def _cmd_annihilator(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    r = cfg.require_int("r")
-    m = cfg.require_int("m")
-    gap = cfg.int_param("gap", 2)
-    budget = cfg.int_param("budget", DEFAULT_BUDGET)
-    ball = grow_ball(group, gens, r + m, budget=budget)
-    report = annihilator_candidates(ball, m, gap=gap)
+def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
+    ball = grow_ball(group, gens, p["r"] + p["m"], budget=p["budget"])
+    report = annihilator_candidates(ball, p["m"], gap=p["gap"])
     return report.to_json_dict(), {"candidates.csv": _text_file(report.to_csv)}
 
 
-def _cmd_polytope(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    r = cfg.require_int("r")
-    budget = cfg.int_param("budget", DEFAULT_BUDGET)
-    selector = cfg.param("extreme") or "lex"
+def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
+    r = p["r"]
     qg = quotient_graph(group, gens)
     cycles = simple_cycle_labels(qg)
     cloud = conjugate_cloud(cycles, group)
     poly = cloud_hull(cloud)
-    ball = grow_ball(group, gens, r, budget=budget)
+    ball = grow_ball(group, gens, r, budget=p["budget"])
     body = {
         "quotient_graph": qg.to_json_dict(),
         "cycles": cycles.to_json_dict(),
@@ -460,34 +449,28 @@ def _cmd_polytope(group: Group, gens: GeneratingSet, cfg: RunConfig):
         "hull": poly.to_json_dict(),
         "membership": step1_membership(poly, ball, r).to_json_dict(),
         "functional": lipschitz_hom(
-            poly, select_extreme(poly, selector), cloud, ball
+            poly, select_extreme(poly, p["extreme"]), cloud, ball
         ).to_json_dict(),
     }
     return body, {}
 
 
-def _cmd_witness(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    r = cfg.require_int("r")
-    m = cfg.require_int("m")
-    k = cfg.int_param("k", 5)
-    budget = cfg.int_param("budget", DEFAULT_BUDGET)
-    selector = cfg.param("extreme") or "lex"
+def _cmd_witness(group: Group, gens: GeneratingSet, p: dict):
     report = infinite_boundary_witness(
-        group, gens, r, m, k=k, selector=selector, budget=budget
+        group, gens, p["r"], p["m"], k=p["k"], selector=p["extreme"], budget=p["budget"]
     )
     return report.to_json_dict(), {}
 
 
-def _cmd_ballsystem(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    n_max = cfg.int_param("n_max", 4)
-    budget = cfg.int_param("budget", DEFAULT_SET_BUDGET)
+def _cmd_ballsystem(group: Group, gens: GeneratingSet, p: dict):
+    n_max = p["n_max"]
     check_n_max(n_max)  # before any chain is built
     if isinstance(group, LamplighterGroup):
         chain = lamp_chain(group, n_max)
     else:
         # degenerate chain: the ball system collapses to the word metric
         chain = [[group.identity()] for _ in range(n_max)]
-    bs = build_ball_system(group, gens, chain, n_max, budget=budget)
+    bs = build_ball_system(group, gens, chain, n_max, budget=p["budget"])
     checks = [
         bs_annihilator_check(bs, Element(group, data), 1).to_json_dict()
         for data in sorted(bs.chain[0], key=group.sort_key)
@@ -500,17 +483,13 @@ def _cmd_ballsystem(group: Group, gens: GeneratingSet, cfg: RunConfig):
     return body, {}
 
 
-def _cmd_bend(group: Group, gens: GeneratingSet, cfg: RunConfig):
-    r = cfg.require_int("r")
-    m = cfg.require_int("m")
-    scan_m = cfg.require_int("scan_m")
-    ell = cfg.require_int("ell")
-    budget = cfg.int_param("budget", DEFAULT_BUDGET)
+def _cmd_bend(group: Group, gens: GeneratingSet, p: dict):
+    r, m, scan_m, ell = p["r"], p["m"], p["scan_m"], p["ell"]
     try:
-        x = group.parse(cfg.require_str("x"))
+        x = group.parse(p["x"])
     except ValueError as exc:
         raise SchemaError(f"[run] x: {exc}") from None
-    ball = grow_ball(group, gens, r + m, budget=budget)
+    ball = grow_ball(group, gens, r + m, budget=p["budget"])
     approx = boundary_approx(ball, r, m)
     sg = slow_geodesic(x, scan_m, ell, ball, approx)
     body = {
@@ -547,13 +526,14 @@ def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
     """Rebuild the group from the config and dispatch; pure in the config."""
     if config.command not in _HANDLERS:
         raise SchemaError(f"unknown command {config.command!r}")
+    params = config.read_params()
     group = build_group(config.group_spec)
     elements = [group.parse(t) for t in config.generators]
     witnesses = [group.parse(t) for t in config.witnesses]
     gens = symmetric_generating_set(
         group, elements, config.labels, witnesses=witnesses or None
     )
-    body, sides = _HANDLERS[config.command](group, gens, config)
+    body, sides = _HANDLERS[config.command](group, gens, params)
     report = {
         "command": config.command,
         "group": group.describe(),
@@ -583,19 +563,18 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in PARAMS:
         p = sub.add_parser(name, help=f"run the {name} pipeline", allow_abbrev=False)
         p.add_argument("spec", help="path to a group spec file")
-        for key in COMMAND_FLAGS[name]:
+        for key in _flagged(name):
             p.add_argument(
                 _flag(key),
-                type=str if key == "extreme" else int,
+                type=str if key in TEXT else int,
                 default=None,
                 dest=key,
                 metavar="lex|index:<i>" if key == "extreme" else None,
             )
         p.add_argument("--out", type=str, default=None, metavar="DIR")
-        p.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -606,12 +585,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         _, _, config = parse_spec(args.spec)
-        config = replace(
-            config,
-            command=args.command,
-            out=args.out,
-            seed=args.seed if args.seed is not None else config.seed,
-        ).with_params(**{key: getattr(args, key) for key in COMMAND_FLAGS[args.command]})
+        config = replace(config, command=args.command, out=args.out).with_params(
+            **{key: getattr(args, key) for key in _flagged(args.command)}
+        )
         report, sides = run_command(config)
     except Diagnostic as exc:
         payload = {

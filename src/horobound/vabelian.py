@@ -575,13 +575,19 @@ def select_extreme(poly: RationalPolytope, selector: str) -> Point:
     return poly.vertices[i]
 
 
+# how many distinct restrictions a witness looks for, and which extreme point
+# of the hull it reads the functional from, unless told otherwise
+WITNESS_K = 5
+DEFAULT_SELECTOR = "lex"
+
+
 def infinite_boundary_witness(
     group: Group,
     gens: GeneratingSet,
     r: int,
     m: int,
-    k: int = 5,
-    selector: str = "lex",
+    k: int = WITNESS_K,
+    selector: str = DEFAULT_SELECTOR,
     budget: int = DEFAULT_BUDGET,
 ) -> WitnessReport:
     """Produce k pairwise-distinct Busemann restrictions at level (r, m).

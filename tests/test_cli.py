@@ -4,10 +4,10 @@ Exit codes: 0 for a completed run, 2 for a structured diagnostic (payload
 on stdout), 1 for anything else (message on stderr).
 """
 
-import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,6 +20,9 @@ import pytest
 
 import horobound.cli as cli_mod
 from horobound import vabelian
+from horobound.annihilator import DEFAULT_GAP
+from horobound.boundary import STABILITY_WINDOW
+from horobound.cayley import DEFAULT_BUDGET
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import NoDominatorAtLevel, SchemaError, ValidationError
 from horobound.examples import example
@@ -97,7 +100,6 @@ def test_parse_spec_z_line_details():
     assert cfg.generators == ("(1)", "(-1)")
     assert cfg.labels == ("a", "a^-1")
     assert cfg.witnesses == ()
-    assert cfg.seed is None
 
 
 def test_parse_spec_lamplighter_witnesses():
@@ -231,7 +233,7 @@ def test_parse_spec_validation_errors(tmp_path, text, match):
 
 
 # ---------------------------------------------------------------------------
-# RunConfig helpers
+# RunConfig.read_params and the PARAMS table
 
 
 def _config(**params):
@@ -239,62 +241,83 @@ def _config(**params):
     return cfg.with_params(**params)
 
 
-def test_runconfig_param_lookup():
-    cfg = _config()
-    assert cfg.param("r") == "10"
-    assert cfg.param("absent") is None
-    assert cfg.int_param("m") == 3
-    assert cfg.int_param("absent", 7) == 7
+def test_read_params_types_and_fills_defaults():
+    # z_line.spec runs boundary with r = 10 and m = 3
+    assert _config().read_params() == {
+        "r": 10,
+        "m": 3,
+        "window": STABILITY_WINDOW,
+        "budget": DEFAULT_BUDGET,
+    }
+    assert _config(window=5).read_params()["window"] == 5
 
 
-def test_runconfig_int_param_rejects_garbage():
-    cfg = _config(window="soon")
-    with pytest.raises(SchemaError, match="'window' must be an integer"):
-        cfg.int_param("window")
+def test_read_params_rejects_garbage():
+    with pytest.raises(SchemaError, match="^parameter 'window' must be an integer, got 'soon'$"):
+        _config(window="soon").read_params()
 
 
-def test_runconfig_require_int_missing():
-    cfg = _config()
-    with pytest.raises(SchemaError, match=r"needs parameter 'ell' \(a \[run\] entry\)"):
-        cfg.require_int("ell")
+def test_read_params_missing():
+    bend = replace(_config(), command="bend")
+    with pytest.raises(SchemaError, match=r"needs parameter 'scan_m' \(a \[run\] entry\)"):
+        bend.read_params()
     with pytest.raises(SchemaError, match=r"needs parameter 'x' \(a \[run\] entry\)"):
-        cfg.require_str("x")
+        bend.with_params(scan_m=2, ell=8).read_params()
     with pytest.raises(SchemaError, match=r"needs parameter 'r' \(--r or a \[run\] entry\)"):
-        replace(cfg, params=()).require_int("r")
+        replace(bend, params=()).read_params()
 
 
-@pytest.mark.parametrize("key", sorted(cli_mod.RUN_KEYS))
-def test_missing_parameter_names_only_real_flags(key):
-    # the message names a flag exactly when the command has that flag
-    parser = cli_mod._build_parser()
-    for command, flags in cli_mod.COMMAND_FLAGS.items():
-        cfg = replace(_config(), command=command, params=())
-        with pytest.raises(SchemaError) as info:
-            cfg.require_int(key)
-        named = re.findall(r"--[a-z-]+", str(info.value))
-        for flag in named:
-            args = parser.parse_args([command, Z2_SPEC, flag, "1"])
-            assert getattr(args, key) == ("1" if key == "extreme" else 1)
-        assert bool(named) == (key in flags)
+REQUIRED_PAIRS = [
+    (command, key)
+    for command, row in cli_mod.PARAMS.items()
+    for key, default in row.items()
+    if default is cli_mod.REQUIRED
+]
+# a valid value of each parameter, as a [run] entry or flag writes it
+VALUES = {"x": "(1,0)", "extreme": "index:0"}
 
 
-FLAGGED = sorted(frozenset().union(*cli_mod.COMMAND_FLAGS.values()))
-READS = r"cfg\.(?:param|int_param|require_int|require_str)\(\"(\w+)\""
+@pytest.mark.parametrize("command, key", REQUIRED_PAIRS)
+def test_missing_parameter_names_only_real_flags(command, key):
+    # the message names a flag exactly when the command has that flag, and
+    # the flag it names sets the parameter
+    others = {k: VALUES.get(k, "1") for _, k in REQUIRED_PAIRS if k != key}
+    cfg = replace(_config(), command=command, params=tuple(sorted(others.items())))
+    with pytest.raises(SchemaError, match=f"needs parameter {key!r}") as info:
+        cfg.read_params()
+    named = re.findall(r"--[a-z-]+", str(info.value))
+    assert bool(named) == (key not in cli_mod.RUN_ONLY)
+    for flag in named:
+        args = cli_mod._build_parser().parse_args([command, Z2_SPEC, flag, "1"])
+        assert getattr(args, key) == 1
 
 
-def test_command_flags_are_the_flagged_keys_each_handler_reads():
-    for command, handler in cli_mod._HANDLERS.items():
-        read = set(re.findall(READS, inspect.getsource(handler)))
-        assert read & set(FLAGGED) == set(cli_mod.COMMAND_FLAGS[command]), command
+FLAGGED = sorted(frozenset().union(*map(cli_mod._flagged, cli_mod.PARAMS)))
+
+
+def test_run_only_and_text_name_real_parameters():
+    # a misspelt name here would silently give a parameter a flag or a type
+    assert cli_mod.RUN_ONLY < cli_mod.RUN_KEYS
+    assert cli_mod.TEXT < cli_mod.RUN_KEYS
+
+
+@pytest.fixture
+def full_spec(tmp_path):
+    """z2_standard.spec with every required parameter of every command set."""
+    spec = tmp_path / "full.spec"
+    spec.write_text(
+        (SPECS / "z2_standard.spec").read_text() + "\nscan_m = 1\nell = 1\nx = (1,0)\n"
+    )
+    return str(spec)
 
 
 @pytest.mark.parametrize("key", FLAGGED)
-@pytest.mark.parametrize("command", cli_mod.COMMANDS)
-def test_flag_is_accepted_only_by_commands_that_read_it(monkeypatch, command, key):
-    flag, value = cli_mod._flag(key), ("index:0" if key == "extreme" else "7")
-    monkeypatch.setitem(cli_mod._HANDLERS, command, lambda group, gens, cfg: ({}, {}))
-    code, out, err = run_cli([command, Z2_SPEC, flag, value])
-    if key in cli_mod.COMMAND_FLAGS[command]:
+@pytest.mark.parametrize("command", sorted(cli_mod.PARAMS))
+def test_flag_is_accepted_only_by_commands_that_read_it(monkeypatch, full_spec, command, key):
+    flag, value = cli_mod._flag(key), VALUES.get(key, "7")
+    monkeypatch.setitem(cli_mod._HANDLERS, command, lambda group, gens, p: ({}, {}))
+    code, out, err = run_cli([command, full_spec, flag, value])
+    if key in cli_mod._flagged(command):
         assert (code, err) == (0, "")
         assert json.loads(out)["config"]["params"][key] == value
     else:
@@ -302,17 +325,64 @@ def test_flag_is_accepted_only_by_commands_that_read_it(monkeypatch, command, ke
         assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
-def test_run_keys_are_the_keys_commands_read():
-    # a key some handler reads but RUN_KEYS lacks would be rejected in a spec;
-    # one RUN_KEYS lists but no handler reads would hide a misspelling
-    read = set(re.findall(READS, inspect.getsource(cli_mod)))
-    assert read == cli_mod.RUN_KEYS
+@pytest.mark.parametrize("command", sorted(cli_mod.PARAMS))
+def test_handler_gets_exactly_its_typed_row(monkeypatch, command):
+    seen = []
+
+    def spy(group, gens, p):
+        seen.append(p)
+        return {}, {}
+
+    monkeypatch.setitem(cli_mod._HANDLERS, command, spy)
+    row = cli_mod.PARAMS[command]
+    given = {k: VALUES.get(k, "6") for k, default in row.items() if default is cli_mod.REQUIRED}
+    given["budget"] = "99"
+    _, _, cfg = parse_spec(Z2_SPEC)
+    run_command(replace(cfg, command=command, params=tuple(sorted(given.items()))))
+    typed = {k: v if k in cli_mod.TEXT else int(v) for k, v in given.items()}
+    assert seen == [{k: typed.get(k, default) for k, default in row.items()}]
+
+
+@pytest.mark.parametrize(
+    "spec, command, key, default",
+    [
+        ("z_line.spec", "boundary", "window", STABILITY_WINDOW),
+        ("cylinder_n4.spec", "annihilator", "gap", DEFAULT_GAP),
+    ],
+)
+def test_absent_parameter_runs_at_the_library_default(spec, command, key, default):
+    # the config echo lists the parameters that were given, so it is left out
+    def body(**params):
+        _, _, cfg = parse_spec(spec_path(spec))
+        report, sides = run_command(replace(cfg, command=command).with_params(**params))
+        del report["config"]
+        return emit_report(report), sides
+
+    assert body() == body(**{key: default})
+
+
+def test_seed_flag_is_a_usage_error():
+    code, out, err = run_cli(["ball", Z2_SPEC, "--seed", "1"])
+    assert (code, out) == (1, b"")
+    assert err.startswith("usage: horobound")
+    assert err.endswith("error: unrecognized arguments: --seed 1\n")
+
+
+def test_seed_run_key_is_a_schema_error(tmp_path):
+    spec = tmp_path / "seeded.spec"
+    spec.write_text(
+        "[group]\nfamily = fg_abelian\nfree_rank = 1\n\n"
+        "[generators]\nelements = (1) (-1)\n\n[run]\ncommand = ball\nr = 3\nseed = 1\n"
+    )
+    code, out, err = run_cli(["ball", str(spec)])
+    assert (code, out) == (1, b"")
+    assert err == f"error: SchemaError: {spec}: [run] unknown key 'seed'\n"
 
 
 def test_runconfig_with_params_merges_sorted():
     cfg = _config(r=6, skipped=None)
-    assert cfg.param("r") == "6"
-    assert cfg.param("skipped") is None
+    assert dict(cfg.params)["r"] == "6"
+    assert "skipped" not in dict(cfg.params)
     assert list(cfg.params) == sorted(cfg.params)
 
 
@@ -593,7 +663,7 @@ def test_main_help_exits_0():
 
 
 def test_main_diagnostic_exits_2(monkeypatch):
-    def explode(group, gens, cfg):
+    def explode(group, gens, p):
         raise NoDominatorAtLevel("nothing dominates", level=7)
 
     monkeypatch.setitem(cli_mod._HANDLERS, "ball", explode)
@@ -680,6 +750,90 @@ def test_main_ballsystem_refuses_n_max_before_building_a_chain(monkeypatch, spec
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, b"")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "[group]\nfamily = fg_abelian\nfree_rank  1\n\n[generators]\nelements = (1) (-1)\n",
+            r"line 3: expected 'key = value', got 'free_rank  1\n'",
+        ),
+        (
+            "free_rank = 1\n[group]\nfamily = fg_abelian\n",
+            "line 1: 'free_rank = 1' comes before any [section] header",
+        ),
+    ],
+    ids=["no-delimiter", "no-section"],
+)
+def test_main_malformed_ini_is_one_line(tmp_path, text, message):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    code, out, err = run_cli(["ball", str(spec)])
+    assert (code, out) == (1, b"")
+    assert err == f"error: SchemaError: {spec}: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# seeded mutations of the bundled specs
+
+INTEGER = re.compile(r"-?\d+")
+STRAY = ("x", "7", "(", "=", ";", "[run]", "#")
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """One random edit: a line dropped or doubled, an integer negated, moved
+    by one, blanked or replaced by x, an '=' or '(' deleted, or a stray token
+    appended to a line."""
+    lines = text.splitlines(keepends=True)
+    kind = rng.choice(("drop", "double", "integer", "integer", "delete", "stray"))
+    if kind in ("drop", "double", "stray"):
+        i = rng.randrange(len(lines))
+        if kind == "stray":
+            lines[i] = f"{lines[i].rstrip()} {rng.choice(STRAY)}\n"
+        elif kind == "double":
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+        return "".join(lines)
+    if kind == "integer":
+        found = rng.choice(list(INTEGER.finditer(text)))
+        value = int(found.group())
+        new = rng.choice((str(-value), str(value + 1), str(value - 1), "", "x"))
+        return text[: found.start()] + new + text[found.end() :]
+    spots = [i for i, c in enumerate(text) if c in rng.choice(("=", "("))]
+    i = rng.choice(spots)
+    return text[:i] + text[i + 1 :]
+
+
+MUTANTS_PER_SPEC = 14
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_spec_mutants_end_cleanly(tmp_path, name):
+    # every mutant exits 0, 1 or 2 without raising; stderr is empty, a usage
+    # message or exactly one error line
+    command = BUNDLED[name][0]
+    budget = ["--budget", "20000"] if "budget" in cli_mod._flagged(command) else []
+    text = (SPECS / name).read_text()
+    rng = random.Random(f"{name}:2026")
+    spec = tmp_path / name
+    bad = []
+    for _ in range(MUTANTS_PER_SPEC):
+        mutant = mutate(text, rng)
+        spec.write_text(mutant)
+        try:
+            code, out, err = run_cli([command, str(spec), *budget])
+        except Exception as exc:  # a crash is the finding, not the test's end
+            bad.append((mutant, repr(exc)))
+            continue
+        lines = err.splitlines()
+        clean = err == "" if code != 1 else (
+            err.startswith("usage: ") or (len(lines) == 1 and lines[0].startswith("error: "))
+        )
+        if code not in (0, 1, 2) or not clean:
+            bad.append((mutant, code, err))
+    assert not bad, bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""No module of the package imports a name at module level that it never uses.
+"""No module of the package imports a name at module level that it never
+uses, or defines a private module-level name that it never reads.
 
-A name counts as used when the module reads it anywhere, annotations
+An import counts as used when the module reads it anywhere, annotations
 included, or lists it in ``__all__`` (the package root re-exports that way).
+A private function, class or constant (``_name``) counts as read when a
+module-level statement other than its own definition reads it, so a helper
+left behind by a refactor, or one that only calls itself, is found.
 """
 
 import ast
@@ -33,6 +37,30 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = {}  # name -> the top-level statement that binds it
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+    loaded = [
+        {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body
+    ]
+    return [
+        f"line {stmt.lineno}: {name}"
+        for name, stmt in defined.items()
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in names for node, names in zip(tree.body, loaded) if node is not stmt)
+    ]
+
+
 def test_scanner_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -56,3 +84,29 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_scanner_flags_only_unread_names():
+    source = (
+        "__all__ = ['public']\n"
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "def _helper(x):\n"
+        "    return x + _LIMIT\n"
+        "def _recurse(n):\n"
+        "    return _recurse(n - 1) if n else 0\n"
+        "class _Left:\n"
+        "    pass\n"
+        "def public(x):\n"
+        "    return _helper(x)\n"
+    )
+    assert unread_private_names(source) == [
+        "line 3: _UNUSED",
+        "line 6: _recurse",
+        "line 8: _Left",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_private_module_level_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
