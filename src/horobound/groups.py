@@ -444,7 +444,8 @@ class VAbExtensionGroup(ExtensionGroup):
                 raise NonUnimodularAction(
                     f"action matrix for q={q} has determinant {mat_det(m)}"
                 )
-        if action[0] != identity_matrix(d):
+        ident = identity_matrix(d)
+        if action[0] != ident:
             raise BadCocycle("action at the quotient identity must be the identity matrix")
         for q in range(nq):
             for p in range(nq):
@@ -479,7 +480,9 @@ class VAbExtensionGroup(ExtensionGroup):
         self.cocycle = cocycle
         self.quotient_order = nq
         self.q_inverse = _table_inverses(table)
-        self._action_inv = tuple(mat_inv_int(m) for m in action)
+        # A_q and A_q^-1, None where A_q = I, so a product skips the identity
+        self._act = tuple(None if m == ident else m for m in action)
+        self._act_inv = tuple(None if m == ident else mat_inv_int(m) for m in action)
 
     def identity_data(self) -> tuple:
         return ((0,) * self.rank, 0)
@@ -495,12 +498,13 @@ class VAbExtensionGroup(ExtensionGroup):
         return (vec, q)
 
     # (v; q)(w; p) = (v + A_q w + c(q, p); qp), summed in C through map
-    # rather than a generator expression per product. A_1 = I is enforced
-    # above, so q = 0 multiplies by no matrix.
+    # rather than a generator expression per product. No matrix is applied
+    # where A_q = I: at q = 0 always, and at every q of a trivial action.
     def mul_data(self, a: tuple, b: tuple) -> tuple:
         v, q = a
         w, p = b
-        tw = mat_vec(self.action[q], w) if q else w
+        m = self._act[q]
+        tw = w if m is None else mat_vec(m, w)
         c = self.cocycle[q][p]
         return (tuple(map(add, map(add, v, tw), c)), self.table[q][p])
 
@@ -509,7 +513,8 @@ class VAbExtensionGroup(ExtensionGroup):
         p = self.q_inverse[q]
         c = self.cocycle[q][p]
         w = tuple(map(neg, map(add, v, c)))
-        return (mat_vec(self._action_inv[q], w) if q else w, p)
+        m = self._act_inv[q]
+        return (w if m is None else mat_vec(m, w), p)
 
     def coset_of(self, data: tuple) -> int:
         return data[1]

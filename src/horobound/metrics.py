@@ -3,11 +3,11 @@
 The ball-system construction takes a nested chain of finite subgroups F_n
 and defines B_n = F_n (union of B_k B_{n-k}, 0 < k < n) F_n. On a nested
 chain only the two outer blocks count, B_n = F_n (B_1 B_{n-1} u B_{n-1} B_1) F_n
-(proved at ``_build_level``), and that is how each level is built. The norm
-|g| = min{n : g in B_n} is a proper left-invariant metric in which every
-element of every F_n eventually looks like the identity. Sets are exact and
-the subgroup/symmetry/submultiplicativity facts the metric rests on are
-asserted while building, not assumed.
+(proved at ``_build_level``), and the second block is the inverse of the
+first, so each level is built as X u X^-1 with X = F_n B_1 B_{n-1} F_n. The
+norm |g| = min{n : g in B_n} is a proper left-invariant metric in which every
+element of every F_n eventually looks like the identity. Sets are exact; the
+chain and B_1, which the metric rests on, are checked, not assumed.
 
 ``metric_axiom_check`` proves the triangle inequality of a ball system on
 coset transversals: once a walk shows B_k = R_k F_k, bi-invariance lets the
@@ -22,7 +22,7 @@ from itertools import accumulate, chain as concat, repeat
 from typing import Iterable, Sequence, Union
 
 from .cayley import Ball
-from .errors import AxiomViolation, NotASubgroup, OutOfRange, SizeBudget
+from .errors import AxiomViolation, GroupMismatch, NotASubgroup, OutOfRange, SizeBudget
 from .groups import Element, GeneratingSet, Group
 
 __all__ = [
@@ -176,43 +176,8 @@ def _expand(
     return out
 
 
-def _coset_reps(
-    group: Group,
-    parts: Sequence[Sequence[tuple]],
-    left: set,
-    subgroup: frozenset,
-    name: str,
-) -> list:
-    """Representatives R with level = R subgroup, a union of left cosets.
-
-    The concatenated ``parts`` list level once in walk order; ``left`` is a
-    fresh set of level. Each element still in ``left`` becomes a
-    representative and its coset is struck from ``left``. Cosets are
-    disjoint, so a member not found lies outside level. This costs |level|
-    products, proves the equality exactly and keeps none of the products.
-    """
-    mul = group.mul_data
-    size = len(subgroup)
-    strike = left.remove  # unlike difference_update, never resizes the table
-    reps = []
-    for a in concat.from_iterable(parts):
-        if a not in left:
-            continue
-        reps.append(a)
-        try:
-            any(map(strike, map(mul, repeat(a, size), subgroup)))  # each remove is None
-        except KeyError as exc:
-            f = next(f for f in subgroup if mul(a, f) == exc.args[0])
-            raise AxiomViolation(
-                f"{name} is not a union of cosets of its subgroup",
-                element=group.format_data(a),
-                by=group.format_data(f),
-            ) from None
-    return reps
-
-
 def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> frozenset:
-    """B_n = F_n (B_1 B_{n-1} u B_{n-1} B_1) F_n for n = len(levels).
+    """B_n = X u X^-1 with X = F_n B_1 B_{n-1} F_n, for n = len(levels).
 
     The definition unions every block B_k B_{n-k}, 0 < k < n, but on a nested
     chain the middle blocks (k, n-k >= 2) add nothing. Induct on k, taking
@@ -223,7 +188,8 @@ def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> froze
     F_n B_k B_{n-k} F_n lies in the union of F_n B_i B_{n-i} F_n over i < k,
     which by induction lies in F_n B_1 B_{n-1} F_n. For k > n-k the mirror
     argument ends in B_{n-1} B_1. The caller checks the nesting it rests on.
-    Neither outer block can go: on A_5, F_3 B_1 B_2 F_3 can miss part of B_3.
+    As F_n, B_1 and B_{n-1} are symmetric, the mirror block F_n B_{n-1} B_1 F_n
+    is X^-1, so B_n is symmetric by construction; on A_5, X_3 misses part of B_3.
 
     A function of its own so that the intermediate sets are freed on return,
     before ``BallSystem`` holds the sort keys of a whole sphere.
@@ -232,12 +198,11 @@ def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> froze
     mul = group.mul_data
     core: set = set()
     add = core.add
-    for k in {1, n - 1}:  # the two outer blocks, one block when n = 2
-        for a in levels[k]:
-            for b in levels[n - k]:
-                add(mul(a, b))
-            if len(core) > budget:
-                raise _budget_error(n, budget, "merging products", len(core))
+    for a in levels[1]:
+        for b in levels[n - 1]:
+            add(mul(a, b))
+        if len(core) > budget:
+            raise _budget_error(n, budget, "merging products", len(core))
     f_n = chain[n - 1]
     right = _expand(group, core, f_n, n, budget, "right")
     kept = core <= right
@@ -246,6 +211,9 @@ def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> froze
     if not (kept and right <= full):
         raise AxiomViolation(f"construction lost products while building B_{n}")
     del right
+    full.update([y for y in map(group.inv_data, full) if y not in full])
+    if len(full) > budget:
+        raise _budget_error(n, budget, "adding inverses", len(full))
     return frozenset(full)
 
 
@@ -267,10 +235,10 @@ def build_ball_system(
 ) -> BallSystem:
     """Compute B_0..B_{n_max} for the chain, verifying every assumption.
 
-    Each F_n must be a finite subgroup and the chain must be nested; the
-    doubling construction is cut off by the element budget. Symmetry of every
-    computed level is asserted (the chain and S_1 make it automatic, but the
-    metric depends on it, so it is checked, not trusted).
+    B_1 must be symmetric, each F_n a finite subgroup of the group, and the
+    chain nested; the construction is cut off by the element budget. Every
+    level n >= 2 is symmetric by construction (see ``_build_level``), so
+    B_1, the only level taken from the caller, is the one symmetry check.
     """
     check_n_max(n_max)
     if budget < 1:
@@ -279,26 +247,30 @@ def build_ball_system(
         raise NotASubgroup(f"chain supplies {len(f_chain)} subgroups, need {n_max}")
     if s1.group is not group:
         raise NotASubgroup("generating set belongs to a different group")
-    chain = tuple(frozenset(x.data for x in f_chain[i]) for i in range(n_max))
+    identity = group.identity_data()
+    b1 = frozenset({s.data for s in s1.elements} | {identity})
+    for x in b1:
+        if group.inv_data(x) not in b1:
+            raise AxiomViolation("B_1 is not symmetric", element=group.format_data(x))
+    members = [list(f) for f in f_chain[:n_max]]
+    if any(x.group is not group for f in members for x in f):
+        raise NotASubgroup("chain holds an element of a different group")
+    chain = tuple(frozenset(x.data for x in f) for f in members)
     for i, f in enumerate(chain):
         _check_subgroup(group, f, f"F_{i + 1}")
         if i and not chain[i - 1] <= f:
             raise NotASubgroup(f"chain is not nested: F_{i} is not inside F_{i + 1}")
 
-    identity = group.identity_data()
-    levels = [frozenset([identity]), frozenset({s.data for s in s1.elements} | {identity})]
+    levels = [frozenset([identity]), b1]
     for n in range(2, n_max + 1):
         levels.append(_build_level(group, levels, chain, budget))
-
-    for n, level in enumerate(levels):
-        for x in level:
-            if group.inv_data(x) not in level:
-                raise AxiomViolation(f"B_{n} is not symmetric", element=group.format_data(x))
     return BallSystem(group, chain, tuple(levels))
 
 
 def bs_norm(bs: BallSystem, g: Element) -> int:
     """min{n : g in B_n}; errors when g is beyond B_{n_max}."""
+    if g.group is not bs.group:
+        raise GroupMismatch(f"{g!r} belongs to a different group")
     n = bs.norm_data(g.data)
     if n is None:
         raise OutOfRange(f"{g} lies outside B_{bs.n_max}")
@@ -351,6 +323,8 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
     """
     if not (1 <= n <= bs.n_max):
         raise OutOfRange(f"chain index {n} outside 1..{bs.n_max}")
+    if f.group is not bs.group:
+        raise GroupMismatch(f"{f!r} belongs to a different group")
     if f.data not in bs.chain[n - 1]:
         raise OutOfRange(f"{f} is not in F_{n}")
     group = bs.group
@@ -397,6 +371,33 @@ class MetricAxiomReport:
         }
 
 
+def _coset_reps(bs: BallSystem, k: int, subgroup: frozenset) -> list | None:
+    """R with B_k = R subgroup, or None if B_k is not a union of left cosets.
+
+    The walk goes through B_k in sphere order over ``left``, a fresh set of
+    B_k. Each element still in ``left`` becomes a representative and its
+    coset is struck from ``left``. Cosets are disjoint, so a member not found
+    lies outside B_k. This costs |B_k| products, proves the equality exactly
+    and keeps none of the products.
+    """
+    mul = bs.group.mul_data
+    size = len(subgroup)
+    walk = bs._spheres[: k + 1]
+    # copying a dict sizes the set once; adding one by one can double it
+    left = set(bs._norm) if k == bs.n_max else set(concat.from_iterable(walk))
+    strike = left.remove  # unlike difference_update, never resizes the table
+    reps = []
+    for a in concat.from_iterable(walk):
+        if a not in left:
+            continue
+        reps.append(a)
+        try:
+            any(map(strike, map(mul, repeat(a, size), subgroup)))  # each remove is None
+        except KeyError:
+            return None
+    return reps
+
+
 def _transversals(bs: BallSystem, radius: int) -> dict[int, list]:
     """R_k with B_k = R_k F_k for each level 2 <= k <= radius it can walk.
 
@@ -404,22 +405,20 @@ def _transversals(bs: BallSystem, radius: int) -> dict[int, list]:
     below it. A level that fails this, or is not a union of cosets, is left
     out and checked pair by pair: coset structure is not a metric axiom.
     """
-    group = bs.group
     reps: dict[int, list] = {}
     below: frozenset = frozenset()
     for k in range(2, radius + 1):
         f = bs.chain[k - 1]
         if len(f) == 1 or not below <= f:
             continue
-        walk = bs._spheres[: k + 1]
         try:
-            _check_subgroup(group, f, f"F_{k}")
-            # copying a dict sizes the set once; adding one by one can double it
-            left = set(bs._norm) if k == bs.n_max else set(concat.from_iterable(walk))
-            reps[k] = _coset_reps(group, walk, left, f, f"B_{k}")
-        except (NotASubgroup, AxiomViolation):
+            _check_subgroup(bs.group, f, f"F_{k}")
+        except NotASubgroup:
             continue
-        below = f
+        found = _coset_reps(bs, k, f)
+        if found is not None:
+            reps[k] = found
+            below = f
     return reps
 
 

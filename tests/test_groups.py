@@ -16,7 +16,8 @@ from horobound.errors import (
     SizeBudget,
     TableNotGroup,
 )
-from horobound.examples import REGISTRY, example
+from horobound import groups
+from horobound.examples import REGISTRY, cylinder, cylinder_extension, example, z2_rot4
 from horobound.groups import (
     ExtensionGroup,
     FgAbelianGroup,
@@ -569,3 +570,25 @@ def test_describe_is_json_friendly():
     assert d["elements"] == ["(1,0)", "(0,1)", "(-1,0)", "(0,-1)"]
     assert d["labels"] == ["a", "b", "a^-1", "b^-1"]
     assert group.describe()["family"] == "fg_abelian"
+
+
+def test_trivial_action_applies_no_matrix(monkeypatch):
+    # A_q = I at every q of the cylinder presented as an extension, so no
+    # product or inverse calls mat_vec; z2_rot4 turns by A_q at q != 0
+    cyl, cyl_gens = cylinder_extension(4)
+    rot, rot_gens = z2_rot4()
+    calls = [0]
+    real = groups.mat_vec
+
+    def spy(a, v):
+        calls[0] += 1
+        return real(a, v)
+
+    monkeypatch.setattr(groups, "mat_vec", spy)
+    ball = grow_ball(cyl, cyl_gens, 6)
+    inverses = [cyl.inv_data(x) for x in ball.data]
+    assert calls[0] == 0
+    assert len(ball) == len(grow_ball(*cylinder(4), 6))
+    assert set(inverses) == set(ball.data)
+    grow_ball(rot, rot_gens, 4)
+    assert calls[0] > 0

@@ -13,6 +13,7 @@ from horobound.cli import parse_spec, run_command
 from horobound.errors import (
     AxiomViolation,
     DoesNotGenerate,
+    GroupMismatch,
     NotASubgroup,
     OutOfRange,
     SizeBudget,
@@ -22,6 +23,7 @@ from horobound.groups import (
     Element,
     FiniteGroupSpec,
     FiniteTableGroup,
+    GeneratingSet,
     LamplighterGroup,
     cyclic_table,
     direct_product_table,
@@ -207,22 +209,48 @@ def test_two_outer_blocks_match_every_block_on_random_chains():
     assert open_levels == {"dihedral", "cylinder", "alternating"}
 
 
-def test_mirror_block_is_needed():
-    # A_5 with F_1 = {e} and F_n = <t> after it: F_3 B_1 B_2 F_3 misses four
-    # elements of B_3 that only the mirror block B_2 B_1 supplies
+def _alternating_mirror_chain():
+    """A_5 with F_1 = {e} and F_n = <t> after it, S_1 from two even
+    permutations: a chain where X_n = F_n B_1 B_{n-1} F_n misses part of B_n."""
     group, mul, index = _alternating()
     t, a, b = ((index[p],) for p in ((3, 2, 1, 0, 4), (0, 1, 3, 4, 2), (3, 2, 4, 1, 0)))
     gens = symmetric_generating_set(group, [group.element(a), group.element(b)])
     f = frozenset({(0,), t})
-    bs = _ball_system(group, gens, [frozenset({(0,)}), f, f, f, f])
+    return group, mul, gens, f, [frozenset({(0,)}), f, f, f, f]
+
+
+def test_mirror_block_is_needed():
+    # F_3 B_1 B_2 F_3 misses four elements of B_3 that only the mirror block
+    # B_2 B_1 supplies; that block is X_n^-1, so B_n = X_n u X_n^-1
+    group, mul, gens, f, chain = _alternating_mirror_chain()
+    bs = _ball_system(group, gens, chain)
     assert bs.layer_sizes() == [1, 5, 22, 42, 58, 60]
     _assert_levels_match_oracle(bs, mul, gens)
-    short = [
-        len({mul(mul(g, mul(x.data, y.data)), h)
-             for x in bs.elements(1) for y in bs.elements(n - 1) for g in f for h in f})
-        for n in range(2, 6)
-    ]
+    elems = [(x,) for x in range(group.order)]
+    inv = {x: y for x in elems for y in elems if mul(x, y) == (0,)}
+    b1 = [x.data for x in bs.elements(1)]
+    short = []
+    for n in range(2, 6):
+        tail = [y.data for y in bs.elements(n - 1)]
+        x_n = {mul(mul(g, mul(x, y)), h) for x in b1 for y in tail for g in f for h in f}
+        mirror = {mul(mul(g, mul(y, x)), h) for x in b1 for y in tail for g in f for h in f}
+        assert mirror == {inv[x] for x in x_n}
+        assert x_n | mirror == {x.data for x in bs.elements(n)}
+        short.append(len(x_n))
     assert short == [22, 38, 58, 60]
+
+
+def test_budget_fires_on_the_inverses():
+    # X_3 has 38 elements and passes a budget of 40; X_3 u X_3^-1 has 42
+    group, _, gens, _, chain = _alternating_mirror_chain()
+    members = [[Element(group, x) for x in f] for f in chain]
+    with pytest.raises(
+        SizeBudget,
+        match=re.escape(
+            "B_3 exceeded the element budget 40 while adding inverses (partial size 42)"
+        ),
+    ):
+        build_ball_system(group, gens, members, 3, budget=40)
 
 
 def test_bs_norm(lamp_bs4):
@@ -353,13 +381,45 @@ def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
 
 
 def test_ball_system_work_counts(lamp_pair, monkeypatch):
-    # subgroup checks and F_n expansions 62,328, and the outer blocks
-    # B_1 B_1, B_1 B_2 u B_2 B_1 and B_1 B_3 u B_3 B_1 33,040
+    # subgroup checks and F_n expansions 57,720, and the blocks B_1 B_1,
+    # B_1 B_2 and B_1 B_3 16,528; the mirror blocks are taken as inverses
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
     calls = _count_products(monkeypatch, LamplighterGroup)
     build_ball_system(group, gens, chain, 4)
-    assert calls[0] == 95_368
+    assert calls[0] == 74_248
+
+
+def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
+    # the subgroup checks 680, the symmetry check of B_1 4, and X^-1 at
+    # B_2, B_3 and B_4 35,360
+    group, gens = lamp_pair
+    chain = lamp_chain(group, 4)
+    calls = [0]
+    inv = LamplighterGroup.inv_data
+
+    def counted(self, a):
+        calls[0] += 1
+        return inv(self, a)
+
+    monkeypatch.setattr(LamplighterGroup, "inv_data", counted)
+    build_ball_system(group, gens, chain, 4)
+    assert calls[0] == 36_044
+
+
+def test_asymmetric_b1_is_refused_before_any_product(lamp_pair, monkeypatch):
+    group, _ = lamp_pair
+    t, a = group.parse("({};1)"), group.parse("({0};0)")
+    gens = GeneratingSet((t, a), ("t", "a"), (0, 1), False)  # no t^-1
+    chain = lamp_chain(group, 3)
+
+    def refuse(self, a, b):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(LamplighterGroup, "mul_data", refuse)
+    with pytest.raises(AxiomViolation, match="B_1 is not symmetric") as hit:
+        build_ball_system(group, gens, chain, 3)
+    assert hit.value.witness == {"element": "({};1)"}
 
 
 def test_budget_below_one_is_refused(lamp_pair, monkeypatch):
@@ -386,6 +446,29 @@ def test_axiom_check_sorts_each_sphere_once(lamp_bs4, monkeypatch):
     monkeypatch.setattr(BallSystem, "sphere_data", counted)
     metric_axiom_check(lamp_bs4)
     assert calls[0] <= lamp_bs4.n_max + 1
+
+
+def test_chain_of_another_group_is_refused():
+    # (0,0) and (0,2) of Z^2 have the data of a subgroup of Z x Z/4
+    group, gens = cylinder(4)
+    z2, _ = example("z2")
+    foreign = [z2.identity(), z2.element((0, 2))]
+    with pytest.raises(NotASubgroup, match="different group"):
+        build_ball_system(group, gens, [foreign, foreign], 2)
+
+
+def test_annihilator_check_refuses_another_group(lamp_bs4):
+    # the same data in another lamplighter instance is still a foreign element
+    other = LamplighterGroup().parse("({0};0)")
+    assert other.data in lamp_bs4.chain[0]
+    with pytest.raises(GroupMismatch, match="different group"):
+        bs_annihilator_check(lamp_bs4, other, 1)
+
+
+def test_bs_norm_refuses_another_group(lamp_bs4):
+    other = LamplighterGroup().identity()
+    with pytest.raises(GroupMismatch, match="different group"):
+        bs_norm(lamp_bs4, other)
 
 
 def test_chain_must_be_nested():
@@ -532,11 +615,12 @@ def test_axiom_check_walks_no_trivial_subgroup(monkeypatch):
 
 
 def test_ballsystem_run_work_counts(monkeypatch):
-    # parsing 30, build 95,368, axiom check 41,667, annihilator checks 29,696
+    # parsing the spec and rebuilding its group 30 each, build 74,248, axiom
+    # check 41,667, annihilator checks 29,696
     calls = _count_products(monkeypatch, LamplighterGroup)
     _, _, config = parse_spec(spec_path("lamplighter.spec"))
     run_command(config)
-    assert calls[0] == 166_791
+    assert calls[0] == 145_671
 
 
 def test_axiom_check_reports_a_missing_product(lamp_pair):
