@@ -174,6 +174,21 @@ class RunConfig:
         }
 
 
+# the group and generating set of the last config parsed or run, keyed by
+# every field they are built from, so that running a freshly parsed spec
+# does not build them, with all their checks, a second time
+_BUILT: dict[tuple, tuple[Group, GeneratingSet]] = {}
+
+
+def _build_key(config: RunConfig) -> tuple:
+    return (config.group_spec, config.generators, config.labels, config.witnesses)
+
+
+def _remember(config: RunConfig, group: Group, gens: GeneratingSet) -> None:
+    _BUILT.clear()
+    _BUILT[_build_key(config)] = (group, gens)
+
+
 # ---------------------------------------------------------------------------
 # spec files
 
@@ -390,6 +405,7 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
         witnesses=tuple(str(w) for w in witnesses),
         params=tuple(sorted(params.items())),
     )
+    _remember(config, group, gens)
     return group, gens, config
 
 
@@ -523,16 +539,22 @@ _HANDLERS: dict[str, Callable] = {
 
 
 def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
-    """Rebuild the group from the config and dispatch; pure in the config."""
+    """Build the group from the config (or reuse the last build of the same
+    fields) and dispatch; pure in the config."""
     if config.command not in _HANDLERS:
         raise SchemaError(f"unknown command {config.command!r}")
     params = config.read_params()
-    group = build_group(config.group_spec)
-    elements = [group.parse(t) for t in config.generators]
-    witnesses = [group.parse(t) for t in config.witnesses]
-    gens = symmetric_generating_set(
-        group, elements, config.labels, witnesses=witnesses or None
-    )
+    built = _BUILT.get(_build_key(config))
+    if built is None:
+        group = build_group(config.group_spec)
+        elements = [group.parse(t) for t in config.generators]
+        witnesses = [group.parse(t) for t in config.witnesses]
+        gens = symmetric_generating_set(
+            group, elements, config.labels, witnesses=witnesses or None
+        )
+        _remember(config, group, gens)
+    else:
+        group, gens = built
     body, sides = _HANDLERS[config.command](group, gens, params)
     report = {
         "command": config.command,

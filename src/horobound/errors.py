@@ -144,8 +144,10 @@ class NotASubgroup(HoroboundError):
 class SizeBudget(HoroboundError):
     """An enumeration passed its budget; the message gives the partial size.
 
-    Raised by ball-system construction (elements per level, levels), by a
-    finite table past its order budget, and by the simple-cycle DFS (steps).
+    Raised by ball-system construction (elements per level and per
+    enumerated double coset, levels), by a finite table past its order
+    budget, by the simple-cycle DFS (steps) and by the hull's hyperplane
+    enumeration (subsets).
     """
 
 

@@ -36,6 +36,8 @@ __all__ = [
     "z2_rot4",
     "lamplighter",
     "lamp_chain",
+    "LampChain",
+    "WindowCosets",
 ]
 
 Pair = tuple[Group, GeneratingSet]
@@ -176,20 +178,94 @@ def lamplighter() -> Pair:
     return group, gens
 
 
-def lamp_chain(group: LamplighterGroup, n_max: int) -> list[list[Element]]:
+def _dark(data: tuple, a: int, b: int) -> tuple:
+    """Lamplighter data with the lamps at positions a..b switched off."""
+    mask, low, shift = data
+    ones = (1 << (b - a + 1)) - 1
+    mask &= ~(ones << (a - low) if a >= low else ones >> (low - a))
+    if not mask:
+        return (0, 0, shift)
+    zeros = (mask & -mask).bit_length() - 1
+    return (mask >> zeros, low + zeros, shift)
+
+
+class WindowCosets:
+    """The double cosets F_n g F_n of F_n = lamp patterns on [-n, n], in closed form.
+
+    (a, 0) (f, u) (b, 0) = (f + a + t^u b, u), so F_n (f, u) F_n is every
+    (f', u) with f' = f outside W = [-n, n] u [u - n, u + n]. Its key is
+    (f with the lamps of W off, u), itself a member, and its size 2^|W|.
+    The left coset F_n (f, u) is keyed by f with the lamps of [-n, n] off.
+    """
+
+    def __init__(self, n: int, subgroup: frozenset):
+        self.n = n
+        self.subgroup = subgroup
+
+    def key(self, data: tuple) -> tuple:
+        n, u = self.n, data[2]
+        return _dark(_dark(data, -n, n), u - n, u + n)
+
+    find = key  # every element has a key, with no enumeration
+
+    def left_key(self, data: tuple) -> tuple:
+        return _dark(data, -self.n, self.n)
+
+    def size(self, key: tuple) -> int:
+        width = 2 * self.n + 1
+        return 1 << (2 * width - max(0, width - abs(key[2])))
+
+    def members(self, key: tuple):
+        """The 2^|W| members: key with every pattern on W switched on."""
+        mask, low, u = key
+        n = self.n
+        base = min(low, -n, u - n)
+        lit = mask << (low - base)
+        window = 0
+        for p in {*range(-n, n + 1), *range(u - n, u + n + 1)}:
+            window |= 1 << (p - base)
+        sub = window
+        while True:
+            m = lit | sub
+            if m:
+                zeros = (m & -m).bit_length() - 1
+                yield (m >> zeros, base + zeros, u)
+            else:
+                yield (0, 0, u)
+            if not sub:
+                return
+            sub = (sub - 1) & window
+
+
+class LampChain(tuple):
+    """F_1 .. F_{n_max} where F_j = lamp patterns supported on [-j, j].
+
+    A tuple of the subgroups' element lists, like any chain, that also
+    describes the double cosets of each F_n in closed form (``cosets``);
+    ``build_ball_system`` uses that form for this chain only.
+    """
+
+    def __new__(cls, group: LamplighterGroup, n_max: int):
+        if n_max < 1:
+            raise ValueError(f"need n_max >= 1, got {n_max}")
+        chain = []
+        for j in range(1, n_max + 1):
+            positions = range(-j, j + 1)
+            chain.append([
+                group.element((support, 0))
+                for size in range(len(positions) + 1)
+                for support in combinations(positions, size)
+            ])
+        return super().__new__(cls, chain)
+
+    @staticmethod
+    def cosets(n: int, subgroup: frozenset) -> WindowCosets:
+        return WindowCosets(n, subgroup)
+
+
+def lamp_chain(group: LamplighterGroup, n_max: int) -> LampChain:
     """F_1 .. F_{n_max} where F_j = lamp patterns supported on [-j, j]."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    chain = []
-    for j in range(1, n_max + 1):
-        positions = range(-j, j + 1)
-        subgroup = [
-            group.element((support, 0))
-            for size in range(len(positions) + 1)
-            for support in combinations(positions, size)
-        ]
-        chain.append(subgroup)
-    return chain
+    return LampChain(group, n_max)
 
 
 REGISTRY: dict[str, Callable[[], Pair]] = {

@@ -34,6 +34,7 @@ from .errors import (
     GroupMismatch,
     IdentityGenerator,
     NonUnimodularAction,
+    NotASubgroup,
     SizeBudget,
     TableNotGroup,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "GeneratingSet",
     "TABLE_ORDER_BUDGET",
     "build_group",
+    "check_subgroup",
     "coset_sweep",
     "subgroup_index",
     "symmetric_generating_set",
@@ -822,6 +824,55 @@ def symmetric_generating_set(
     inverse_index = tuple(elems.index(x.inverse()) for x in elems)
     verified = _verify_generation(group, elems, witnesses, witness_radius)
     return GeneratingSet(tuple(elems), tuple(labs), inverse_index, verified)
+
+
+def check_subgroup(group: Group, elems: frozenset, name: str) -> None:
+    """Raise unless the finite set elems is a subgroup.
+
+    Closure is checked on generators, not on all pairs. Walking elems in
+    sort-key order, each element not yet reached becomes a generator, and the
+    reached set is closed under right multiplication by every generator.
+    At the end reached = elems and elems * G lies in elems, so every element
+    is a word in G and a * b stays in elems by induction on the length of b.
+    That costs |elems| * |G| products, and |G| <= log2 |elems| because each
+    new generator at least doubles the subgroup reached so far.
+    """
+    identity = group.identity_data()
+    if identity not in elems:
+        raise NotASubgroup(f"{name} does not contain the identity")
+    for a in elems:
+        if group.inv_data(a) not in elems:
+            raise NotASubgroup(f"{name} is not inverse-closed at {group.format_data(a)}")
+
+    mul = group.mul_data
+    reached = {identity}
+    order = [identity]  # reached, in the order it was reached
+
+    def reach(a: tuple, g: tuple) -> None:
+        ag = mul(a, g)
+        if ag not in elems:
+            raise NotASubgroup(
+                f"{name} is not closed under products at "
+                f"{group.format_data(a)} * {group.format_data(g)}"
+            )
+        if ag not in reached:
+            reached.add(ag)
+            order.append(ag)
+
+    gens: list[tuple] = []
+    for g in sorted(elems, key=group.sort_key):
+        if g in reached:
+            continue
+        gens.append(g)
+        old = len(order)
+        for i in range(old):  # the new generator over everything reached so far
+            reach(order[i], g)
+        i = old
+        while i < len(order):  # each newly reached element by every generator
+            a = order[i]
+            for h in gens:
+                reach(a, h)
+            i += 1
 
 
 def coset_sweep(group: ExtensionGroup, elems: Sequence[Element]) -> dict[int, tuple]:

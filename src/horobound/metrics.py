@@ -9,21 +9,26 @@ norm |g| = min{n : g in B_n} is a proper left-invariant metric in which every
 element of every F_n eventually looks like the identity. Sets are exact; the
 chain and B_1, which the metric rests on, are checked, not assumed.
 
-``metric_axiom_check`` proves the triangle inequality of a ball system on
-coset transversals: once a walk shows B_k = R_k F_k, bi-invariance lets the
-pairs R_i^-1 x R_j stand for all of S_i x S_j inside B_{i+j}. Its
-``pairs_checked`` counts the pairs covered, not the products taken.
+Each level n >= 2 is thus a union of F_n double cosets and is kept as one
+representative and one size per double coset. The chain supplies the key of
+a double coset: a closed form for the lamplighter window chain
+(``examples.LampChain``), an enumeration for any other. The build, the axiom
+check and the annihilator check multiply representatives; bi-invariance lets
+each product stand for its double coset. Elements are listed only where a
+sphere is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate, chain as concat, repeat
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 from .cayley import Ball
 from .errors import AxiomViolation, GroupMismatch, NotASubgroup, OutOfRange, SizeBudget
-from .groups import Element, GeneratingSet, Group
+from .examples import LampChain
+from .groups import Element, GeneratingSet, Group, check_subgroup
 
 __all__ = [
     "DEFAULT_SET_BUDGET",
@@ -42,56 +47,104 @@ DEFAULT_SET_BUDGET = 1_000_000
 DEFAULT_MAX_LEVELS = 5
 
 
+class _Enumerated:
+    """The double cosets H g H of a finite subgroup H, enumerated when asked for.
+
+    A double coset is keyed by the first of its elements asked for, and
+    ``find`` knows the cosets enumerated so far. H g H is the union of the
+    left cosets h g H, and h g H is skipped once h g is reached, since it is
+    then a coset already held: |H| + |H g H| products, none for H = {e}.
+    """
+
+    def __init__(self, group: Group, subgroup: frozenset, n: int, budget: float):
+        self.group, self.subgroup, self.n, self.budget = group, subgroup, n, budget
+        self._key: dict[tuple, tuple] = {}  # member -> key
+        self._members: dict[tuple, set] = {}  # key -> members
+        self.find = self._key.get
+
+    def key(self, data: tuple) -> tuple:
+        if data not in self._key:
+            coset = self._members[data] = self._coset(data)
+            self._key.update(dict.fromkeys(coset, data))
+        return self._key[data]
+
+    def _coset(self, data: tuple) -> set:
+        mul, h = self.group.mul_data, self.subgroup
+        if len(h) == 1:
+            return {data}
+        coset: set = set()
+        for a in h:
+            x = mul(a, data)
+            if x not in coset:
+                coset.update(map(mul, repeat(x, len(h)), h))
+                if len(coset) > self.budget:
+                    step = f"enumerating F_{self.n} double cosets"
+                    raise _budget_error(self.n, self.budget, step, len(coset))
+        return coset
+
+    @staticmethod
+    def left_key(data: tuple) -> tuple:
+        return data
+
+    def size(self, key: tuple) -> int:
+        return len(self._members[key])
+
+    def members(self, key: tuple) -> set:
+        return self._members[key]
+
+
+class _Level:
+    """B_n as the union of the double cosets H r H of its representatives r."""
+
+    __slots__ = ("cosets", "reps")
+
+    def __init__(self, cosets, reps: dict):
+        self.cosets = cosets  # H, with the key of each double coset
+        self.reps = reps  # key -> size of its double coset
+
+    def __contains__(self, data: tuple) -> bool:
+        return self.cosets.find(data) in self.reps
+
+
 class BallSystem:
     """Nested sets B_0 .. B_{n_max} and the norm they induce.
 
-    The spheres B_n minus B_{n-1} are sorted once here, by the group's sort
-    key; every reader walks them instead of sorting a level again. Only the
-    spheres and norms are kept, not the level sets.
+    A level is kept as the double cosets H r H it is the union of, with one
+    representative r and one size each: H = F_n where the level is known to
+    be F_n-bi-invariant, else H = {e}, a coset per element (always for B_0
+    and B_1). ``build_ball_system`` passes levels in this form; levels given
+    as element sets are compressed into it by ``_compress``. A sphere
+    B_n minus B_{n-1} is listed, sorted by the group's sort key, when first read.
     """
 
-    def __init__(
-        self,
-        group: Group,
-        chain: tuple[frozenset, ...],
-        levels: tuple[frozenset, ...],
-    ):
-        self.group = group
-        self.chain = chain
-        self.n_max = len(levels) - 1
-        self._norm: dict[tuple, int] = {}
-        spheres = []
-        prev: frozenset = frozenset()
-        for n, level in enumerate(levels):
-            if not prev <= level:
-                raise AxiomViolation(f"B_{n - 1} is not inside B_{n}")
-            sphere = [data for data in level if data not in prev]
-            sphere.sort(key=group.sort_key)
-            for data in sphere:
-                self._norm[data] = n
-            spheres.append(sphere)
-            prev = level
-        self._spheres = tuple(spheres)
+    def __init__(self, group: Group, chain: tuple[frozenset, ...], levels: Sequence):
+        self.group, self.chain, self.n_max = group, chain, len(levels) - 1
+        if not all(isinstance(level, _Level) for level in levels):
+            levels = _compress(group, chain, levels)
+        self._levels = tuple(levels)
+        self._sizes = [sum(level.reps.values()) for level in self._levels]
+        self._spheres: dict[int, list] = {}
 
     def norm_data(self, data: tuple) -> int | None:
-        return self._norm.get(data)
+        for n, level in enumerate(self._levels):
+            if data in level:
+                return n
+        return None
 
     def layer_sizes(self) -> list[int]:
-        return list(accumulate(len(sphere) for sphere in self._spheres))
+        return list(self._sizes)
 
     def sphere_data(self, n: int) -> list[tuple]:
         if not (0 <= n <= self.n_max):
             raise OutOfRange(f"level {n} outside 0..{self.n_max}")
-        return list(self._spheres[n])
-
-    def elements(self, n: int | None = None) -> list[Element]:
-        """B_n ordered by (norm, sort key): spheres 0..n concatenated."""
-        n = self.n_max if n is None else n
-        if not (0 <= n <= self.n_max):
-            raise OutOfRange(f"level {n} outside 0..{self.n_max}")
-        return [
-            Element(self.group, d) for sphere in self._spheres[: n + 1] for d in sphere
-        ]
+        sphere = self._spheres.get(n)
+        if sphere is None:
+            level, below = self._levels[n], self._levels[n - 1] if n else ()
+            members = level.cosets.members
+            sphere = [d for r in level.reps for d in members(r) if d not in below]
+            sphere.sort(key=self.group.sort_key)
+            self._spheres[n] = sphere
+        return list(sphere)
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,82 +154,52 @@ class BallSystem:
         }
 
 
-def _check_subgroup(group: Group, elems: frozenset, name: str) -> None:
-    """Raise unless the finite set elems is a subgroup.
+def _compress(group: Group, chain: tuple, levels: Sequence[frozenset]) -> list[_Level]:
+    """Element sets B_0 .. B_n_max as levels of double cosets.
 
-    Closure is checked on generators, not on all pairs. Walking elems in
-    sort-key order, each element not yet reached becomes a generator, and the
-    reached set is closed under right multiplication by every generator.
-    At the end reached = elems and elems * G lies in elems, so every element
-    is a word in G and a * b stays in elems by induction on the length of b.
-    That costs |elems| * |G| products, and |G| <= log2 |elems| because each
-    new generator at least doubles the subgroup reached so far.
+    Level n >= 2 is kept over F_n if F_n has more than one element, holds
+    the F of every level kept over one below it, is a subgroup and leaves
+    the level a union of its double cosets; any other level is kept over {e}.
     """
-    identity = group.identity_data()
-    if identity not in elems:
-        raise NotASubgroup(f"{name} does not contain the identity")
-    for a in elems:
-        if group.inv_data(a) not in elems:
-            raise NotASubgroup(f"{name} is not inverse-closed at {group.format_data(a)}")
-
-    mul = group.mul_data
-    reached = {identity}
-    order = [identity]  # reached, in the order it was reached
-
-    def reach(a: tuple, g: tuple) -> None:
-        ag = mul(a, g)
-        if ag not in elems:
-            raise NotASubgroup(
-                f"{name} is not closed under products at "
-                f"{group.format_data(a)} * {group.format_data(g)}"
-            )
-        if ag not in reached:
-            reached.add(ag)
-            order.append(ag)
-
-    gens: list[tuple] = []
-    for g in sorted(elems, key=group.sort_key):
-        if g in reached:
-            continue
-        gens.append(g)
-        old = len(order)
-        for i in range(old):  # the new generator over everything reached so far
-            reach(order[i], g)
-        i = old
-        while i < len(order):  # each newly reached element by every generator
-            a = order[i]
-            for h in gens:
-                reach(a, h)
-            i += 1
-
-
-def _budget_error(n: int, budget: int, step: str, size: int) -> SizeBudget:
-    return SizeBudget(
-        f"B_{n} exceeded the element budget {budget} while {step} "
-        f"(partial size {size})"
-    )
-
-
-def _expand(
-    group: Group, core: Iterable[tuple], subgroup: frozenset, n: int, budget: int, side: str
-) -> set:
-    """core . subgroup (side "right") or subgroup . core, a whole coset at a time."""
-    mul = group.mul_data
-    size = len(subgroup)
-    out: set = set()
-    for m in core:
-        if m in out:
-            continue  # its entire coset is already present
-        if side == "right":
-            out.update(map(mul, repeat(m, size), subgroup))
-        else:
-            out.update(map(mul, subgroup, repeat(m, size)))
-        if len(out) > budget:
-            raise _budget_error(n, budget, f"expanding by F_{n} on the {side}", len(out))
+    trivial = frozenset([group.identity_data()])
+    out, prev, below = [], frozenset(), frozenset()
+    for n, level in enumerate(levels):
+        if not prev <= level:
+            raise AxiomViolation(f"B_{n - 1} is not inside B_{n}")
+        prev = level
+        f = chain[n - 1] if n >= 2 else trivial
+        kept = len(f) > 1 and below <= f and _walk(group, level, f, n)
+        out.append(kept or _walk(group, level, trivial, n))
+        below = f if kept else below
     return out
 
 
-def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> frozenset:
+def _walk(group: Group, level: frozenset, f: frozenset, n: int) -> _Level | None:
+    """level over the double cosets of f, or None if f is no subgroup or
+    level no union of its double cosets. In sort-key order, each element no
+    coset holds yet keys a new double coset, all of whose members must lie
+    in level; the cosets are disjoint, so they then make up level exactly."""
+    try:
+        check_subgroup(group, f, f"F_{n}")
+    except NotASubgroup:
+        return None
+    cosets, reps = _Enumerated(group, f, n, math.inf), {}
+    for a in sorted(level, key=group.sort_key):
+        if cosets.find(a) is None:
+            key = cosets.key(a)
+            if not level.issuperset(cosets.members(key)):
+                return None
+            reps[key] = cosets.size(key)
+    return _Level(cosets, reps)
+
+
+def _budget_error(n: int, budget: float, step: str, size: int) -> SizeBudget:
+    return SizeBudget(
+        f"B_{n} exceeded the element budget {budget} while {step} (partial size {size})"
+    )
+
+
+def _build_level(group: Group, levels: list, cosets, budget: int) -> _Level:
     """B_n = X u X^-1 with X = F_n B_1 B_{n-1} F_n, for n = len(levels).
 
     The definition unions every block B_k B_{n-k}, 0 < k < n, but on a nested
@@ -191,30 +214,33 @@ def _build_level(group: Group, levels: list, chain: tuple, budget: int) -> froze
     As F_n, B_1 and B_{n-1} are symmetric, the mirror block F_n B_{n-1} B_1 F_n
     is X^-1, so B_n is symmetric by construction; on A_5, X_3 misses part of B_3.
 
-    A function of its own so that the intermediate sets are freed on return,
-    before ``BallSystem`` holds the sort keys of a whole sphere.
+    On representatives: B_{n-1} is the union of H r H over its
+    representatives r, with H inside F_n, so X is the union of F_n y r F_n
+    over y in B_1 H and the r, and F_n y r F_n depends on y only through
+    F_n y. (F_n x F_n)^-1 = F_n x^-1 F_n gives X^-1.
     """
     n = len(levels)
     mul = group.mul_data
-    core: set = set()
-    add = core.add
-    for a in levels[1]:
-        for b in levels[n - 1]:
-            add(mul(a, b))
-        if len(core) > budget:
-            raise _budget_error(n, budget, "merging products", len(core))
-    f_n = chain[n - 1]
-    right = _expand(group, core, f_n, n, budget, "right")
-    kept = core <= right
-    del core, add  # freed before the left expansion, the largest step
-    full = _expand(group, right, f_n, n, budget, "left")
-    if not (kept and right <= full):
-        raise AxiomViolation(f"construction lost products while building B_{n}")
-    del right
-    full.update([y for y in map(group.inv_data, full) if y not in full])
-    if len(full) > budget:
-        raise _budget_error(n, budget, "adding inverses", len(full))
-    return frozenset(full)
+    below = levels[n - 1]
+    ys, h = {y: y for y in levels[1].reps}, below.cosets.subgroup
+    if len(h) > 1:  # one y per left coset F_n y
+        ys = {cosets.left_key(y): y for y in (mul(s, c) for s in ys for c in h)}
+    reps: dict = {}
+    size = 0
+    for y in ys.values():
+        for r in below.reps:
+            key = cosets.key(mul(y, r))
+            if key not in reps:
+                size += reps.setdefault(key, cosets.size(key))
+                if size > budget:
+                    raise _budget_error(n, budget, "merging products", size)
+    for key in list(reps):
+        key = cosets.key(group.inv_data(key))
+        if key not in reps:
+            size += reps.setdefault(key, cosets.size(key))
+    if size > budget:
+        raise _budget_error(n, budget, "adding inverses", size)
+    return _Level(cosets, reps)
 
 
 def check_n_max(n_max: int) -> None:
@@ -236,9 +262,11 @@ def build_ball_system(
     """Compute B_0..B_{n_max} for the chain, verifying every assumption.
 
     B_1 must be symmetric, each F_n a finite subgroup of the group, and the
-    chain nested; the construction is cut off by the element budget. Every
-    level n >= 2 is symmetric by construction (see ``_build_level``), so
-    B_1, the only level taken from the caller, is the one symmetry check.
+    chain nested. The element budget bounds each level's size and each double
+    coset enumerated. Every level n >= 2 is symmetric by construction (see
+    ``_build_level``), so B_1, the only level taken from the caller, is the
+    one symmetry check. Level n >= 2 is kept over F_n double cosets, in
+    closed form for a ``LampChain``.
     """
     check_n_max(n_max)
     if budget < 1:
@@ -248,7 +276,7 @@ def build_ball_system(
     if s1.group is not group:
         raise NotASubgroup("generating set belongs to a different group")
     identity = group.identity_data()
-    b1 = frozenset({s.data for s in s1.elements} | {identity})
+    b1 = dict.fromkeys([identity, *(s.data for s in s1.elements)])  # ordered set
     for x in b1:
         if group.inv_data(x) not in b1:
             raise AxiomViolation("B_1 is not symmetric", element=group.format_data(x))
@@ -257,13 +285,19 @@ def build_ball_system(
         raise NotASubgroup("chain holds an element of a different group")
     chain = tuple(frozenset(x.data for x in f) for f in members)
     for i, f in enumerate(chain):
-        _check_subgroup(group, f, f"F_{i + 1}")
+        check_subgroup(group, f, f"F_{i + 1}")
         if i and not chain[i - 1] <= f:
             raise NotASubgroup(f"chain is not nested: F_{i} is not inside F_{i + 1}")
 
-    levels = [frozenset([identity]), b1]
+    points = _Enumerated(group, frozenset([identity]), 1, budget)  # B_0 and B_1 over {e}
+    levels = [_Level(points, {points.key(x): 1 for x in xs}) for xs in ([identity], b1)]
     for n in range(2, n_max + 1):
-        levels.append(_build_level(group, levels, chain, budget))
+        f = chain[n - 1]
+        if isinstance(f_chain, LampChain):
+            cosets = f_chain.cosets(n, f)
+        else:
+            cosets = _Enumerated(group, f, n, budget)
+        levels.append(_build_level(group, levels, cosets, budget))
     return BallSystem(group, chain, tuple(levels))
 
 
@@ -295,9 +329,7 @@ class BsAnnihilatorReport:
 
     def to_json_dict(self) -> dict:
         def rows(items):
-            return [
-                {"g": str(g), "norm_g": a, "norm_fg": b} for g, a, b in items
-            ]
+            return [{"g": str(g), "norm_g": a, "norm_fg": b} for g, a, b in items]
 
         return {
             "f": str(self.f),
@@ -320,6 +352,10 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
     generating set. Disagreements below the threshold are collected
     separately: those are the finitely many exceptions the construction
     permits, not violations.
+
+    A sphere S_k = B_k minus B_{k-1} takes no product when B_k and B_{k-1}
+    are kept over subgroups that hold f, as f^-1 then fixes both, and so S_k.
+    On a built system that is every k > max(n, 2): only B_max(n, 2) is listed.
     """
     if not (1 <= n <= bs.n_max):
         raise OutOfRange(f"chain index {n} outside 1..{bs.n_max}")
@@ -331,14 +367,16 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
     radius = bs.n_max - n
     cut = max(n, 2)
     f_inv = group.inv_data(f.data)
-    checked = 0
-    violations = []
-    exceptional = []
+    fixed = [True] + [f.data in level.cosets.subgroup for level in bs._levels]
+    sizes = [0, *bs.layer_sizes()]
+    checked, violations, exceptional = 0, [], []
     mul = group.mul_data
-    norm_of = bs._norm.get
-    for ng, sphere in enumerate(bs._spheres[: radius + 1]):
-        for g_data in sphere:
-            nfg = norm_of(mul(f_inv, g_data))
+    for ng in range(radius + 1):
+        if fixed[ng] and fixed[ng + 1]:
+            checked += sizes[ng + 1] - sizes[ng]
+            continue
+        for g_data in bs.sphere_data(ng):
+            nfg = bs.norm_data(mul(f_inv, g_data))
             if nfg is None:
                 raise OutOfRange(
                     f"f^-1 g escaped B_{bs.n_max} at g = {group.format_data(g_data)}"
@@ -350,9 +388,7 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
                 violations.append((Element(group, g_data), ng, nfg))
             else:
                 exceptional.append((Element(group, g_data), ng, nfg))
-    return BsAnnihilatorReport(
-        f, n, radius, cut, checked, tuple(violations), tuple(exceptional)
-    )
+    return BsAnnihilatorReport(f, n, radius, cut, checked, tuple(violations), tuple(exceptional))
 
 
 @dataclass(frozen=True)
@@ -371,57 +407,6 @@ class MetricAxiomReport:
         }
 
 
-def _coset_reps(bs: BallSystem, k: int, subgroup: frozenset) -> list | None:
-    """R with B_k = R subgroup, or None if B_k is not a union of left cosets.
-
-    The walk goes through B_k in sphere order over ``left``, a fresh set of
-    B_k. Each element still in ``left`` becomes a representative and its
-    coset is struck from ``left``. Cosets are disjoint, so a member not found
-    lies outside B_k. This costs |B_k| products, proves the equality exactly
-    and keeps none of the products.
-    """
-    mul = bs.group.mul_data
-    size = len(subgroup)
-    walk = bs._spheres[: k + 1]
-    # copying a dict sizes the set once; adding one by one can double it
-    left = set(bs._norm) if k == bs.n_max else set(concat.from_iterable(walk))
-    strike = left.remove  # unlike difference_update, never resizes the table
-    reps = []
-    for a in concat.from_iterable(walk):
-        if a not in left:
-            continue
-        reps.append(a)
-        try:
-            any(map(strike, map(mul, repeat(a, size), subgroup)))  # each remove is None
-        except KeyError:
-            return None
-    return reps
-
-
-def _transversals(bs: BallSystem, radius: int) -> dict[int, list]:
-    """R_k with B_k = R_k F_k for each level 2 <= k <= radius it can walk.
-
-    F_k must be a subgroup of more than one element holding every F walked
-    below it. A level that fails this, or is not a union of cosets, is left
-    out and checked pair by pair: coset structure is not a metric axiom.
-    """
-    reps: dict[int, list] = {}
-    below: frozenset = frozenset()
-    for k in range(2, radius + 1):
-        f = bs.chain[k - 1]
-        if len(f) == 1 or not below <= f:
-            continue
-        try:
-            _check_subgroup(bs.group, f, f"F_{k}")
-        except NotASubgroup:
-            continue
-        found = _coset_reps(bs, k, f)
-        if found is not None:
-            reps[k] = found
-            below = f
-    return reps
-
-
 def metric_axiom_check(
     source: Union[Ball, BallSystem], radius: int | None = None
 ) -> MetricAxiomReport:
@@ -429,31 +414,27 @@ def metric_axiom_check(
 
     Every pair (x, y) with |x| + |y| <= radius is covered; properness at
     scale is reported as the finite layer sizes. The first failure raises
-    with a witness; a clean pass returns the report.
+    with a witness, a pair with its own norms; a clean pass returns the
+    report. ``pairs_checked`` counts the pairs covered, sum |S_i| |S_j| over
+    i + j <= radius, not the products taken.
 
-    On a ball system the triangle inequality is proved on coset transversals.
-    Where ``_transversals`` walks level k, B_k = R_k F_k, and by symmetry
-    B_k = F_k R_k^-1. Block (i, j) needs S_i S_j inside B_{i+j}. If B_{i+j}
-    is walked, it is F_{i+j}-bi-invariant and holds F_i, F_j of walked i, j,
-    so x runs over R_i^-1 (S_i if i is not walked) and y over R_j (or S_j):
-    each pair of S_i x S_j is f x y f' with f, f' in F_{i+j}. Other blocks,
-    and all of a word ball, go pair by pair. x and y lie in B_i and B_j, so a
-    failing pair is a genuine violation, reported with its own norms.
-    ``pairs_checked`` counts the pairs covered, sum |S_i| |S_j|, not the
-    products taken.
+    Level k is walked through R_k: its double-coset representatives if it is
+    kept over a subgroup H_k > {e}, else its sphere S_k (a word ball is all
+    spheres). r^-1 in B_k for each r in R_k makes every B_k symmetric, as
+    (H r H)^-1 = H r^-1 H. Then, by symmetry and nesting, B_i B_j lies in
+    B_{i+j} once the blocks 1 <= i <= j do. If B_{i+j} is kept over H, then
+    H holds H_i and H_j (see ``_compress``), so the block holds iff R_i M R_j
+    lies in B_{i+j}, with M = H_i H_j the larger of the two, taking one x m
+    per left coset H x m. Other blocks go pair by pair over S_i x S_j.
     """
     group = source.group
     identity = group.identity_data()
     if isinstance(source, Ball):
-        kind = "ball"
-        max_radius = source.radius
-        norm_of = source.dist_data
-        sphere = source.layer_data
+        kind, max_radius = "ball", source.radius
+        norm_of, sphere = source.dist_data, source.layer_data
     else:
-        kind = "ballsystem"
-        max_radius = source.n_max
-        norm_of = source._norm.get
-        sphere = source.sphere_data
+        kind, max_radius = "ballsystem", source.n_max
+        norm_of, sphere = source.norm_data, source.sphere_data
     if radius is None:
         radius = max_radius
     if radius > max_radius:
@@ -461,9 +442,17 @@ def metric_axiom_check(
     if radius < 0:
         raise OutOfRange(f"radius {radius} is negative")
 
-    spheres = [sphere(k) for k in range(radius + 1)]
-    layer_sizes = tuple(len(s) for s in spheres)
-    for x in spheres[0]:
+    walk = []  # per level: (cosets of H_k > {e} or None, R_k, membership in B_k)
+    for k in range(radius + 1):
+        if kind == "ball":
+            walk.append((None, sphere(k), lambda x, k=k: norm_of(x) in range(k + 1)))
+        elif len((level := source._levels[k]).cosets.subgroup) > 1:
+            walk.append((level.cosets, list(level.reps), level.__contains__))
+        else:
+            walk.append((None, sphere(k), level.__contains__))
+    sizes = [source.size(k) for k in range(radius + 1)] if kind == "ball" else source.layer_sizes()
+    layer_sizes = tuple(b - a for a, b in zip([0, *sizes], sizes[: radius + 1]))
+    for x in sphere(0):
         if x != identity:
             raise AxiomViolation(
                 "a non-identity element has norm 0", element=group.format_data(x)
@@ -471,39 +460,48 @@ def metric_axiom_check(
     if norm_of(identity) != 0:
         raise AxiomViolation("the identity does not have norm 0")
 
-    for k, xs in enumerate(spheres):
-        for x in xs:
-            ni = norm_of(group.inv_data(x))
-            if ni != k:
+    inv = group.inv_data
+    for _, reps, inside in walk:
+        for x in reps:
+            if not inside(inv(x)):
                 raise AxiomViolation(
                     "symmetry fails",
                     element=group.format_data(x),
-                    norm=k,
-                    inverse_norm=ni,
+                    norm=norm_of(x),
+                    inverse_norm=norm_of(inv(x)),
                 )
 
-    reps = {} if kind == "ball" else _transversals(source, radius)
-    inv = group.inv_data
-    rows = {k: [inv(r) for r in rs] for k, rs in reps.items()}
     mul = group.mul_data
-    pairs = 0
-    for i in range(radius + 1):
-        for j in range(radius + 1 - i):
-            bound = i + j
-            factored = bound in reps
-            xs = rows[i] if factored and i in rows else spheres[i]
-            ys = reps[j] if factored and j in reps else spheres[j]
-            for x in xs:
+    for i in range(1, radius // 2 + 1):
+        for j in range(i, radius + 1 - i):
+            target, _, inside = walk[i + j]
+            if target is None:  # pair by pair
+                xs, ys = [(x, None, x) for x in sphere(i)], sphere(j)
+            else:
+                xs, ys = [(x, None, x) for x in walk[i][1]], walk[j][1]
+                held = walk[j][0] or walk[i][0]  # M, the larger of H_i and H_j
+                if held:  # (x, m, x m), one per left coset H x m
+                    tried = {}
+                    for x in walk[i][1]:
+                        for m in held.subgroup:
+                            xm = mul(x, m)
+                            tried.setdefault(target.left_key(xm), (x, m, xm))
+                    xs = tried.values()
+            for x, m, xm in xs:
                 for y in ys:
-                    nxy = norm_of(mul(x, y))
-                    if nxy is None or nxy > bound:
-                        raise AxiomViolation(
-                            f"triangle inequality fails: x*y lies outside B_{bound}",
-                            x=group.format_data(x),
-                            y=group.format_data(y),
-                            norm_x=norm_of(x),
-                            norm_y=norm_of(y),
-                            norm_xy=nxy,
-                        )
-            pairs += len(spheres[i]) * len(spheres[j])
+                    if inside(mul(xm, y)):
+                        continue
+                    if not walk[i][2](xm):  # M = H_j: the pair is x, m y
+                        xm, y = x, mul(m, y)
+                    raise AxiomViolation(
+                        f"triangle inequality fails: x*y lies outside B_{i + j}",
+                        x=group.format_data(xm),
+                        y=group.format_data(y),
+                        norm_x=norm_of(xm),
+                        norm_y=norm_of(y),
+                        norm_xy=norm_of(mul(xm, y)),
+                    )
+    pairs = sum(
+        layer_sizes[i] * layer_sizes[j] for i in range(radius + 1) for j in range(radius + 1 - i)
+    )
     return MetricAxiomReport(kind, radius, pairs, layer_sizes)

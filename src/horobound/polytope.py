@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import DimensionCap, NotExtreme
+from .errors import DimensionCap, NotExtreme, SizeBudget
 from .linalg import nullspace, pivot, primitive_integer, rref
 
 __all__ = [
@@ -193,10 +193,25 @@ class RationalPolytope:
         }
 
 
+# The hull tries every k-subset of the extreme points, C(|extremes|, k) of
+# them. Past this many subsets it stops; the bundled specs need at most 6
+# and the test suite 28.
+HULL_SUBSET_BUDGET = 1_000_000
+
+
 def _hyperplanes(points: Sequence[Point], extremes: Sequence[Point], k: int):
-    """Candidate facet normals from k-subsets of extreme points (ambient dim k)."""
+    """Candidate facet normals from k-subsets of extreme points (ambient dim k).
+
+    Past ``HULL_SUBSET_BUDGET`` subsets it raises ``SizeBudget`` with the
+    subsets tried and the facets found so far.
+    """
     seen = set()
-    for subset in combinations(extremes, k):
+    for tried, subset in enumerate(combinations(extremes, k)):
+        if tried == HULL_SUBSET_BUDGET:
+            raise SizeBudget(
+                f"hull enumeration exceeded its budget of {HULL_SUBSET_BUDGET} subsets "
+                f"({tried} subsets tried, {len(seen)} facets found)"
+            )
         diffs = [[subset[j][i] - subset[0][i] for i in range(k)] for j in range(1, k)]
         normals = nullspace(diffs, k)
         if len(normals) != 1:

@@ -849,3 +849,34 @@ def test_example_lookup():
 def test_example_unknown_name():
     with pytest.raises(ValueError, match="unknown example"):
         example("noone")
+
+
+def test_run_command_reuses_the_parsed_group(monkeypatch):
+    # parse_spec builds the group and its generating set, with all their
+    # checks, once; running the config it returned builds neither again
+    builds = []
+    for name in ("build_group", "symmetric_generating_set"):
+        real = getattr(cli_mod, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            builds.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, counted)
+    _, _, config = parse_spec(spec_path("lamplighter.spec"))
+    run_command(config)
+    run_command(config)
+    assert builds == ["build_group", "symmetric_generating_set"]
+
+
+def test_replaced_generators_get_their_own_group():
+    # configs that differ only in their generators, run in turn after a
+    # parse, each get the generating set they name: B_2 of Z^2 has 13
+    # elements on the standard generators and 19 with (1,1) and (-1,-1)
+    _, _, config = parse_spec(spec_path("z2_standard.spec"))
+    standard = replace(config, command="ball", labels=None).with_params(r=2)
+    wide = replace(standard, generators=standard.generators + ("(1,1)", "(-1,-1)"))
+    for cfg, size in ((wide, 19), (standard, 13), (wide, 19)):
+        report, _ = run_command(cfg)
+        assert report["size"] == size
+        assert report["config"]["generators"] == list(cfg.generators)

@@ -25,14 +25,13 @@ from horobound.groups import (
     FiniteTableGroup,
     GeneratingSet,
     LamplighterGroup,
+    check_subgroup,
     cyclic_table,
     direct_product_table,
     symmetric_generating_set,
 )
 from horobound.metrics import (
     BallSystem,
-    _check_subgroup,
-    _transversals,
     bs_annihilator_check,
     bs_norm,
     build_ball_system,
@@ -60,6 +59,72 @@ def test_level_sizes(lamp_bs4):
     assert [len(lamp_bs4.sphere_data(n)) for n in range(4)] == [1, 3, 412, 3296]
 
 
+def _enumerated_double_coset(group, f, g):
+    """F g F multiplied out, one left coset x F for each new x in F g."""
+    mul = group.mul_data
+    out = set()
+    for a in f:
+        x = mul(a, g)
+        if x not in out:
+            out |= {mul(x, b) for b in f}
+    return out
+
+
+def test_window_cosets_match_enumeration(lamp_pair):
+    # the closed form of LampChain against F_n g F_n multiplied out, for
+    # seeded g with lamps in [-8, 8] and shifts in [-6, 6]
+    group, _ = lamp_pair
+    chain = lamp_chain(group, 4)
+    mul = group.mul_data
+    rng = random.Random(2026)
+    for n in range(1, 5):
+        f = frozenset(x.data for x in chain[n - 1])
+        cosets = chain.cosets(n, f)
+        for _ in range(3):
+            lamps = [p for p in range(-8, 9) if rng.random() < 0.4]
+            g = group.element((lamps, rng.randint(-6, 6))).data
+            coset = _enumerated_double_coset(group, f, g)
+            key = cosets.key(g)
+            assert key in coset
+            assert {cosets.key(x) for x in coset} == {key}
+            assert cosets.size(key) == len(coset)
+            assert set(cosets.members(key)) == coset
+            assert {cosets.left_key(mul(a, g)) for a in f} == {cosets.left_key(g)}
+            # the lamp just right of W = [-n, n] u [u - n, u + n] switched
+            u = g[2]
+            flipped = mul(g, group.element(((max(n, u + n) + 1 - u,), 0)).data)
+            assert flipped not in coset
+            assert cosets.key(flipped) != key
+
+
+def test_lamplighter_levels_in_closed_form(lamp_pair):
+    # B_n is the 2n + 1 double cosets F_n t^u F_n, |u| <= n, of 2^(2n+1+|u|)
+    # elements each, so |B_n| = 2^(2n+1) (2^(n+2) - 3)
+    group, gens = lamp_pair
+    bs = build_ball_system(group, gens, lamp_chain(group, 5), 5)
+    sizes = bs.layer_sizes()
+    assert sizes[2:] == [2 ** (2 * n + 1) * (2 ** (n + 2) - 3) for n in range(2, 6)]
+    assert sizes[2:] == [416, 3712, 31232, 256000]
+    for n in range(2, 6):
+        assert sorted(bs._levels[n].reps) == [(0, 0, u) for u in range(-n, n + 1)]
+
+
+def test_lamplighter_run_lists_no_level_above_b2(lamp_pair):
+    # the axiom and annihilator checks of ``ballsystem`` list the spheres of
+    # B_0, B_1 and B_2 only; B_3 and B_4 stay representatives
+    group, gens = lamp_pair
+    bs = build_ball_system(group, gens, lamp_chain(group, 4), 4)
+    metric_axiom_check(bs)
+    for data in bs.chain[0]:
+        bs_annihilator_check(bs, Element(group, data), 1)
+    assert set(bs._spheres) == {0, 1, 2}
+
+
+def _level_data(bs, n):
+    """B_n as its spheres 0..n."""
+    return [d for k in range(n + 1) for d in bs.sphere_data(k)]
+
+
 def _assert_levels_match_oracle(bs, mul, s1):
     group = bs.group
     form = oracle_form(group)
@@ -71,7 +136,7 @@ def _assert_levels_match_oracle(bs, mul, s1):
         bs.n_max,
     )
     for n in range(bs.n_max + 1):
-        assert {form(x.data) for x in bs.elements(n)} == expect[n]
+        assert {form(x) for x in _level_data(bs, n)} == expect[n]
         # each sphere in the order of its tuple form
         previous = expect[n - 1] if n else set()
         assert [form(d) for d in bs.sphere_data(n)] == sorted(expect[n] - previous)
@@ -228,14 +293,14 @@ def test_mirror_block_is_needed():
     _assert_levels_match_oracle(bs, mul, gens)
     elems = [(x,) for x in range(group.order)]
     inv = {x: y for x in elems for y in elems if mul(x, y) == (0,)}
-    b1 = [x.data for x in bs.elements(1)]
+    b1 = _level_data(bs, 1)
     short = []
     for n in range(2, 6):
-        tail = [y.data for y in bs.elements(n - 1)]
+        tail = _level_data(bs, n - 1)
         x_n = {mul(mul(g, mul(x, y)), h) for x in b1 for y in tail for g in f for h in f}
         mirror = {mul(mul(g, mul(y, x)), h) for x in b1 for y in tail for g in f for h in f}
         assert mirror == {inv[x] for x in x_n}
-        assert x_n | mirror == {x.data for x in bs.elements(n)}
+        assert x_n | mirror == set(_level_data(bs, n))
         short.append(len(x_n))
     assert short == [22, 38, 58, 60]
 
@@ -339,10 +404,10 @@ def test_closure_check_agrees_with_pairwise():
             closed = all(group.mul_data(a, b) in elems for a in elems for b in elems)
             outcomes.add(closed)
             if closed:
-                _check_subgroup(group, elems, "F")
+                check_subgroup(group, elems, "F")
             else:
                 with pytest.raises(NotASubgroup, match="products"):
-                    _check_subgroup(group, elems, "F")
+                    check_subgroup(group, elems, "F")
     assert outcomes == {True, False}
 
 
@@ -354,7 +419,7 @@ def test_subgroup_walk_follows_the_sort_key():
     a, b = group.parse("({-1,2};0)"), group.parse("({0,1};0)")
     elems = frozenset({group.identity_data(), a.data, b.data})
     with pytest.raises(NotASubgroup, match=re.escape("at ({-1,2};0) * ({0,1};0)")):
-        _check_subgroup(group, elems, "F")
+        check_subgroup(group, elems, "F")
 
 
 def _count_products(monkeypatch, cls):
@@ -376,23 +441,25 @@ def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
     calls = _count_products(monkeypatch, LamplighterGroup)
     for i, f in enumerate(chain):
         calls[0] = 0
-        _check_subgroup(group, f, f"F_{i + 1}")
+        check_subgroup(group, f, f"F_{i + 1}")
         assert calls[0] < len(f) * (math.log2(len(f)) + 1)
 
 
 def test_ball_system_work_counts(lamp_pair, monkeypatch):
-    # subgroup checks and F_n expansions 57,720, and the blocks B_1 B_1,
-    # B_1 B_2 and B_1 B_3 16,528; the mirror blocks are taken as inverses
+    # the subgroup checks of F_1 .. F_4 5,688 (24 + 160 + 896 + 4,608), and
+    # representative products 692: B_1 B_1 16 at B_2; B_1 F_2 128, then its
+    # 3 left cosets of F_3 times the 5 representatives of B_2 at B_3; B_1 F_3
+    # 512, then 3 times 7 at B_4. The mirror blocks are taken as inverses
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
     calls = _count_products(monkeypatch, LamplighterGroup)
     build_ball_system(group, gens, chain, 4)
-    assert calls[0] == 74_248
+    assert calls[0] == 6_380
 
 
 def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
     # the subgroup checks 680, the symmetry check of B_1 4, and X^-1 at
-    # B_2, B_3 and B_4 35,360
+    # B_2, B_3 and B_4, one per representative, 5 + 7 + 9
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
     calls = [0]
@@ -404,7 +471,7 @@ def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
 
     monkeypatch.setattr(LamplighterGroup, "inv_data", counted)
     build_ball_system(group, gens, chain, 4)
-    assert calls[0] == 36_044
+    assert calls[0] == 705
 
 
 def test_asymmetric_b1_is_refused_before_any_product(lamp_pair, monkeypatch):
@@ -491,15 +558,29 @@ def test_budgets(lamp_pair):
     group, gens = lamp_pair
     with pytest.raises(SizeBudget, match="element budget"):
         build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=100)
-    # the budget fires within the first rows of B_1 B_1, naming the level reached
-    with pytest.raises(SizeBudget, match=r"B_2 .* merging products") as hit:
-        build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=5)
-    partial = int(re.search(r"partial size (\d+)", str(hit.value)).group(1))
-    assert 5 < partial <= 5 + 4  # one row adds at most |B_1| = 4 products
-    with pytest.raises(SizeBudget, match=r"B_2 .* expanding by F_2 on the right"):
-        build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=20)
+    # a level's size is the sum of its double-coset sizes, checked as each
+    # coset joins it: F_2 alone has 32 elements; at B_3, F_3 (128) and
+    # F_3 t F_3 (256) fit in 416, and F_3 t^-1 F_3 (256 more) does not
+    for budget, n, partial in ((5, 2, 32), (416, 3, 640)):
+        with pytest.raises(SizeBudget, match=re.escape(
+            f"B_{n} exceeded the element budget {budget} while merging products "
+            f"(partial size {partial})"
+        )):
+            build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=budget)
     with pytest.raises(SizeBudget, match="level budget"):
         build_ball_system(group, gens, lamp_chain(group, 6), 6)
+
+
+def test_budget_cuts_an_enumerated_double_coset():
+    # F_2 = 0 x Z/12 of the cylinder is no closed form, so its double cosets
+    # are enumerated; the first left coset already holds 12 elements
+    group, gens = cylinder(12)
+    torsion = [group.element((0, c)) for c in range(12)]
+    with pytest.raises(SizeBudget, match=re.escape(
+        "B_2 exceeded the element budget 5 while enumerating F_2 double cosets "
+        "(partial size 12)"
+    )):
+        build_ball_system(group, gens, [torsion, torsion], 2, budget=5)
 
 
 def test_annihilator_check_in_range(lamp_bs4):
@@ -590,37 +671,53 @@ def _with_norm(bs, norm, chain=None):
 
 
 def _walked(bs):
-    return set(_transversals(bs, bs.n_max))
+    """The levels kept over double cosets of a subgroup larger than {e}."""
+    return {n for n, level in enumerate(bs._levels) if len(level.cosets.subgroup) > 1}
+
+
+def _norms(bs):
+    """Every element of B_n_max with its norm, read from the levels' double
+    cosets top down so that the lowest level holding an element names it."""
+    return {
+        d: n
+        for n, level in reversed(list(enumerate(bs._levels)))
+        for r in level.reps
+        for d in level.cosets.members(r)
+    }
 
 
 def test_axiom_check_work_counts(lamp_bs4, monkeypatch):
-    # three subgroup checks (5,664), three coset walks over B_2, B_3, B_4
-    # (35,360) and the blocks over transversals (643); all pairs took 254,464
+    # the blocks 1 <= i <= j on representatives: (1, 1) 3 x 3; (1, 2) S_1 F_2
+    # 96, then 3 left cosets of F_3 times 5; (1, 3) S_1 F_3 384, then 3 x 7;
+    # (2, 2) R_2 F_2 160, then 5 x 5. All pairs took 254,464
     calls = _count_products(monkeypatch, LamplighterGroup)
     report = metric_axiom_check(lamp_bs4)
-    assert calls[0] == 41_667
+    assert calls[0] == 710
     assert report.pairs_checked == 254_464
     assert _walked(lamp_bs4) == {2, 3, 4}
 
 
 def test_axiom_check_walks_no_trivial_subgroup(monkeypatch):
     # the degenerate chain F_n = {e} of ``ballsystem`` on Z^2: no level is
-    # walked and each pair is one product
+    # walked, and each pair of the blocks 1 <= i <= j is one product,
+    # 16 + 32 + 48 + 64 + 64 + 96 of the 681 pairs covered
     group, gens, _ = parse_spec(spec_path("z2_standard.spec"))
     bs = build_ball_system(group, gens, [[group.identity()]] * 5, 5)
     assert _walked(bs) == set()
     calls = _count_products(monkeypatch, type(group))
     report = metric_axiom_check(bs)
-    assert calls[0] == report.pairs_checked == 681
+    assert calls[0] == 320
+    assert report.pairs_checked == 681
 
 
 def test_ballsystem_run_work_counts(monkeypatch):
-    # parsing the spec and rebuilding its group 30 each, build 74,248, axiom
-    # check 41,667, annihilator checks 29,696
+    # parsing the spec 30 (``run_command`` reuses its group), build 6,380,
+    # axiom check 710, annihilator checks 2,912: |B_2| = 416 for each of the
+    # 7 members of F_1 but the identity, which takes none
     calls = _count_products(monkeypatch, LamplighterGroup)
     _, _, config = parse_spec(spec_path("lamplighter.spec"))
     run_command(config)
-    assert calls[0] == 145_671
+    assert calls[0] == 10_032
 
 
 def test_axiom_check_reports_a_missing_product(lamp_pair):
@@ -631,21 +728,50 @@ def test_axiom_check_reports_a_missing_product(lamp_pair):
     bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
     f3, t3 = bs.chain[2], group.element(((), 3)).data
     mul, inv = group.mul_data, group.inv_data
-    norm = dict(bs._norm)
+    norm = _norms(bs)
     for x in (t3, inv(t3)):
         for a in f3:
             for b in f3:
                 norm.pop(mul(mul(a, x), b), None)
     hand = _with_norm(bs, norm)
-    reps = _transversals(hand, 3)
-    assert set(reps) == {2, 3}
+    assert _walked(hand) == {2, 3}
     with pytest.raises(AxiomViolation, match="triangle inequality fails") as hit:
         metric_axiom_check(hand)
     w = hit.value.witness
     assert w["norm_xy"] is None or w["norm_xy"] > w["norm_x"] + w["norm_y"]
-    assert group.parse(w["y"]).data in reps[2]  # t^-1 * t^-2, block (1, 2)
+    assert (w["norm_x"], w["norm_y"]) == (1, 2)  # t^-1 * t^-2, block (1, 2)
     assert bs_norm(hand, group.parse(w["x"])) == w["norm_x"]
     assert bs_norm(hand, group.parse(w["y"])) == w["norm_y"]
+
+
+def test_axiom_check_multiplies_through_the_middle_subgroup():
+    # D_30 on r^17 and s r^26, F_1 = F_2 = F_3 = {e}, F_4 = F_5 = <s r^8>;
+    # B_5 loses the double coset of r^6 under F_5, and its inverse. Every
+    # product of S_1 with a representative of B_4 still lands in B_5; the
+    # missing pairs are x m y with m = s r^8, from the middle subgroup F_4
+    group = _dihedral(30)
+    gens = symmetric_generating_set(group, [group.element((17,)), group.element((56,))])
+    e, f = frozenset({(0,)}), frozenset({(0,), (38,)})
+    bs = _ball_system(group, gens, [e, e, e, f, f])
+    assert bs.layer_sizes() == [1, 4, 8, 12, 38, 60]
+    norm = _norms(bs)
+    for y in ((6,), (24,), (32,), (44,)):
+        del norm[y]
+    hand = _with_norm(bs, norm)
+    assert _walked(hand) == {4, 5}
+    mul = group.mul_data
+    assert all(
+        hand.norm_data(mul(x, y)) is not None
+        for x in hand.sphere_data(1)
+        for y in hand._levels[4].reps
+    )
+    with pytest.raises(AxiomViolation, match="outside B_5") as hit:
+        metric_axiom_check(hand)
+    w = hit.value.witness
+    x, y = (group.parse(w[k]) for k in ("x", "y"))
+    assert (bs_norm(hand, x), bs_norm(hand, y)) == (w["norm_x"], w["norm_y"])
+    assert w["norm_x"] + w["norm_y"] <= 5
+    assert w["norm_xy"] is None and hand.norm_data(mul(x.data, y.data)) is None
 
 
 def test_axiom_check_reports_a_level_off_its_cosets(lamp_pair):
@@ -654,7 +780,7 @@ def test_axiom_check_reports_a_level_off_its_cosets(lamp_pair):
     group, gens = lamp_pair
     bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
     t, t2 = group.element(((), -1)), group.element(((), 2)).data
-    norm = dict(bs._norm)
+    norm = _norms(bs)
     norm[t2] = norm[group.inv_data(t2)] = 3
     hand = _with_norm(bs, norm)
     assert _walked(hand) == {3}
@@ -678,7 +804,7 @@ def test_axiom_check_does_not_trust_a_chain_out_of_nesting():
     levels[4] -= {(5,), (11,), (16,), (22,)}
     bs = BallSystem(group, tuple(chain), tuple(frozenset(level) for level in levels))
     assert _walked(bs) == {3}
-    norm = {d: n for n, sphere in enumerate(bs._spheres) for d in sphere}
+    norm = _norms(bs)
     assert oracle_metric_violation(mul, inv, identity, norm, 4)[0] == "triangle"
     with pytest.raises(AxiomViolation, match="triangle inequality fails"):
         metric_axiom_check(bs)
@@ -703,7 +829,7 @@ def _mutant(bs, rng):
         y = mul(rng.choice(bs.sphere_data(n_max)), rng.choice(bs.sphere_data(1)))
         moved = {y, inv(y)}
     to = 0 if rng.random() < 0.05 else rng.randint(1, n_max + 1)
-    norm = dict(bs._norm)
+    norm = _norms(bs)
     for y in moved:
         if to > n_max:
             norm.pop(y, None)
@@ -747,7 +873,7 @@ def test_axiom_check_agrees_with_all_pairs(lamp_pair, name):
     seen = set()
     for _ in range(60):
         mutant = _mutant(bs, rng)
-        norm = {form(d): n for n, sphere in enumerate(mutant._spheres) for d in sphere}
+        norm = {form(d): n for d, n in _norms(mutant).items()}
         verdict = oracle_metric_violation(mul, inv, identity, norm, mutant.n_max)
         try:
             metric_axiom_check(mutant)

@@ -1,11 +1,13 @@
 """Exact LP and convex hulls over the rationals."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from horobound.errors import DimensionCap, NotExtreme
+from horobound import polytope
+from horobound.errors import DimensionCap, NotExtreme, SizeBudget
 from horobound.polytope import convex_hull, solve_lp, supporting_functional
 
 from oracles import hull2d, in_convex_polygon
@@ -163,3 +165,15 @@ def test_supporting_functional_needs_a_vertex():
         supporting_functional(poly, (1, 1))
     with pytest.raises(NotExtreme):
         supporting_functional(poly, (Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_hull_enumeration_stops_at_its_budget(monkeypatch):
+    # the unit square tries C(4, 2) = 6 pairs of vertices; in sorted order
+    # the first three give the facets x >= 0 and y >= 0 and one diagonal
+    monkeypatch.setattr(polytope, "HULL_SUBSET_BUDGET", 3)
+    with pytest.raises(SizeBudget, match=re.escape(
+        "hull enumeration exceeded its budget of 3 subsets (3 subsets tried, 2 facets found)"
+    )):
+        convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(polytope, "HULL_SUBSET_BUDGET", 6)
+    assert len(convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]).inequalities) == 4
