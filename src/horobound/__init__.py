@@ -11,14 +11,10 @@ metrics that are not word metrics. Everything is exact: integer BFS,
 
 from .annihilator import (
     AnnihilatorReport,
-    ClosureReport,
     FunctionalZeroSets,
-    IndexBoundCheck,
     Profile,
     annihilator_candidates,
     functional_annihilator,
-    generated_subgroup_bound,
-    index_bound_check,
     indistinguishability_profile,
 )
 from .boundary import (
@@ -52,7 +48,6 @@ from .cayley import (
 from .errors import (
     AxiomViolation,
     BoundViolated,
-    ClosureEscapedBound,
     Diagnostic,
     DomainExhausted,
     HoroboundError,
@@ -147,13 +142,9 @@ __all__ = [
     "Profile",
     "AnnihilatorReport",
     "FunctionalZeroSets",
-    "ClosureReport",
-    "IndexBoundCheck",
     "indistinguishability_profile",
     "annihilator_candidates",
     "functional_annihilator",
-    "generated_subgroup_bound",
-    "index_bound_check",
     # polytope
     "RationalPolytope",
     "convex_hull",
@@ -186,7 +177,6 @@ __all__ = [
     "DomainExhausted",
     "NoDominatorAtLevel",
     "BoundViolated",
-    "ClosureEscapedBound",
     "NotExtreme",
     "VerificationFailed",
     "AxiomViolation",

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 from .boundary import BoundaryApprox
 from .cayley import Ball
-from .errors import ClosureEscapedBound, OutOfBall
+from .errors import OutOfBall
 from .groups import Element
 
 __all__ = [
@@ -24,13 +24,9 @@ __all__ = [
     "Profile",
     "AnnihilatorReport",
     "FunctionalZeroSets",
-    "ClosureReport",
-    "IndexBoundCheck",
     "indistinguishability_profile",
     "annihilator_candidates",
     "functional_annihilator",
-    "generated_subgroup_bound",
-    "index_bound_check",
 ]
 
 DEFAULT_GAP = 2
@@ -238,91 +234,3 @@ def functional_annihilator(approx: BoundaryApprox, m: int) -> FunctionalZeroSets
         m, tuple(zeros_all), tuple(zeros_bus), len(stable), len(stable_bus)
     )
 
-
-@dataclass(frozen=True)
-class ClosureReport:
-    elements: tuple[Element, ...]
-    size: int
-    max_norm: int
-    r_bound: int
-
-
-def generated_subgroup_bound(
-    candidates: Iterable[Element], ball: Ball, r_bound: int | None = None
-) -> ClosureReport:
-    """Close the candidates under products inside {|x| <= r_bound}.
-
-    The bound defaults to the largest witness radius rho(u) + 1 among the
-    inputs: genuine annihilator elements generate a subgroup trapped in that
-    ball. ``Ball.closure`` does the walk. When a product (or an input) leaves
-    the bound, the diagnostic carries the first escapee and the size of the
-    closure inside the bound; that is evidence that some input is not an
-    annihilator element (or that its witness radius was underestimated).
-    """
-    group = ball.group
-    seed = sorted({g.data for g in candidates}, key=group.sort_key)
-    if r_bound is None:
-        r_bound = 0
-        for d in seed:
-            p = indistinguishability_profile(Element(group, d), ball, gap=0)
-            r_bound = max(r_bound, p.witness_radius)
-    inside, escaped = ball.closure(seed, r_bound)
-    if escaped is not None:
-        raise ClosureEscapedBound(
-            "closure left the witness-radius ball; some input is "
-            "likely not an annihilator element",
-            escaped=group.format_data(escaped),
-            r_bound=r_bound,
-            partial_size=len(inside),
-        )
-    ordered = sorted(inside, key=lambda i: (ball.dist[i], group.sort_key(ball.data[i])))
-    return ClosureReport(
-        tuple(Element(group, ball.data[i]) for i in ordered),
-        len(inside),
-        ball.dist[ordered[-1]],
-        r_bound,
-    )
-
-
-@dataclass(frozen=True)
-class IndexBoundCheck:
-    candidate_count: int
-    index: int
-    subgroup_factor: int
-    bound: int
-    ok: bool
-    slack: int
-    offending: tuple[Element, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "candidate_count": self.candidate_count,
-            "index": self.index,
-            "subgroup_factor": self.subgroup_factor,
-            "bound": self.bound,
-            "ok": self.ok,
-            "slack": self.slack,
-            "offending": [str(e) for e in self.offending],
-        }
-
-
-def index_bound_check(
-    report: AnnihilatorReport, h_index: int, subgroup_factor: int = 1
-) -> IndexBoundCheck:
-    """Candidate count against the index bound |N| <= [G:H] * L(H).
-
-    The caller supplies the index of a declared torsion-free finite-index
-    subgroup; the factor stays 1 when that subgroup is free abelian. Excess
-    candidates (sorted by norm, then data) are listed when the bound fails:
-    the semi-decision has then over-counted.
-    """
-    if h_index < 1 or subgroup_factor < 1:
-        raise ValueError("index and factor are positive integers")
-    bound = h_index * subgroup_factor
-    count = len(report.candidates)
-    key = report.ball.group.sort_key
-    ranked = sorted(report.candidates, key=lambda e: (report.ball.norm(e), key(e.data)))
-    offending = tuple(ranked[bound:]) if count > bound else ()
-    return IndexBoundCheck(
-        count, h_index, subgroup_factor, bound, count <= bound, bound - count, offending
-    )

@@ -628,12 +628,14 @@ def main(argv: list[str] | None = None) -> int:
 
     out = emit_report(report)
     if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        with open(os.path.join(config.out, "report.json"), "wb") as fh:
-            fh.write(out)
-        for name, blob in sides.items():
-            with open(os.path.join(config.out, name), "wb") as fh:
-                fh.write(blob)
+        try:
+            os.makedirs(config.out, exist_ok=True)
+            for name, blob in {"report.json": out, **sides}.items():
+                with open(os.path.join(config.out, name), "wb") as fh:
+                    fh.write(blob)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     sys.stdout.buffer.write(out)
     return 0
 

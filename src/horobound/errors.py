@@ -24,7 +24,6 @@ __all__ = [
     "NoDominatorAtLevel",
     "RangeEmpty",
     "BoundViolated",
-    "ClosureEscapedBound",
     "DimensionCap",
     "NotConnected",
     "NotExtreme",
@@ -109,12 +108,6 @@ class RangeEmpty(HoroboundError):
 
 class BoundViolated(Diagnostic):
     """A finite-level certificate exceeded its stated bound."""
-
-
-# -- annihilator -------------------------------------------------------------
-
-class ClosureEscapedBound(Diagnostic):
-    """Subgroup closure left the predicted ball: some input is not annihilating."""
 
 
 # -- vabelian ----------------------------------------------------------------

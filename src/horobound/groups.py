@@ -789,29 +789,31 @@ def symmetric_generating_set(
 ) -> GeneratingSet:
     """Close the listed elements under inverse, label them, verify generation.
 
-    Listed elements come first in their given order (duplicates dropped);
-    missing inverses are appended as ``<label>^-1``. Verification is exact on
-    the extension normal form (fg_abelian, vab_extension and finite): the set
+    Listed elements come first in their given order; a repeated element is
+    dropped, and the label of its first occurrence stays. Missing inverses
+    are appended as ``<label>^-1``. Verification is exact on the extension
+    normal form (fg_abelian, vab_extension and finite): the set
     must span a subgroup of index 1. For the lamplighter, a BFS up to
     ``witness_radius`` must reach every declared witness, otherwise the set is
     flagged unverified.
     """
     listed: list[Element] = []
-    for x in elements:
+    base_labels: list[str] = []
+    for i, x in enumerate(elements):
         if x.group is not group:
             raise GroupMismatch(f"generator {x!r} belongs to a different group")
         if x.is_identity():
             raise IdentityGenerator("the identity is not allowed as a generator")
         if x not in listed:
             listed.append(x)
+            if labels is None:
+                base_labels.append(f"s{len(base_labels)}")
+            elif i < len(labels):
+                base_labels.append(labels[i])
+            else:
+                raise ValueError("fewer labels than generators")
     if not listed:
         raise DoesNotGenerate("empty generating set")
-    if labels is not None:
-        if len(labels) < len(listed):
-            raise ValueError("fewer labels than distinct generators")
-        base_labels = list(labels[: len(listed)])
-    else:
-        base_labels = [f"s{i}" for i in range(len(listed))]
 
     elems = list(listed)
     labs = list(base_labels)

@@ -1,20 +1,17 @@
 """Indistinguishability profiles and the candidate annihilator subgroup."""
 
 import io
-from dataclasses import replace
 
 import pytest
 
 from horobound.annihilator import (
     annihilator_candidates,
     functional_annihilator,
-    generated_subgroup_bound,
-    index_bound_check,
     indistinguishability_profile,
 )
 from horobound.boundary import boundary_approx
 from horobound.cayley import grow_ball
-from horobound.errors import ClosureEscapedBound, OutOfBall
+from horobound.errors import OutOfBall
 from horobound.examples import REGISTRY, cylinder, example
 from horobound.groups import Element
 
@@ -160,37 +157,6 @@ def test_functional_annihilator_on_line(z_ball):
     assert [str(x) for x in zeros.zeros_all] == ["(0)"]
 
 
-def test_closure_stays_in_torsion(cyl4_ball15):
-    report = annihilator_candidates(cyl4_ball15, 3)
-    closure = generated_subgroup_bound(report.candidates, cyl4_ball15)
-    assert {x.data for x in closure.elements} == TORSION4
-    assert closure.size == 4
-    assert closure.max_norm == 2
-    assert closure.r_bound == 4
-
-
-def test_closure_escape_is_diagnosed(cyl4_ball15):
-    group = cyl4_ball15.group
-    report = annihilator_candidates(cyl4_ball15, 3)
-    seeds = list(report.candidates) + [group.element((1, 0))]
-    with pytest.raises(ClosureEscapedBound) as info:
-        generated_subgroup_bound(seeds, cyl4_ball15, r_bound=2)
-    assert info.value.payload["r_bound"] == 2
-    assert info.value.payload["escaped"] == "(1,2)"
-
-
-def test_index_bound_check(cyl4_ball15):
-    report = annihilator_candidates(cyl4_ball15, 3)
-    ok = index_bound_check(report, 4)
-    assert ok.ok and ok.bound == 4 and ok.slack == 0
-    assert ok.candidate_count == 4 and ok.offending == ()
-    tight = index_bound_check(report, 2)
-    assert not tight.ok and tight.bound == 2
-    assert {str(x) for x in tight.offending} == {"(0,2)", "(0,3)"}
-    doubled = index_bound_check(report, 2, subgroup_factor=2)
-    assert doubled.ok and doubled.bound == 4
-
-
 def _payload_closure(seeds, bound, mul, identity, table):
     """Breadth-first closure of the seeds on payloads, past any escape:
     (elements inside B_bound, first product outside it or None)."""
@@ -234,7 +200,6 @@ def test_closure_matches_payload_closure(name):
         finite + [outside],  # a seed outside the ball
     ]
     for seeds in seed_sets:
-        # generated_subgroup_bound walks its seeds in sort-key order
         seeds = sorted(set(seeds), key=group.sort_key)
         closure, escaped = _payload_closure(
             [form(d) for d in seeds], bound, mul, form(group.identity_data()), table
@@ -243,47 +208,19 @@ def test_closure_matches_payload_closure(name):
             escaped = group.element(escaped).data
         inside, got = ball.closure(seeds, bound)
         assert {form(ball.data[i]) for i in inside} == closure and got == escaped
-        elements = [Element(group, d) for d in seeds]
-        if escaped is None:
-            report = generated_subgroup_bound(elements, ball, r_bound=bound)
-            # reports list by (norm, data), data in the oracle's tuple order
-            assert [form(x.data) for x in report.elements] == sorted(
-                closure, key=lambda d: (table[d], d)
-            )
-            assert report.size == len(closure)
-            assert report.max_norm == max(table[d] for d in closure)
-            continue
-        with pytest.raises(ClosureEscapedBound) as info:
-            generated_subgroup_bound(elements, ball, r_bound=bound)
-        assert info.value.payload["escaped"] == group.format_data(escaped)
-        assert info.value.payload["partial_size"] == len(closure)
-        assert info.value.payload["r_bound"] == bound
 
 
-def test_lamplighter_reports_rank_by_support_tuple():
-    # on F_2 of the lamplighter (lamps on [-2, 2]) the encoded data sorts
-    # otherwise than the (support tuple, shift) form the reports rank by
+def test_lamplighter_closure_of_window_lamps():
+    # the lamps on [-2, 2] generate F_2 of the lamplighter, 32 elements
     group, gens = example("lamplighter_z2")
-    form = oracle_form(group)
     ball = grow_ball(group, gens, 13)
-    lamps = [group.element(((p,), 0)) for p in range(-2, 3)]
-    closure = generated_subgroup_bound(lamps, ball, r_bound=13)
-    assert closure.size == 32
-    want = sorted((ball.norm(x), form(x.data)) for x in closure.elements)
-    assert [(ball.norm(x), form(x.data)) for x in closure.elements] == want
-    by_data = sorted(closure.elements, key=lambda x: (ball.norm(x), x.data))
-    assert [(ball.norm(x), form(x.data)) for x in by_data] != want
-
-    report = replace(annihilator_candidates(ball, 1), candidates=closure.elements[::-1])
-    offending = index_bound_check(report, 1).offending
-    assert [(ball.norm(x), form(x.data)) for x in offending] == want[1:]
-
-    # both seeds lie outside the bound; the first in support order escapes,
-    # although its data (mask 9) sorts after the other's (mask 3)
-    seeds = [group.parse("({0,1};0)"), group.parse("({-1,2};0)")]
-    with pytest.raises(ClosureEscapedBound) as info:
-        generated_subgroup_bound(seeds, ball, r_bound=2)
-    assert info.value.payload["escaped"] == "({-1,2};0)"
+    lamps = [group.element(((p,), 0)).data for p in range(-2, 3)]
+    inside, escaped = ball.closure(lamps, 13)
+    assert len(inside) == 32 and escaped is None
+    # seeds walk in list order: the first seed outside the bound escapes
+    seeds = [group.parse(t).data for t in ("({-1,2};0)", "({0,1};0)")]
+    for order in (seeds, seeds[::-1]):
+        assert ball.closure(order, 2)[1] == order[0]
 
 
 def test_closure_bound_guard(cyl4_ball15):
@@ -306,5 +243,6 @@ def test_annihilator_work_counts(monkeypatch, cyl4_ball15):
     report = annihilator_candidates(cyl4_ball15, 3)
     assert len(products) <= 16
     products.clear()
-    generated_subgroup_bound(report.candidates, cyl4_ball15)
+    inside, escaped = cyl4_ball15.closure([c.data for c in report.candidates], 4)
+    assert {cyl4_ball15.data[i] for i in inside} == TORSION4 and escaped is None
     assert products == []

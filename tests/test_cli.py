@@ -605,6 +605,15 @@ def test_main_missing_spec_exits_1(tmp_path):
     assert "cannot read" in err
 
 
+def test_main_out_naming_a_file_exits_1(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(["ball", Z2_SPEC, "--r", "2", "--out", str(taken)])
+    assert (code, out) == (1, b"")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err
+    assert taken.read_text() == ""
+
+
 def test_main_validation_failure_exits_1(tmp_path):
     spec = tmp_path / "bad.spec"
     spec.write_text(

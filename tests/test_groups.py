@@ -413,6 +413,16 @@ def test_generating_set_listed_inverses_keep_position():
     assert gens.labels == ("a", "A")
 
 
+def test_repeated_generator_keeps_the_labels_in_place():
+    g = FgAbelianGroup(FgAbelianSpec(free_rank=2))
+    listed = [g.element(d) for d in [(1, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]]
+    gens = symmetric_generating_set(g, listed, ["a", "a", "b", "A", "B"])
+    assert [str(x) for x in gens.elements] == ["(1,0)", "(0,1)", "(-1,0)", "(0,-1)"]
+    assert gens.labels == ("a", "b", "A", "B")
+    with pytest.raises(ValueError, match="fewer labels"):
+        symmetric_generating_set(g, listed, ["a", "a", "b", "A"])
+
+
 def test_identity_generator_rejected():
     g = FgAbelianGroup(FgAbelianSpec(free_rank=1))
     with pytest.raises(IdentityGenerator):

@@ -1,11 +1,14 @@
 """No module of the package imports a name at module level that it never
-uses, or defines a private module-level name that it never reads.
+uses, or defines a private module-level name that it never reads, and no
+exported error type goes unraised.
 
 An import counts as used when the module reads it anywhere, annotations
 included, or lists it in ``__all__`` (the package root re-exports that way).
 A private function, class or constant (``_name``) counts as read when a
 module-level statement other than its own definition reads it, so a helper
-left behind by a refactor, or one that only calls itself, is found.
+left behind by a refactor, or one that only calls itself, is found. An error
+type in ``errors.__all__`` counts as raised when some other module of the
+package constructs it; the two bases are exempt.
 """
 
 import ast
@@ -16,6 +19,16 @@ import pytest
 import horobound
 
 SOURCES = sorted(Path(horobound.__file__).parent.glob("*.py"))
+ERROR_BASES = {"HoroboundError", "Diagnostic"}
+
+
+def exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,11 +42,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -110,3 +119,46 @@ def test_private_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_private_module_level_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Names in the errors module's ``__all__`` that no other source calls,
+    bare or as an attribute, the two bases aside."""
+    called = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+    return [
+        name
+        for name in exported(ast.parse(errors_source))
+        if name not in ERROR_BASES and name not in called
+    ]
+
+
+def test_error_scanner_flags_only_unraised_types():
+    errors_source = (
+        "__all__ = ['HoroboundError', 'Diagnostic', 'Bare', 'Dotted', 'Left', 'Caught']\n"
+        "class Left(Exception):\n"
+        "    pass\n"
+    )
+    sources = [
+        "from .errors import Bare, Caught\n"
+        "from . import errors\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        raise Bare('no')\n"
+        "    except Caught:\n"
+        "        raise errors.Dotted(x)\n"
+    ]
+    assert unraised_errors(errors_source, sources) == ["Left", "Caught"]
+
+
+def test_every_exported_error_is_raised():
+    errors_path = next(p for p in SOURCES if p.name == "errors.py")
+    others = [p.read_text(encoding="utf-8") for p in SOURCES if p != errors_path]
+    assert unraised_errors(errors_path.read_text(encoding="utf-8"), others) == []
