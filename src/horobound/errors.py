@@ -137,10 +137,10 @@ class NotASubgroup(HoroboundError):
 class SizeBudget(HoroboundError):
     """An enumeration passed its budget; the message gives the partial size.
 
-    Raised by ball-system construction (elements per level and per
-    enumerated double coset, levels), by a finite table past its order
-    budget, by the simple-cycle DFS (steps) and by the hull's hyperplane
-    enumeration (subsets).
+    Raised by ball systems (elements held: representatives, enumerated
+    double-coset members, listed spheres; levels), by a finite table past
+    its order budget, by the simple-cycle DFS (steps) and by the hull's
+    hyperplane enumeration (subsets).
     """
 
 

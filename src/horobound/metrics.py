@@ -11,11 +11,13 @@ chain and B_1, which the metric rests on, are checked, not assumed.
 
 Each level n >= 2 is thus a union of F_n double cosets and is kept as one
 representative and one size per double coset. The chain supplies the key of
-a double coset: a closed form for the lamplighter window chain
-(``examples.LampChain``), an enumeration for any other. The build, the axiom
-check and the annihilator check multiply representatives; bi-invariance lets
-each product stand for its double coset. Elements are listed only where a
-sphere is read.
+a double coset and one element per left coset: closed forms for the
+lamplighter window chain (``examples.LampChain``), whose subgroups are
+never listed, an enumeration for any other. The build, the axiom check and
+the annihilator check multiply representatives; bi-invariance lets each
+product stand for its double coset. Elements are listed only where a
+sphere is read, and the element budget bounds what is held: representatives
+kept, members of enumerated double cosets and listed sphere elements.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterable, Sequence, Union
 
 from .cayley import Ball
 from .errors import AxiomViolation, GroupMismatch, NotASubgroup, OutOfRange, SizeBudget
-from .examples import LampChain
+from .examples import LampChain, Window, WindowCosets
 from .groups import Element, GeneratingSet, Group, check_subgroup
 
 __all__ = [
@@ -44,7 +46,24 @@ __all__ = [
 ]
 
 DEFAULT_SET_BUDGET = 1_000_000
-DEFAULT_MAX_LEVELS = 5
+DEFAULT_MAX_LEVELS = 8
+
+
+class _Held:
+    """A ball system's element budget, spent on what it holds: representatives
+    kept, members of enumerated double cosets and listed sphere elements."""
+
+    def __init__(self, budget: float):
+        self.budget, self.count = budget, 0
+
+    def take(self, count: int, n: int, step: str) -> None:
+        total = self.count + count
+        if total > self.budget:
+            raise SizeBudget(
+                f"B_{n} exceeded the element budget {self.budget} while {step} "
+                f"(holding {total})"
+            )
+        self.count = total
 
 
 class _Enumerated:
@@ -56,8 +75,8 @@ class _Enumerated:
     then a coset already held: |H| + |H g H| products, none for H = {e}.
     """
 
-    def __init__(self, group: Group, subgroup: frozenset, n: int, budget: float):
-        self.group, self.subgroup, self.n, self.budget = group, subgroup, n, budget
+    def __init__(self, group: Group, subgroup: frozenset, n: int, held: _Held):
+        self.group, self.subgroup, self.n, self.held = group, subgroup, n, held
         self._key: dict[tuple, tuple] = {}  # member -> key
         self._members: dict[tuple, set] = {}  # key -> members
         self.find = self._key.get
@@ -70,21 +89,25 @@ class _Enumerated:
 
     def _coset(self, data: tuple) -> set:
         mul, h = self.group.mul_data, self.subgroup
+        step = f"enumerating F_{self.n} double cosets"
         if len(h) == 1:
+            self.held.take(1, self.n, step)
             return {data}
         coset: set = set()
         for a in h:
             x = mul(a, data)
-            if x not in coset:
+            if x not in coset:  # x H is a left coset disjoint from coset
+                self.held.take(len(h), self.n, step)
                 coset.update(map(mul, repeat(x, len(h)), h))
-                if len(coset) > self.budget:
-                    step = f"enumerating F_{self.n} double cosets"
-                    raise _budget_error(self.n, self.budget, step, len(coset))
         return coset
 
     @staticmethod
     def left_key(data: tuple) -> tuple:
         return data
+
+    @staticmethod
+    def absorbs(x: tuple, sub) -> bool:
+        return False
 
     def size(self, key: tuple) -> int:
         return len(self._members[key])
@@ -112,24 +135,39 @@ class BallSystem:
     A level is kept as the double cosets H r H it is the union of, with one
     representative r and one size each: H = F_n where the level is known to
     be F_n-bi-invariant, else H = {e}, a coset per element (always for B_0
-    and B_1). ``build_ball_system`` passes levels in this form; levels given
-    as element sets are compressed into it by ``_compress``. A sphere
-    B_n minus B_{n-1} is listed, sorted by the group's sort key, when first read.
+    and B_1). ``build_ball_system`` passes levels in this form, and its
+    budget; levels given as element sets are compressed into it by
+    ``_compress``. A sphere B_n minus B_{n-1} is charged to the budget and
+    listed, sorted by the group's sort key, when first read. If each level
+    n >= 2 is F_n t^u F_n, |u| <= n, over the window chain, the norm past
+    B_1 is ``WindowCosets.level``, else the levels are tested from B_0 up.
     """
 
-    def __init__(self, group: Group, chain: tuple[frozenset, ...], levels: Sequence):
+    def __init__(self, group: Group, chain: tuple, levels: Sequence, held: _Held | None = None):
         self.group, self.chain, self.n_max = group, chain, len(levels) - 1
         if not all(isinstance(level, _Level) for level in levels):
             levels = _compress(group, chain, levels)
         self._levels = tuple(levels)
+        self._held = _Held(math.inf) if held is None else held
         self._sizes = [sum(level.reps.values()) for level in self._levels]
         self._spheres: dict[int, list] = {}
+        self._by_key = self.n_max >= 2 and all(
+            isinstance(level.cosets, WindowCosets) and level.cosets.n == n
+            and level.reps.keys() == {(0, 0, u) for u in range(-n, n + 1)}
+            for n, level in enumerate(self._levels[2:], 2)
+        )
+        # B_0 and B_1 are kept over {e}: their representatives are their elements
+        points = reversed(list(enumerate(self._levels[:2])))
+        self._points = {d: n for n, level in points for d in level.reps}
 
     def norm_data(self, data: tuple) -> int | None:
-        for n, level in enumerate(self._levels):
-            if data in level:
-                return n
-        return None
+        n = self._points.get(data)
+        if n is not None:
+            return n
+        if self._by_key:
+            n = WindowCosets.level(data)
+            return n if n <= self.n_max else None
+        return next((n for n in range(2, self.n_max + 1) if data in self._levels[n]), None)
 
     def layer_sizes(self) -> list[int]:
         return list(self._sizes)
@@ -139,6 +177,8 @@ class BallSystem:
             raise OutOfRange(f"level {n} outside 0..{self.n_max}")
         sphere = self._spheres.get(n)
         if sphere is None:
+            size = self._sizes[n] - (self._sizes[n - 1] if n else 0)
+            self._held.take(size, n, "listing its sphere")
             level, below = self._levels[n], self._levels[n - 1] if n else ()
             members = level.cosets.members
             sphere = [d for r in level.reps for d in members(r) if d not in below]
@@ -167,7 +207,7 @@ def _compress(group: Group, chain: tuple, levels: Sequence[frozenset]) -> list[_
         if not prev <= level:
             raise AxiomViolation(f"B_{n - 1} is not inside B_{n}")
         prev = level
-        f = chain[n - 1] if n >= 2 else trivial
+        f = frozenset(chain[n - 1]) if n >= 2 else trivial  # iterated per coset
         kept = len(f) > 1 and below <= f and _walk(group, level, f, n)
         out.append(kept or _walk(group, level, trivial, n))
         below = f if kept else below
@@ -183,7 +223,7 @@ def _walk(group: Group, level: frozenset, f: frozenset, n: int) -> _Level | None
         check_subgroup(group, f, f"F_{n}")
     except NotASubgroup:
         return None
-    cosets, reps = _Enumerated(group, f, n, math.inf), {}
+    cosets, reps = _Enumerated(group, f, n, _Held(math.inf)), {}
     for a in sorted(level, key=group.sort_key):
         if cosets.find(a) is None:
             key = cosets.key(a)
@@ -193,13 +233,23 @@ def _walk(group: Group, level: frozenset, f: frozenset, n: int) -> _Level | None
     return _Level(cosets, reps)
 
 
-def _budget_error(n: int, budget: float, step: str, size: int) -> SizeBudget:
-    return SizeBudget(
-        f"B_{n} exceeded the element budget {budget} while {step} (partial size {size})"
-    )
+def _left_transversal(group: Group, cosets, xs: Iterable[tuple], m) -> dict:
+    """(x, h, x h) for x in xs and h in the subgroup m, one per left coset
+    H x h of the cosets' H; x stands for all of x m, with no product, where
+    the cosets know x m inside H x (``absorbs``)."""
+    mul, e = group.mul_data, group.identity_data()
+    out: dict = {}
+    for x in xs:
+        if cosets.absorbs(x, m):
+            out.setdefault(cosets.left_key(x), (x, e, x))
+            continue
+        for h in m:
+            xh = mul(x, h)
+            out.setdefault(cosets.left_key(xh), (x, h, xh))
+    return out
 
 
-def _build_level(group: Group, levels: list, cosets, budget: int) -> _Level:
+def _build_level(group: Group, levels: list, cosets, held: _Held) -> _Level:
     """B_n = X u X^-1 with X = F_n B_1 B_{n-1} F_n, for n = len(levels).
 
     The definition unions every block B_k B_{n-k}, 0 < k < n, but on a nested
@@ -217,35 +267,32 @@ def _build_level(group: Group, levels: list, cosets, budget: int) -> _Level:
     On representatives: B_{n-1} is the union of H r H over its
     representatives r, with H inside F_n, so X is the union of F_n y r F_n
     over y in B_1 H and the r, and F_n y r F_n depends on y only through
-    F_n y. (F_n x F_n)^-1 = F_n x^-1 F_n gives X^-1.
+    F_n y, one per left coset. (F_n x F_n)^-1 = F_n x^-1 F_n gives X^-1.
     """
     n = len(levels)
     mul = group.mul_data
     below = levels[n - 1]
-    ys, h = {y: y for y in levels[1].reps}, below.cosets.subgroup
-    if len(h) > 1:  # one y per left coset F_n y
-        ys = {cosets.left_key(y): y for y in (mul(s, c) for s in ys for c in h)}
+    ys, h = levels[1].reps, below.cosets.subgroup
+    if len(h) > 1:
+        ys = [y for _, _, y in _left_transversal(group, cosets, ys, h).values()]
     reps: dict = {}
-    size = 0
-    for y in ys.values():
+    for y in ys:
         for r in below.reps:
             key = cosets.key(mul(y, r))
             if key not in reps:
-                size += reps.setdefault(key, cosets.size(key))
-                if size > budget:
-                    raise _budget_error(n, budget, "merging products", size)
+                held.take(1, n, "merging products")
+                reps[key] = cosets.size(key)
     for key in list(reps):
         key = cosets.key(group.inv_data(key))
         if key not in reps:
-            size += reps.setdefault(key, cosets.size(key))
-    if size > budget:
-        raise _budget_error(n, budget, "adding inverses", size)
+            held.take(1, n, "adding inverses")
+            reps[key] = cosets.size(key)
     return _Level(cosets, reps)
 
 
 def check_n_max(n_max: int) -> None:
     """Refuse n_max outside 1..DEFAULT_MAX_LEVELS, before a chain is built:
-    F_n of the lamplighter chain has 2^(2n+1) elements."""
+    a chain but the window chain is n_max lists, and no run past 8 is measured."""
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     if n_max > DEFAULT_MAX_LEVELS:
@@ -262,8 +309,10 @@ def build_ball_system(
     """Compute B_0..B_{n_max} for the chain, verifying every assumption.
 
     B_1 must be symmetric, each F_n a finite subgroup of the group, and the
-    chain nested. The element budget bounds each level's size and each double
-    coset enumerated. Every level n >= 2 is symmetric by construction (see
+    chain nested; a ``LampChain`` is all three by construction, so only its
+    group is checked, in O(n_max), and no F_j is listed. The element budget
+    bounds what the system holds (``_Held``), not the levels' sizes. Every
+    level n >= 2 is symmetric by construction (see
     ``_build_level``), so B_1, the only level taken from the caller, is the
     one symmetry check. Level n >= 2 is kept over F_n double cosets, in
     closed form for a ``LampChain``.
@@ -280,25 +329,31 @@ def build_ball_system(
     for x in b1:
         if group.inv_data(x) not in b1:
             raise AxiomViolation("B_1 is not symmetric", element=group.format_data(x))
-    members = [list(f) for f in f_chain[:n_max]]
-    if any(x.group is not group for f in members for x in f):
-        raise NotASubgroup("chain holds an element of a different group")
-    chain = tuple(frozenset(x.data for x in f) for f in members)
-    for i, f in enumerate(chain):
-        check_subgroup(group, f, f"F_{i + 1}")
-        if i and not chain[i - 1] <= f:
-            raise NotASubgroup(f"chain is not nested: F_{i} is not inside F_{i + 1}")
+    held = _Held(budget)
+    if isinstance(f_chain, LampChain):
+        if any(f.group is not group for f in f_chain[:n_max]):
+            raise NotASubgroup("chain holds an element of a different group")
+        chain = tuple(Window(j) for j in range(1, n_max + 1))
+        cosets_of = WindowCosets
+    else:
+        members = [list(f) for f in f_chain[:n_max]]
+        if any(x.group is not group for f in members for x in f):
+            raise NotASubgroup("chain holds an element of a different group")
+        chain = tuple(frozenset(x.data for x in f) for f in members)
+        for i, f in enumerate(chain):
+            check_subgroup(group, f, f"F_{i + 1}")
+            if i and not chain[i - 1] <= f:
+                raise NotASubgroup(f"chain is not nested: F_{i} is not inside F_{i + 1}")
 
-    points = _Enumerated(group, frozenset([identity]), 1, budget)  # B_0 and B_1 over {e}
+        def cosets_of(n: int) -> _Enumerated:
+            return _Enumerated(group, chain[n - 1], n, held)
+
+    points = _Enumerated(group, frozenset([identity]), 1, held)  # B_0 and B_1 over {e}
     levels = [_Level(points, {points.key(x): 1 for x in xs}) for xs in ([identity], b1)]
+    held.take(1 + len(b1), 1, "keeping B_1")
     for n in range(2, n_max + 1):
-        f = chain[n - 1]
-        if isinstance(f_chain, LampChain):
-            cosets = f_chain.cosets(n, f)
-        else:
-            cosets = _Enumerated(group, f, n, budget)
-        levels.append(_build_level(group, levels, cosets, budget))
-    return BallSystem(group, chain, tuple(levels))
+        levels.append(_build_level(group, levels, cosets_of(n), held))
+    return BallSystem(group, chain, tuple(levels), held)
 
 
 def bs_norm(bs: BallSystem, g: Element) -> int:
@@ -481,12 +536,7 @@ def metric_axiom_check(
                 xs, ys = [(x, None, x) for x in walk[i][1]], walk[j][1]
                 held = walk[j][0] or walk[i][0]  # M, the larger of H_i and H_j
                 if held:  # (x, m, x m), one per left coset H x m
-                    tried = {}
-                    for x in walk[i][1]:
-                        for m in held.subgroup:
-                            xm = mul(x, m)
-                            tried.setdefault(target.left_key(xm), (x, m, xm))
-                    xs = tried.values()
+                    xs = _left_transversal(group, target, walk[i][1], held.subgroup).values()
             for x, m, xm in xs:
                 for y in ys:
                     if inside(mul(xm, y)):

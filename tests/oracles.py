@@ -66,14 +66,27 @@ def lamp_parse(text):
     return (tuple(int(p) for p in lamps.split(",") if p), int(shift))
 
 
+def lamp_form(data):
+    """(mask, low, shift) -> (lamps as a sorted tuple, shift): bit i of mask
+    is the lamp at low + i, read one bit at a time."""
+    mask, low, shift = data
+    lamps = []
+    while mask:
+        if mask & 1:
+            lamps.append(low)
+        mask >>= 1
+        low += 1
+    return (tuple(lamps), shift)
+
+
 def oracle_form(group):
     """data -> the form the REGISTRY_OPS oracles read.
 
-    The lamplighter goes through its element text, so no oracle reads the
-    package's encoding; every other family's data is used as it is.
+    The lamplighter's (mask, low, shift) is read bit by bit (``lamp_form``),
+    with no call into the package; every other family's data is used as it is.
     """
     if group.family == "lamplighter_z2":
-        return lambda data: lamp_parse(group.format_data(data))
+        return lamp_form
     return lambda data: data
 
 

@@ -733,13 +733,13 @@ HUGE = str(10**12)
     "spec, n_max, message",
     [
         ("lamplighter.spec", "0", "OutOfRange: n_max must be >= 1, got 0"),
-        ("lamplighter.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 5"),
-        ("z2_standard.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 5"),
+        ("lamplighter.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 8"),
+        ("z2_standard.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 8"),
     ],
 )
 def test_main_ballsystem_refuses_n_max_before_building_a_chain(monkeypatch, spec, n_max, message):
-    # F_n of the lamplighter chain has 2^(2n+1) elements and the degenerate
-    # chain on Z^2 is a list of n_max lists, so n_max is checked first. The
+    # the lamplighter chain is a tuple of n_max windows and the degenerate
+    # chain on Z^2 a list of n_max lists, so n_max is checked first. The
     # guards make a chain being built fail at once instead of filling memory
     calls = [0]
     identity = Group.identity

@@ -153,6 +153,28 @@ def test_lamplighter_encoding_vs_tuple_oracle():
     assert seen == {"negative", "non-negative", "wider than 64", "shift beyond 64", "equal lows"}
 
 
+def test_oracle_form_reads_the_encoding_as_the_text_does():
+    # the oracles read (mask, low, shift) bit by bit; the element text,
+    # lamp_parse(format_data(...)), is the route it replaced
+    group = LamplighterGroup()
+    form = oracle_form(group)
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(600):
+        data = group.mul_data(group.element(_random_lamps(rng)).data,
+                              group.element(_random_lamps(rng)).data)
+        assert form(data) == lamp_parse(group.format_data(data))
+        mask, low, shift = data
+        seen |= {
+            "empty" if not mask else "negative low" if low < 0 else "non-negative low",
+            *(["wider than 64"] if mask.bit_length() > 64 else []),
+            *(["shift beyond 64"] if abs(shift) > 64 else []),
+        }
+    assert seen == {
+        "empty", "negative low", "non-negative low", "wider than 64", "shift beyond 64"
+    }
+
+
 def test_lamplighter_sort_key_is_support_then_shift():
     group = LamplighterGroup()
     rng = random.Random(2026)

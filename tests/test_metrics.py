@@ -18,7 +18,7 @@ from horobound.errors import (
     OutOfRange,
     SizeBudget,
 )
-from horobound.examples import cylinder, example, lamp_chain
+from horobound.examples import Window, WindowCosets, cylinder, example, lamp_chain
 from horobound.groups import (
     Element,
     FiniteGroupSpec,
@@ -32,6 +32,7 @@ from horobound.groups import (
 )
 from horobound.metrics import (
     BallSystem,
+    _left_transversal,
     bs_annihilator_check,
     bs_norm,
     build_ball_system,
@@ -79,7 +80,7 @@ def test_window_cosets_match_enumeration(lamp_pair):
     rng = random.Random(2026)
     for n in range(1, 5):
         f = frozenset(x.data for x in chain[n - 1])
-        cosets = chain.cosets(n, f)
+        cosets = WindowCosets(n)
         for _ in range(3):
             lamps = [p for p in range(-8, 9) if rng.random() < 0.4]
             g = group.element((lamps, rng.randint(-6, 6))).data
@@ -95,6 +96,105 @@ def test_window_cosets_match_enumeration(lamp_pair):
             flipped = mul(g, group.element(((max(n, u + n) + 1 - u,), 0)).data)
             assert flipped not in coset
             assert cosets.key(flipped) != key
+
+
+def test_windows_match_their_listed_elements(lamp_pair):
+    # F_j in closed form against the patterns on [-j, j] listed one by one
+    group, _ = lamp_pair
+    chain = lamp_chain(group, 4)
+    previous = None
+    for j in range(1, 5):
+        positions = range(-j, j + 1)
+        listed = {
+            group.element((support, 0)).data
+            for size in range(len(positions) + 1)
+            for support in combinations(positions, size)
+        }
+        window = Window(j)
+        members = list(window)
+        assert len(members) == len(window) == len(listed) == 2 ** (2 * j + 1)
+        assert set(members) == listed
+        check_subgroup(group, frozenset(members), f"F_{j}")
+        assert all(x in window for x in listed)
+        for outside in (((j + 1,), 0), ((-j - 1,), 0), ((), 1), ((0,), -1), ((-j, j + 1), 0)):
+            assert group.element(outside).data not in window
+        assert window - {group.identity_data()} == listed - {group.identity_data()}
+        # the chain's F_j holds the same members as Elements of its group
+        assert [x.data for x in chain[j - 1]] == members
+        assert all(x in chain[j - 1] for x in chain[j - 1])
+        assert LamplighterGroup().identity() not in chain[j - 1]
+        assert group.identity_data() not in chain[j - 1]
+        if previous is not None:
+            assert previous <= window and not window <= previous
+            assert frozenset(previous) <= window
+        previous = window
+
+
+def _level_walk_norm(bs, data):
+    """The norm found by testing the levels from B_0 upward."""
+    return next((n for n, level in enumerate(bs._levels) if data in level), None)
+
+
+def test_closed_form_norm_matches_the_level_walk(lamp_pair):
+    # every element of B_5, each once, from the sphere of the level walk
+    # that first holds it; then seeded elements in and past B_5
+    group, gens = lamp_pair
+    bs = build_ball_system(group, gens, lamp_chain(group, 5), 5)
+    assert bs._by_key
+    for n, level in enumerate(bs._levels):
+        below = bs._levels[n - 1] if n else ()
+        members = level.cosets.members
+        assert {bs.norm_data(d) for r in level.reps for d in members(r) if d not in below} == {n}
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(3000):
+        lamps = [p for p in range(-12, 13) if rng.random() < rng.choice((0.05, 0.2))]
+        data = group.element((lamps, rng.randint(-8, 8))).data
+        norm = bs.norm_data(data)
+        assert norm == _level_walk_norm(bs, data)
+        seen.add(norm)
+    assert seen == {None, 0, 1, 2, 3, 4, 5}
+
+
+def test_left_transversals_match_enumeration(lamp_pair, monkeypatch):
+    # one x h per left coset F_n x h, h in F_j, against all products x h;
+    # x with |shift| <= n - j takes no product
+    group, _ = lamp_pair
+    mul = group.mul_data
+    calls = _count_products(monkeypatch, LamplighterGroup)
+    rng = random.Random(2026)
+    for n in range(1, 5):
+        target = WindowCosets(n)
+        for j in range(1, n + 1):
+            m = Window(j)
+            xs = [
+                group.element(([p for p in range(-6, 7) if rng.random() < 0.3], u)).data
+                for u in range(-n, n + 1)
+            ]
+            calls[0] = 0
+            got = _left_transversal(group, target, xs, m)
+            assert calls[0] == sum(abs(x[2]) > n - j for x in xs) * len(m)
+            assert got.keys() == {target.left_key(mul(x, h)) for x in xs for h in m}
+            for key, (x, h, xh) in got.items():
+                assert x in xs and h in m
+                assert xh == mul(x, h) and target.left_key(xh) == key
+
+
+def test_t2_generator_takes_the_fallbacks(lamp_pair):
+    # with t^2 in B_1, B_2 has the representatives t^u, |u| <= 4, so the
+    # norm walks the levels; t^2 F_2 meets two left cosets of F_3, so the
+    # build and the axiom check multiply x F_j out for it
+    group, _ = lamp_pair
+    gens = symmetric_generating_set(
+        group, [group.parse("({};1)"), group.parse("({0};0)"), group.parse("({};2)")]
+    )
+    bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+    assert not bs._by_key
+    assert sorted(bs._levels[2].reps) == [(0, 0, u) for u in range(-4, 5)]
+    _assert_levels_match_oracle(bs, lamp_mul, gens)
+    for n in range(4):
+        assert {bs.norm_data(d) for d in bs.sphere_data(n)} == {n}
+    metric_axiom_check(bs)
 
 
 def test_lamplighter_levels_in_closed_form(lamp_pair):
@@ -306,16 +406,19 @@ def test_mirror_block_is_needed():
 
 
 def test_budget_fires_on_the_inverses():
-    # X_3 has 38 elements and passes a budget of 40; X_3 u X_3^-1 has 42
+    # the build holds 92 elements: representatives kept and members of the
+    # enumerated <t> double cosets; the last to join is the representative
+    # of a double coset of X_3^-1 that X_3 misses
     group, _, gens, _, chain = _alternating_mirror_chain()
     members = [[Element(group, x) for x in f] for f in chain]
+    assert build_ball_system(group, gens, members, 3, budget=92)._held.count == 92
     with pytest.raises(
         SizeBudget,
         match=re.escape(
-            "B_3 exceeded the element budget 40 while adding inverses (partial size 42)"
+            "B_3 exceeded the element budget 91 while adding inverses (holding 92)"
         ),
     ):
-        build_ball_system(group, gens, members, 3, budget=40)
+        build_ball_system(group, gens, members, 3, budget=91)
 
 
 def test_bs_norm(lamp_bs4):
@@ -446,20 +549,20 @@ def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
 
 
 def test_ball_system_work_counts(lamp_pair, monkeypatch):
-    # the subgroup checks of F_1 .. F_4 5,688 (24 + 160 + 896 + 4,608), and
-    # representative products 692: B_1 B_1 16 at B_2; B_1 F_2 128, then its
-    # 3 left cosets of F_3 times the 5 representatives of B_2 at B_3; B_1 F_3
-    # 512, then 3 times 7 at B_4. The mirror blocks are taken as inverses
+    # no subgroup check (the window chain is one by construction), and
+    # representative products only: B_1 B_1 16 at B_2; the 3 left cosets of
+    # F_3 in B_1 F_2, read off in closed form, times the 5 representatives
+    # of B_2 at B_3; 3 times 7 at B_4. The mirror blocks are taken as inverses
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
     calls = _count_products(monkeypatch, LamplighterGroup)
     build_ball_system(group, gens, chain, 4)
-    assert calls[0] == 6_380
+    assert calls[0] == 16 + 15 + 21
 
 
 def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
-    # the subgroup checks 680, the symmetry check of B_1 4, and X^-1 at
-    # B_2, B_3 and B_4, one per representative, 5 + 7 + 9
+    # no subgroup check, the symmetry check of B_1 4, and X^-1 at B_2, B_3
+    # and B_4, one per representative, 5 + 7 + 9
     group, gens = lamp_pair
     chain = lamp_chain(group, 4)
     calls = [0]
@@ -471,7 +574,7 @@ def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
 
     monkeypatch.setattr(LamplighterGroup, "inv_data", counted)
     build_ball_system(group, gens, chain, 4)
-    assert calls[0] == 705
+    assert calls[0] == 25
 
 
 def test_asymmetric_b1_is_refused_before_any_product(lamp_pair, monkeypatch):
@@ -555,32 +658,48 @@ def test_ball_system_levels_must_be_nested():
         BallSystem(group, chain, levels)
 
 def test_budgets(lamp_pair):
+    # the budget bounds what is held, not the levels' sizes: B_0 and B_1
+    # hold their 4 enumerated elements and 5 representatives, each level
+    # n >= 2 its 2n + 1 representatives, and a sphere its elements once listed
     group, gens = lamp_pair
-    with pytest.raises(SizeBudget, match="element budget"):
-        build_ball_system(group, gens, lamp_chain(group, 3), 3, budget=100)
-    # a level's size is the sum of its double-coset sizes, checked as each
-    # coset joins it: F_2 alone has 32 elements; at B_3, F_3 (128) and
-    # F_3 t F_3 (256) fit in 416, and F_3 t^-1 F_3 (256 more) does not
-    for budget, n, partial in ((5, 2, 32), (416, 3, 640)):
+    for budget, n, step, holding in (
+        (5, 1, "keeping B_1", 9),
+        (10, 2, "merging products", 11),
+        (20, 3, "merging products", 21),
+    ):
         with pytest.raises(SizeBudget, match=re.escape(
-            f"B_{n} exceeded the element budget {budget} while merging products "
-            f"(partial size {partial})"
+            f"B_{n} exceeded the element budget {budget} while {step} (holding {holding})"
         )):
             build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=budget)
-    with pytest.raises(SizeBudget, match="level budget"):
-        build_ball_system(group, gens, lamp_chain(group, 6), 6)
+    # |B_4| = 31,232 is far past a budget of 100; the axiom check lists S_0
+    # and S_1 (1 + 3), and the annihilator check S_2 (412) too
+    lamp = group.element(((0,), 0))
+    bs = build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=100)
+    metric_axiom_check(bs)
+    assert bs._held.count == 34
+    with pytest.raises(SizeBudget, match=re.escape(
+        "B_2 exceeded the element budget 100 while listing its sphere (holding 446)"
+    )):
+        bs_annihilator_check(bs, lamp, 1)
+    bs = build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=446)
+    metric_axiom_check(bs)
+    bs_annihilator_check(bs, lamp, 1)
+    assert bs._held.count == 446
+    with pytest.raises(SizeBudget, match="exceeds the level budget 8"):
+        build_ball_system(group, gens, lamp_chain(group, 9), 9)
 
 
 def test_budget_cuts_an_enumerated_double_coset():
     # F_2 = 0 x Z/12 of the cylinder is no closed form, so its double cosets
-    # are enumerated; the first left coset already holds 12 elements
+    # are enumerated; B_0 and B_1 hold 7 elements and 8 representatives, and
+    # the first left coset of F_2 adds 12 before its double coset is done
     group, gens = cylinder(12)
     torsion = [group.element((0, c)) for c in range(12)]
     with pytest.raises(SizeBudget, match=re.escape(
-        "B_2 exceeded the element budget 5 while enumerating F_2 double cosets "
-        "(partial size 12)"
+        "B_2 exceeded the element budget 20 while enumerating F_2 double cosets "
+        "(holding 27)"
     )):
-        build_ball_system(group, gens, [torsion, torsion], 2, budget=5)
+        build_ball_system(group, gens, [torsion, torsion], 2, budget=20)
 
 
 def test_annihilator_check_in_range(lamp_bs4):
@@ -687,12 +806,12 @@ def _norms(bs):
 
 
 def test_axiom_check_work_counts(lamp_bs4, monkeypatch):
-    # the blocks 1 <= i <= j on representatives: (1, 1) 3 x 3; (1, 2) S_1 F_2
-    # 96, then 3 left cosets of F_3 times 5; (1, 3) S_1 F_3 384, then 3 x 7;
-    # (2, 2) R_2 F_2 160, then 5 x 5. All pairs took 254,464
+    # the blocks 1 <= i <= j on representatives, one x per left coset of
+    # F_{i+j} in R_i F_j read off in closed form: (1, 1) 3 x 3; (1, 2) 3 x 5;
+    # (1, 3) 3 x 7; (2, 2) 5 x 5. All pairs took 254,464
     calls = _count_products(monkeypatch, LamplighterGroup)
     report = metric_axiom_check(lamp_bs4)
-    assert calls[0] == 710
+    assert calls[0] == 9 + 15 + 21 + 25
     assert report.pairs_checked == 254_464
     assert _walked(lamp_bs4) == {2, 3, 4}
 
@@ -711,13 +830,26 @@ def test_axiom_check_walks_no_trivial_subgroup(monkeypatch):
 
 
 def test_ballsystem_run_work_counts(monkeypatch):
-    # parsing the spec 30 (``run_command`` reuses its group), build 6,380,
-    # axiom check 710, annihilator checks 2,912: |B_2| = 416 for each of the
+    # parsing the spec 30 (``run_command`` reuses its group), build 52,
+    # axiom check 70, annihilator checks 2,912: |B_2| = 416 for each of the
     # 7 members of F_1 but the identity, which takes none
     calls = _count_products(monkeypatch, LamplighterGroup)
     _, _, config = parse_spec(spec_path("lamplighter.spec"))
     run_command(config)
-    assert calls[0] == 10_032
+    assert calls[0] == 3_064
+
+
+def test_ballsystem_run_at_n_max_8_takes_polynomial_work(monkeypatch):
+    # parsing 30; build 196: 16 at B_2, then 3 (2n - 1) at each B_n; axiom
+    # check 684: (2i + 1)(2j + 1) per block 1 <= i <= j, i + j <= 8;
+    # annihilator checks 2,912 as at n_max = 4
+    calls = _count_products(monkeypatch, LamplighterGroup)
+    _, _, config = parse_spec(spec_path("lamplighter.spec"))
+    report, _ = run_command(config.with_params(n_max=8))
+    assert calls[0] == 30 + 196 + 684 + 2_912
+    # build and axiom check under 2 n^3, while F_8 alone has 2^17 elements
+    assert calls[0] < 30 + 2 * 8**3 + 7 * 416 < len(Window(8))
+    assert report["levels"]["chain_sizes"] == [2 ** (2 * j + 1) for j in range(1, 9)]
 
 
 def test_axiom_check_reports_a_missing_product(lamp_pair):
