@@ -21,7 +21,6 @@ from .errors import (
     DomainExhausted,
     DomainMismatch,
     GroupMismatch,
-    NoDominatorAtLevel,
     OutOfBall,
     OutOfRange,
     RangeEmpty,
@@ -32,17 +31,14 @@ __all__ = [
     "Functional",
     "BoundaryClass",
     "BoundaryApprox",
-    "ActionTable",
     "SignMatch",
     "BendScan",
     "SlowGeodesic",
     "busemann_functional",
     "boundary_approx",
-    "act",
     "kernel_approx",
     "kernel_index_estimate",
     "sign_match",
-    "dominating_busemann",
     "bend_scan",
     "slow_geodesic",
 ]
@@ -179,9 +175,6 @@ class BoundaryApprox:
             return sum(1 for c in self.classes if c.stable)
         return len(self.classes)
 
-    def action_table(self) -> "ActionTable":
-        return ActionTable.compute(self)
-
     def to_json_dict(self) -> dict:
         fmt = self.ball.group.format_data
         return {
@@ -267,19 +260,6 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
 # group action on functionals
 
 
-def act(h: Functional, x: Element, ball: Ball) -> Functional:
-    """(x.h)(y) = h(x^-1 y) - h(x^-1), restricted to B_{m - |x|}."""
-    if h.ball is not ball:
-        raise DomainMismatch("the functional is defined on a different ball")
-    nx = ball.norm(x)
-    m = h.domain_radius - nx
-    if m < 0:
-        raise DomainExhausted(
-            f"|{x}| = {nx} exhausts the domain radius {h.domain_radius}"
-        )
-    return Functional(ball, m, _translate(h, ball.index[x.data], m))
-
-
 def _translate(h: Functional, x_pos: int, m: int) -> tuple[int, ...]:
     """The vector of x.h on B_m, for x at ball position x_pos.
 
@@ -291,37 +271,6 @@ def _translate(h: Functional, x_pos: int, m: int) -> tuple[int, ...]:
     values = h.vector
     base = values[x_inv]
     return tuple([values[j] - base for j in ball.gather(x_inv, ball.size(m))])
-
-
-@dataclass(frozen=True)
-class ActionTable:
-    """Generator action on classes: s.h matched against classes on B_{m-1}."""
-
-    approx: BoundaryApprox
-    matches: tuple[tuple[int | None, ...], ...]  # [gen][class] -> class or None
-
-    @staticmethod
-    def compute(approx: BoundaryApprox) -> "ActionTable":
-        ball = approx.ball
-        m = approx.m - 1  # every generator has norm 1
-        size = ball.size(m)
-        first: dict[tuple[int, ...], int] = {}  # restriction -> first class
-        for i, c in enumerate(approx.classes):
-            first.setdefault(c.functional.vector[:size], i)
-        rows = tuple(
-            tuple(
-                first.get(_translate(c.functional, ball.index[s.data], m))
-                for c in approx.classes
-            )
-            for s in ball.gens.elements
-        )
-        return ActionTable(approx, rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generators": list(self.approx.ball.gens.labels),
-            "matches": [list(r) for r in self.matches],
-        }
 
 
 def kernel_approx(
@@ -402,26 +351,6 @@ def sign_match(g: Functional, h: Functional, kernel: Iterable[Element]) -> SignM
     q = 1 if devs[1] <= devs[-1] else -1
     ball_dev = max(abs(a - q * b) for a, b in zip(g.vector, h.vector))
     return SignMatch(q, devs[q], ball_dev)
-
-
-def dominating_busemann(h: Functional, ball: Ball, r: int) -> Functional:
-    """A geodesic-prefix class at the same level dominating h pointwise.
-
-    Checks the classes equal to h first; raises the NoDominatorAtLevel
-    diagnostic when no Busemann-side class dominates at this truncation.
-    """
-    m = h.domain_radius
-    candidates = boundary_approx(ball, r, m).busemann_classes()
-    ordered = [g for g in candidates if g.vector == h.vector]
-    ordered.extend(g for g in candidates if g.vector != h.vector)
-    for g in ordered:
-        if all(a >= b for a, b in zip(g.vector, h.vector)):
-            return g
-    raise NoDominatorAtLevel(
-        f"no geodesic-prefix class dominates at level (r={r}, m={m})",
-        level={"r": r, "m": m},
-        vector=list(h.vector),
-    )
 
 
 # ---------------------------------------------------------------------------

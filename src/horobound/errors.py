@@ -21,7 +21,6 @@ __all__ = [
     "OutOfBall",
     "DomainExhausted",
     "DomainMismatch",
-    "NoDominatorAtLevel",
     "RangeEmpty",
     "BoundViolated",
     "DimensionCap",
@@ -96,10 +95,6 @@ class DomainExhausted(HoroboundError):
 
 class DomainMismatch(HoroboundError):
     """Two functionals with different domains were compared."""
-
-
-class NoDominatorAtLevel(Diagnostic):
-    """No geodesic-prefix class dominates the given one at this truncation."""
 
 
 class RangeEmpty(HoroboundError):

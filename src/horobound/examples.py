@@ -30,8 +30,6 @@ __all__ = [
     "z_line",
     "z2",
     "cylinder",
-    "cylinder_diag",
-    "cylinder_extension",
     "fat_cylinder",
     "z2_rot4",
     "lamplighter",
@@ -67,37 +65,6 @@ def cylinder(n: int = 4) -> Pair:
         group.element((1, 0)),
         group.element((1, 1)),
         group.element((1, n - 1)),
-    ]
-    gens = symmetric_generating_set(group, listed, ["a", "b", "c"])
-    return group, gens
-
-
-def cylinder_diag(n: int = 30) -> Pair:
-    """Z x Z/n with S = {(+-1, 0), (1, 1), (-1, -1)}."""
-    if n < 2:
-        raise ValueError(f"cylinder needs a torsion order >= 2, got {n}")
-    group = FgAbelianGroup(FgAbelianSpec(free_rank=1, torsion=(n,)))
-    listed = [group.element((1, 0)), group.element((1, 1))]
-    gens = symmetric_generating_set(group, listed, ["a", "b"])
-    return group, gens
-
-
-def cylinder_extension(n: int = 4) -> Pair:
-    """The same cylinder, presented as Z extended by Z/n (trivial action)."""
-    if n < 2:
-        raise ValueError(f"cylinder needs a quotient order >= 2, got {n}")
-    zero = (0,)
-    spec = VAbExtensionSpec(
-        rank=1,
-        quotient_table=cyclic_table(n),
-        action=tuple(((1,),) for _ in range(n)),
-        cocycle=tuple(tuple(zero for _ in range(n)) for _ in range(n)),
-    )
-    group = VAbExtensionGroup(spec)
-    listed = [
-        group.element(((1,), 0)),
-        group.element(((1,), 1)),
-        group.element(((1,), n - 1)),
     ]
     gens = symmetric_generating_set(group, listed, ["a", "b", "c"])
     return group, gens

@@ -39,7 +39,6 @@ __all__ = [
     "BsAnnihilatorReport",
     "MetricAxiomReport",
     "build_ball_system",
-    "bs_norm",
     "check_n_max",
     "bs_annihilator_check",
     "metric_axiom_check",
@@ -75,8 +74,9 @@ class _Enumerated:
     then a coset already held: |H| + |H g H| products, none for H = {e}.
     """
 
-    def __init__(self, group: Group, subgroup: frozenset, n: int, held: _Held):
+    def __init__(self, group: Group, subgroup: frozenset, n: int, held: _Held, step: str = ""):
         self.group, self.subgroup, self.n, self.held = group, subgroup, n, held
+        self.step = step or f"enumerating F_{n} double cosets"  # named in budget errors
         self._key: dict[tuple, tuple] = {}  # member -> key
         self._members: dict[tuple, set] = {}  # key -> members
         self.find = self._key.get
@@ -88,8 +88,7 @@ class _Enumerated:
         return self._key[data]
 
     def _coset(self, data: tuple) -> set:
-        mul, h = self.group.mul_data, self.subgroup
-        step = f"enumerating F_{self.n} double cosets"
+        mul, h, step = self.group.mul_data, self.subgroup, self.step
         if len(h) == 1:
             self.held.take(1, self.n, step)
             return {data}
@@ -348,22 +347,13 @@ def build_ball_system(
         def cosets_of(n: int) -> _Enumerated:
             return _Enumerated(group, chain[n - 1], n, held)
 
-    points = _Enumerated(group, frozenset([identity]), 1, held)  # B_0 and B_1 over {e}
+    # B_0 and B_1 over {e}: one point coset per element, charged as B_1 is kept
+    points = _Enumerated(group, frozenset([identity]), 1, held, "keeping B_1")
     levels = [_Level(points, {points.key(x): 1 for x in xs}) for xs in ([identity], b1)]
     held.take(1 + len(b1), 1, "keeping B_1")
     for n in range(2, n_max + 1):
         levels.append(_build_level(group, levels, cosets_of(n), held))
     return BallSystem(group, chain, tuple(levels), held)
-
-
-def bs_norm(bs: BallSystem, g: Element) -> int:
-    """min{n : g in B_n}; errors when g is beyond B_{n_max}."""
-    if g.group is not bs.group:
-        raise GroupMismatch(f"{g!r} belongs to a different group")
-    n = bs.norm_data(g.data)
-    if n is None:
-        raise OutOfRange(f"{g} lies outside B_{bs.n_max}")
-    return n
 
 
 @dataclass(frozen=True)

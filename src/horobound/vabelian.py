@@ -40,7 +40,6 @@ __all__ = [
     "SimpleCycleSet",
     "Cloud",
     "LipschitzHomData",
-    "SeparationVerdict",
     "WitnessReport",
     "quotient_graph",
     "simple_cycle_labels",
@@ -49,7 +48,6 @@ __all__ = [
     "select_extreme",
     "step1_membership",
     "lipschitz_hom",
-    "busemann_coset_separation",
     "infinite_boundary_witness",
 ]
 
@@ -457,63 +455,7 @@ def lipschitz_hom(
 
 
 # ---------------------------------------------------------------------------
-# separation and witnesses
-
-
-@dataclass(frozen=True)
-class SeparationVerdict:
-    verdict: str  # "separated" | "undetermined at level"
-    n_used: int
-    m: int
-    predicted_separated: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "n_used": self.n_used,
-            "m": self.m,
-            "predicted_separated": self.predicted_separated,
-        }
-
-
-def busemann_coset_separation(
-    y: Element,
-    z: Element,
-    data: LipschitzHomData,
-    ball: Ball,
-    n: int,
-    m: int,
-) -> SeparationVerdict:
-    """Compare b_{y w^n} and b_{z w^n} on B_m at the largest feasible n.
-
-    Distinct restrictions certify distinct classes at this level; agreement
-    is only "undetermined", since separation is an asymptotic statement. The
-    prediction flag records whether y^-1 z lies outside <x>, the condition
-    under which the limits must eventually differ.
-    """
-    group = _extension(ball.group)
-    for elt in (y, z):
-        if not group.in_kernel(elt.data):
-            raise ValueError(f"{elt} is not in the free abelian kernel")
-    predicted = not data.in_cyclic(y.inverse() * z)
-    n_used = 0
-    for k in range(n, 0, -1):
-        wk = (data.w ** k).data
-        uy = group.mul_data(y.data, wk)
-        uz = group.mul_data(z.data, wk)
-        dy, dz = ball.dist_data(uy), ball.dist_data(uz)
-        if dy is not None and dz is not None and max(dy, dz) + m <= ball.radius:
-            n_used = k
-            break
-    if n_used == 0:
-        raise OutOfBall(
-            f"no power up to {n} keeps both endpoints inside radius {ball.radius - m}"
-        )
-    wk = data.w ** n_used
-    fy = busemann_functional(ball, y * wk, m)
-    fz = busemann_functional(ball, z * wk, m)
-    verdict = "separated" if fy.vector != fz.vector else "undetermined at level"
-    return SeparationVerdict(verdict, n_used, m, predicted)
+# witnesses
 
 
 @dataclass(frozen=True)

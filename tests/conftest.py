@@ -4,7 +4,15 @@ import pytest
 
 from horobound.boundary import boundary_approx
 from horobound.cayley import grow_ball
-from horobound.examples import cylinder, cylinder_diag, cylinder_extension, example, fat_cylinder, lamp_chain
+from horobound.examples import example, fat_cylinder, lamp_chain
+from horobound.groups import (
+    FgAbelianGroup,
+    FgAbelianSpec,
+    VAbExtensionGroup,
+    VAbExtensionSpec,
+    cyclic_table,
+    symmetric_generating_set,
+)
 from horobound.metrics import build_ball_system
 
 
@@ -73,6 +81,28 @@ def rot4_pair():
 def rot4_ball10(rot4_pair):
     group, gens = rot4_pair
     return grow_ball(group, gens, 10)
+
+
+def cylinder_diag(n):
+    """Z x Z/n with S = {(+-1, 0), (1, 1), (-1, -1)}."""
+    group = FgAbelianGroup(FgAbelianSpec(free_rank=1, torsion=(n,)))
+    listed = [group.element((1, 0)), group.element((1, 1))]
+    return group, symmetric_generating_set(group, listed, ["a", "b"])
+
+
+def cylinder_extension(n):
+    """Z x Z/n with S = {(+-1, 0), (+-1, +-1)}, presented as Z extended by
+    Z/n with trivial action and zero cocycle."""
+    zero = (0,)
+    spec = VAbExtensionSpec(
+        rank=1,
+        quotient_table=cyclic_table(n),
+        action=tuple(((1,),) for _ in range(n)),
+        cocycle=tuple(tuple(zero for _ in range(n)) for _ in range(n)),
+    )
+    group = VAbExtensionGroup(spec)
+    listed = [group.element(((1,), q)) for q in (0, 1, n - 1)]
+    return group, symmetric_generating_set(group, listed, ["a", "b", "c"])
 
 
 @pytest.fixture(scope="session")

@@ -214,6 +214,15 @@ def busemann_vec(dist, mul, inv, y, domain):
     return tuple(dist[mul(yi, x)] - ny for x in domain)
 
 
+def oracle_act(h, x, ball):
+    """The vector of x.h on B_{m - |x|}, m = h.domain_radius, in the ball's
+    BFS order: (x.h)(y) = h(x^-1 y) - h(x^-1), by Element products and
+    ``Functional.value``, with no ball positions or gathers."""
+    x_inv = x.inverse()
+    base = h.value(x_inv)
+    return tuple(h.value(x_inv * y) - base for y in ball.elements(h.domain_radius - ball.norm(x)))
+
+
 def oracle_segment(dist, mul, inv, universe, x, y):
     """{z in universe : d(x,z) + d(z,y) = d(x,y)}."""
     d = oracle_distance(dist, mul, inv, x, y)

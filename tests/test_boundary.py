@@ -6,11 +6,10 @@ import pytest
 
 from horobound.boundary import (
     Functional,
-    act,
+    _translate,
     bend_scan,
     boundary_approx,
     busemann_functional,
-    dominating_busemann,
     kernel_approx,
     kernel_index_estimate,
     sign_match,
@@ -20,7 +19,6 @@ from horobound.cayley import Ball, geodesic_between, grow_ball, segment
 from horobound.errors import (
     DomainExhausted,
     DomainMismatch,
-    NoDominatorAtLevel,
     OutOfBall,
     OutOfRange,
     RangeEmpty,
@@ -28,7 +26,7 @@ from horobound.errors import (
 from horobound.examples import REGISTRY, example
 from horobound.groups import Element, FgAbelianGroup, FgAbelianSpec, symmetric_generating_set
 
-from oracles import bfs_dist, busemann_vec
+from oracles import bfs_dist, busemann_vec, oracle_act
 
 
 # ---------------------------------------------------------------------------
@@ -262,41 +260,14 @@ def test_act_definition_holds(z2_ball12):
     pool = z2_ball12.data_up_to(2)
     for _ in range(20):
         x = Element(group, rng.choice(pool))
-        moved = act(h, x, z2_ball12)
-        hx = h.value(x.inverse())
-        for y in moved.ball.data_up_to(moved.domain_radius):
-            shifted = group.mul_data(group.inv_data(x.data), y)
-            assert moved.value_data(y) == h.value_data(shifted) - hx
+        m = h.domain_radius - z2_ball12.norm(x)
+        assert _translate(h, z2_ball12.index[x.data], m) == oracle_act(h, x, z2_ball12)
 
 
 def test_act_on_line_restricts(z_ball):
     h = boundary_approx(z_ball, 10, 3).busemann_classes()[0]
-    moved = act(h, z_ball.group.element((2,)), z_ball)
-    assert moved.domain_radius == 1
-    assert moved.vector == (0, -1, 1)
-
-
-def test_action_table_on_line(z_ball):
-    table = boundary_approx(z_ball, 10, 3).action_table()
-    assert table.to_json_dict() == {
-        "generators": ["a", "a^-1"],
-        "matches": [[0, 1], [0, 1]],
-    }
-
-
-def _act_matches(approx):
-    """The action table by its definition: s.h through act, then restrictions."""
-    ball = approx.ball
-    funs = [c.functional for c in approx.classes]
-    rows = []
-    for s in ball.gens.elements:
-        row = []
-        for h in funs:
-            moved = act(h, s, ball)
-            same = [i for i, g in enumerate(funs) if g.restrict(moved.domain_radius) == moved]
-            row.append(same[0] if same else None)
-        rows.append(tuple(row))
-    return tuple(rows)
+    x = z_ball.group.element((2,))
+    assert _translate(h, z_ball.index[x.data], 1) == oracle_act(h, x, z_ball) == (0, -1, 1)
 
 
 def _act_kernel(approx, search_radius, ball):
@@ -304,19 +275,18 @@ def _act_kernel(approx, search_radius, ball):
     classes = approx.busemann_classes()
     out = []
     for x in ball.elements(search_radius):
-        moved = [act(h, x, ball) for h in classes]
-        if all(g == h.restrict(g.domain_radius) for g, h in zip(moved, classes)):
+        moved = [oracle_act(h, x, ball) for h in classes]
+        if all(g == h.vector[: len(g)] for g, h in zip(moved, classes)):
             out.append(x.data)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_kernel_and_action_table_match_act(name):
+def test_kernel_matches_oracle_act(name):
     group, gens = REGISTRY[name]()
     ball = grow_ball(group, gens, 11)
     for r, m in [(6, 3), (8, 3)]:
         approx = boundary_approx(ball, r, m)
-        assert approx.action_table().matches == _act_matches(approx)
         for search_radius in range(m):
             kernel = kernel_approx(approx, search_radius, ball)
             assert [x.data for x in kernel] == _act_kernel(approx, search_radius, ball)
@@ -330,7 +300,7 @@ def test_kernel_approx_needs_the_approximation_ball(z_ball):
 
 
 # ---------------------------------------------------------------------------
-# kernel, sign matching, domination
+# kernel and sign matching
 
 
 def test_cylinder_kernel_is_everything(cyl4_ball15):
@@ -480,36 +450,6 @@ def test_sign_match_domain_mismatch(z_ball):
     b = Functional(z_ball, 2, (0, -1, 1, -2, 2))
     with pytest.raises(DomainMismatch):
         sign_match(a, b, [])
-
-
-def test_line_dominates_itself(z_ball):
-    h = boundary_approx(z_ball, 10, 3).busemann_classes()[0]
-    dom = dominating_busemann(h, z_ball, 10)
-    assert dom == h
-
-
-def test_class_without_witness_dominates_itself(z_ball):
-    vec = boundary_approx(z_ball, 10, 3).busemann_classes()[0].vector
-    h = Functional(z_ball, 3, vec)  # a bare vector, not one of the level's classes
-    dom = dominating_busemann(h, z_ball, 10)
-    assert dom.vector == vec
-
-
-def test_finite_group_has_no_dominator():
-    g = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(8,)))
-    gens = symmetric_generating_set(g, [g.element((1,))])
-    ball = grow_ball(g, gens, 6)
-    approx = boundary_approx(ball, 4, 1)
-    assert approx.class_count() == 1
-    klass = approx.classes[0]
-    assert klass.functional.vector == (0, -1, -1)
-    assert not klass.stable and not klass.busemann
-    with pytest.raises(NoDominatorAtLevel) as info:
-        dominating_busemann(klass.functional, ball, 4)
-    assert info.value.payload == {
-        "level": {"r": 4, "m": 1},
-        "vector": [0, -1, -1],
-    }
 
 
 # ---------------------------------------------------------------------------

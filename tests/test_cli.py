@@ -24,7 +24,7 @@ from horobound.annihilator import DEFAULT_GAP
 from horobound.boundary import STABILITY_WINDOW
 from horobound.cayley import DEFAULT_BUDGET
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
-from horobound.errors import NoDominatorAtLevel, SchemaError, ValidationError
+from horobound.errors import Diagnostic, SchemaError, ValidationError
 from horobound.examples import example
 from horobound.groups import TABLE_ORDER_BUDGET, Group, cyclic_table
 
@@ -669,6 +669,10 @@ def test_main_help_exits_0():
     assert code == 0
     assert out.startswith(b"usage: horobound ball")
     assert err == ""
+
+
+class NoDominatorAtLevel(Diagnostic):
+    """A diagnostic no command raises, so that only the exit path is tested."""
 
 
 def test_main_diagnostic_exits_2(monkeypatch):

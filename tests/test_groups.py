@@ -17,7 +17,7 @@ from horobound.errors import (
     TableNotGroup,
 )
 from horobound import groups
-from horobound.examples import REGISTRY, cylinder, cylinder_extension, example, z2_rot4
+from horobound.examples import REGISTRY, cylinder, example, z2_rot4
 from horobound.groups import (
     ExtensionGroup,
     FgAbelianGroup,
@@ -604,10 +604,10 @@ def test_describe_is_json_friendly():
     assert group.describe()["family"] == "fg_abelian"
 
 
-def test_trivial_action_applies_no_matrix(monkeypatch):
+def test_trivial_action_applies_no_matrix(monkeypatch, ext4_pair):
     # A_q = I at every q of the cylinder presented as an extension, so no
     # product or inverse calls mat_vec; z2_rot4 turns by A_q at q != 0
-    cyl, cyl_gens = cylinder_extension(4)
+    cyl, cyl_gens = ext4_pair
     rot, rot_gens = z2_rot4()
     calls = [0]
     real = groups.mat_vec

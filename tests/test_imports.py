@@ -1,14 +1,16 @@
 """No module of the package imports a name at module level that it never
-uses, or defines a private module-level name that it never reads, and no
-exported error type goes unraised.
+uses, defines a private module-level name that it never reads, or exports a
+name that nothing reaches, and no exported error type goes unraised.
 
 An import counts as used when the module reads it anywhere, annotations
-included, or lists it in ``__all__`` (the package root re-exports that way).
+included; listing it in ``__all__`` does not count, as no module re-exports.
 A private function, class or constant (``_name``) counts as read when a
 module-level statement other than its own definition reads it, so a helper
-left behind by a refactor, or one that only calls itself, is found. An error
-type in ``errors.__all__`` counts as raised when some other module of the
-package constructs it; the two bases are exempt.
+left behind by a refactor, or one that only calls itself, is found. An
+exported name counts as reached when the command line reaches it (see
+``unreached_exports``) or ``KEPT`` names what it serves. An error type in
+``errors.__all__`` counts as raised when some other module of the package
+constructs it; the two bases are exempt.
 """
 
 import ast
@@ -42,7 +44,6 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(exported(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -82,7 +83,7 @@ def test_scanner_flags_only_unused_names():
         "class A:\n"
         "    xs: Sequence[int]\n"
     )
-    assert unused_imports(source) == ["line 2: os", "line 3: field"]
+    assert unused_imports(source) == ["line 2: os", "line 3: field", "line 5: alias"]
 
 
 def test_sources_are_found():
@@ -119,6 +120,102 @@ def test_private_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_private_module_level_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+# exports that no command reaches, each with what it serves: an acceptance
+# criterion, or a benchmark file that reads it
+KEPT = {
+    "annihilator.functional_annihilator": "criterion 05",
+    "boundary.sign_match": "criterion 07",
+    "cayley.segment": "criterion 06 and the busemann_sweep workload",
+    "examples.example": "the busemann_sweep workload and perfbench/capture.py",
+}
+
+
+def unreached_exports(sources: dict[str, str], root: str, kept) -> list[str]:
+    """``module.name`` for each name in a module's ``__all__`` that is not reached.
+
+    Every statement of the root module is reached, and so is every other
+    module-level statement that is not a definition or a package import. A
+    name such a statement loads is reached, followed through
+    ``from .x import y`` to the module defining it, and the whole of a
+    reached top-level definition (function, class or assignment) is read in
+    turn. Names in ``kept`` ("module.name") are reached too. A name a module
+    only imports and lists in ``__all__`` is never its own, so a re-export
+    is flagged; dunder names are package metadata and exempt.
+    """
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    defined: dict[tuple[str, str], ast.stmt] = {}
+    imported: dict[tuple[str, str], tuple[str, str]] = {}  # local -> origin
+    todo: list[tuple[str, ast.stmt]] = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imported[mod, alias.asname or alias.name] = (node.module, alias.name)
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                defined[mod, name] = node
+            if mod == root or not names:
+                todo.append((mod, node))
+    reached: set[tuple[str, str]] = set()
+
+    def reach(key: tuple[str, str]) -> None:
+        while key in imported:
+            key = imported[key]
+        if key in defined and key not in reached:
+            reached.add(key)
+            todo.append((key[0], defined[key]))
+
+    for name in kept:
+        reach(tuple(name.split(".")))
+    while todo:
+        mod, node = todo.pop()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reach((mod, n.id))
+    return [
+        f"{mod}.{name}"
+        for mod, tree in trees.items()
+        for name in exported(tree)
+        if not name.startswith("__") and (mod, name) not in reached
+    ]
+
+
+def test_reach_scanner_flags_only_unreached_exports():
+    sources = {
+        "cli": "from .x import entry as run\nrun()\n",
+        "x": (
+            "__all__ = ['entry', 'inner', 'stray', 'table']\n"
+            "LIMIT = 3\n"
+            "def entry():\n"
+            "    return inner() + LIMIT\n"
+            "def inner():\n"
+            "    return 1\n"
+            "def stray():\n"
+            "    return 2\n"
+            "def unreached():\n"
+            "    return stray()\n"
+            "def table():\n"
+            "    return 4\n"
+        ),
+        "y": "from .x import inner as again\n__all__ = ['again', '__version__']\n",
+    }
+    assert unreached_exports(sources, "cli", ["x.table"]) == ["x.stray", "y.again"]
+
+
+def test_every_export_is_reached_or_kept():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreached_exports(sources, "cli", KEPT) == []
+    # each kept name is exported, and nothing but the table reaches it
+    assert set(KEPT) <= set(unreached_exports(sources, "cli", ()))
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

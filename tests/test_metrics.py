@@ -34,7 +34,6 @@ from horobound.metrics import (
     BallSystem,
     _left_transversal,
     bs_annihilator_check,
-    bs_norm,
     build_ball_system,
     metric_axiom_check,
 )
@@ -421,13 +420,12 @@ def test_budget_fires_on_the_inverses():
         build_ball_system(group, gens, members, 3, budget=91)
 
 
-def test_bs_norm(lamp_bs4):
+def test_norm_data(lamp_bs4):
     group = lamp_bs4.group
-    assert bs_norm(lamp_bs4, group.identity()) == 0
-    assert bs_norm(lamp_bs4, group.element(((), 1))) == 1
-    assert bs_norm(lamp_bs4, group.element(((0,), 0))) == 1
-    with pytest.raises(OutOfRange):
-        bs_norm(lamp_bs4, group.element(((), 9)))
+    assert lamp_bs4.norm_data(group.identity().data) == 0
+    assert lamp_bs4.norm_data(group.element(((), 1)).data) == 1
+    assert lamp_bs4.norm_data(group.element(((0,), 0)).data) == 1
+    assert lamp_bs4.norm_data(group.element(((), 9)).data) is None
 
 
 def test_degenerate_chain_recovers_word_metric():
@@ -635,12 +633,6 @@ def test_annihilator_check_refuses_another_group(lamp_bs4):
         bs_annihilator_check(lamp_bs4, other, 1)
 
 
-def test_bs_norm_refuses_another_group(lamp_bs4):
-    other = LamplighterGroup().identity()
-    with pytest.raises(GroupMismatch, match="different group"):
-        bs_norm(lamp_bs4, other)
-
-
 def test_chain_must_be_nested():
     group, gens = cylinder(4)
     torsion = [group.element((0, c)) for c in range(4)]
@@ -700,6 +692,18 @@ def test_budget_cuts_an_enumerated_double_coset():
         "(holding 27)"
     )):
         build_ball_system(group, gens, [torsion, torsion], 2, budget=20)
+
+
+def test_budget_names_keeping_b1_for_its_point_cosets():
+    # B_0 and B_1 are kept over {e}, one point coset per element, and no
+    # F_1 double coset is enumerated: the identity and four of the six
+    # generators are held when the fifth element passes a budget of 4
+    group, gens = cylinder(12)
+    torsion = [group.element((0, c)) for c in range(12)]
+    with pytest.raises(SizeBudget, match=re.escape(
+        "B_1 exceeded the element budget 4 while keeping B_1 (holding 5)"
+    )):
+        build_ball_system(group, gens, [torsion, torsion], 2, budget=4)
 
 
 def test_annihilator_check_in_range(lamp_bs4):
@@ -872,8 +876,8 @@ def test_axiom_check_reports_a_missing_product(lamp_pair):
     w = hit.value.witness
     assert w["norm_xy"] is None or w["norm_xy"] > w["norm_x"] + w["norm_y"]
     assert (w["norm_x"], w["norm_y"]) == (1, 2)  # t^-1 * t^-2, block (1, 2)
-    assert bs_norm(hand, group.parse(w["x"])) == w["norm_x"]
-    assert bs_norm(hand, group.parse(w["y"])) == w["norm_y"]
+    assert hand.norm_data(group.parse(w["x"]).data) == w["norm_x"]
+    assert hand.norm_data(group.parse(w["y"]).data) == w["norm_y"]
 
 
 def test_axiom_check_multiplies_through_the_middle_subgroup():
@@ -901,7 +905,7 @@ def test_axiom_check_multiplies_through_the_middle_subgroup():
         metric_axiom_check(hand)
     w = hit.value.witness
     x, y = (group.parse(w[k]) for k in ("x", "y"))
-    assert (bs_norm(hand, x), bs_norm(hand, y)) == (w["norm_x"], w["norm_y"])
+    assert (hand.norm_data(x.data), hand.norm_data(y.data)) == (w["norm_x"], w["norm_y"])
     assert w["norm_x"] + w["norm_y"] <= 5
     assert w["norm_xy"] is None and hand.norm_data(mul(x.data, y.data)) is None
 

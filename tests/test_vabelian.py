@@ -29,7 +29,6 @@ from horobound.groups import (
 from horobound.polytope import SupportingFunctional
 from horobound.vabelian import (
     Cloud,
-    busemann_coset_separation,
     cloud_hull,
     conjugate_cloud,
     infinite_boundary_witness,
@@ -251,7 +250,7 @@ def test_hulls_of_examples(z2_pair, ext4_pair, rot4_pair):
 
 
 # ---------------------------------------------------------------------------
-# membership, homomorphisms, separation
+# membership and homomorphisms
 
 
 def _plane_pipeline(z2_pair, ball):
@@ -354,23 +353,6 @@ def test_lipschitz_hom_checks_a_fractional_functional_exactly(monkeypatch, z2_pa
     data = _lipschitz_hom_with_phi(monkeypatch, z2_pair, z2_ball12, (1, Fraction(1, 2)))
     assert data.checked == 313
     assert {y.data for y in data.equality_locus} == {(k, 0) for k in range(13)}
-
-
-def test_coset_separation_plane(z2_pair, z2_ball12):
-    group, _ = z2_pair
-    cloud, poly = _plane_pipeline(z2_pair, z2_ball12)
-    data = lipschitz_hom(poly, select_extreme(poly, "index:3"), cloud, z2_ball12)
-    apart = busemann_coset_separation(
-        group.element((0, 0)), group.element((0, 1)), data, z2_ball12, 12, 2
-    )
-    assert apart.verdict == "separated"
-    assert apart.n_used == 9 and apart.m == 2
-    assert apart.predicted_separated
-    same = busemann_coset_separation(
-        group.element((0, 0)), data.x, data, z2_ball12, 12, 2
-    )
-    assert same.verdict == "undetermined at level"
-    assert not same.predicted_separated
 
 
 # ---------------------------------------------------------------------------
