@@ -21,6 +21,7 @@ import pytest
 import horobound
 
 SOURCES = sorted(Path(horobound.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 ERROR_BASES = {"HoroboundError", "Diagnostic"}
 
 
@@ -122,13 +123,21 @@ def test_no_unread_private_module_level_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
-# exports that no command reaches, each with what it serves: an acceptance
-# criterion, or a benchmark file that reads it
+# exports that no command reaches, each with what it serves: the acceptance
+# criterion or benchmark file that reads it ("path" or "path::definition")
 KEPT = {
-    "annihilator.functional_annihilator": "criterion 05",
-    "boundary.sign_match": "criterion 07",
-    "cayley.segment": "criterion 06 and the busemann_sweep workload",
-    "examples.example": "the busemann_sweep workload and perfbench/capture.py",
+    "annihilator.functional_annihilator": (
+        "tests/test_acceptance.py::test_criterion_05_annihilator_coincidence",
+    ),
+    "boundary.sign_match": ("tests/test_acceptance.py::test_criterion_07_sign_proportionality",),
+    "cayley.segment": (
+        "tests/test_acceptance.py::test_criterion_06_interval_monotonicity",
+        "perfbench/workloads.py::BusemannSweep",  # the busemann_sweep workload
+    ),
+    "examples.example": (
+        "perfbench/workloads.py::_Stream",  # the busemann_sweep workload
+        "perfbench/capture.py",
+    ),
 }
 
 
@@ -216,6 +225,65 @@ def test_every_export_is_reached_or_kept():
     assert unreached_exports(sources, "cli", KEPT) == []
     # each kept name is exported, and nothing but the table reaches it
     assert set(KEPT) <= set(unreached_exports(sources, "cli", ()))
+
+
+def reads(source: str, definition: str | None, dotted: str) -> bool:
+    """Whether ``definition`` (a top-level def or class; the whole file when
+    None) loads ``module.name`` as ``module.name`` after ``from horobound import
+    module``, or as ``name`` after ``from horobound.module import name``."""
+    module, name = dotted.split(".")
+    tree = ast.parse(source)
+    imports = {
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname is None
+    }
+    scope = tree
+    if definition is not None:
+        scope = next(node for node in tree.body if getattr(node, "name", None) == definition)
+    for node in ast.walk(scope):
+        if (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id == name
+            and (f"horobound.{module}", name) in imports
+        ):
+            return True
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == name
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+            and ("horobound", module) in imports
+        ):
+            return True
+    return False
+
+
+def test_reads_scanner_follows_the_import():
+    source = (
+        "from horobound import cayley\n"
+        "from horobound.examples import example\n"
+        "from other import segment\n"
+        "def sweep():\n"
+        "    return cayley.segment(), example()\n"
+        "def other():\n"
+        "    return segment()\n"
+    )
+    assert reads(source, "sweep", "cayley.segment")
+    assert reads(source, None, "examples.example")
+    assert not reads(source, "other", "cayley.segment")
+    assert not reads(source, "other", "examples.example")
+
+
+@pytest.mark.parametrize("dotted", sorted(KEPT))
+def test_kept_export_is_read_by_what_it_serves(dotted):
+    for reader in KEPT[dotted]:
+        path, _, definition = reader.partition("::")
+        source = (ROOT / path).read_text(encoding="utf-8")
+        assert reads(source, definition or None, dotted), reader
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
