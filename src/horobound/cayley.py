@@ -30,10 +30,17 @@ the positions x with |x| <= n and reach(x) >= r, its edges the neighbour
 entries that go one layer up (``PrefixDag``). Prefixes are counted layer by
 layer in O(|B_n| |S|), never listed; there can be exponentially many.
 
-Memory (tracemalloc, CPython 3.11): a grown ball retains 202 bytes per
+BFS runs on the keys the group hands out (``Group.ball_keys``). For an
+extension group a key is one integer packing the coset and the free part,
+and a product is one step-table read and one add; the keys are decoded to
+data once, after the search. For any other group a key is the data itself.
+
+Memory (tracemalloc, CPython 3.11): a grown ball retains 215 bytes per
 element on Z^2 with standard generators at radius 150 (45,301 elements),
-and 185-243 bytes per element over the example groups at 11k-80k elements,
-so the default budget of 5,000,000 elements costs about 0.9-1.2 GB.
+and 178-264 bytes per element over the example groups at 18k-45k elements,
+so the default budget of 5,000,000 elements costs about 0.9-1.3 GB. Growth
+peaks at 233 bytes per element on that Z^2 ball and 287 on z2_rot4 at
+radius 60, while the keys are decoded and while the ball builds its tables.
 A ball also retains each distinct vector that has passed ``check_lipschitz``
 on it, so that a functional is checked once per distinct vector per ball:
 about 0.37 MB for the 579 distinct B_4 vectors over the six balls of ten
@@ -88,7 +95,7 @@ class Ball:
         parent: array,
         parent_gen: array,
         offsets: list[int],
-        products: list[int],
+        products: array,
         exhausted: bool,
     ):
         self.group = group
@@ -108,8 +115,10 @@ class Ball:
         # column ends with the -1 that a -1 position looks up
         n_gens = len(gens)
         self._filled = len(products) // n_gens
-        pad = [-1] * (len(data) - self._filled + 1)
-        self._nbr = [array("i", products[g::n_gens] + pad) for g in range(n_gens)]
+        pad = array("i", [-1]) * (len(data) - self._filled + 1)
+        self._nbr = [products[g::n_gens] + pad for g in range(n_gens)]
+        # position k -> the column of its parent edge, so gather reads one entry
+        self._parent_cols = [self._nbr[g] for g in parent_gen]
         self._reach: array | None = None
         self._lipschitz: set[tuple] = set()  # vectors that passed check_lipschitz
 
@@ -213,14 +222,12 @@ class Ball:
         An entry is -1 when z x_k, or the image of a BFS ancestor of x_k,
         lies outside the ball; with |z| + |x_(size-1)| <= radius none is.
         """
-        if self.dist[start] + self.dist[size - 1] <= self.radius:
-            nbr = self._nbr  # only rows of norm < radius are read, BFS filled them
-        else:
-            nbr = self.neighbours(len(self.data))
+        if self.dist[start] + self.dist[size - 1] > self.radius:
+            self.neighbours(len(self.data))  # else only rows BFS filled are read
         pos = [start]
         append = pos.append
-        for s, p in zip(islice(self.parent_gen, 1, size), islice(self.parent, 1, size)):
-            append(nbr[s][pos[p]])
+        for col, p in zip(islice(self._parent_cols, 1, size), islice(self.parent, 1, size)):
+            append(col[pos[p]])
         return pos
 
     def closure(self, gens: list[tuple], bound: int) -> tuple[set[int], tuple | None]:
@@ -331,35 +338,34 @@ def grow_ball(
 
     Deterministic: layers are expanded in discovery order and generators in
     list order, so parents and enumeration order never depend on hashing.
-    Every product computed is kept in the neighbour table.
+    Every product computed is kept in the neighbour table. The search runs
+    on the group's ``ball_keys``, which decide neither the order nor the
+    positions: each key stands for exactly one element.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if gens.group is not group:
         raise GroupMismatch("generating set belongs to a different group")
-    gen_data = [s.data for s in gens.elements]
-    mul = group.mul_data
-    identity = group.identity_data()
-    data = [identity]
-    index = {identity: 0}
+    start, expand, decode = group.ball_keys([s.data for s in gens.elements], radius)
+    data = [start]  # keys until the search ends, then data
+    index = {start: 0}
     parent = array("i", [-1])
-    parent_gen = array(_small(len(gen_data)), [0])
+    parent_gen = array(_small(len(gens)), [0])
     offsets = [0, 1]
     products: list[int] = []
     record = products.append
     exhausted = False
     for k in range(1, radius + 1):
         for i in range(offsets[k - 1], offsets[k]):
-            x = data[i]
-            for g, s in enumerate(gen_data):
-                y = mul(x, s)
+            for g, y in enumerate(expand(data[i])):
                 j = index.get(y)
                 if j is None:
-                    if len(data) >= budget:
+                    j = len(data)
+                    if j >= budget:
                         raise BallTooLarge(
                             f"ball exceeded budget of {budget} elements at radius {k}"
                         )
-                    j = index[y] = len(data)
+                    index[y] = j
                     data.append(y)
                     parent.append(i)
                     parent_gen.append(g)
@@ -368,6 +374,14 @@ def grow_ball(
         if offsets[k] == offsets[k + 1]:
             exhausted = True
             break
+    # 4 bytes a product instead of a pointer, before the decode; the bound
+    # append would keep the list alive
+    del record
+    products = array("i", products)
+    if decode is not None:
+        index = None  # drop the key index before the data index is built
+        data = decode(data)
+        index = dict(zip(data, range(len(data))))
     return Ball(
         group, gens, radius, data, index, parent, parent_gen, offsets, products, exhausted
     )

@@ -24,9 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import prod
 from operator import add, mod, neg
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     BadCocycle,
@@ -49,6 +50,8 @@ from .linalg import (
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
+# (identity key, key of x -> keys of x s in generator order, keys -> data or None)
+BallKeys = tuple[object, Callable[[object], Iterable], Callable[[list], list[tuple]] | None]
 
 __all__ = [
     "Element",
@@ -145,29 +148,21 @@ def _mixed_radix(orders: Sequence[int], coords: Sequence[int]) -> int:
     return i
 
 
+def _mixed_radix_coords(orders: Sequence[int]) -> list[IntVec]:
+    """The coordinates of each index of Z/t_1 x ... x Z/t_k, the first fastest."""
+    coords = [()]
+    for t in orders:
+        coords = [c + (x,) for x in range(t) for c in coords]
+    return coords
+
+
 def direct_product_table(orders: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Table of a product of cyclic groups, indexed in mixed radix."""
-    size = 1
-    for t in orders:
-        size *= t
-
-    def decode(i: int) -> list[int]:
-        out = []
-        for t in orders:
-            out.append(i % t)
-            i //= t
-        return out
-
-    rows = []
-    for i in range(size):
-        a = decode(i)
-        rows.append(
-            tuple(
-                _mixed_radix(orders, [(x + y) % t for x, y, t in zip(a, decode(j), orders)])
-                for j in range(size)
-            )
-        )
-    return tuple(rows)
+    coords = _mixed_radix_coords(orders)
+    return tuple(
+        tuple(_mixed_radix(orders, [(x + y) % t for x, y, t in zip(a, b, orders)]) for b in coords)
+        for a in coords
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +242,17 @@ class Group:
     def describe(self) -> dict:
         raise NotImplementedError
 
+    def ball_keys(self, gen_data: Sequence[tuple], radius: int) -> BallKeys:
+        """The keys a breadth-first search out to ``radius`` stores elements
+        under: the identity's key, the keys of x s for s in ``gen_data`` in
+        order given the key of x, and the list of keys -> the list of their
+        data (None: a key is its data).
+
+        Here a key is the data and a product is ``mul_data``.
+        """
+        mul = self.mul_data
+        return self.identity_data(), lambda x: [mul(x, s) for s in gen_data], None
+
     # element-level wrappers ------------------------------------------------
     def identity(self) -> Element:
         return Element(self, self.identity_data())
@@ -285,8 +291,50 @@ class ExtensionGroup(Group):
     def free_part(self, data: tuple) -> IntVec:
         raise NotImplementedError
 
-    def kernel_element(self, vec: Sequence[int]) -> Element:
+    def join(self, vec: Sequence[int], q: int) -> tuple:
+        """The data with free part ``vec`` in coset q: the inverse of
+        (``free_part``, ``coset_of``)."""
         raise NotImplementedError
+
+    def kernel_element(self, vec: Sequence[int]) -> Element:
+        return self.element(self.join(vec, 0))
+
+    def ball_keys(self, gen_data: Sequence[tuple], radius: int) -> BallKeys:
+        """Packed integer keys: (v, q) is q + |Q| sum_i (v_i + OFF) W^i.
+
+        Right multiplication by a generator depends only on the coset,
+        (v, q) s = (v + d(q, s), q p_s), and the key is affine in v, so the
+        key of x s is key(x) + step[q][s]: one table read and one add. The
+        table comes from the |Q| |S| products join(0, q) s.
+
+        No key wraps. Let c be the largest |d_i(q, s)|. A search out to
+        ``radius`` forms products of elements of norm < radius only, so every
+        element it meets has |v_i| <= radius c. With OFF = radius c + 1 and
+        W = 2 OFF + 1, each digit v_i + OFF lies in 1 .. W - 2, so distinct
+        elements have distinct keys and decoding (key mod |Q|, then base-W
+        digits) recovers q and v.
+        """
+        nq, rank, join = self.quotient_order, self.rank, self.join
+        zero = (0,) * rank
+        rows = [[self.mul_data(join(zero, q), s) for s in gen_data] for q in range(nq)]
+        c = max((abs(v) for row in rows for y in row for v in self.free_part(y)), default=0)
+        off = radius * c + 1
+        w = 2 * off + 1
+        weights = [nq * w**i for i in range(rank)]
+        steps = tuple(
+            tuple(
+                self.coset_of(y) - q + sum(d * u for d, u in zip(self.free_part(y), weights))
+                for y in row
+            )
+            for q, row in enumerate(rows)
+        )
+
+        def decode(keys: list[int]) -> list[tuple]:
+            digits = [[k // u % w - off for k in keys] for u in weights]
+            vecs = zip(*digits) if rank else repeat(())
+            return list(map(join, vecs, [k % nq for k in keys]))
+
+        return off * sum(weights), lambda x: map(x.__add__, steps[x % nq]), decode
 
     def in_kernel(self, data: tuple) -> bool:
         return self.coset_of(data) == 0
@@ -374,8 +422,12 @@ class FgAbelianGroup(ExtensionGroup):
     def free_part(self, data: tuple) -> IntVec:
         return data[: self.rank]
 
-    def kernel_element(self, vec: Sequence[int]) -> Element:
-        return self.element(tuple(int(x) for x in vec) + (0,) * len(self.torsion))
+    def join(self, vec: Sequence[int], q: int) -> tuple:
+        return tuple(vec) + self._coset_coords[q]
+
+    @cached_property
+    def _coset_coords(self) -> tuple[IntVec, ...]:
+        return tuple(_mixed_radix_coords(self.torsion))
 
     def format_data(self, data: tuple) -> str:
         return "(" + ",".join(str(x) for x in data) + ")"
@@ -524,8 +576,8 @@ class VAbExtensionGroup(ExtensionGroup):
     def free_part(self, data: tuple) -> IntVec:
         return data[0]
 
-    def kernel_element(self, vec: Sequence[int]) -> Element:
-        return self.element((tuple(int(x) for x in vec), 0))
+    def join(self, vec: Sequence[int], q: int) -> tuple:
+        return (tuple(vec), q)
 
     def format_data(self, data: tuple) -> str:
         vec, q = data
@@ -591,8 +643,8 @@ class FiniteTableGroup(ExtensionGroup):
     def free_part(self, data: tuple) -> IntVec:
         return ()
 
-    def kernel_element(self, vec: Sequence[int]) -> Element:
-        return self.identity()
+    def join(self, vec: Sequence[int], q: int) -> tuple:
+        return (q,)
 
     def format_data(self, data: tuple) -> str:
         return f"({data[0]})"

@@ -203,6 +203,47 @@ def bfs_dist(mul, gens, identity, radius):
     return dist
 
 
+def oracle_ball(mul, gens, identity, radius):
+    """Every field of the radius-``radius`` ball, by queue BFS on the data.
+
+    ``data`` in discovery order (layers in order, each element's products in
+    generator order); ``parent[i]`` and ``parent_gen[i]`` the element and
+    generator that first reached data[i] (-1 and 0 at the identity);
+    ``offsets[k]`` the number of elements of norm < k, up to radius + 1 or
+    to the first empty layer; ``nbr[g][i]`` the position of data[i] gens[g],
+    or -1 outside the ball.
+    """
+    data, dist, parent, parent_gen = [identity], [0], [-1], [0]
+    pos = {identity: 0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        if dist[i] == radius:
+            continue
+        for g, s in enumerate(gens):
+            y = mul(data[i], s)
+            if y not in pos:
+                pos[y] = len(data)
+                queue.append(len(data))
+                data.append(y)
+                dist.append(dist[i] + 1)
+                parent.append(i)
+                parent_gen.append(g)
+    offsets = [0]
+    for k in range(radius + 1):
+        offsets.append(offsets[-1] + dist.count(k))
+        if offsets[-1] == offsets[-2]:
+            break
+    nbr = [[pos.get(mul(x, s), -1) for x in data] for s in gens]
+    return {
+        "data": data,
+        "parent": parent,
+        "parent_gen": parent_gen,
+        "offsets": offsets,
+        "nbr": nbr,
+    }
+
+
 def oracle_distance(dist, mul, inv, x, y):
     return dist[mul(inv(x), y)]
 

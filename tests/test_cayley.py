@@ -2,9 +2,12 @@
 
 import io
 import random
+from importlib import resources
+from itertools import permutations
 
 import pytest
 
+from horobound import cli, vabelian
 from horobound.cayley import (
     Ball,
     GeodesicPrefix,
@@ -14,14 +17,19 @@ from horobound.cayley import (
     grow_ball,
     segment,
 )
+from horobound.cli import parse_spec, run_command
 from horobound.errors import BallTooLarge, GroupMismatch, OutOfBall
 from horobound.examples import REGISTRY, example
 from horobound.groups import (
     Element,
+    ExtensionGroup,
     FgAbelianGroup,
     FgAbelianSpec,
     FiniteGroupSpec,
     FiniteTableGroup,
+    GeneratingSet,
+    VAbExtensionGroup,
+    VAbExtensionSpec,
     cyclic_table,
     symmetric_generating_set,
 )
@@ -33,10 +41,13 @@ from oracles import (
     l1,
     lamp_mul,
     lamp_word_norm,
+    oracle_ball,
     oracle_form,
     oracle_geodesic_prefixes,
     oracle_segment,
 )
+
+SPECS = resources.files("horobound") / "specs"
 
 
 def _oracle_table(group, gens, radius):
@@ -45,14 +56,134 @@ def _oracle_table(group, gens, radius):
     )
 
 
+def _assert_ball_is_oracle(ball):
+    """Every field of the ball against the queue BFS on the data."""
+    group, gens = ball.group, ball.gens
+    want = oracle_ball(
+        group.mul_data, [s.data for s in gens], group.identity_data(), ball.radius
+    )
+    nbr = ball.neighbours(len(ball))
+    assert ball.data == want["data"]
+    assert ball.index == {x: i for i, x in enumerate(want["data"])}
+    assert list(ball.parent) == want["parent"]
+    assert list(ball.parent_gen) == want["parent_gen"]
+    assert ball.offsets == want["offsets"]
+    assert ball.exhausted == (want["offsets"][-1] == want["offsets"][-2])
+    assert [list(col[:-1]) for col in nbr] == want["nbr"]
+    assert [col[-1] for col in nbr] == [-1] * len(gens)
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_ball_matches_bfs_oracle(name):
     group, gens = example(name)
-    ball = grow_ball(group, gens, 8)
-    table = _oracle_table(group, gens, 8)
-    assert len(ball) == len(table)
-    for data in ball.data_up_to(8):
-        assert ball.dist_data(data) == table[data]
+    _assert_ball_is_oracle(grow_ball(group, gens, 8))
+
+
+# the radii each bundled extension spec's own command grows its balls to
+BUNDLED_RADII = {
+    "cylinder_n3.spec": [15],
+    "cylinder_n30_diag.spec": [67],
+    "cylinder_n4.spec": [15],
+    "cylinder_n4_ext.spec": [4, 8],
+    "cylinder_n5.spec": [15],
+    "cylinder_n6.spec": [15],
+    "fat_cylinder_n3.spec": [12],
+    "z2_rot4.spec": [10],
+    "z2_standard.spec": [16, 1],
+    "z_line.spec": [13],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_RADII))
+def test_bundled_extension_balls_match_oracle(name, monkeypatch):
+    """Each ball a bundled run grows, caught on its way out of grow_ball."""
+    _, _, config = parse_spec(str(SPECS / name))
+    balls = []
+
+    def recording(*args, **kwargs):
+        balls.append(grow_ball(*args, **kwargs))
+        return balls[-1]
+
+    monkeypatch.setattr(cli, "grow_ball", recording)
+    monkeypatch.setattr(vabelian, "grow_ball", recording)
+    run_command(config)
+    assert isinstance(balls[0].group, ExtensionGroup)
+    assert [ball.radius for ball in balls] == BUNDLED_RADII[name]
+    for ball in balls:
+        _assert_ball_is_oracle(ball)
+
+
+def test_every_bundled_extension_spec_is_covered():
+    names = {p.name for p in SPECS.iterdir() if p.name.endswith(".spec")}
+    assert set(BUNDLED_RADII) == names - {"lamplighter.spec"}
+
+
+def _s3() -> FiniteTableGroup:
+    """The symmetric group on three points, permutations composed left to right."""
+    perms = list(permutations(range(3)))  # the identity first
+    table = tuple(
+        tuple(perms.index(tuple(b[a[i]] for i in range(3))) for b in perms) for a in perms
+    )
+    return FiniteTableGroup(FiniteGroupSpec(table))
+
+
+def _edge_groups():
+    """(group, generating set, c): c is the most that one generator step
+    moves a coordinate of the free part, so a^radius for a generator a that
+    moves one by c reaches +-radius c, the edge of the packed keys' range."""
+    tors = FgAbelianGroup(FgAbelianSpec(free_rank=2, torsion=(3,)))
+    tors_gens = [tors.element(x) for x in [(7, -7, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    # Z^2 by Z/2 swapping the coordinates, with the cocycle c(1, 1) = (1, 1),
+    # so t^2 = (1, 1) for t = (0, 0; 1)
+    twisted = VAbExtensionGroup(
+        VAbExtensionSpec(
+            rank=2,
+            quotient_table=cyclic_table(2),
+            action=(((1, 0), (0, 1)), ((0, 1), (1, 0))),
+            cocycle=(((0, 0), (0, 0)), ((0, 0), (1, 1))),
+        )
+    )
+    twisted_gens = [twisted.element(x) for x in [((5, 0), 0), ((1, 0), 0), ((0, 0), 1)]]
+    s3 = _s3()
+    trivial = FgAbelianGroup(FgAbelianSpec(free_rank=0))
+    return [
+        (tors, symmetric_generating_set(tors, tors_gens), 7),
+        (twisted, symmetric_generating_set(twisted, twisted_gens), 5),
+        (s3, symmetric_generating_set(s3, [s3.element(1), s3.element(2)]), 0),
+        # the trivial group has no generating set without the identity, which
+        # symmetric_generating_set refuses, so this one is built by hand
+        (trivial, GeneratingSet((trivial.identity(),), ("e",), (0,), True), 0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["torsion", "twisted", "s3", "trivial"])
+def test_packed_keys_at_the_edge_of_their_range(case):
+    group, gens, c = _edge_groups()[case]
+    radius = 6
+    ball = grow_ball(group, gens, radius)
+    _assert_ball_is_oracle(ball)
+    for x in ball.data:
+        assert group.join(group.free_part(x), group.coset_of(x)) == x
+    coords = [v for x in ball.data for v in group.free_part(x)]
+    if group.rank:
+        assert (min(coords), max(coords)) == (-radius * c, radius * c)
+    else:
+        assert coords == []
+
+
+def test_budget_enforced(z2_pair, lamp_pair):
+    """BallTooLarge fires at the same radius with the same message whether
+    the ball grows on packed keys (z2) or on the data itself (lamplighter)."""
+    for group, gens in (z2_pair, lamp_pair):
+        k = 3
+        size = len(grow_ball(group, gens, k))
+        for budget in (size, size + 1):
+            assert len(grow_ball(group, gens, k, budget=budget)) == size
+            with pytest.raises(BallTooLarge) as caught:
+                grow_ball(group, gens, k + 2, budget=budget)
+            assert str(caught.value) == (
+                f"ball exceeded budget of {budget} elements at radius {k + 1}"
+            )
 
 
 def test_layer_one_is_generator_order(z2_pair):
@@ -109,12 +240,6 @@ def test_sphere_range_checked(z_ball):
     assert {x.data for x in z_ball.sphere(2)} == {(2,), (-2,)}
     with pytest.raises(OutOfBall):
         z_ball.sphere(16)
-
-
-def test_budget_enforced(z2_pair):
-    group, gens = z2_pair
-    with pytest.raises(BallTooLarge):
-        grow_ball(group, gens, 10, budget=20)
 
 
 def test_exhausted_finite_group():

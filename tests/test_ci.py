@@ -1,4 +1,5 @@
-"""The CI workflow tests the oldest Python that pyproject.toml admits.
+"""The CI workflow tests the oldest Python that pyproject.toml admits, and
+runs its scale smoke steps under a timeout.
 
 Both files are read as text: ``tomllib`` only arrived in Python 3.11.
 """
@@ -21,3 +22,22 @@ def test_lowest_ci_python_is_the_declared_floor():
     assert floor and matrix
     versions = [_version(v.strip().strip("'\"")) for v in matrix.group(1).split(",")]
     assert min(versions) == _version(floor.group(1))
+
+
+def _steps(workflow: str) -> dict[str, str]:
+    """Step name -> the text of its step, for each named step."""
+    parts = re.split(r"^\s*- name:\s*", workflow, flags=re.M)[1:]
+    return {part.splitlines()[0].strip(): part for part in parts}
+
+
+def test_scale_smoke_steps_run_under_a_timeout():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    steps = _steps(workflow)
+    for name, argv in [
+        ("ballsystem at n_max = 8", ["ballsystem", "lamplighter.spec", "--n-max", "8"]),
+        ("ball on z2_rot4 at r = 60", ["ball", "z2_rot4.spec", "--r", "60"]),
+    ]:
+        argv[1] = "src/horobound/specs/" + argv[1]
+        step = " ".join(steps[name].split())
+        assert "PYTHONPATH=src timeout 60 python -c" in step, name
+        assert f"sys.exit(main({argv}))" in step, name
