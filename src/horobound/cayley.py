@@ -10,10 +10,11 @@ in BFS order; ``Ball.index`` maps payloads to positions, and flat
 per-position arrays hold |x_i| (``dist``), the BFS parent position
 (``parent``) and the generator s with x_i = x_parent s (``parent_gen``).
 ``offsets[k]`` is the first position of layer k, so B_m is the prefix of
-length ``size(m)``. The neighbour table keeps every product BFS computed:
-``nbr[s][i]`` is the position of x_i s. Rows of the outermost layer are
-filled on first use, with -1 for a product outside the ball, and each
-column ends with a -1 so that a -1 position looks up -1 again.
+length ``size(m)``. BFS expands every layer, the outermost too, and keeps
+every product in the neighbour table: ``nbr[s][i]`` is the position of
+x_i s, or -1 for a product outside the ball, so the table is complete once
+the ball is grown. Each column ends with a -1 so that a -1 position looks
+up -1 again.
 
 Left translates of a prefix need no group arithmetic. For z = x_start,
 ``gather(start, size)`` sets pos[0] = start and
@@ -39,7 +40,7 @@ Memory (tracemalloc, CPython 3.11): a grown ball retains 215 bytes per
 element on Z^2 with standard generators at radius 150 (45,301 elements),
 and 178-264 bytes per element over the example groups at 18k-45k elements,
 so the default budget of 5,000,000 elements costs about 0.9-1.3 GB. Growth
-peaks at 233 bytes per element on that Z^2 ball and 287 on z2_rot4 at
+peaks at 233 bytes per element on that Z^2 ball and 288 on z2_rot4 at
 radius 60, while the keys are decoded and while the ball builds its tables.
 A ball also retains each distinct vector that has passed ``check_lipschitz``
 on it, so that a functional is checked once per distinct vector per ball:
@@ -96,7 +97,6 @@ class Ball:
         parent_gen: array,
         offsets: list[int],
         products: array,
-        exhausted: bool,
     ):
         self.group = group
         self.gens = gens
@@ -106,28 +106,22 @@ class Ball:
         self.parent = parent  # -1 at the identity
         self.parent_gen = parent_gen  # 0 at the identity, never read there
         self.offsets = offsets  # layer k: positions offsets[k] .. offsets[k+1]-1
-        self.exhausted = exhausted
         self.dist = array(_small(radius))
         for k in range(len(offsets) - 1):
             self.dist.extend([k] * (offsets[k + 1] - offsets[k]))
-        # products holds x_i s row by row for the positions BFS expanded; the
-        # rim's rows start as -1 until ``neighbours`` fills them, and every
-        # column ends with the -1 that a -1 position looks up
+        # nbr[s][i] is the position of x_i s, or -1 for a product outside the
+        # ball; products holds them row by row, and every column ends with
+        # the -1 that a -1 position looks up
         n_gens = len(gens)
-        self._filled = len(products) // n_gens
-        pad = array("i", [-1]) * (len(data) - self._filled + 1)
-        self._nbr = [products[g::n_gens] + pad for g in range(n_gens)]
+        self.nbr = [products[g::n_gens] + array("i", [-1]) for g in range(n_gens)]
         # position k -> the column of its parent edge, so gather reads one entry
-        self._parent_cols = [self._nbr[g] for g in parent_gen]
+        self._parent_cols = [self.nbr[g] for g in parent_gen]
         self._reach: array | None = None
         self._lipschitz: set[tuple] = set()  # vectors that passed check_lipschitz
 
     # -- element-facing API --------------------------------------------------
     def __len__(self) -> int:
         return len(self.data)
-
-    def __contains__(self, x: Element) -> bool:
-        return x.group is self.group and x.data in self.index
 
     def norm(self, x: Element) -> int:
         """|x|_S, errors when x lies outside the computed radius."""
@@ -137,20 +131,6 @@ class Ball:
         if i is None:
             raise OutOfBall(f"{x} lies outside the radius-{self.radius} ball")
         return self.dist[i]
-
-    def sphere(self, r: int) -> list[Element]:
-        if not (0 <= r <= self.radius):
-            raise OutOfBall(f"sphere radius {r} outside 0..{self.radius}")
-        return [Element(self.group, d) for d in self.layer_data(r)]
-
-    def elements(self, max_radius: int | None = None) -> Iterator[Element]:
-        """Elements in BFS order up to max_radius (default: whole ball)."""
-        for d in self.data_up_to(self.radius if max_radius is None else max_radius):
-            yield Element(self.group, d)
-
-    def layer_sizes(self) -> list[int]:
-        off = self.offsets
-        return [off[k + 1] - off[k] for k in range(len(off) - 1)]
 
     # -- index-facing internals ------------------------------------------------
     def size(self, r: int) -> int:
@@ -164,34 +144,12 @@ class Ball:
         i = self.index.get(data)
         return None if i is None else self.dist[i]
 
-    def layer_data(self, r: int) -> list[tuple]:
-        if not (0 <= r <= self.radius):
-            raise OutOfBall(f"layer {r} outside 0..{self.radius}")
-        return self.data[self.size(r - 1) : self.size(r)]
-
     def data_up_to(self, r: int) -> list[tuple]:
         return self.data[: self.size(r)]
 
     def inv_index(self, i: int) -> int:
         """Position of x_i^-1, which has the norm of x_i."""
         return self.index[self.group.inv_data(self.data[i])]
-
-    def neighbours(self, rows: int) -> list[array]:
-        """The neighbour table, with the products of x_0 .. x_(rows-1) filled.
-
-        ``nbr[s][i]`` is the position of x_i s, or -1 when the product lies
-        outside the ball; ``nbr[s][-1]`` is -1.
-        """
-        if rows > self._filled:
-            group = self.group
-            index = self.index
-            rim = self.data[self._filled :]
-            for col, s in zip(self._nbr, self.gens.elements):
-                col[self._filled : -1] = array(
-                    "i", [index.get(group.mul_data(x, s.data), -1) for x in rim]
-                )
-            self._filled = len(self.data)
-        return self._nbr
 
     def check_lipschitz(self, vec: tuple) -> None:
         """Raise ValueError unless |vec[i]| <= |x_i| for every i and
@@ -211,7 +169,7 @@ class Ball:
             raise ValueError("functional exceeds the word norm somewhere")
         # every edge {x_i, x_j} of the domain, read once from its lower end
         # i < j; -1 (a product outside the ball) never passes i < j
-        for col in self.neighbours(size):
+        for col in self.nbr:
             for i, j in enumerate(col[:size]):
                 if i < j < size and abs(vec[i] - vec[j]) > 1:
                     raise ValueError("functional is not 1-Lipschitz along an edge")
@@ -222,8 +180,6 @@ class Ball:
         An entry is -1 when z x_k, or the image of a BFS ancestor of x_k,
         lies outside the ball; with |z| + |x_(size-1)| <= radius none is.
         """
-        if self.dist[start] + self.dist[size - 1] > self.radius:
-            self.neighbours(len(self.data))  # else only rows BFS filled are read
         pos = [start]
         append = pos.append
         for col, p in zip(islice(self._parent_cols, 1, size), islice(self.parent, 1, size)):
@@ -239,14 +195,14 @@ class Ball:
         The walk goes on past an escape and gathers everything reachable
         inside B_bound. For a generator u = s_1 .. s_k along its BFS parent
         path, w u is k neighbour-table lookups from w. A lookup reads -1 once
-        some w s_1 .. s_j leaves the ball (or reaches an unfilled rim row),
-        although w u itself may lie inside, so only then is w u multiplied
-        out; u outside the ball is always multiplied.
+        some w s_1 .. s_j leaves the ball, although w u itself may lie
+        inside, so only then is w u multiplied out; u outside the ball is
+        always multiplied.
         """
         if not (0 <= bound <= self.radius):
             raise OutOfBall(f"bound {bound} outside 0..{self.radius}")
         group, data, index, dist = self.group, self.data, self.index, self.dist
-        nbr = self.neighbours(self.size(bound))
+        nbr = self.nbr
         walks = []  # (u, the neighbour columns s_1 .. s_k, or None for u outside the ball)
         for u in gens:
             i = index.get(u)
@@ -300,20 +256,18 @@ class Ball:
         if self._reach is not None:
             return self._reach
         dist = self.dist
-        nbr = self._nbr
-        top = len(self.offsets) - 2  # the outermost layer grown
+        nbr = self.nbr
         reach = array(_small(self.radius), dist)
-        # successors sit at higher positions, so they are done first; every
-        # row below the outermost layer was filled by BFS
+        # successors sit at higher positions, so they are done first; only
+        # rows of the outermost layer hold -1, and dist[-1] is their own k
         for i in range(len(self.data) - 1, -1, -1):
             k = dist[i]
-            if k < top:
-                best = k
-                for col in nbr:
-                    j = col[i]
-                    if dist[j] == k + 1 and reach[j] > best:
-                        best = reach[j]
-                reach[i] = best
+            best = k
+            for col in nbr:
+                j = col[i]
+                if dist[j] == k + 1 and reach[j] > best:
+                    best = reach[j]
+            reach[i] = best
         self._reach = reach
         return reach
 
@@ -338,7 +292,8 @@ def grow_ball(
 
     Deterministic: layers are expanded in discovery order and generators in
     list order, so parents and enumeration order never depend on hashing.
-    Every product computed is kept in the neighbour table. The search runs
+    The outermost layer is expanded too, so the neighbour table is complete:
+    a product past the radius records -1 and adds nothing. The search runs
     on the group's ``ball_keys``, which decide neither the order nor the
     positions: each key stands for exactly one element.
     """
@@ -354,26 +309,26 @@ def grow_ball(
     offsets = [0, 1]
     products: list[int] = []
     record = products.append
-    exhausted = False
-    for k in range(1, radius + 1):
-        for i in range(offsets[k - 1], offsets[k]):
+    for k in range(radius + 1):
+        grow = k < radius  # layer k's new products form layer k + 1
+        for i in range(offsets[k], offsets[k + 1]):
             for g, y in enumerate(expand(data[i])):
-                j = index.get(y)
-                if j is None:
+                j = index.get(y, -1)
+                if j < 0 and grow:
                     j = len(data)
                     if j >= budget:
                         raise BallTooLarge(
-                            f"ball exceeded budget of {budget} elements at radius {k}"
+                            f"ball exceeded budget of {budget} elements at radius {k + 1}"
                         )
                     index[y] = j
                     data.append(y)
                     parent.append(i)
                     parent_gen.append(g)
                 record(j)
-        offsets.append(len(data))
-        if offsets[k] == offsets[k + 1]:
-            exhausted = True
-            break
+        if grow:
+            offsets.append(len(data))
+            if offsets[k + 1] == offsets[k + 2]:
+                break
     # 4 bytes a product instead of a pointer, before the decode; the bound
     # append would keep the list alive
     del record
@@ -382,9 +337,7 @@ def grow_ball(
         index = None  # drop the key index before the data index is built
         data = decode(data)
         index = dict(zip(data, range(len(data))))
-    return Ball(
-        group, gens, radius, data, index, parent, parent_gen, offsets, products, exhausted
-    )
+    return Ball(group, gens, radius, data, index, parent, parent_gen, offsets, products)
 
 
 def distance(ball: Ball, x: Element, y: Element) -> int:
@@ -486,7 +439,7 @@ class PrefixDag:
         ball = self.ball
         dist = ball.dist
         reach = ball.reach_data()
-        nbr = ball.neighbours(ball.size(self.depth - 1))
+        nbr = ball.nbr
         for k, layer in enumerate(self.layers[:-1]):
             for i in layer:
                 for col in nbr:

@@ -308,17 +308,17 @@ class ExtensionGroup(Group):
         table comes from the |Q| |S| products join(0, q) s.
 
         No key wraps. Let c be the largest |d_i(q, s)|. A search out to
-        ``radius`` forms products of elements of norm < radius only, so every
-        element it meets has |v_i| <= radius c. With OFF = radius c + 1 and
-        W = 2 OFF + 1, each digit v_i + OFF lies in 1 .. W - 2, so distinct
-        elements have distinct keys and decoding (key mod |Q|, then base-W
-        digits) recovers q and v.
+        ``radius`` forms products of elements of norm <= radius only, so
+        every element it meets has |v_i| <= (radius + 1) c. With
+        OFF = (radius + 1) c + 1 and W = 2 OFF + 1, each digit v_i + OFF lies
+        in 1 .. W - 2, so distinct elements have distinct keys and decoding
+        (key mod |Q|, then base-W digits) recovers q and v.
         """
         nq, rank, join = self.quotient_order, self.rank, self.join
         zero = (0,) * rank
         rows = [[self.mul_data(join(zero, q), s) for s in gen_data] for q in range(nq)]
         c = max((abs(v) for row in rows for y in row for v in self.free_part(y)), default=0)
-        off = radius * c + 1
+        off = (radius + 1) * c + 1
         w = 2 * off + 1
         weights = [nq * w**i for i in range(rank)]
         steps = tuple(

@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .cayley import Ball
 from .errors import AxiomViolation, GroupMismatch, NotASubgroup, OutOfRange, SizeBudget
 from .examples import LampChain, Window, WindowCosets
 from .groups import Element, GeneratingSet, Group, check_subgroup
@@ -452,50 +451,42 @@ class MetricAxiomReport:
         }
 
 
-def metric_axiom_check(
-    source: Union[Ball, BallSystem], radius: int | None = None
-) -> MetricAxiomReport:
+def metric_axiom_check(bs: BallSystem, radius: int | None = None) -> MetricAxiomReport:
     """Identity, symmetry and triangle axioms over all in-range pairs.
 
     Every pair (x, y) with |x| + |y| <= radius is covered; properness at
     scale is reported as the finite layer sizes. The first failure raises
     with a witness, a pair with its own norms; a clean pass returns the
     report. ``pairs_checked`` counts the pairs covered, sum |S_i| |S_j| over
-    i + j <= radius, not the products taken.
+    i + j <= radius, not the products taken. The word metric is the ball
+    system on the chain F_n = {e}.
 
     Level k is walked through R_k: its double-coset representatives if it is
-    kept over a subgroup H_k > {e}, else its sphere S_k (a word ball is all
-    spheres). r^-1 in B_k for each r in R_k makes every B_k symmetric, as
-    (H r H)^-1 = H r^-1 H. Then, by symmetry and nesting, B_i B_j lies in
-    B_{i+j} once the blocks 1 <= i <= j do. If B_{i+j} is kept over H, then
-    H holds H_i and H_j (see ``_compress``), so the block holds iff R_i M R_j
-    lies in B_{i+j}, with M = H_i H_j the larger of the two, taking one x m
-    per left coset H x m. Other blocks go pair by pair over S_i x S_j.
+    kept over a subgroup H_k > {e}, else its sphere S_k. r^-1 in B_k for
+    each r in R_k makes every B_k symmetric, as (H r H)^-1 = H r^-1 H.
+    Then, by symmetry and nesting, B_i B_j lies in B_{i+j} once the blocks
+    1 <= i <= j do. If B_{i+j} is kept over H, then H holds H_i and H_j
+    (see ``_compress``), so the block holds iff R_i M R_j lies in B_{i+j},
+    with M = H_i H_j the larger of the two, taking one x m per left coset
+    H x m. Other blocks go pair by pair over S_i x S_j.
     """
-    group = source.group
+    group = bs.group
     identity = group.identity_data()
-    if isinstance(source, Ball):
-        kind, max_radius = "ball", source.radius
-        norm_of, sphere = source.dist_data, source.layer_data
-    else:
-        kind, max_radius = "ballsystem", source.n_max
-        norm_of, sphere = source.norm_data, source.sphere_data
+    norm_of, sphere = bs.norm_data, bs.sphere_data
     if radius is None:
-        radius = max_radius
-    if radius > max_radius:
-        raise OutOfRange(f"radius {radius} exceeds the computed range {max_radius}")
+        radius = bs.n_max
+    if radius > bs.n_max:
+        raise OutOfRange(f"radius {radius} exceeds the computed range {bs.n_max}")
     if radius < 0:
         raise OutOfRange(f"radius {radius} is negative")
 
     walk = []  # per level: (cosets of H_k > {e} or None, R_k, membership in B_k)
-    for k in range(radius + 1):
-        if kind == "ball":
-            walk.append((None, sphere(k), lambda x, k=k: norm_of(x) in range(k + 1)))
-        elif len((level := source._levels[k]).cosets.subgroup) > 1:
+    for k, level in enumerate(bs._levels[: radius + 1]):
+        if len(level.cosets.subgroup) > 1:
             walk.append((level.cosets, list(level.reps), level.__contains__))
         else:
             walk.append((None, sphere(k), level.__contains__))
-    sizes = [source.size(k) for k in range(radius + 1)] if kind == "ball" else source.layer_sizes()
+    sizes = bs.layer_sizes()
     layer_sizes = tuple(b - a for a, b in zip([0, *sizes], sizes[: radius + 1]))
     for x in sphere(0):
         if x != identity:
@@ -544,4 +535,4 @@ def metric_axiom_check(
     pairs = sum(
         layer_sizes[i] * layer_sizes[j] for i in range(radius + 1) for j in range(radius + 1 - i)
     )
-    return MetricAxiomReport(kind, radius, pairs, layer_sizes)
+    return MetricAxiomReport("ballsystem", radius, pairs, layer_sizes)

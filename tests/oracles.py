@@ -261,7 +261,8 @@ def oracle_act(h, x, ball):
     ``Functional.value``, with no ball positions or gathers."""
     x_inv = x.inverse()
     base = h.value(x_inv)
-    return tuple(h.value(x_inv * y) - base for y in ball.elements(h.domain_radius - ball.norm(x)))
+    domain = ball.data_up_to(h.domain_radius - ball.norm(x))
+    return tuple(h.value(x_inv * ball.group.element(y)) - base for y in domain)
 
 
 def oracle_segment(dist, mul, inv, universe, x, y):

@@ -186,16 +186,16 @@ def test_closure_matches_payload_closure(name):
     group, gens, mul, inv, table, form = _oracle(name, radius)
     ball = grow_ball(group, gens, radius)
     finite = [group.element(d).data for d in FINITE[name]]
-    far = ball.layer_data(bound + 1)[0]
+    far = ball.data[ball.size(bound)]  # the first element of norm bound + 1
     outside = group.element(next(
         d for d in (mul(form(ball.data[-1]), form(s.data)) for s in gens) if d not in table
     )).data
     seed_sets = [
         finite,
         [s.data for s in gens],
-        # from |w| = 5 the walk of a norm-4 seed reads rim rows, which stay
-        # unfilled below the radius, so those products are multiplied out
-        [s.data for s in gens] + ball.layer_data(4)[:1],
+        # from |w| = 5 the walk of a norm-4 seed can leave the radius-8 ball
+        # although w u lies inside, so those products are multiplied out
+        [s.data for s in gens] + [ball.data[ball.size(3)]],
         finite + [far],  # a seed outside the bound
         finite + [outside],  # a seed outside the ball
     ]

@@ -70,8 +70,8 @@ def test_functional_equality_needs_the_same_ball(z_ball):
 
 def test_lipschitz_check_reads_the_outermost_sphere():
     # Z/5 with S = {+-1}: B_2 in BFS order is 0, 1, 4, 2, 3, and the edge
-    # 2 -- 3 lies inside the outermost sphere. Its neighbour rows are filled
-    # lazily, so a fresh ball checks the one bad edge only if it fills them.
+    # 2 -- 3 lies inside the outermost sphere, so the check finds the one bad
+    # edge only if it reads the neighbour rows of that sphere.
     g5 = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(5,)))
     gens = symmetric_generating_set(g5, [g5.element((1,))])
     values = {(0,): 0, (1,): 1, (4,): -1, (2,): 2, (3,): -2}
@@ -274,7 +274,7 @@ def _act_kernel(approx, search_radius, ball):
     """kernel_approx by its definition: x fixes h when x.h equals h restricted."""
     classes = approx.busemann_classes()
     out = []
-    for x in ball.elements(search_radius):
+    for x in map(ball.group.element, ball.data_up_to(search_radius)):
         moved = [oracle_act(h, x, ball) for h in classes]
         if all(g == h.vector[: len(g)] for g, h in zip(moved, classes)):
             out.append(x.data)
@@ -374,12 +374,11 @@ def test_kernel_index_matches_tuple_closure(monkeypatch):
     fallback_calls = fallback_inside = 0
     for name, make in sorted({**REGISTRY, "z8": _z8}.items()):
         group, gens = make()
-        ball = grow_ball(group, gens, 8)
-        ball.neighbours(len(ball))  # from here on every mul_data is a fallback
+        ball = grow_ball(group, gens, 8)  # every mul_data below is a fallback
         kernels = [
             kernel_approx(boundary_approx(ball, 5, 3), 2, ball),
             [group.element(d) for d in _FINITE[name]],
-            list(ball.elements(2)),  # its closure reaches the rim
+            [Element(group, d) for d in ball.data_up_to(2)],  # its closure reaches the rim
             # a generator outside the ball has no parent path
             [Element(group, group.mul_data(ball.data[-1], s.data)) for s in gens],
         ]

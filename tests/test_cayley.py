@@ -62,13 +62,12 @@ def _assert_ball_is_oracle(ball):
     want = oracle_ball(
         group.mul_data, [s.data for s in gens], group.identity_data(), ball.radius
     )
-    nbr = ball.neighbours(len(ball))
+    nbr = ball.nbr  # complete as grown
     assert ball.data == want["data"]
     assert ball.index == {x: i for i, x in enumerate(want["data"])}
     assert list(ball.parent) == want["parent"]
     assert list(ball.parent_gen) == want["parent_gen"]
     assert ball.offsets == want["offsets"]
-    assert ball.exhausted == (want["offsets"][-1] == want["offsets"][-2])
     assert [list(col[:-1]) for col in nbr] == want["nbr"]
     assert [col[-1] for col in nbr] == [-1] * len(gens)
 
@@ -128,9 +127,10 @@ def _s3() -> FiniteTableGroup:
 
 
 def _edge_groups():
-    """(group, generating set, c): c is the most that one generator step
-    moves a coordinate of the free part, so a^radius for a generator a that
-    moves one by c reaches +-radius c, the edge of the packed keys' range."""
+    """(group, generating set, c, radius): c is the most that one generator
+    step moves a coordinate of the free part, so a^radius for a generator a
+    that moves one by c reaches +-radius c, and a^(radius + 1), which the
+    search forms on the rim, the edge of the packed keys' range."""
     tors = FgAbelianGroup(FgAbelianSpec(free_rank=2, torsion=(3,)))
     tors_gens = [tors.element(x) for x in [(7, -7, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     # Z^2 by Z/2 swapping the coordinates, with the cocycle c(1, 1) = (1, 1),
@@ -146,20 +146,24 @@ def _edge_groups():
     twisted_gens = [twisted.element(x) for x in [((5, 0), 0), ((1, 0), 0), ((0, 0), 1)]]
     s3 = _s3()
     trivial = FgAbelianGroup(FgAbelianSpec(free_rank=0))
+    # a key range that ends at radius c would send the rim product
+    # (12, 0) (3, 0) to the key of (-12, 1), which has norm 4
+    z2 = FgAbelianGroup(FgAbelianSpec(free_rank=2))
+    rim_gens = [z2.element(x) for x in [(3, 0), (0, 1), (3, -1), (1, 0)]]
     return [
-        (tors, symmetric_generating_set(tors, tors_gens), 7),
-        (twisted, symmetric_generating_set(twisted, twisted_gens), 5),
-        (s3, symmetric_generating_set(s3, [s3.element(1), s3.element(2)]), 0),
+        (tors, symmetric_generating_set(tors, tors_gens), 7, 6),
+        (twisted, symmetric_generating_set(twisted, twisted_gens), 5, 6),
+        (s3, symmetric_generating_set(s3, [s3.element(1), s3.element(2)]), 0, 6),
         # the trivial group has no generating set without the identity, which
         # symmetric_generating_set refuses, so this one is built by hand
-        (trivial, GeneratingSet((trivial.identity(),), ("e",), (0,), True), 0),
+        (trivial, GeneratingSet((trivial.identity(),), ("e",), (0,), True), 0, 6),
+        (z2, symmetric_generating_set(z2, rim_gens), 3, 4),
     ]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["torsion", "twisted", "s3", "trivial"])
+@pytest.mark.parametrize("case", range(5), ids=["torsion", "twisted", "s3", "trivial", "rim"])
 def test_packed_keys_at_the_edge_of_their_range(case):
-    group, gens, c = _edge_groups()[case]
-    radius = 6
+    group, gens, c, radius = _edge_groups()[case]
     ball = grow_ball(group, gens, radius)
     _assert_ball_is_oracle(ball)
     for x in ball.data:
@@ -189,14 +193,13 @@ def test_budget_enforced(z2_pair, lamp_pair):
 def test_layer_one_is_generator_order(z2_pair):
     group, gens = z2_pair
     ball = grow_ball(group, gens, 2)
-    assert ball.layer_data(1) == [s.data for s in gens]
+    assert ball.data[ball.size(0) : ball.size(1)] == [s.data for s in gens]
 
 
 def test_data_up_to_is_layer_concatenation(cyl4_ball15):
     for r in range(1, 6):
-        assert cyl4_ball15.data_up_to(r) == (
-            cyl4_ball15.data_up_to(r - 1) + cyl4_ball15.layer_data(r)
-        )
+        layer = cyl4_ball15.data[cyl4_ball15.offsets[r] : cyl4_ball15.offsets[r + 1]]
+        assert cyl4_ball15.data_up_to(r) == cyl4_ball15.data_up_to(r - 1) + layer
 
 
 def test_z2_norm_is_l1(z2_ball12):
@@ -237,17 +240,18 @@ def test_norm_errors(z2_ball12, z_ball):
 
 
 def test_sphere_range_checked(z_ball):
-    assert {x.data for x in z_ball.sphere(2)} == {(2,), (-2,)}
+    assert set(z_ball.data[z_ball.size(1) : z_ball.size(2)]) == {(2,), (-2,)}
     with pytest.raises(OutOfBall):
-        z_ball.sphere(16)
+        z_ball.size(16)
 
 
 def test_exhausted_finite_group():
     g = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(8,)))
     gens = symmetric_generating_set(g, [g.element((1,))])
     ball = grow_ball(g, gens, 6)
-    assert ball.layer_sizes() == [1, 2, 2, 2, 1, 0]
-    assert ball.exhausted
+    off = ball.offsets
+    assert [b - a for a, b in zip(off, off[1:])] == [1, 2, 2, 2, 1, 0]
+    assert off[-1] == off[-2]
     assert len(ball) == 8
 
 
@@ -308,7 +312,8 @@ def test_gather_leaving_the_ball(name):
     mul, inv = group.mul_data, group.inv_data
     rng = random.Random(23)
     seen_outside = False
-    for zdata in rng.choices(ball.layer_data(4) + ball.layer_data(6), k=6):
+    spheres = ball.data[ball.size(3) : ball.size(4)] + ball.data[ball.size(5) : ball.size(6)]
+    for zdata in rng.choices(spheres, k=6):
         pos = ball.gather(ball.inv_index(ball.index[zdata]), ball.size(4))
         for k, x in enumerate(ball.data_up_to(4)):
             a, leaves = k, False
@@ -337,7 +342,8 @@ def test_segment_past_the_rim_vs_brute_force(name):
         d = ball.dist_data(ydata)
         exercised = exercised or -1 in ball.gather(ball.inv_index(ball.index[ydata]), ball.size(d))
         expect = set()
-        for z in ball.elements(d):  # a point of the segment has |z| <= d
+        for x in ball.data_up_to(d):  # a point of the segment has |z| <= d
+            z = Element(group, x)
             try:
                 rest = distance(ball, z, y)
             except OutOfBall:

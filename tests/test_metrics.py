@@ -753,30 +753,29 @@ def test_axioms_on_ball_system(lamp_bs4):
     assert report.layer_sizes == (1, 3, 412, 3296, 27520)
 
 
+def _word_metric(group, gens, radius):
+    """The word metric as the ball system on the degenerate chain F_n = {e}."""
+    return build_ball_system(group, gens, [[group.identity()]] * radius, radius)
+
+
 def test_axioms_on_ball(z2_pair):
-    group, gens = z2_pair
-    ball = grow_ball(group, gens, 4)
-    report = metric_axiom_check(ball)
-    assert report.source == "ball"
+    word = _word_metric(*z2_pair, 4)
+    report = metric_axiom_check(word)
     assert report.radius == 4
     assert report.pairs_checked == 321
     assert report.layer_sizes == (1, 4, 8, 12, 16)
-    smaller = metric_axiom_check(ball, radius=3)
+    smaller = metric_axiom_check(word, radius=3)
     assert smaller.radius == 3
-    assert smaller.pairs_checked < report.pairs_checked
+    assert smaller.pairs_checked == 129
 
 
 def test_axiom_radius_guard(z2_pair):
-    group, gens = z2_pair
-    ball = grow_ball(group, gens, 4)
     with pytest.raises(OutOfRange):
-        metric_axiom_check(ball, radius=5)
+        metric_axiom_check(_word_metric(*z2_pair, 4), radius=5)
 
 
 def test_axiom_radius_guard_negative(z2_pair, lamp_bs4):
-    group, gens = z2_pair
-    ball = grow_ball(group, gens, 4)
-    for source in (ball, lamp_bs4):
+    for source in (_word_metric(*z2_pair, 4), lamp_bs4):
         with pytest.raises(OutOfRange, match="negative"):
             metric_axiom_check(source, radius=-1)
 
