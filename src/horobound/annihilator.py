@@ -96,12 +96,6 @@ class AnnihilatorReport:
     inverse_closed: bool
     product_violations: tuple[tuple[Element, Element], ...]
 
-    def profile_of(self, x: Element) -> Profile:
-        for p in self.profiles:
-            if p.element.data == x.data:
-                return p
-        raise OutOfBall(f"{x} was not profiled (outside B_{self.m})")
-
     def candidate_data(self) -> set[tuple]:
         return {c.data for c in self.candidates}
 

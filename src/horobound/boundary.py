@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cayley import Ball, GeodesicPrefix, geodesic_between
+from .cayley import Ball, GeodesicPrefix
 from .errors import (
     BoundViolated,
     DomainExhausted,
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 STABILITY_WINDOW = 3
+KERNEL_RADIUS = 2  # slow_geodesic estimates [G:K] from the kernel's elements in B_2
 
 
 class Functional:
@@ -88,12 +89,6 @@ class Functional:
                 f"{self.ball.group.format_data(data)} outside domain B_{self.domain_radius}"
             )
         return self.vector[i]
-
-    def restrict(self, m: int) -> "Functional":
-        if m > self.domain_radius:
-            raise DomainExhausted(f"cannot extend domain from {self.domain_radius} to {m}")
-        size = self.ball.size(m)
-        return Functional(self.ball, m, self.vector[:size])
 
     def __eq__(self, other) -> bool:
         return (
@@ -273,9 +268,7 @@ def _translate(h: Functional, x_pos: int, m: int) -> tuple[int, ...]:
     return tuple([values[j] - base for j in ball.gather(x_inv, ball.size(m))])
 
 
-def kernel_approx(
-    approx: BoundaryApprox, search_radius: int, ball: Ball
-) -> list[Element]:
+def kernel_approx(approx: BoundaryApprox, search_radius: int) -> list[Element]:
     """Elements of B_search fixing every Busemann class on the common domain.
 
     With no Busemann-side classes at this level everything is fixed vacuously;
@@ -288,8 +281,7 @@ def kernel_approx(
         raise DomainExhausted(
             f"search radius {search_radius} leaves no common domain inside B_{approx.m}"
         )
-    if ball is not approx.ball:
-        raise DomainMismatch("the approximation is defined on a different ball")
+    ball = approx.ball
     classes = approx.busemann_classes()
     out = []
     for x in range(ball.size(search_radius)):
@@ -371,13 +363,7 @@ class BendScan:
         return all(abs(a - b) <= 2 for a, b in zip(self.phi, self.phi[1:]))
 
 
-def bend_scan(
-    prefix: GeodesicPrefix,
-    m: int,
-    h: Functional,
-    ball: Ball,
-    k_max: int | None = None,
-) -> BendScan:
+def bend_scan(prefix: GeodesicPrefix, m: int, h: Functional, k_max: int | None = None) -> BendScan:
     """Scan the window increments of h along the geodesic prefix."""
     length = prefix.length
     if m < 1 or length < m:
@@ -409,22 +395,18 @@ class SlowGeodesic:
     scan: BendScan
 
 
-def slow_geodesic(
-    x: Element,
-    m: int,
-    ell: int,
-    ball: Ball,
-    approx: BoundaryApprox,
-    kernel_radius: int = 2,
-) -> SlowGeodesic:
+def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowGeodesic:
     """Extract beta_j = alpha_t^-1 alpha_{t+j} (j <= ell) from a geodesic to x.
 
     x should be an annihilator element; the admissible range is
-    m <= ell <= 2|x|/(m+2) - m. The scan runs over 0 <= k <= m*r with
+    m <= ell <= 2|x|/(m+2) - m. alpha is x's BFS parent path in the
+    approximation's ball. The scan runs over 0 <= k <= m*r with
     r = floor(|x|/(m+2)) + 1 against the first stable class, and the returned
     certificate checks |h(beta_m)| <= 6*[G:K] + 1 for every stable class h,
-    raising the BoundViolated diagnostic otherwise.
+    raising the BoundViolated diagnostic otherwise. [G:K] is estimated from
+    the kernel elements in B_KERNEL_RADIUS.
     """
+    ball = approx.ball
     nx = ball.norm(x)
     if m < 1 or ell < m or (ell + m) * (m + 2) > 2 * nx:
         raise RangeEmpty(
@@ -439,17 +421,19 @@ def slow_geodesic(
         raise DomainExhausted(
             f"scan needs functional domain {scan_max + m}, classes have {classes[0].domain_radius}"
         )
-    alpha = geodesic_between(ball, ball.group.identity(), x)
-    scan = bend_scan(alpha, m, classes[0], ball, k_max=scan_max)
+    group, data = ball.group, ball.data
+    path = ball.path(ball.index[x.data])
+    alpha = GeodesicPrefix(tuple(Element(group, data[p]) for p in path))
+    scan = bend_scan(alpha, m, classes[0], k_max=scan_max)
     t = scan.t
-    group = ball.group
-    a_t_inv = group.inv_data(alpha.vertices[t].data)
-    beta_verts = tuple(
-        Element(group, group.mul_data(a_t_inv, alpha.vertices[t + j].data))
-        for j in range(ell + 1)
-    )
-    beta = GeodesicPrefix(beta_verts)
-    kern = kernel_approx(approx, kernel_radius, ball)
+    # beta_j = s_(t+1) .. s_(t+j), the generators of alpha's edges past alpha_t,
+    # walked from the identity; t + ell <= |x| by the range above
+    beta = [0]
+    for p in path[t + 1 : t + ell + 1]:
+        beta.append(ball.nbr[ball.parent_gen[p]][beta[-1]])
+    beta_verts = tuple(Element(group, data[p]) for p in beta)
+    prefix = GeodesicPrefix(beta_verts)
+    kern = kernel_approx(approx, KERNEL_RADIUS)
     index, exact = kernel_index_estimate(kern, ball)
     bound = 6 * index + 1
     values = tuple(h.value(beta_verts[m]) for h in classes)
@@ -461,4 +445,4 @@ def slow_geodesic(
                 bound=bound,
                 vector=list(h.vector),
             )
-    return SlowGeodesic(beta, t, scan.epsilon, index, exact, bound, values, scan)
+    return SlowGeodesic(prefix, t, scan.epsilon, index, exact, bound, values, scan)

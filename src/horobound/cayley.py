@@ -1,4 +1,4 @@
-"""Word-metric balls, geodesic segments and geodesic-prefix DAGs on Cayley graphs.
+"""Word-metric balls, segments and geodesic-prefix DAGs on Cayley graphs.
 
 The ball is grown by plain breadth-first search from the identity with ties
 broken by generator-list order, which fixes a deterministic parent map and a
@@ -66,7 +66,6 @@ __all__ = [
     "grow_ball",
     "distance",
     "segment",
-    "geodesic_between",
     "geodesic_prefixes",
 ]
 
@@ -82,8 +81,8 @@ class Ball:
     """All elements with |x|_S <= radius, with BFS distances and parents.
 
     For every stored x != 1 the parent edge certifies some s in S with
-    |x s^-1|_S = |x|_S - 1, so geodesics to the identity can be read off
-    without further search.
+    |x s^-1|_S = |x|_S - 1, so ``path`` reads a geodesic from the identity
+    to x off the ball without further search.
     """
 
     def __init__(
@@ -206,13 +205,7 @@ class Ball:
         walks = []  # (u, the neighbour columns s_1 .. s_k, or None for u outside the ball)
         for u in gens:
             i = index.get(u)
-            cols = None
-            if i is not None:
-                cols = []
-                while i > 0:
-                    cols.append(nbr[self.parent_gen[i]])
-                    i = self.parent[i]
-                cols.reverse()
+            cols = None if i is None else [nbr[self.parent_gen[p]] for p in self.path(i)[1:]]
             walks.append((u, cols))
         inside = {0}
         frontier = [0]
@@ -240,12 +233,13 @@ class Ball:
             frontier = nxt
         return inside, escaped
 
-    def parent_path_data(self, data: tuple) -> list[tuple]:
-        """BFS geodesic identity .. data as raw payloads."""
-        i = self.index[data]
+    def path(self, i: int) -> list[int]:
+        """Positions of the BFS parent path from the identity to x_i, a
+        geodesic: path[k] has norm k, and x_path[k] = x_path[k-1] s for
+        s = parent_gen[path[k]]."""
         path = []
         while i >= 0:
-            path.append(self.data[i])
+            path.append(i)
             i = self.parent[i]
         path.reverse()
         return path
@@ -379,7 +373,7 @@ def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
 
 @dataclass(frozen=True)
 class GeodesicPrefix:
-    """A geodesic path, verified pointwise inside its supporting ball."""
+    """A geodesic path as its vertices v_0 .. v_length, with d(v_i, v_j) = |i - j|."""
 
     vertices: tuple[Element, ...]
 
@@ -390,33 +384,6 @@ class GeodesicPrefix:
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
-
-    def verify(self, ball: Ball) -> None:
-        """Check d(v_i, v_j) = |i - j| for every pair computable in the ball."""
-        vs = self.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                try:
-                    d = distance(ball, vs[i], vs[j])
-                except OutOfBall:
-                    continue
-                if d != j - i:
-                    raise ValueError(
-                        f"not a geodesic: d({vs[i]},{vs[j]}) = {d} != {j - i}"
-                    )
-
-
-def geodesic_between(ball: Ball, x: Element, y: Element) -> GeodesicPrefix:
-    """The deterministic (BFS-parent) geodesic from x to y."""
-    group = ball.group
-    d = distance(ball, x, y)  # validates membership en route
-    u = group.mul_data(group.inv_data(x.data), y.data)
-    path = ball.parent_path_data(u)
-    verts = tuple(Element(group, group.mul_data(x.data, w)) for w in path)
-    prefix = GeodesicPrefix(verts)
-    if d <= 6:  # cheap sizes: verify pairwise, else trust BFS layering
-        prefix.verify(ball)
-    return prefix
 
 
 @dataclass(frozen=True)

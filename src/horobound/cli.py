@@ -345,9 +345,7 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
     spec = _parse_group_section(cp["group"])
     try:
         group = build_group(spec)
-    except HoroboundError as exc:
-        raise ValidationError(f"{path} [group]: {exc}") from None
-    except ValueError as exc:
+    except (HoroboundError, ValueError) as exc:
         raise ValidationError(f"{path} [group]: {exc}") from None
 
     gsec = cp["generators"]
@@ -355,34 +353,11 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
     if "elements" not in gsec:
         raise SchemaError(f"{path}: [generators] needs 'elements'")
     elements = _parse_elements(group, "generators", "elements", gsec["elements"])
-    if not elements:
-        raise ValidationError(f"{path}: [generators] elements is empty")
-    for x in elements:
-        if x.is_identity():
-            raise ValidationError(f"{path}: the identity is not a generator")
-    have = {x.data for x in elements}
-    for x in elements:
-        if x.inverse().data not in have:
-            raise ValidationError(
-                f"{path}: generator list is not symmetric, {x}^-1 = {x.inverse()} is missing"
-            )
-
-    labels: tuple[str, ...] | None = None
-    if "labels" in gsec:
-        labels = tuple(gsec["labels"].split())
-        if len(labels) != len(elements):
-            raise SchemaError(
-                f"{path}: {len(labels)} labels for {len(elements)} generators"
-            )
+    labels = tuple(gsec["labels"].split()) if "labels" in gsec else None
     witnesses = _parse_elements(
         group, "generators", "witnesses", gsec.get("witnesses", "")
     )
-    try:
-        gens = symmetric_generating_set(
-            group, elements, labels, witnesses=witnesses or None
-        )
-    except HoroboundError as exc:
-        raise ValidationError(f"{path} [generators]: {exc}") from None
+    gens = _generating_set(group, elements, labels, witnesses, path)
 
     params: dict[str, str] = {}
     command = None
@@ -407,6 +382,35 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
     )
     _remember(config, group, gens)
     return group, gens, config
+
+
+def _generating_set(
+    group: Group,
+    elements: list[Element],
+    labels: tuple[str, ...] | None,
+    witnesses: list[Element],
+    where: str,
+) -> GeneratingSet:
+    """The generating set a spec or a config names, once its list passes the
+    checks: not empty, no identity, symmetric as written, and as many labels
+    as generators. ``where`` starts each error message."""
+    if not elements:
+        raise ValidationError(f"{where}: [generators] elements is empty")
+    for x in elements:
+        if x.is_identity():
+            raise ValidationError(f"{where}: the identity is not a generator")
+    have = {x.data for x in elements}
+    for x in elements:
+        if x.inverse().data not in have:
+            raise ValidationError(
+                f"{where}: generator list is not symmetric, {x}^-1 = {x.inverse()} is missing"
+            )
+    if labels is not None and len(labels) != len(elements):
+        raise SchemaError(f"{where}: {len(labels)} labels for {len(elements)} generators")
+    try:
+        return symmetric_generating_set(group, elements, labels, witnesses=witnesses or None)
+    except HoroboundError as exc:
+        raise ValidationError(f"{where} [generators]: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,7 @@ def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
     r = p["r"]
     qg = quotient_graph(group, gens)
     cycles = simple_cycle_labels(qg)
-    cloud = conjugate_cloud(cycles, group)
+    cloud = conjugate_cloud(cycles)
     poly = cloud_hull(cloud)
     ball = grow_ball(group, gens, r, budget=p["budget"])
     body = {
@@ -507,7 +511,7 @@ def _cmd_bend(group: Group, gens: GeneratingSet, p: dict):
         raise SchemaError(f"[run] x: {exc}") from None
     ball = grow_ball(group, gens, r + m, budget=p["budget"])
     approx = boundary_approx(ball, r, m)
-    sg = slow_geodesic(x, scan_m, ell, ball, approx)
+    sg = slow_geodesic(x, scan_m, ell, approx)
     body = {
         "x": str(x),
         "level": {"r": r, "m": m},
@@ -540,7 +544,8 @@ _HANDLERS: dict[str, Callable] = {
 
 def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
     """Build the group from the config (or reuse the last build of the same
-    fields) and dispatch; pure in the config."""
+    fields) and dispatch; pure in the config. A build checks the generator
+    list as ``parse_spec`` does."""
     if config.command not in _HANDLERS:
         raise SchemaError(f"unknown command {config.command!r}")
     params = config.read_params()
@@ -549,9 +554,7 @@ def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
         group = build_group(config.group_spec)
         elements = [group.parse(t) for t in config.generators]
         witnesses = [group.parse(t) for t in config.witnesses]
-        gens = symmetric_generating_set(
-            group, elements, config.labels, witnesses=witnesses or None
-        )
+        gens = _generating_set(group, elements, config.labels, witnesses, "config")
         _remember(config, group, gens)
     else:
         group, gens = built

@@ -17,7 +17,6 @@ from .groups import (
     GeneratingSet,
     Group,
     LamplighterGroup,
-    LamplighterZ2Spec,
     VAbExtensionGroup,
     VAbExtensionSpec,
     cyclic_table,
@@ -137,7 +136,7 @@ def lamplighter() -> Pair:
     Generation is certified against the lamps at +-1 (reachable by
     conjugating the origin lamp with the shift).
     """
-    group = LamplighterGroup(LamplighterZ2Spec())
+    group = LamplighterGroup()
     listed = [group.element(((), 1)), group.element(((0,), 0))]
     witnesses = [group.element(((1,), 0)), group.element(((-1,), 0))]
     gens = symmetric_generating_set(

@@ -372,7 +372,6 @@ class FgAbelianGroup(ExtensionGroup):
         for t in spec.torsion:
             if t < 2:
                 raise ValueError(f"torsion orders must be >= 2, got {t}")
-        self.spec = spec
         self.rank = spec.free_rank
         self.torsion = tuple(spec.torsion)
         self._n = self.rank + len(self.torsion)
@@ -527,7 +526,6 @@ class VAbExtensionGroup(ExtensionGroup):
                     rhs = tuple(x + y for x, y in zip(cocycle[q][p], cocycle[table[q][p]][s]))
                     if lhs != rhs:
                         raise BadCocycle(f"cocycle identity fails at ({q},{p},{s})")
-        self.spec = spec
         self.rank = d
         self.table = table
         self.action = action
@@ -613,7 +611,6 @@ class FiniteTableGroup(ExtensionGroup):
     def __init__(self, spec: FiniteGroupSpec):
         table = tuple(tuple(row) for row in spec.table)
         _check_table(table, "group")
-        self.spec = spec
         self.table = table
         self.order = self.quotient_order = len(table)
         self.action = (identity_matrix(0),) * self.order
@@ -677,9 +674,6 @@ class LamplighterGroup(Group):
     """
 
     family = "lamplighter_z2"
-
-    def __init__(self, spec: LamplighterZ2Spec | None = None):
-        self.spec = spec or LamplighterZ2Spec()
 
     def identity_data(self) -> tuple:
         return (0, 0, 0)
@@ -777,7 +771,7 @@ def build_group(spec: GroupSpec) -> Group:
     if isinstance(spec, FiniteGroupSpec):
         return FiniteTableGroup(spec)
     if isinstance(spec, LamplighterZ2Spec):
-        return LamplighterGroup(spec)
+        return LamplighterGroup()
     raise TypeError(f"unknown group spec: {spec!r}")
 
 
@@ -795,6 +789,10 @@ def _parse_int_tuple(text: str, expect: int) -> tuple:
 # ---------------------------------------------------------------------------
 # generating sets
 
+# a lamplighter generating set is verified when a BFS this deep reaches
+# every declared witness
+WITNESS_RADIUS = 8
+
 
 @dataclass(frozen=True)
 class GeneratingSet:
@@ -807,7 +805,6 @@ class GeneratingSet:
 
     elements: tuple[Element, ...]
     labels: tuple[str, ...]
-    inverse_index: tuple[int, ...]
     verified: bool
 
     def __len__(self) -> int:
@@ -837,7 +834,6 @@ def symmetric_generating_set(
     labels: Sequence[str] | None = None,
     *,
     witnesses: Iterable[Element] | None = None,
-    witness_radius: int = 8,
 ) -> GeneratingSet:
     """Close the listed elements under inverse, label them, verify generation.
 
@@ -846,7 +842,7 @@ def symmetric_generating_set(
     are appended as ``<label>^-1``. Verification is exact on the extension
     normal form (fg_abelian, vab_extension and finite): the set
     must span a subgroup of index 1. For the lamplighter, a BFS up to
-    ``witness_radius`` must reach every declared witness, otherwise the set is
+    ``WITNESS_RADIUS`` must reach every declared witness, otherwise the set is
     flagged unverified.
     """
     listed: list[Element] = []
@@ -875,9 +871,8 @@ def symmetric_generating_set(
             elems.append(ix)
             labs.append(f"{lab}^-1")
 
-    inverse_index = tuple(elems.index(x.inverse()) for x in elems)
-    verified = _verify_generation(group, elems, witnesses, witness_radius)
-    return GeneratingSet(tuple(elems), tuple(labs), inverse_index, verified)
+    verified = _verify_generation(group, elems, witnesses)
+    return GeneratingSet(tuple(elems), tuple(labs), verified)
 
 
 def check_subgroup(group: Group, elems: frozenset, name: str) -> None:
@@ -975,7 +970,6 @@ def _verify_generation(
     group: Group,
     gens: Sequence[Element],
     witnesses: Iterable[Element] | None,
-    witness_radius: int,
 ) -> bool:
     if isinstance(group, ExtensionGroup):
         index = subgroup_index(group, gens)
@@ -991,7 +985,7 @@ def _verify_generation(
     targets = {w.data for w in witnesses}
     seen = {group.identity_data()}
     frontier = [group.identity_data()]
-    for _ in range(witness_radius):
+    for _ in range(WITNESS_RADIUS):
         targets -= seen
         if not targets:
             return True

@@ -127,9 +127,6 @@ class SimpleCycleSet:
     labels: tuple[Element, ...]
     norms: dict
 
-    def norm_of(self, x: Element) -> int:
-        return self.norms[x.data]
-
     def to_json_dict(self) -> dict:
         g = self.graph.gens
         return {
@@ -227,7 +224,7 @@ class Cloud:
         }
 
 
-def conjugate_cloud(cycles: SimpleCycleSet, group: Group) -> Cloud:
+def conjugate_cloud(cycles: SimpleCycleSet) -> Cloud:
     """Apply every quotient action to every normalized cycle label.
 
     Conjugating a kernel element by anything in the coset of q moves its
@@ -235,8 +232,7 @@ def conjugate_cloud(cycles: SimpleCycleSet, group: Group) -> Cloud:
     the pi-orbit. Central symmetry and pi-invariance of the result are
     verified before returning.
     """
-    if group is not cycles.graph.group:
-        raise GroupMismatch("cycle set was built over a different group")
+    group = cycles.graph.group
     prov: dict[Point, list[tuple[int, Element]]] = {}
     for x in cycles.labels:
         nx = cycles.norms[x.data]
@@ -551,7 +547,7 @@ def infinite_boundary_witness(
     ball = grow_ball(group, gens, r + m, budget=budget)
     qg = quotient_graph(group, gens)
     cycles = simple_cycle_labels(qg)
-    cloud = conjugate_cloud(cycles, group)
+    cloud = conjugate_cloud(cycles)
     poly = cloud_hull(cloud)
     e_prime = select_extreme(poly, selector)
     data = lipschitz_hom(poly, e_prime, cloud, ball)

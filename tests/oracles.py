@@ -277,6 +277,20 @@ def oracle_segment(dist, mul, inv, universe, x, y):
     return out
 
 
+def oracle_geodesic_defects(norm, mul, inv, path):
+    """Pairs (i, j), i < j, of vertices with d(v_i, v_j) = |v_i^-1 v_j| != j - i,
+    every pair checked: a path is a geodesic exactly when there are none.
+    ``norm`` maps data to its word norm, or to None where that is unknown,
+    and a pair at an unknown distance is skipped."""
+    out = []
+    for i, a in enumerate(path):
+        for j in range(i + 1, len(path)):
+            d = norm(mul(inv(a), path[j]))
+            if d is not None and d != j - i:
+                out.append((i, j))
+    return out
+
+
 def oracle_geodesic_prefixes(mul, gens, identity, n, r):
     """Vertex tuples (v_0, ..., v_n) of the length-n prefixes of every
     geodesic word of length r: all words, each step one BFS layer up."""

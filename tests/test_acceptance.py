@@ -182,7 +182,7 @@ def test_criterion_07_sign_proportionality(cyl4_ball15):
     """The two stable cylinder classes agree up to a sign on the kernel."""
     approx = boundary_approx(cyl4_ball15, 12, 3)
     g, h = approx.stable_classes()
-    kernel = kernel_approx(approx, 2, cyl4_ball15)
+    kernel = kernel_approx(approx, 2)
     index, _ = kernel_index_estimate(kernel, cyl4_ball15)
     match = sign_match(g, h, kernel)
     ok = (
@@ -202,7 +202,7 @@ def test_criterion_08_polytope_pipeline(z2_pair, z2_ball12):
     """Cycle cloud, hull, membership and the extreme-point homomorphism on Z^2."""
     group, gens = z2_pair
     start = time.perf_counter()
-    cloud = conjugate_cloud(simple_cycle_labels(quotient_graph(group, gens)), group)
+    cloud = conjugate_cloud(simple_cycle_labels(quotient_graph(group, gens)))
     poly = cloud_hull(cloud)
     membership = step1_membership(poly, z2_ball12, 8)
     e = select_extreme(poly, "index:3")
@@ -239,9 +239,9 @@ def test_criterion_09_slow_geodesic_bound(cyl30_ball67, cyl30_approx):
     """Re-rooted geodesics barely move any stable class, and scans stay 2-Lipschitz."""
     group = cyl30_ball67.group
     start = time.perf_counter()
-    slow = slow_geodesic(group.element((0, 15)), 2, 8, cyl30_ball67, cyl30_approx)
+    slow = slow_geodesic(group.element((0, 15)), 2, 8, cyl30_approx)
     stable = cyl30_approx.stable_classes()
-    scans = [bend_scan(slow.prefix, 2, h, cyl30_ball67) for h in stable]
+    scans = [bend_scan(slow.prefix, 2, h) for h in stable]
     elapsed = time.perf_counter() - start
     ok = (
         slow.bound == 6 * slow.kernel_index + 1 == 7

@@ -113,10 +113,9 @@ def test_candidate_report(cyl4_ball15):
     assert report.inverse_closed
     assert report.product_violations == ()
     assert len(report.profiles) == len(cyl4_ball15.data_up_to(3))
-    p = report.profile_of(cyl4_ball15.group.element((0, 2)))
-    assert p.candidate
-    with pytest.raises(OutOfBall):
-        report.profile_of(cyl4_ball15.group.element((9, 0)))
+    profiled = {p.element.data: p for p in report.profiles}
+    assert profiled[(0, 2)].candidate
+    assert (9, 0) not in profiled
 
 
 def test_report_csv(cyl4_ball15):

@@ -1,4 +1,4 @@
-"""Balls, distances, segments, geodesics: everything checked against BFS oracles."""
+"""Balls, distances, segments, BFS paths: everything checked against BFS oracles."""
 
 import io
 import random
@@ -10,9 +10,7 @@ import pytest
 from horobound import cli, vabelian
 from horobound.cayley import (
     Ball,
-    GeodesicPrefix,
     distance,
-    geodesic_between,
     geodesic_prefixes,
     grow_ball,
     segment,
@@ -43,8 +41,11 @@ from oracles import (
     lamp_word_norm,
     oracle_ball,
     oracle_form,
+    oracle_geodesic_defects,
     oracle_geodesic_prefixes,
     oracle_segment,
+    zd_inv,
+    zd_mul,
 )
 
 SPECS = resources.files("horobound") / "specs"
@@ -156,7 +157,7 @@ def _edge_groups():
         (s3, symmetric_generating_set(s3, [s3.element(1), s3.element(2)]), 0, 6),
         # the trivial group has no generating set without the identity, which
         # symmetric_generating_set refuses, so this one is built by hand
-        (trivial, GeneratingSet((trivial.identity(),), ("e",), (0,), True), 0, 6),
+        (trivial, GeneratingSet((trivial.identity(),), ("e",), True), 0, 6),
         (z2, symmetric_generating_set(z2, rim_gens), 3, 4),
     ]
 
@@ -255,17 +256,16 @@ def test_exhausted_finite_group():
     assert len(ball) == 8
 
 
-def test_parent_path_descends(cyl4_ball15):
-    group = cyl4_ball15.group
+def test_path_descends_along_parent_edges(cyl4_ball15):
+    ball = cyl4_ball15
     rng = random.Random(3)
-    pool = cyl4_ball15.data_up_to(15)
     for _ in range(50):
-        data = rng.choice(pool)
-        path = cyl4_ball15.parent_path_data(data)
-        assert path[0] == group.identity_data() and path[-1] == data
-        assert len(path) == cyl4_ball15.dist_data(data) + 1
-        for i, step in enumerate(path):
-            assert cyl4_ball15.dist_data(step) == i
+        i = rng.randrange(len(ball))
+        path = ball.path(i)
+        assert path[0] == 0 and path[-1] == i
+        assert [ball.dist[p] for p in path] == list(range(ball.dist[i] + 1))
+        for a, b in zip(path, path[1:]):
+            assert ball.nbr[ball.parent_gen[b]][a] == b
 
 
 def test_distance_and_segment_vs_oracle(cyl4_ball15, cyl4_pair):
@@ -360,22 +360,18 @@ def test_distance_out_of_ball(z_ball):
         distance(z_ball, g.element((-10,)), g.element((10,)))
 
 
-def test_geodesic_between(z2_ball12):
-    group = z2_ball12.group
-    x, y = group.element((-2, 1)), group.element((3, 4))
-    geo = geodesic_between(z2_ball12, x, y)
-    assert geo.vertices[0] == x and geo.vertices[-1] == y
-    assert geo.length == distance(z2_ball12, x, y)
-    geo.verify(z2_ball12)
+def test_path_is_a_geodesic(z2_ball12):
+    # on Z^2 the word norm is the l1 norm, so every pair of vertices is measured
+    ball = z2_ball12
+    for data in [(3, 4), (-6, 6), (0, -12), (5, 0)]:
+        path = [ball.data[p] for p in ball.path(ball.index[data])]
+        assert path[-1] == data and len(path) == l1(data) + 1
+        assert oracle_geodesic_defects(l1, zd_mul, zd_inv, path) == []
 
 
-def test_geodesic_verify_rejects_detour(z2_ball12):
-    group = z2_ball12.group
-    bad = GeodesicPrefix(
-        (group.identity(), group.element((1, 0)), group.identity())
-    )
-    with pytest.raises(ValueError, match="not a geodesic"):
-        bad.verify(z2_ball12)
+def test_geodesic_oracle_flags_a_detour():
+    path = [(0, 0), (1, 0), (1, 1), (0, 1)]  # (0, 0) and (0, 1) are adjacent
+    assert oracle_geodesic_defects(l1, zd_mul, zd_inv, path) == [(0, 3)]
 
 
 def test_prefix_dag_on_line(z_ball):

@@ -1,9 +1,12 @@
-"""The CI workflow tests the oldest Python that pyproject.toml admits, and
-runs its scale smoke steps under a timeout.
+"""The CI workflow tests the oldest Python that pyproject.toml admits, runs
+its scale smoke steps under a timeout, and runs the benchmark's correctness
+gate on every workload.
 
-Both files are read as text: ``tomllib`` only arrived in Python 3.11.
+The workflow and pyproject.toml are read as text: ``tomllib`` only arrived
+in Python 3.11.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -42,3 +45,15 @@ def test_scale_smoke_steps_run_under_a_timeout():
         step = " ".join(steps[name].split())
         assert "PYTHONPATH=src timeout 60 python -c" in step, name
         assert f"sys.exit(main({argv}))" in step, name
+
+
+def test_benchmark_gate_runs_every_workload_under_a_timeout():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = _steps(workflow)["benchmark correctness gate"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in benchmark["workloads"]]
+    loop = re.search(r"for w in ([\w ]+); do", step)
+    assert loop and loop.group(1).split() == names
+    assert "if: matrix.python-version == '3.11'" in step
+    assert 'timeout 120 python3 perfbench/run.py --workload "$w" --seconds 1' in step
+    assert "['correct'] is not True" in step

@@ -893,3 +893,21 @@ def test_replaced_generators_get_their_own_group():
         report, _ = run_command(cfg)
         assert report["size"] == size
         assert report["config"]["generators"] == list(cfg.generators)
+
+
+@pytest.mark.parametrize(
+    "generators,labels,error,match",
+    [
+        # a missing inverse is refused, not appended behind the listed two
+        (("(1,0)", "(0,1)"), None, ValidationError, r"not symmetric, \(1,0\)\^-1"),
+        (("(0,0)", "(1,0)", "(-1,0)"), None, ValidationError, "identity is not a generator"),
+        ((), None, ValidationError, "elements is empty"),
+        (("(1,0)", "(-1,0)"), ("a",), SchemaError, "1 labels for 2 generators"),
+    ],
+)
+def test_replaced_generators_pass_the_spec_checks(generators, labels, error, match):
+    # a replaced config is built through the checks that parse_spec applies
+    _, _, config = parse_spec(spec_path("z2_standard.spec"))
+    bad = replace(config, command="ball", generators=generators, labels=labels)
+    with pytest.raises(error, match=match):
+        run_command(bad.with_params(r=2))

@@ -425,7 +425,6 @@ def test_generating_set_order_and_labels():
     gens = symmetric_generating_set(g, [g.element((1,))], ["a"])
     assert [str(x) for x in gens.elements] == ["(1)", "(-1)"]
     assert gens.labels == ("a", "a^-1")
-    assert gens.inverse_index == (1, 0)
     assert gens.verified
 
 

@@ -1,6 +1,7 @@
 """No module of the package imports a name at module level that it never
-uses, defines a private module-level name that it never reads, or exports a
-name that nothing reaches, and no exported error type goes unraised.
+uses, defines a private module-level name that it never reads, exports a
+name that nothing reaches, or takes a parameter that it never reads, and no
+exported error type goes unraised.
 
 An import counts as used when the module reads it anywhere, annotations
 included; listing it in ``__all__`` does not count, as no module re-exports.
@@ -10,10 +11,13 @@ left behind by a refactor, or one that only calls itself, is found. An
 exported name counts as reached when the command line reaches it (see
 ``unreached_exports``) or ``KEPT`` names what it serves. An error type in
 ``errors.__all__`` counts as raised when some other module of the package
-constructs it; the two bases are exempt.
+constructs it; the two bases are exempt. A parameter counts as read when
+its function's body loads it anywhere, nested functions included; see
+``unread_parameters`` for the signatures an interface fixes.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -327,3 +331,111 @@ def test_every_exported_error_is_raised():
     errors_path = next(p for p in SOURCES if p.name == "errors.py")
     others = [p.read_text(encoding="utf-8") for p in SOURCES if p != errors_path]
     assert unraised_errors(errors_path.read_text(encoding="utf-8"), others) == []
+
+
+def _defs(node: ast.AST, owner: ast.ClassDef | None = None, prefix: str = ""):
+    """(qualified name, the class whose method it is or None, the def) for
+    every function under node, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defs(child, child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{child.name}", owner, child
+            yield from _defs(child, None, f"{prefix}{child.name}.")
+        else:
+            yield from _defs(child, owner, prefix)
+
+
+def _parameters(fn: ast.FunctionDef, method: bool) -> tuple[str, ...]:
+    a = fn.args
+    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+    if method and names and names[0] in ("self", "cls"):
+        names = names[1:]
+    return tuple(names)
+
+
+def _is_stub(fn: ast.FunctionDef) -> bool:
+    """Whether the body, its docstring aside, only raises NotImplementedError."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """``module.qualname: parameter`` for each parameter, ``self`` and ``cls``
+    aside, that its function's body never loads.
+
+    Two kinds of function are exempt, since the signature is not theirs to
+    trim: stubs that only raise NotImplementedError, and methods whose name
+    and parameters another class repeats (an override and the method it
+    overrides, or two classes that serve one interface).
+    """
+    found = [
+        (mod, name, owner, fn)
+        for mod, source in sources.items()
+        for name, owner, fn in _defs(ast.parse(source))
+    ]
+    shared = Counter((fn.name, _parameters(fn, True)) for _, _, owner, fn in found if owner)
+    out = []
+    for mod, name, owner, fn in found:
+        params = _parameters(fn, owner is not None)
+        if _is_stub(fn) or (owner is not None and shared[fn.name, params] > 1):
+            continue
+        loaded = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out.extend(f"{mod}.{name}: {p}" for p in params if p not in loaded)
+    return out
+
+
+def test_parameter_scanner_flags_only_unread_parameters():
+    sources = {
+        "x": (
+            "def scan(prefix, m, ball, k_max=None):\n"
+            "    def inner(step):\n"
+            "        return prefix[step] + m\n"
+            "    return inner(k_max)\n"
+            "def unused(*args, **kwargs):\n"
+            "    return 0\n"
+            "class Base:\n"
+            "    def keys(self, gens, radius):\n"
+            "        return gens\n"
+            "    def parse(self, text):\n"
+            "        'A stub.'\n"
+            "        raise NotImplementedError\n"
+            "    def size(self, key):\n"
+            "        return 1\n"
+            "class Child(Base):\n"
+            "    def keys(self, gens, radius):\n"
+            "        return radius\n"
+        ),
+        "y": (
+            "class Table:\n"
+            "    @staticmethod\n"
+            "    def absorbs(x, sub):\n"
+            "        return False\n"
+            "    def size(self, r):\n"
+            "        return 2\n"
+            "class Window:\n"
+            "    def absorbs(self, x, sub):\n"
+            "        return x in sub\n"
+        ),
+    }
+    assert unread_parameters(sources) == [
+        "x.scan: ball",
+        "x.unused: args",
+        "x.unused: kwargs",
+        "x.Base.size: key",
+        "y.Table.size: r",
+    ]
+
+
+def test_every_parameter_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unread_parameters(sources) == []

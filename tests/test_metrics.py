@@ -578,7 +578,7 @@ def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
 def test_asymmetric_b1_is_refused_before_any_product(lamp_pair, monkeypatch):
     group, _ = lamp_pair
     t, a = group.parse("({};1)"), group.parse("({0};0)")
-    gens = GeneratingSet((t, a), ("t", "a"), (0, 1), False)  # no t^-1
+    gens = GeneratingSet((t, a), ("t", "a"), False)  # no t^-1
     chain = lamp_chain(group, 3)
 
     def refuse(self, a, b):
