@@ -10,7 +10,6 @@ A spec file has three sections::
     [generators]
     elements = (1,0) (-1,0) (1,1) (-1,3) (1,3) (-1,1)
     labels = a a^-1 b b^-1 c c^-1   # optional
-    witnesses = ({1};0) ({-1};0)    # optional, generation certificates
 
     [run]
     command = boundary           # default parameters, flags override
@@ -131,7 +130,6 @@ class RunConfig:
     group_spec: GroupSpec
     generators: tuple[str, ...]
     labels: tuple[str, ...] | None
-    witnesses: tuple[str, ...]
     params: tuple[tuple[str, str], ...]
     out: str | None = None
 
@@ -181,7 +179,7 @@ _BUILT: dict[tuple, tuple[Group, GeneratingSet]] = {}
 
 
 def _build_key(config: RunConfig) -> tuple:
-    return (config.group_spec, config.generators, config.labels, config.witnesses)
+    return (config.group_spec, config.generators, config.labels)
 
 
 def _remember(config: RunConfig, group: Group, gens: GeneratingSet) -> None:
@@ -296,13 +294,13 @@ def _reject_unknown(sec: configparser.SectionProxy, known: set[str]) -> None:
             raise SchemaError(f"[{sec.name}] unknown key {key!r}")
 
 
-def _parse_elements(group: Group, section: str, key: str, raw: str) -> list[Element]:
+def _parse_elements(group: Group, raw: str) -> list[Element]:
     out = []
     for tok in raw.split():
         try:
             out.append(group.parse(tok))
         except ValueError as exc:
-            raise SchemaError(f"[{section}] {key}: {exc}") from None
+            raise SchemaError(f"[generators] elements: {exc}") from None
     return out
 
 
@@ -349,15 +347,12 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
         raise ValidationError(f"{path} [group]: {exc}") from None
 
     gsec = cp["generators"]
-    _reject_unknown(gsec, {"elements", "labels", "witnesses"})
+    _reject_unknown(gsec, {"elements", "labels"})
     if "elements" not in gsec:
         raise SchemaError(f"{path}: [generators] needs 'elements'")
-    elements = _parse_elements(group, "generators", "elements", gsec["elements"])
+    elements = _parse_elements(group, gsec["elements"])
     labels = tuple(gsec["labels"].split()) if "labels" in gsec else None
-    witnesses = _parse_elements(
-        group, "generators", "witnesses", gsec.get("witnesses", "")
-    )
-    gens = _generating_set(group, elements, labels, witnesses, path)
+    gens = _generating_set(group, elements, labels, path)
 
     params: dict[str, str] = {}
     command = None
@@ -377,7 +372,6 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
         group_spec=spec,
         generators=tuple(str(x) for x in elements),
         labels=labels,
-        witnesses=tuple(str(w) for w in witnesses),
         params=tuple(sorted(params.items())),
     )
     _remember(config, group, gens)
@@ -388,7 +382,6 @@ def _generating_set(
     group: Group,
     elements: list[Element],
     labels: tuple[str, ...] | None,
-    witnesses: list[Element],
     where: str,
 ) -> GeneratingSet:
     """The generating set a spec or a config names, once its list passes the
@@ -408,7 +401,7 @@ def _generating_set(
     if labels is not None and len(labels) != len(elements):
         raise SchemaError(f"{where}: {len(labels)} labels for {len(elements)} generators")
     try:
-        return symmetric_generating_set(group, elements, labels, witnesses=witnesses or None)
+        return symmetric_generating_set(group, elements, labels)
     except HoroboundError as exc:
         raise ValidationError(f"{where} [generators]: {exc}") from None
 
@@ -553,8 +546,7 @@ def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
     if built is None:
         group = build_group(config.group_spec)
         elements = [group.parse(t) for t in config.generators]
-        witnesses = [group.parse(t) for t in config.witnesses]
-        gens = _generating_set(group, elements, config.labels, witnesses, "config")
+        gens = _generating_set(group, elements, config.labels, "config")
         _remember(config, group, gens)
     else:
         group, gens = built

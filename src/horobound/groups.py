@@ -66,6 +66,7 @@ __all__ = [
     "TABLE_ORDER_BUDGET",
     "build_group",
     "check_subgroup",
+    "lamp_normal_form",
     "coset_sweep",
     "subgroup_index",
     "symmetric_generating_set",
@@ -663,6 +664,16 @@ class FiniteTableGroup(ExtensionGroup):
 _LIT_FIRST = str.maketrans("01", "10")
 
 
+def lamp_normal_form(mask: int, low: int, shift: int) -> tuple:
+    """Canonical lamplighter data: the trailing zeros of mask moved into low.
+
+    ``LamplighterGroup.mul_data`` keeps an inline copy on its hot path."""
+    if not mask:
+        return (0, 0, shift)
+    zeros = (mask & -mask).bit_length() - 1
+    return (mask >> zeros, low + zeros, shift)
+
+
 class LamplighterGroup(Group):
     """(sum_Z Z/2) x| Z = F_2[t, t^-1] x| Z on Python ints.
 
@@ -691,10 +702,7 @@ class LamplighterGroup(Group):
             low = min(positions, default=0)
             mask = sum(1 << (p - low) for p in positions)
             shift = int(shift)
-        if not mask:
-            return (0, 0, shift)
-        zeros = (mask & -mask).bit_length() - 1
-        return (mask >> zeros, low + zeros, shift)
+        return lamp_normal_form(mask, low, shift)
 
     def mul_data(self, a: tuple, b: tuple) -> tuple:
         # canonical in, canonical out: only equal lows can clear bit 0
@@ -789,23 +797,13 @@ def _parse_int_tuple(text: str, expect: int) -> tuple:
 # ---------------------------------------------------------------------------
 # generating sets
 
-# a lamplighter generating set is verified when a BFS this deep reaches
-# every declared witness
-WITNESS_RADIUS = 8
-
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Ordered, inverse-closed generating set with stable labels.
-
-    ``verified`` records whether generation of the whole group was certified
-    (exact for the abelian/extension/finite families, witness-based for the
-    lamplighter).
-    """
+    """Ordered, inverse-closed generating set with stable labels."""
 
     elements: tuple[Element, ...]
     labels: tuple[str, ...]
-    verified: bool
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -817,33 +815,19 @@ class GeneratingSet:
     def group(self) -> Group:
         return self.elements[0].group
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
-    def describe(self) -> dict:
-        return {
-            "elements": [str(s) for s in self.elements],
-            "labels": list(self.labels),
-            "verified": self.verified,
-        }
-
 
 def symmetric_generating_set(
     group: Group,
     elements: Iterable[Element],
     labels: Sequence[str] | None = None,
-    *,
-    witnesses: Iterable[Element] | None = None,
 ) -> GeneratingSet:
-    """Close the listed elements under inverse, label them, verify generation.
+    """Close the listed elements under inverse, label them, check generation.
 
     Listed elements come first in their given order; a repeated element is
     dropped, and the label of its first occurrence stays. Missing inverses
-    are appended as ``<label>^-1``. Verification is exact on the extension
-    normal form (fg_abelian, vab_extension and finite): the set
-    must span a subgroup of index 1. For the lamplighter, a BFS up to
-    ``WITNESS_RADIUS`` must reach every declared witness, otherwise the set is
-    flagged unverified.
+    are appended as ``<label>^-1``. Generation is checked exactly on the
+    extension normal form (fg_abelian, vab_extension and finite): the set
+    must span a subgroup of index 1. A lamplighter set is not checked.
     """
     listed: list[Element] = []
     base_labels: list[str] = []
@@ -871,8 +855,12 @@ def symmetric_generating_set(
             elems.append(ix)
             labs.append(f"{lab}^-1")
 
-    verified = _verify_generation(group, elems, witnesses)
-    return GeneratingSet(tuple(elems), tuple(labs), verified)
+    if isinstance(group, ExtensionGroup):
+        index = subgroup_index(group, elems)
+        if index != 1:
+            what = "infinite index" if index is None else f"index {index}"
+            raise DoesNotGenerate(f"generators span a subgroup of {what}")
+    return GeneratingSet(tuple(elems), tuple(labs))
 
 
 def check_subgroup(group: Group, elems: frozenset, name: str) -> None:
@@ -964,37 +952,3 @@ def subgroup_index(group: ExtensionGroup, elems: Sequence[Element]) -> int | Non
             schreier.append(group.free_part(group.mul_data(y, back)))
     lattice = lattice_index(schreier, group.rank)
     return group.quotient_order // len(reps) * lattice or None
-
-
-def _verify_generation(
-    group: Group,
-    gens: Sequence[Element],
-    witnesses: Iterable[Element] | None,
-) -> bool:
-    if isinstance(group, ExtensionGroup):
-        index = subgroup_index(group, gens)
-        if index != 1:
-            what = "infinite index" if index is None else f"index {index}"
-            raise DoesNotGenerate(f"generators span a subgroup of {what}")
-        return True
-
-    # Lamplighter: generation is not decidable from a finite sweep; certify
-    # against declared witnesses only.
-    if witnesses is None:
-        return False
-    targets = {w.data for w in witnesses}
-    seen = {group.identity_data()}
-    frontier = [group.identity_data()]
-    for _ in range(WITNESS_RADIUS):
-        targets -= seen
-        if not targets:
-            return True
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = group.mul_data(x, s.data)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return not (targets - seen)

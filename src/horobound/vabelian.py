@@ -128,12 +128,12 @@ class SimpleCycleSet:
     norms: dict
 
     def to_json_dict(self) -> dict:
-        g = self.graph.gens
+        names = self.graph.gens.labels
         return {
             "labels": [str(x) for x in self.labels],
             "norms": {str(x): self.norms[x.data] for x in self.labels},
             "words": [
-                {"label": str(x), "word": [g.label(i) for i in word]}
+                {"label": str(x), "word": [names[i] for i in word]}
                 for x, word in self.pairs
             ],
         }
@@ -210,9 +210,6 @@ class Cloud:
     group: ExtensionGroup
     points: tuple[Point, ...]
     provenance: dict  # point -> tuple of (q, Element)
-
-    def provenance_of(self, point: Point) -> tuple[int, Element]:
-        return self.provenance[point][0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,7 +389,7 @@ def lipschitz_hom(
         raise NotExtreme(f"{e_prime} is not an extreme point of the hull")
     if ept not in cloud.provenance:
         raise VerificationFailed(f"{e_prime} has no recorded cloud provenance")
-    q, w = cloud.provenance_of(ept)
+    q, w = cloud.provenance[ept][0]
     xi_w = group.xi(w.data)
     nw = ball.norm(w)
     e = tuple(Fraction(c, nw) for c in xi_w)

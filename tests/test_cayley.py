@@ -157,7 +157,7 @@ def _edge_groups():
         (s3, symmetric_generating_set(s3, [s3.element(1), s3.element(2)]), 0, 6),
         # the trivial group has no generating set without the identity, which
         # symmetric_generating_set refuses, so this one is built by hand
-        (trivial, GeneratingSet((trivial.identity(),), ("e",), True), 0, 6),
+        (trivial, GeneratingSet((trivial.identity(),), ("e",)), 0, 6),
         (z2, symmetric_generating_set(z2, rim_gens), 3, 4),
     ]
 

@@ -1,6 +1,6 @@
 """The CI workflow tests the oldest Python that pyproject.toml admits, runs
-its scale smoke steps under a timeout, and runs the benchmark's correctness
-gate on every workload.
+the goldens again under a fixed second hash seed, runs its scale smoke steps
+under a timeout, and runs the benchmark's correctness gate on every workload.
 
 The workflow and pyproject.toml are read as text: ``tomllib`` only arrived
 in Python 3.11.
@@ -31,6 +31,12 @@ def _steps(workflow: str) -> dict[str, str]:
     """Step name -> the text of its step, for each named step."""
     parts = re.split(r"^\s*- name:\s*", workflow, flags=re.M)[1:]
     return {part.splitlines()[0].strip(): part for part in parts}
+
+
+def test_goldens_run_again_under_a_fixed_hash_seed():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = " ".join(_steps(workflow)["goldens under a second hash seed"].split())
+    assert "run: PYTHONHASHSEED=12345 PYTHONPATH=src python -m pytest -q tests/test_golden.py" in step
 
 
 def test_scale_smoke_steps_run_under_a_timeout():

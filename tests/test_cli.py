@@ -99,13 +99,30 @@ def test_parse_spec_z_line_details():
     assert group.describe()["family"] == "fg_abelian"
     assert cfg.generators == ("(1)", "(-1)")
     assert cfg.labels == ("a", "a^-1")
-    assert cfg.witnesses == ()
 
 
-def test_parse_spec_lamplighter_witnesses():
-    group, gens, cfg = parse_spec(spec_path("lamplighter.spec"))
-    assert cfg.witnesses == ("({1};0)", "({-1};0)")
-    assert gens.verified
+def test_main_spec_with_witnesses_exits_1(tmp_path):
+    # [generators] takes elements and labels only
+    path = tmp_path / "witnessed.spec"
+    path.write_text(
+        "[group]\nfamily = lamplighter_z2\n"
+        "[generators]\nelements = ({};1) ({};-1) ({0};0)\nwitnesses = ({1};0)\n"
+    )
+    code, out, err = run_cli(["ball", str(path), "--r", "2"])
+    assert code == 1 and out == b""
+    assert err == "error: SchemaError: [generators] unknown key 'witnesses'\n"
+
+
+def test_main_lamplighter_list_that_does_not_generate_runs_ball(tmp_path):
+    # generation is not checked for the lamplighter: <t> is a line
+    path = tmp_path / "shift_only.spec"
+    path.write_text("[group]\nfamily = lamplighter_z2\n[generators]\nelements = ({};1) ({};-1)\n")
+    _, gens, _ = parse_spec(str(path))
+    assert [str(x) for x in gens] == ["({};1)", "({};-1)"]
+    code, out, err = run_cli(["ball", str(path), "--r", "3"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["layer_sizes"] == [1, 2, 2, 2] and report["size"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_normal_form_guards(lamp_pair):
     group, gens = cylinder(4)
     a = gens.elements[0]
     assert a.data == (1, 0)
-    partial = GeneratingSet((a, a.inverse()), ("a", "a^-1"), False)
+    partial = GeneratingSet((a, a.inverse()), ("a", "a^-1"))
     with pytest.raises(NotConnected, match=r"cosets \[1, 2, 3\]"):
         quotient_graph(group, partial)
 
@@ -213,7 +213,7 @@ def test_cloud_plane(z2_pair):
     assert cloud.points == (
         (-1, 0), (0, -1), (0, 1), (1, 0)
     )
-    q, x = cloud.provenance_of((Fraction(1), Fraction(0)))
+    q, x = cloud.provenance[(Fraction(1), Fraction(0))][0]
     assert q == 0 and str(x) == "(1,0)"
 
 
