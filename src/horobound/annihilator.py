@@ -26,6 +26,7 @@ __all__ = [
     "FunctionalZeroSets",
     "indistinguishability_profile",
     "annihilator_candidates",
+    "check_annulus",
     "functional_annihilator",
 ]
 
@@ -135,6 +136,13 @@ class AnnihilatorReport:
             )
 
 
+def check_annulus(m: int, radius: int) -> None:
+    """Refuse an m that leaves no annulus in a ball of this radius; it reads
+    no ball, so a run can call it before the ball is grown."""
+    if not (0 < m < radius):
+        raise OutOfBall(f"need 0 < m < ball radius {radius}, got m={m}")
+
+
 def annihilator_candidates(
     ball: Ball, m: int, gap: int = DEFAULT_GAP
 ) -> AnnihilatorReport:
@@ -145,8 +153,7 @@ def annihilator_candidates(
     in-ball pairwise products escape it; the true common zero set is a
     subgroup, so a clean report is structural evidence, a dirty one disproof.
     """
-    if not (0 < m < ball.radius):
-        raise OutOfBall(f"need 0 < m < ball radius {ball.radius}, got m={m}")
+    check_annulus(m, ball.radius)
     r = ball.radius - m
     group = ball.group
     profiles = []

@@ -36,6 +36,7 @@ __all__ = [
     "SlowGeodesic",
     "busemann_functional",
     "boundary_approx",
+    "check_level",
     "kernel_approx",
     "kernel_index_estimate",
     "sign_match",
@@ -191,6 +192,15 @@ class BoundaryApprox:
         }
 
 
+def check_level(r: int, m: int, window: int = STABILITY_WINDOW) -> None:
+    """Refuse a level or window ``boundary_approx`` cannot take; it needs no
+    ball, so a run calls it before growing one."""
+    if not (0 < m < r):
+        raise ValueError(f"need 0 < m < r, got m={m}, r={r}")
+    if window < 1:
+        raise ValueError(f"need a stability window >= 1, got {window}")
+
+
 def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) -> BoundaryApprox:
     """Deduplicated sphere-r restrictions to B_m with stability flags.
 
@@ -199,28 +209,38 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
     some |z| <= m realizes the same vector; it is on the Busemann side when
     some realizing endpoint extends to a geodesic of the full ball radius.
 
+    Stability needs one sighting of each vector per sphere. Going down from
+    sphere r-1, each sphere first tries the BFS parents of the points that
+    showed a vector one sphere up, from each class's first witness on, then
+    reads the rest of the sphere in BFS order until every vector still in
+    play is seen. No point is built twice, so this never builds more
+    vectors than reading the spheres whole.
+
+    The Busemann flag is a search along neighbour entries that go one layer
+    up: one that reaches the outermost sphere, after the BFS parent path to
+    its start, is a geodesic of the full radius, and every geodesic climbs
+    that way. So no reach table is filled. A failed search marks the points
+    it met dead for the classes after it; points a search that succeeded
+    met may still lead up, so it marks none.
+
     Only a few z can make a class an interior shadow. For every x,
     b_z(x) = d(z, x) - |z| >= -|z|, with equality at x = z, which lies in
     B_m. So b_z|B_m == vec forces min(vec) = -|z| and vec[z] = min(vec):
     only the z on sphere -min(vec) where vec takes its minimum are tried,
     and each b_z is built at most once per call.
     """
-    if not (0 < m < r):
-        raise ValueError(f"need 0 < m < r, got m={m}, r={r}")
-    if window < 1:
-        raise ValueError(f"need a stability window >= 1, got {window}")
+    check_level(r, m, window)
     if r + m > ball.radius:
         raise OutOfBall(f"level ({r},{m}) needs ball radius {r + m}, have {ball.radius}")
     group = ball.group
     current = _sphere_vectors(ball, r, m)
 
-    lo = r - window + 1
-    window_ok = lo >= 1
-    stable_keys: set[tuple[int, ...]] = set()
-    if window_ok:
-        stable_keys = set(current)
-        for rr in range(lo, r):
-            stable_keys &= set(_sphere_vectors(ball, rr, m))
+    # vector -> points seen realizing it, on each sphere from r down in turn
+    stable_keys: dict[tuple[int, ...], list[int]] = {}
+    if window <= r:
+        stable_keys = current
+        for rr in range(r - 1, r - window, -1):
+            stable_keys = _sightings(ball, rr, m, stable_keys)
 
     interior: dict[int, tuple[int, ...]] = {}  # z -> b_z|B_m, built on demand
 
@@ -234,7 +254,7 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
                     return True
         return False
 
-    reach = ball.reach_data()
+    dead: set[int] = set()  # positions no upward path leads out of
     classes = []
     for vec in sorted(current):
         points = current[vec]
@@ -245,10 +265,57 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
                 witnesses=tuple(Element(group, ball.data[z]) for z in points),
                 stable=vec in stable_keys,
                 interior_shadow=interior_shadow(vec),
-                busemann=any(reach[z] >= ball.radius for z in points),
+                busemann=_reaches_rim(ball, points, dead),
             )
         )
     return BoundaryApprox(ball, r, m, window, tuple(classes))
+
+
+def _sightings(ball: Ball, rr: int, m: int, shown: dict) -> dict:
+    """The vectors of ``shown`` (vector -> points on sphere rr+1) that sphere
+    rr realizes, each with the points on sphere rr seen realizing it."""
+    parent = ball.parent
+    found: dict[tuple[int, ...], list[int]] = {}
+    tried: set[int] = set()
+
+    def sight(z: int) -> None:
+        tried.add(z)
+        vec = _busemann_vector(ball, z, m)
+        if vec in shown:
+            found.setdefault(vec, []).append(z)
+
+    for vec, points in shown.items():
+        for z in points:
+            if vec in found:
+                break
+            if parent[z] not in tried:
+                sight(parent[z])
+    for z in range(ball.size(rr - 1), ball.size(rr)):
+        if len(found) == len(shown):
+            break
+        if z not in tried:
+            sight(z)
+    return found
+
+
+def _reaches_rim(ball: Ball, points: list[int], dead: set[int]) -> bool:
+    """Whether steps one layer up lead from ``points`` to the outermost
+    sphere; a failed search adds the positions it met to ``dead``."""
+    dist, nbr, top = ball.dist, ball.nbr, ball.radius
+    stack = [z for z in points if z not in dead]
+    met = set(stack)
+    while stack:
+        i = stack.pop()
+        up = dist[i] + 1
+        if up > top:
+            return True
+        for col in nbr:
+            j = col[i]
+            if dist[j] == up and j not in met and j not in dead:
+                met.add(j)
+                stack.append(j)
+    dead |= met
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,11 @@ class Ball:
 
     def reach_data(self) -> array:
         """Per position i: the largest verified L with a geodesic of length L
-        from the identity passing through x_i (capped at ball.radius)."""
+        from the identity passing through x_i (capped at ball.radius).
+
+        Filled over the whole ball on the first call; ``PrefixDag`` (built
+        by ``geodesic_prefixes``) is its one reader.
+        """
         if self._reach is not None:
             return self._reach
         dist = self.dist

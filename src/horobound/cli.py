@@ -44,8 +44,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .annihilator import DEFAULT_GAP, annihilator_candidates
-from .boundary import STABILITY_WINDOW, boundary_approx, slow_geodesic
+from .annihilator import DEFAULT_GAP, annihilator_candidates, check_annulus
+from .boundary import STABILITY_WINDOW, boundary_approx, check_level, slow_geodesic
 from .cayley import DEFAULT_BUDGET, geodesic_prefixes, grow_ball
 from .errors import (
     Diagnostic,
@@ -437,12 +437,14 @@ def _cmd_ball(group: Group, gens: GeneratingSet, p: dict):
 
 
 def _cmd_boundary(group: Group, gens: GeneratingSet, p: dict):
+    check_level(p["r"], p["m"], p["window"])  # before the ball is grown
     ball = grow_ball(group, gens, p["r"] + p["m"], budget=p["budget"])
     approx = boundary_approx(ball, p["r"], p["m"], window=p["window"])
     return approx.to_json_dict(), {}
 
 
 def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
+    check_annulus(p["m"], p["r"] + p["m"])  # before the ball is grown
     ball = grow_ball(group, gens, p["r"] + p["m"], budget=p["budget"])
     report = annihilator_candidates(ball, p["m"], gap=p["gap"])
     return report.to_json_dict(), {"candidates.csv": _text_file(report.to_csv)}
@@ -502,6 +504,7 @@ def _cmd_bend(group: Group, gens: GeneratingSet, p: dict):
         x = group.parse(p["x"])
     except ValueError as exc:
         raise SchemaError(f"[run] x: {exc}") from None
+    check_level(r, m)  # before the ball is grown
     ball = grow_ball(group, gens, r + m, budget=p["budget"])
     approx = boundary_approx(ball, r, m)
     sg = slow_geodesic(x, scan_m, ell, approx)

@@ -1,6 +1,7 @@
 """Functionals, level-(r, m) boundary snapshots, the action, slow geodesics."""
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -17,6 +18,7 @@ from horobound.boundary import (
     slow_geodesic,
 )
 from horobound.cayley import Ball, GeodesicPrefix, grow_ball, segment
+from horobound.cli import parse_spec
 from horobound.errors import (
     DomainExhausted,
     DomainMismatch,
@@ -28,6 +30,8 @@ from horobound.examples import REGISTRY, example
 from horobound.groups import Element, FgAbelianGroup, FgAbelianSpec, symmetric_generating_set
 
 from oracles import bfs_dist, busemann_vec, cyl_ops, diag_norm, oracle_act, oracle_geodesic_defects
+
+SPECS = resources.files("horobound") / "specs"
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,77 @@ def test_interior_shadow_matches_brute_force(name):
         assert flags == {False}
 
 
+def _check_flags(ball, r, m):
+    """Stable and Busemann flags at every window 1 .. r + 1 against whole
+    spheres and the reach table; True when some vector on spheres r - 1 and
+    r is realized by no BFS parent of a sphere-r point, so that only the
+    sphere scan can see it."""
+    spheres = {rr: set(boundary_mod._sphere_vectors(ball, rr, m)) for rr in range(1, r + 1)}
+    parents = {ball.parent[z] for z in range(ball.size(r - 1), ball.size(r))}
+    parent_keys = {boundary_mod._busemann_vector(ball, z, m) for z in parents}
+    reach = ball.reach_data()
+    for window in range(1, r + 2):
+        approx = boundary_approx(ball, r, m, window=window)
+        for c in approx.classes:
+            vec = c.functional.vector
+            assert c.stable == (window <= r and all(
+                vec in spheres[rr] for rr in range(r - window + 1, r + 1)
+            ))
+            points = [ball.index[w.data] for w in c.witnesses]
+            assert c.busemann == any(reach[z] >= ball.radius for z in points)
+    return bool(spheres[r] & spheres[r - 1] - parent_keys)
+
+
+def test_stable_and_busemann_flags_match_brute_force(cyl30_ball67):
+    scanned = set()  # levels where some stable vector needs the sphere scan
+    for name in sorted(REGISTRY):
+        group, gens = REGISTRY[name]()
+        ball = grow_ball(group, gens, 13)
+        for r, m in [(6, 2), (8, 2), (9, 3), (10, 3)]:
+            if _check_flags(ball, r, m):
+                scanned.add((name, r, m))
+    assert not _check_flags(cyl30_ball67, 49, 18)
+    assert ("z2_rot4", 8, 2) in scanned
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The positions whose Busemann vectors boundary code builds, in order."""
+    out = []
+    vector = boundary_mod._busemann_vector
+
+    def counting(ball, z, m):
+        out.append(z)
+        return vector(ball, z, m)
+
+    monkeypatch.setattr(boundary_mod, "_busemann_vector", counting)
+    return out
+
+
+def test_bundled_boundary_levels_build_no_more_than_whole_spheres(built):
+    # whole spheres r - window + 1 .. r plus the interior shadows bound the
+    # count; window 1 builds sphere r and the shadows alone
+    levels = 0
+    for path in sorted(SPECS.iterdir()):
+        if not path.name.endswith(".spec"):
+            continue
+        group, gens, config = parse_spec(str(path))
+        if config.command not in ("boundary", "bend"):
+            continue
+        p = config.read_params()
+        r, m, window = p["r"], p["m"], p.get("window", boundary_mod.STABILITY_WINDOW)
+        ball = grow_ball(group, gens, r + m)
+        del built[:]
+        boundary_approx(ball, r, m, window=1)
+        shadows = len(built) - (ball.size(r) - ball.size(r - 1))
+        del built[:]
+        boundary_approx(ball, r, m, window=window)
+        whole = ball.size(r) - ball.size(r - window)
+        assert len(built) <= whole + shadows, path.name
+        levels += 1
+    assert levels == 3
+
+
 # ---------------------------------------------------------------------------
 # the action
 
@@ -394,21 +469,19 @@ def test_kernel_index_matches_tuple_closure(monkeypatch):
     assert fallback_calls > fallback_inside > 0
 
 
-def test_bend_level_work_counts(monkeypatch, cyl30_ball67):
-    # the cylinder_n30_diag bend level: the interior-shadow test and the
-    # kernel closure stay far below the |B_18| = 685 extra gathers and the
-    # 48,600 products they once took
+def test_bend_level_work_counts(monkeypatch, built, cyl30_ball67):
+    # the cylinder_n30_diag bend level builds sphere 49 whole (60 vectors),
+    # one vector per class on each of spheres 48 and 47 (the first witness's
+    # BFS parent, then its parent) and 38 interior shadows: 102, against 218
+    # with spheres 48 and 47 read whole; its Busemann flags read no reach
+    # table, and the kernel closure stays far below the 48,600 products it
+    # once took
     ball = cyl30_ball67
-    gathers = []
-    gather = Ball.gather
-
-    def counting_gather(self, start, size):
-        gathers.append(size)
-        return gather(self, start, size)
-
-    monkeypatch.setattr(Ball, "gather", counting_gather)
+    reads = []
+    monkeypatch.setattr(Ball, "reach_data", lambda self: reads.append(1))
     approx = boundary_approx(ball, 49, 18)
-    assert len(gathers) < 300
+    assert len(built) == 102 and reads == []
+    assert [(c.stable, c.busemann) for c in approx.classes] == [(True, True)] * 2
     monkeypatch.undo()
 
     kernel = kernel_approx(approx, 2)

@@ -46,6 +46,8 @@ def test_scale_smoke_steps_run_under_a_timeout():
         ("ballsystem at n_max = 8", ["ballsystem", "lamplighter.spec", "--n-max", "8"]),
         ("ball on z2_rot4 at r = 60", ["ball", "z2_rot4.spec", "--r", "60"]),
         ("ball on lamplighter at r = 16", ["ball", "lamplighter.spec", "--r", "16"]),
+        ("boundary on cylinder_n30_diag at (120, 40)",
+         ["boundary", "cylinder_n30_diag.spec", "--r", "120", "--m", "40"]),
     ]:
         argv[1] = "src/horobound/specs/" + argv[1]
         step = " ".join(steps[name].split())

@@ -655,6 +655,26 @@ def test_main_window_below_one_exits_1(tmp_path, window):
     assert err == f"error: need a stability window >= 1, got {window}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["boundary", "z2_standard.spec", "--r", "3000", "--m", "3000"],
+         "need 0 < m < r, got m=3000, r=3000"),
+        (["bend", "cylinder_n30_diag.spec", "--r", "18", "--m", "18"],
+         "need 0 < m < r, got m=18, r=18"),
+        (["annihilator", "cylinder_n4.spec", "--r", "0", "--m", "3"],
+         "OutOfBall: need 0 < m < ball radius 3, got m=3"),
+    ],
+)
+def test_main_bad_level_exits_1_before_the_ball_grows(argv, message):
+    # a one-element budget fails the first step of any growth, so the level
+    # line shows that the level was refused first
+    argv[1] = spec_path(argv[1])
+    code, out, err = run_cli(argv + ["--budget", "1"])
+    assert code == 1 and out == b""
+    assert err == f"error: {message}\n"
+
+
 Z2_SPEC = spec_path("z2_standard.spec")
 
 
