@@ -138,9 +138,10 @@ class AnnihilatorReport:
 
 def check_annulus(m: int, radius: int) -> None:
     """Refuse an m that leaves no annulus in a ball of this radius; it reads
-    no ball, so a run can call it before the ball is grown."""
+    no ball, so a run can call it before the ball is grown. The error names
+    the annulus radius r = radius - m too, the level a run is given as."""
     if not (0 < m < radius):
-        raise OutOfBall(f"need 0 < m < ball radius {radius}, got m={m}")
+        raise OutOfBall(f"need 0 < m < ball radius {radius}, got m={m}, r={radius - m}")
 
 
 def annihilator_candidates(

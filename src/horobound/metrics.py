@@ -399,7 +399,12 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
 
     A sphere S_k = B_k minus B_{k-1} takes no product when B_k and B_{k-1}
     are kept over subgroups that hold f, as f^-1 then fixes both, and so S_k.
-    On a built system that is every k > max(n, 2): only B_max(n, 2) is listed.
+    If only B_k is, f^-1 B_k = B_k gives |f^-1 g| <= k on S_k, with
+    |f^-1 g| < k exactly when g = f h for some h in B_{k-1}; then
+    |f^-1 g| = |h|, and h -> f h is injective. So the exceptions on S_k are
+    the f h outside B_{k-1}, read off |B_{k-1}| products rather than |S_k|:
+    fewer on every bundled system, though nothing bounds |B_{k-1}| by |S_k|.
+    On a built system k <= max(n, 2): no sphere past S_{max(n, 2) - 1} is listed.
     """
     if not (1 <= n <= bs.n_max):
         raise OutOfRange(f"chain index {n} outside 1..{bs.n_max}")
@@ -416,22 +421,25 @@ def bs_annihilator_check(bs: BallSystem, f: Element, n: int) -> BsAnnihilatorRep
     checked, violations, exceptional = 0, [], []
     mul = group.mul_data
     for ng in range(radius + 1):
+        checked += sizes[ng + 1] - sizes[ng]
         if fixed[ng] and fixed[ng + 1]:
-            checked += sizes[ng + 1] - sizes[ng]
             continue
-        for g_data in bs.sphere_data(ng):
-            nfg = bs.norm_data(mul(f_inv, g_data))
+        if not fixed[ng + 1]:
+            found = [(g, bs.norm_data(mul(f_inv, g))) for g in bs.sphere_data(ng)]
+        else:  # the g in S_ng with |f^-1 g| < ng are the f h outside B_{ng-1}
+            below = {h: nh for nh in range(ng) for h in bs.sphere_data(nh)}
+            moved = ((mul(f.data, h), nh) for h, nh in below.items())
+            found = sorted(
+                (r for r in moved if r[0] not in below), key=lambda r: group.sort_key(r[0])
+            )
+        for g_data, nfg in found:
             if nfg is None:
                 raise OutOfRange(
                     f"f^-1 g escaped B_{bs.n_max} at g = {group.format_data(g_data)}"
                 )
-            checked += 1
-            if nfg == ng:
-                continue
-            if ng >= cut and nfg >= cut:
-                violations.append((Element(group, g_data), ng, nfg))
-            else:
-                exceptional.append((Element(group, g_data), ng, nfg))
+            if nfg != ng:
+                row = (Element(group, g_data), ng, nfg)
+                (violations if ng >= cut and nfg >= cut else exceptional).append(row)
     return BsAnnihilatorReport(f, n, radius, cut, checked, tuple(violations), tuple(exceptional))
 
 

@@ -44,6 +44,8 @@ def test_scale_smoke_steps_run_under_a_timeout():
     steps = _steps(workflow)
     for name, argv in [
         ("ballsystem at n_max = 8", ["ballsystem", "lamplighter.spec", "--n-max", "8"]),
+        ("ballsystem at n_max = 8 under a budget of 100",
+         ["ballsystem", "lamplighter.spec", "--n-max", "8", "--budget", "100"]),
         ("ball on z2_rot4 at r = 60", ["ball", "z2_rot4.spec", "--r", "60"]),
         ("ball on lamplighter at r = 16", ["ball", "lamplighter.spec", "--r", "16"]),
         ("boundary on cylinder_n30_diag at (120, 40)",

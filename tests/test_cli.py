@@ -663,7 +663,7 @@ def test_main_window_below_one_exits_1(tmp_path, window):
         (["bend", "cylinder_n30_diag.spec", "--r", "18", "--m", "18"],
          "need 0 < m < r, got m=18, r=18"),
         (["annihilator", "cylinder_n4.spec", "--r", "0", "--m", "3"],
-         "OutOfBall: need 0 < m < ball radius 3, got m=3"),
+         "OutOfBall: need 0 < m < ball radius 3, got m=3, r=0"),
     ],
 )
 def test_main_bad_level_exits_1_before_the_ball_grows(argv, message):

@@ -208,15 +208,16 @@ def test_lamplighter_levels_in_closed_form(lamp_pair):
         assert sorted(bs._levels[n].reps) == [(0, 0, u) for u in range(-n, n + 1)]
 
 
-def test_lamplighter_run_lists_no_level_above_b2(lamp_pair):
+def test_lamplighter_run_lists_no_sphere_above_s1(lamp_pair):
     # the axiom and annihilator checks of ``ballsystem`` list the spheres of
-    # B_0, B_1 and B_2 only; B_3 and B_4 stay representatives
+    # B_1 only; the annihilator check reads S_2's exceptions off f B_1, and
+    # B_2, B_3 and B_4 stay representatives
     group, gens = lamp_pair
     bs = build_ball_system(group, gens, lamp_chain(group, 4), 4)
     metric_axiom_check(bs)
     for data in bs.chain[0]:
         bs_annihilator_check(bs, Element(group, data), 1)
-    assert set(bs._spheres) == {0, 1, 2}
+    assert set(bs._spheres) == {0, 1}
 
 
 def _level_data(bs, n):
@@ -664,18 +665,22 @@ def test_budgets(lamp_pair):
         )):
             build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=budget)
     # |B_4| = 31,232 is far past a budget of 100; the axiom check lists S_0
-    # and S_1 (1 + 3), and the annihilator check S_2 (412) too
+    # and S_1 (1 + 3), the annihilator check no more, and S_2 (412) is the
+    # first sphere read that does not fit
     lamp = group.element(((0,), 0))
     bs = build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=100)
     metric_axiom_check(bs)
     assert bs._held.count == 34
+    bs_annihilator_check(bs, lamp, 1)
+    assert bs._held.count == 34
     with pytest.raises(SizeBudget, match=re.escape(
         "B_2 exceeded the element budget 100 while listing its sphere (holding 446)"
     )):
-        bs_annihilator_check(bs, lamp, 1)
+        bs.sphere_data(2)
     bs = build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=446)
     metric_axiom_check(bs)
     bs_annihilator_check(bs, lamp, 1)
+    bs.sphere_data(2)
     assert bs._held.count == 446
     with pytest.raises(SizeBudget, match="exceeds the level budget 8"):
         build_ball_system(group, gens, lamp_chain(group, 9), 9)
@@ -743,6 +748,61 @@ def test_annihilator_check_needs_chain_member(lamp_bs4):
     group = lamp_bs4.group
     with pytest.raises(OutOfRange, match="F_1"):
         bs_annihilator_check(lamp_bs4, group.element(((5,), 0)), 1)
+
+
+def _annihilator_by_listing(bs, f, n):
+    """The annihilator check's report from every |g| and |f^-1 g| over
+    B_{n_max - n}, its spheres listed in order."""
+    group = bs.group
+    radius, cut = bs.n_max - n, max(n, 2)
+    f_inv = group.inv_data(f.data)
+    rows = {"violations": [], "exceptional": []}
+    checked = 0
+    for ng in range(radius + 1):
+        for g in bs.sphere_data(ng):
+            checked += 1
+            nfg = bs.norm_data(group.mul_data(f_inv, g))
+            if nfg != ng:
+                kind = "violations" if min(ng, nfg) >= cut else "exceptional"
+                rows[kind].append({"g": str(Element(group, g)), "norm_g": ng, "norm_fg": nfg})
+    return {
+        "f": str(f), "n": n, "range_radius": radius, "threshold": cut,
+        "checked": checked, **rows, "ok": not rows["violations"],
+    }
+
+
+def test_annihilator_check_matches_sphere_listing(lamp_pair):
+    # the check reads S_k's exceptions off f B_{k-1} where B_k alone is kept
+    # over a subgroup holding f; listing S_k must give the same report. The
+    # window chain's F_j are involutions, so f^-1 h = f h there and only the
+    # torsion chain of the abelian cylinder tells them apart, while only the
+    # lamplighter tells h f from f h
+    group, gens = lamp_pair
+    cases = []
+    for n_max in (3, 4, 5):
+        bs = build_ball_system(group, gens, lamp_chain(group, n_max), n_max)
+        for n in range(1, n_max + 1):
+            members = list(bs.chain[n - 1])
+            cases += [(bs, Element(group, d), n) for d in members[:: max(1, len(members) // 8)]]
+    group, gens = cylinder(12)
+    torsion = [group.element((0, c)) for c in range(12)]
+    bs = build_ball_system(group, gens, [torsion] * 4, 4)
+    cases += [(bs, f, n) for n in range(1, 5) for f in torsion]
+    # levels 0-2 of the word metric, then F B_3 and F B_4 over F = 0 x Z/12:
+    # S_3 takes the shortcut from B_2, and its f h at |h| = 2 are violations
+    mul, f_set = group.mul_data, frozenset(f.data for f in torsion)
+    word = _word_metric(group, gens, 4)
+    levels = [frozenset(_level_data(word, k)) for k in range(5)]
+    levels[3:] = [frozenset(mul(a, x) for a in f_set for x in b) for b in levels[3:]]
+    hand = BallSystem(group, (f_set, frozenset([group.identity_data()]), f_set, f_set), levels)
+    assert _walked(hand) == {3, 4}
+    cases += [(hand, f, 1) for f in torsion]
+    violations = 0
+    for bs, f, n in cases:
+        expect = _annihilator_by_listing(bs, f, n)
+        assert bs_annihilator_check(bs, f, n).to_json_dict() == expect, (bs.n_max, str(f), n)
+        violations += len(expect["violations"])
+    assert violations > 0
 
 
 def test_axioms_on_ball_system(lamp_bs4):
@@ -834,24 +894,26 @@ def test_axiom_check_walks_no_trivial_subgroup(monkeypatch):
 
 def test_ballsystem_run_work_counts(monkeypatch):
     # parsing the spec takes none and ``run_command`` reuses its group;
-    # build 52, axiom check 70, annihilator checks 2,912: |B_2| = 416 for
-    # each of the 7 members of F_1 but the identity, which takes none
+    # build 52, axiom check 70, annihilator checks 56: 1 + 3 products over
+    # S_0 and S_1 and |B_1| = 4 for S_2, for each of the 7 members of F_1
+    # but the identity, which takes none
     calls = _count_products(monkeypatch, LamplighterGroup)
     _, _, config = parse_spec(spec_path("lamplighter.spec"))
     run_command(config)
-    assert calls[0] == 3_034
+    assert calls[0] == 52 + 70 + 56
 
 
 def test_ballsystem_run_at_n_max_8_takes_polynomial_work(monkeypatch):
     # build 196: 16 at B_2, then 3 (2n - 1) at each B_n; axiom
     # check 684: (2i + 1)(2j + 1) per block 1 <= i <= j, i + j <= 8;
-    # annihilator checks 2,912 as at n_max = 4
+    # annihilator checks 56 as at n_max = 4
     calls = _count_products(monkeypatch, LamplighterGroup)
     _, _, config = parse_spec(spec_path("lamplighter.spec"))
     report, _ = run_command(config.with_params(n_max=8))
-    assert calls[0] == 196 + 684 + 2_912
-    # build and axiom check under 2 n^3, while F_8 alone has 2^17 elements
-    assert calls[0] < 2 * 8**3 + 7 * 416 < len(Window(8))
+    assert calls[0] == 196 + 684 + 56
+    # build and axiom check under 2 n^3, annihilator checks 2 |B_1| per
+    # member of F_1 but the identity, while F_8 alone has 2^17 elements
+    assert calls[0] < 2 * 8**3 + 7 * 2 * 4 < len(Window(8))
     assert report["levels"]["chain_sizes"] == [2 ** (2 * j + 1) for j in range(1, 9)]
 
 
