@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cayley import Ball, GeodesicPrefix
+from .cayley import Ball
 from .errors import (
     BoundViolated,
     DomainExhausted,
@@ -81,14 +81,9 @@ class Functional:
     def value(self, x: Element) -> int:
         if x.group is not self.ball.group:
             raise GroupMismatch(f"{x!r} belongs to a different group")
-        return self.value_data(x.data)
-
-    def value_data(self, data: tuple) -> int:
-        i = self.ball.index.get(data)
+        i = self.ball.index.get(x.data)
         if i is None or i >= len(self.vector):
-            raise DomainExhausted(
-                f"{self.ball.group.format_data(data)} outside domain B_{self.domain_radius}"
-            )
+            raise DomainExhausted(f"{x} outside domain B_{self.domain_radius}")
         return self.vector[i]
 
     def __eq__(self, other) -> bool:
@@ -430,9 +425,11 @@ class BendScan:
         return all(abs(a - b) <= 2 for a, b in zip(self.phi, self.phi[1:]))
 
 
-def bend_scan(prefix: GeodesicPrefix, m: int, h: Functional, k_max: int | None = None) -> BendScan:
-    """Scan the window increments of h along the geodesic prefix."""
-    length = prefix.length
+def bend_scan(path: Sequence[int], m: int, h: Functional, k_max: int | None = None) -> BendScan:
+    """Scan the window increments of h along a geodesic from the identity,
+    given as positions in h's ball (path[k] has norm k, as ``Ball.path``
+    lists them)."""
+    length = len(path) - 1
     if m < 1 or length < m:
         raise RangeEmpty(f"window m={m} does not fit a length-{length} geodesic")
     top = length - m if k_max is None else min(k_max, length - m)
@@ -440,7 +437,7 @@ def bend_scan(prefix: GeodesicPrefix, m: int, h: Functional, k_max: int | None =
         raise DomainExhausted(
             f"scan touches radius {top + m}, functional domain is B_{h.domain_radius}"
         )
-    values = [h.value(prefix.vertices[i]) for i in range(top + m + 1)]
+    values = [h.vector[p] for p in path[: top + m + 1]]
     phi = tuple(values[k + m] - values[k] for k in range(top + 1))
     signs = tuple((1 if p >= 0 else 0) - (1 if p <= 0 else 0) for p in phi)
     eps = min(abs(p) for p in phi)
@@ -450,11 +447,13 @@ def bend_scan(prefix: GeodesicPrefix, m: int, h: Functional, k_max: int | None =
 
 @dataclass(frozen=True)
 class SlowGeodesic:
-    """A re-rooted geodesic whose m-th vertex every stable class barely moves."""
+    """A re-rooted geodesic whose m-th vertex every stable class barely moves.
 
-    prefix: GeodesicPrefix
-    t: int
-    epsilon: int
+    ``beta`` lists its vertices beta_0 .. beta_ell as positions in the
+    approximation's ball; ``scan`` holds t and epsilon.
+    """
+
+    beta: tuple[int, ...]
     kernel_index: int
     kernel_index_exact: bool
     bound: int
@@ -467,11 +466,13 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
 
     x should be an annihilator element; the admissible range is
     m <= ell <= 2|x|/(m+2) - m. alpha is x's BFS parent path in the
-    approximation's ball. The scan runs over 0 <= k <= m*r with
-    r = floor(|x|/(m+2)) + 1 against the first stable class, and the returned
-    certificate checks |h(beta_m)| <= 6*[G:K] + 1 for every stable class h,
-    raising the BoundViolated diagnostic otherwise. [G:K] is estimated from
-    the kernel elements in B_KERNEL_RADIUS.
+    approximation's ball, and alpha and beta stay ball positions: each
+    class is read at beta_m as its vector entry. The scan runs over
+    0 <= k <= m*r with r = floor(|x|/(m+2)) + 1 against the first stable
+    class, and the returned certificate checks |h(beta_m)| <= 6*[G:K] + 1
+    for every stable class h, raising the BoundViolated diagnostic
+    otherwise. [G:K] is estimated from the kernel elements in
+    B_KERNEL_RADIUS.
     """
     ball = approx.ball
     nx = ball.norm(x)
@@ -488,22 +489,19 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
         raise DomainExhausted(
             f"scan needs functional domain {scan_max + m}, classes have {classes[0].domain_radius}"
         )
-    group, data = ball.group, ball.data
     path = ball.path(ball.index[x.data])
-    alpha = GeodesicPrefix(tuple(Element(group, data[p]) for p in path))
-    scan = bend_scan(alpha, m, classes[0], k_max=scan_max)
+    scan = bend_scan(path, m, classes[0], k_max=scan_max)
     t = scan.t
     # beta_j = s_(t+1) .. s_(t+j), the generators of alpha's edges past alpha_t,
     # walked from the identity; t + ell <= |x| by the range above
     beta = [0]
     for p in path[t + 1 : t + ell + 1]:
         beta.append(ball.nbr[ball.parent_gen[p]][beta[-1]])
-    beta_verts = tuple(Element(group, data[p]) for p in beta)
-    prefix = GeodesicPrefix(beta_verts)
     kern = kernel_approx(approx, KERNEL_RADIUS)
     index, exact = kernel_index_estimate(kern, ball)
     bound = 6 * index + 1
-    values = tuple(h.value(beta_verts[m]) for h in classes)
+    # |beta_m| <= m <= scan_max < domain radius, so beta_m is in every domain
+    values = tuple(h.vector[beta[m]] for h in classes)
     for h, v in zip(classes, values):
         if abs(v) > bound:
             raise BoundViolated(
@@ -512,4 +510,4 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
                 bound=bound,
                 vector=list(h.vector),
             )
-    return SlowGeodesic(prefix, t, scan.epsilon, index, exact, bound, values, scan)
+    return SlowGeodesic(tuple(beta), index, exact, bound, values, scan)

@@ -52,16 +52,15 @@ from __future__ import annotations
 
 import csv
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Iterator
 
-from .errors import BallTooLarge, GroupMismatch, OutOfBall
+from .errors import BallTooLarge, GroupMismatch, OutOfBall, OutOfRange
 from .groups import Element, GeneratingSet, Group
 
 __all__ = [
     "Ball",
-    "GeodesicPrefix",
     "PrefixDag",
     "grow_ball",
     "distance",
@@ -115,7 +114,6 @@ class Ball:
         self.nbr = [products[g::n_gens] + array("i", [-1]) for g in range(n_gens)]
         # position k -> the column of its parent edge, so gather reads one entry
         self._parent_cols = [self.nbr[g] for g in parent_gen]
-        self._reach: array | None = None
         self._lipschitz: set[tuple] = set()  # vectors that passed check_lipschitz
 
     # -- element-facing API --------------------------------------------------
@@ -248,11 +246,9 @@ class Ball:
         """Per position i: the largest verified L with a geodesic of length L
         from the identity passing through x_i (capped at ball.radius).
 
-        Filled over the whole ball on the first call; ``PrefixDag`` (built
-        by ``geodesic_prefixes``) is its one reader.
+        Filled over the whole ball on each call; ``geodesic_prefixes`` is
+        its one caller and keeps the table on the ``PrefixDag`` it builds.
         """
-        if self._reach is not None:
-            return self._reach
         dist = self.dist
         nbr = self.nbr
         reach = array(_small(self.radius), dist)
@@ -266,7 +262,6 @@ class Ball:
                 if dist[j] == k + 1 and reach[j] > best:
                     best = reach[j]
             reach[i] = best
-        self._reach = reach
         return reach
 
     # -- exports ----------------------------------------------------------------
@@ -293,10 +288,13 @@ def grow_ball(
     The outermost layer is expanded too, so the neighbour table is complete:
     a product past the radius records -1 and adds nothing. The search runs
     on the group's ``ball_keys``, which decide neither the order nor the
-    positions: each key stands for exactly one element.
+    positions: each key stands for exactly one element. A budget below 1
+    is refused, since even B_0 does not fit it.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    if budget < 1:
+        raise OutOfRange(f"budget must be >= 1, got {budget}")
     if gens.group is not group:
         raise GroupMismatch("generating set belongs to a different group")
     start, expand, decode = group.ball_keys([s.data for s in gens.elements], radius)
@@ -376,21 +374,6 @@ def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
 
 
 @dataclass(frozen=True)
-class GeodesicPrefix:
-    """A geodesic path as its vertices v_0 .. v_length, with d(v_i, v_j) = |i - j|."""
-
-    vertices: tuple[Element, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("a geodesic needs at least one vertex")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
 class PrefixDag:
     """All length-n geodesic prefixes that extend to geodesics of length r.
 
@@ -404,12 +387,13 @@ class PrefixDag:
     depth: int  # n
     min_horizon: int  # r
     layers: tuple[tuple[int, ...], ...]  # layers[k]: vertex positions at norm k
+    reach: array = field(repr=False, compare=False)  # the ball's reach_data, read once
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Pairs (i, j) with x_j = x_i s, layer by layer, each edge once."""
         ball = self.ball
         dist = ball.dist
-        reach = ball.reach_data()
+        reach = self.reach
         nbr = ball.nbr
         for k, layer in enumerate(self.layers[:-1]):
             for i in layer:
@@ -430,7 +414,7 @@ class PrefixDag:
     def to_dot(self, fp: IO[str]) -> None:
         fmt = self.ball.group.format_data
         data = self.ball.data
-        reach = self.ball.reach_data()
+        reach = self.reach
         fp.write("digraph prefixes {\n")
         for layer in self.layers:
             for i in layer:
@@ -455,4 +439,4 @@ def geodesic_prefixes(ball: Ball, n: int, r: int) -> PrefixDag:
         tuple(i for i in range(ball.size(k - 1), ball.size(k)) if reach[i] >= r)
         for k in range(n + 1)
     )
-    return PrefixDag(ball, n, r, layers)
+    return PrefixDag(ball, n, r, layers, reach)

@@ -385,14 +385,18 @@ def _generating_set(
     where: str,
 ) -> GeneratingSet:
     """The generating set a spec or a config names, once its list passes the
-    checks: not empty, no identity, symmetric as written, and as many labels
-    as generators. ``where`` starts each error message."""
+    checks: not empty, no identity, no element or label listed twice,
+    symmetric as written, and as many labels as generators. ``where``
+    starts each error message."""
     if not elements:
         raise ValidationError(f"{where}: [generators] elements is empty")
+    have: set[tuple] = set()
     for x in elements:
         if x.is_identity():
             raise ValidationError(f"{where}: the identity is not a generator")
-    have = {x.data for x in elements}
+        if x.data in have:
+            raise ValidationError(f"{where}: generator {x} is listed twice")
+        have.add(x.data)
     for x in elements:
         if x.inverse().data not in have:
             raise ValidationError(
@@ -400,6 +404,9 @@ def _generating_set(
             )
     if labels is not None and len(labels) != len(elements):
         raise SchemaError(f"{where}: {len(labels)} labels for {len(elements)} generators")
+    for i, lab in enumerate(labels or ()):
+        if lab in labels[:i]:
+            raise ValidationError(f"{where}: label {lab!r} names two generators")
     try:
         return symmetric_generating_set(group, elements, labels)
     except HoroboundError as exc:
@@ -513,13 +520,13 @@ def _cmd_bend(group: Group, gens: GeneratingSet, p: dict):
         "level": {"r": r, "m": m},
         "scan_m": scan_m,
         "ell": ell,
-        "t": sg.t,
-        "epsilon": sg.epsilon,
+        "t": sg.scan.t,
+        "epsilon": sg.scan.epsilon,
         "kernel_index": sg.kernel_index,
         "kernel_index_exact": sg.kernel_index_exact,
         "bound": sg.bound,
         "class_values": list(sg.class_values),
-        "beta": [str(v) for v in sg.prefix.vertices],
+        "beta": [group.format_data(ball.data[p]) for p in sg.beta],
         "phi": list(sg.scan.phi),
         "signs": list(sg.scan.signs),
         "two_lipschitz": sg.scan.is_two_lipschitz(),

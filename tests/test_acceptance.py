@@ -241,7 +241,7 @@ def test_criterion_09_slow_geodesic_bound(cyl30_ball67, cyl30_approx):
     start = time.perf_counter()
     slow = slow_geodesic(group.element((0, 15)), 2, 8, cyl30_approx)
     stable = cyl30_approx.stable_classes()
-    scans = [bend_scan(slow.prefix, 2, h) for h in stable]
+    scans = [bend_scan(slow.beta, 2, h) for h in stable]
     elapsed = time.perf_counter() - start
     ok = (
         slow.bound == 6 * slow.kernel_index + 1 == 7

@@ -17,7 +17,7 @@ from horobound.boundary import (
     sign_match,
     slow_geodesic,
 )
-from horobound.cayley import Ball, GeodesicPrefix, grow_ball, segment
+from horobound.cayley import Ball, grow_ball, segment
 from horobound.cli import parse_spec
 from horobound.errors import (
     DomainExhausted,
@@ -519,9 +519,8 @@ def test_sign_match_domain_mismatch(z_ball):
 
 
 def _bfs_geodesic(ball, x):
-    """The BFS parent path from the identity to x, as a prefix."""
-    path = ball.path(ball.index[x.data])
-    return GeodesicPrefix(tuple(Element(ball.group, ball.data[p]) for p in path))
+    """The positions of the BFS parent path from the identity to x."""
+    return ball.path(ball.index[x.data])
 
 
 def test_bend_scan_on_line(z_ball):
@@ -551,11 +550,11 @@ def test_slow_geodesic_on_diag_cylinder(cyl30_ball67, cyl30_approx):
     x = group.element((0, 15))
     assert cyl30_ball67.norm(x) == 30
     slow = slow_geodesic(x, 2, 8, cyl30_approx)
-    assert slow.t == 14 and slow.epsilon == 0
+    assert slow.scan.t == 14 and slow.scan.epsilon == 0
     assert slow.kernel_index == 1 and not slow.kernel_index_exact
     assert slow.bound == 7
     assert slow.class_values == (0, 0)
-    assert slow.prefix.length == 8
+    assert len(slow.beta) == 8 + 1
     assert slow.scan.phi.count(-2) == 14
     assert slow.scan.is_two_lipschitz()
 
@@ -563,7 +562,7 @@ def test_slow_geodesic_on_diag_cylinder(cyl30_ball67, cyl30_approx):
 def test_slow_geodesic_prefix_is_a_geodesic(cyl30_approx):
     group = cyl30_approx.ball.group
     slow = slow_geodesic(group.element((0, 15)), 2, 8, cyl30_approx)
-    path = [v.data for v in slow.prefix.vertices]
+    path = [cyl30_approx.ball.data[p] for p in slow.beta]
     assert path[0] == group.identity_data() and len(path) == 9
     mul, inv, _ = cyl_ops(30)
     assert oracle_geodesic_defects(lambda d: diag_norm(*d), mul, inv, path) == []

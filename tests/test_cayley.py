@@ -2,6 +2,7 @@
 
 import io
 import random
+from dataclasses import replace
 from importlib import resources
 from itertools import permutations
 
@@ -16,7 +17,7 @@ from horobound.cayley import (
     segment,
 )
 from horobound.cli import parse_spec, run_command
-from horobound.errors import BallTooLarge, GroupMismatch, OutOfBall
+from horobound.errors import BallTooLarge, GroupMismatch, OutOfBall, OutOfRange
 from horobound.examples import REGISTRY, example
 from horobound.groups import (
     Element,
@@ -189,6 +190,10 @@ def test_budget_enforced(z2_pair, lamp_pair):
             assert str(caught.value) == (
                 f"ball exceeded budget of {budget} elements at radius {k + 1}"
             )
+        # no ball fits a budget below one, not even B_0
+        for budget in (0, -5):
+            with pytest.raises(OutOfRange, match=f"budget must be >= 1, got {budget}"):
+                grow_ball(group, gens, 0, budget=budget)
 
 
 def test_layer_one_is_generator_order(z2_pair):
@@ -461,6 +466,23 @@ def test_prefix_dag_dot(z_ball):
     lines = text.splitlines()[1:-1]
     assert len(lines) == 5 + 4  # vertices (0), (+-1), (+-2); one edge into each but (0)
     assert len(set(lines)) == len(lines)
+
+
+def test_ball_with_prefixes_fills_the_reach_table_once(monkeypatch):
+    # geodesic_prefixes keeps the table on the DAG, whose count and dot file
+    # read it there
+    fills = []
+    real = Ball.reach_data
+
+    def counted(self):
+        fills.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Ball, "reach_data", counted)
+    _, _, config = parse_spec(str(SPECS / "z2_standard.spec"))
+    report, sides = run_command(replace(config, command="ball").with_params(r=6, n=3))
+    assert report["prefix_tree"]["count"] > 0 and sides["prefixes.dot"]
+    assert len(fills) == 1
 
 
 def test_reach_data_on_line(z_ball):

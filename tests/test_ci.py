@@ -50,6 +50,8 @@ def test_scale_smoke_steps_run_under_a_timeout():
         ("ball on lamplighter at r = 16", ["ball", "lamplighter.spec", "--r", "16"]),
         ("boundary on cylinder_n30_diag at (120, 40)",
          ["boundary", "cylinder_n30_diag.spec", "--r", "120", "--m", "40"]),
+        ("bend on cylinder_n30_diag at (120, 40)",
+         ["bend", "cylinder_n30_diag.spec", "--r", "120", "--m", "40"]),
     ]:
         argv[1] = "src/horobound/specs/" + argv[1]
         step = " ".join(steps[name].split())

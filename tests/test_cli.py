@@ -21,7 +21,7 @@ import pytest
 import horobound.cli as cli_mod
 from horobound import vabelian
 from horobound.annihilator import DEFAULT_GAP
-from horobound.boundary import STABILITY_WINDOW
+from horobound.boundary import STABILITY_WINDOW, Functional
 from horobound.cayley import DEFAULT_BUDGET
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import Diagnostic, SchemaError, ValidationError
@@ -239,6 +239,31 @@ VALIDATION_CASES = [
         r"\[generators\]",
     ),
 ]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # an involution listed twice
+        (
+            "[group]\nfamily = finite\ntable = 0 1; 1 0\n\n[generators]\nelements = (1) (1)\n",
+            "generator (1) is listed twice",
+        ),
+        # t and t^-1 under one label
+        (
+            "[group]\nfamily = lamplighter_z2\n\n"
+            "[generators]\nelements = ({};1) ({};-1) ({0};0)\nlabels = t t a\n",
+            "label 't' names two generators",
+        ),
+    ],
+    ids=["element", "label"],
+)
+def test_main_repeated_generator_or_label_exits_1(tmp_path, text, message):
+    spec = tmp_path / "repeat.spec"
+    spec.write_text(text)
+    code, out, err = run_cli(["ball", str(spec), "--r", "2"])
+    assert (code, out) == (1, b"")
+    assert err == f"error: ValidationError: {spec}: {message}\n"
 
 
 @pytest.mark.parametrize("text,match", VALIDATION_CASES)
@@ -767,6 +792,12 @@ def test_main_ballsystem_budget_below_one_exits_1(budget):
     assert err == f"error: OutOfRange: budget must be >= 1, got {budget}\n"
 
 
+def test_main_ball_budget_below_one_exits_1():
+    code, out, err = run_cli(["ball", Z2_SPEC, "--r", "3", "--budget", "-5"])
+    assert (code, out) == (1, b"")
+    assert err == "error: OutOfRange: budget must be >= 1, got -5\n"
+
+
 HUGE = str(10**12)
 
 
@@ -919,6 +950,28 @@ def test_run_command_reuses_the_parsed_group(monkeypatch):
     assert builds == ["build_group", "symmetric_generating_set"]
 
 
+def test_bend_reads_classes_off_their_vectors(monkeypatch):
+    # the scan and beta_m read each class's vector at a ball position, so a
+    # bend run asks no functional for a value; its group products are the
+    # 120 of growth and the 540 of the kernel closure
+    group, _, config = parse_spec(spec_path("cylinder_n30_diag.spec"))
+    values, products = [], []
+
+    def value(self, x, real=Functional.value):
+        values.append(x)
+        return real(self, x)
+
+    def mul_data(a, b, real=group.mul_data):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Functional, "value", value)
+    monkeypatch.setattr(group, "mul_data", mul_data)
+    report, _ = run_command(config)
+    assert report["bound"] == 7
+    assert (len(values), len(products)) == (0, 660)
+
+
 def test_replaced_generators_get_their_own_group():
     # configs that differ only in their generators, run in turn after a
     # parse, each get the generating set they name: B_2 of Z^2 has 13
@@ -940,6 +993,8 @@ def test_replaced_generators_get_their_own_group():
         (("(0,0)", "(1,0)", "(-1,0)"), None, ValidationError, "identity is not a generator"),
         ((), None, ValidationError, "elements is empty"),
         (("(1,0)", "(-1,0)"), ("a",), SchemaError, "1 labels for 2 generators"),
+        (("(1,0)", "(-1,0)", "(1,0)"), None, ValidationError, r"generator \(1,0\) is listed twice"),
+        (("(1,0)", "(-1,0)"), ("a", "a"), ValidationError, "label 'a' names two generators"),
     ],
 )
 def test_replaced_generators_pass_the_spec_checks(generators, labels, error, match):
