@@ -364,13 +364,22 @@ def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, b
     closure is finite and stays inside the ball. In an infinite group such a
     subgroup has infinite index, so there ``exact`` is always False: ``bend``
     reports ``kernel_index_exact: false`` on cylinder_n30_diag.
+
+    When the kernel and its inverses hold every generator, <kernel> = G and
+    the answer is read off the generators with no closure: the closure
+    would reach all of the ball along BFS parent paths, so one coset is seen
+    at every layer, and it escapes exactly when some neighbour entry reads
+    -1, that is when the ball is not all of G (the Cayley graph is
+    connected).
     """
     group = ball.group
     gens = {x.data for x in kernel} | {group.inv_data(x.data) for x in kernel}
     gens.discard(group.identity_data())
+    half = ball.radius // 2
+    if gens.issuperset(s.data for s in ball.gens.elements):
+        return 1, half >= 2 and not any(-1 in col[:-1] for col in ball.nbr)
     inside, escaped = ball.closure(sorted(gens, key=group.sort_key), ball.radius)
 
-    half = ball.radius // 2
     size = ball.size(half)
     # rep^-1 x for every x in B_half, one gather per representative;
     # |rep^-1 x| <= 2 * half <= radius keeps every entry in the ball

@@ -194,7 +194,9 @@ class Ball:
         path, w u is k neighbour-table lookups from w. A lookup reads -1 once
         some w s_1 .. s_j leaves the ball, although w u itself may lie
         inside, so only then is w u multiplied out; u outside the ball is
-        always multiplied.
+        always multiplied. ``kernel_index_estimate`` calls this only for a
+        kernel that misses some generator: one holding S spans G, and its
+        closure would be the whole ball.
         """
         if not (0 <= bound <= self.radius):
             raise OutOfBall(f"bound {bound} outside 0..{self.radius}")

@@ -50,6 +50,8 @@ from .cayley import DEFAULT_BUDGET, geodesic_prefixes, grow_ball
 from .errors import (
     Diagnostic,
     HoroboundError,
+    LabelCount,
+    RepeatedGenerator,
     SchemaError,
     ValidationError,
 )
@@ -304,13 +306,16 @@ def _parse_elements(group: Group, raw: str) -> list[Element]:
     return out
 
 
-def _ini_error(exc: configparser.Error) -> str:
-    """One line for a configparser error, with the line number it names."""
+def _ini_error(exc: configparser.Error, lines: list[str]) -> str:
+    """One line for a configparser error on ``lines``, with the line number
+    it names."""
     if isinstance(exc, configparser.MissingSectionHeaderError):
         return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
     if isinstance(exc, configparser.ParsingError):
-        lineno, line = exc.errors[0]  # line as repr() shows it
-        return f"line {lineno}: expected 'key = value', got {line}"
+        # the line itself, not exc.errors' copy: Python 3.13 stopped storing
+        # that copy as its repr()
+        lineno = exc.errors[0][0]
+        return f"line {lineno}: expected 'key = value', got {lines[lineno - 1]!r}"
     return " ".join(str(exc).split())
 
 
@@ -330,11 +335,13 @@ def parse_spec(path: str) -> tuple[Group, GeneratingSet, RunConfig]:
     )
     try:
         with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=path)
+            lines = fh.readlines()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    try:
+        cp.read_file(lines, source=path)
     except configparser.Error as exc:  # its text runs over several lines
-        raise SchemaError(f"{path}: {_ini_error(exc)}") from None
+        raise SchemaError(f"{path}: {_ini_error(exc, lines)}") from None
 
     for required in ("group", "generators"):
         if required not in cp:
@@ -385,30 +392,25 @@ def _generating_set(
     where: str,
 ) -> GeneratingSet:
     """The generating set a spec or a config names, once its list passes the
-    checks: not empty, no identity, no element or label listed twice,
-    symmetric as written, and as many labels as generators. ``where``
-    starts each error message."""
+    checks: not empty, no identity, symmetric as written, and the library's
+    own (no element or label listed twice, as many labels as generators).
+    ``where`` starts each error message."""
     if not elements:
         raise ValidationError(f"{where}: [generators] elements is empty")
-    have: set[tuple] = set()
-    for x in elements:
-        if x.is_identity():
-            raise ValidationError(f"{where}: the identity is not a generator")
-        if x.data in have:
-            raise ValidationError(f"{where}: generator {x} is listed twice")
-        have.add(x.data)
+    if any(x.is_identity() for x in elements):
+        raise ValidationError(f"{where}: the identity is not a generator")
+    have = {x.data for x in elements}
     for x in elements:
         if x.inverse().data not in have:
             raise ValidationError(
                 f"{where}: generator list is not symmetric, {x}^-1 = {x.inverse()} is missing"
             )
-    if labels is not None and len(labels) != len(elements):
-        raise SchemaError(f"{where}: {len(labels)} labels for {len(elements)} generators")
-    for i, lab in enumerate(labels or ()):
-        if lab in labels[:i]:
-            raise ValidationError(f"{where}: label {lab!r} names two generators")
     try:
         return symmetric_generating_set(group, elements, labels)
+    except LabelCount as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    except RepeatedGenerator as exc:
+        raise ValidationError(f"{where}: {exc}") from None
     except HoroboundError as exc:
         raise ValidationError(f"{where} [generators]: {exc}") from None
 

@@ -17,6 +17,8 @@ __all__ = [
     "GroupMismatch",
     "IdentityGenerator",
     "DoesNotGenerate",
+    "RepeatedGenerator",
+    "LabelCount",
     "BallTooLarge",
     "OutOfBall",
     "DomainExhausted",
@@ -75,6 +77,15 @@ class IdentityGenerator(HoroboundError):
 
 class DoesNotGenerate(HoroboundError):
     """The proposed generators provably fail to generate the group."""
+
+
+class RepeatedGenerator(HoroboundError):
+    """A generator list names one element twice, or gives two generators
+    one label."""
+
+
+class LabelCount(HoroboundError):
+    """A generator list and its labels differ in length."""
 
 
 # -- cayley ------------------------------------------------------------------

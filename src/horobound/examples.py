@@ -66,7 +66,9 @@ def cylinder(n: int = 4) -> Pair:
         group.element((1, 1)),
         group.element((1, n - 1)),
     ]
-    gens = symmetric_generating_set(group, listed, ["a", "b", "c"])
+    if n == 2:  # (1, 1) = (1, -1) is listed once
+        listed.pop()
+    gens = symmetric_generating_set(group, listed, ["a", "b", "c"][: len(listed)])
     return group, gens
 
 

@@ -34,8 +34,10 @@ from .errors import (
     DoesNotGenerate,
     GroupMismatch,
     IdentityGenerator,
+    LabelCount,
     NonUnimodularAction,
     NotASubgroup,
+    RepeatedGenerator,
     SizeBudget,
     TableNotGroup,
 )
@@ -823,37 +825,40 @@ def symmetric_generating_set(
 ) -> GeneratingSet:
     """Close the listed elements under inverse, label them, check generation.
 
-    Listed elements come first in their given order; a repeated element is
-    dropped, and the label of its first occurrence stays. Missing inverses
-    are appended as ``<label>^-1``. Generation is checked exactly on the
-    extension normal form (fg_abelian, vab_extension and finite): the set
-    must span a subgroup of index 1. A lamplighter set is not checked.
+    Listed elements come first in their given order; missing inverses are
+    appended as ``<label>^-1``. An element listed twice, a label count other
+    than the element count, or a label naming two generators is refused,
+    never repaired. Generation is checked exactly on the extension normal
+    form (fg_abelian, vab_extension and finite): the set must span a
+    subgroup of index 1. A lamplighter set is not checked.
     """
-    listed: list[Element] = []
-    base_labels: list[str] = []
-    for i, x in enumerate(elements):
+    listed = list(elements)
+    have: set[tuple] = set()
+    for x in listed:
         if x.group is not group:
             raise GroupMismatch(f"generator {x!r} belongs to a different group")
         if x.is_identity():
             raise IdentityGenerator("the identity is not allowed as a generator")
-        if x not in listed:
-            listed.append(x)
-            if labels is None:
-                base_labels.append(f"s{len(base_labels)}")
-            elif i < len(labels):
-                base_labels.append(labels[i])
-            else:
-                raise ValueError("fewer labels than generators")
+        if x.data in have:
+            raise RepeatedGenerator(f"generator {x} is listed twice")
+        have.add(x.data)
     if not listed:
         raise DoesNotGenerate("empty generating set")
+    if labels is None:
+        labels = [f"s{i}" for i in range(len(listed))]
+    elif len(labels) != len(listed):
+        raise LabelCount(f"{len(labels)} labels for {len(listed)} generators")
 
     elems = list(listed)
-    labs = list(base_labels)
-    for x, lab in zip(listed, base_labels):
+    labs = list(labels)
+    for x, lab in zip(listed, labels):
         ix = x.inverse()
-        if ix not in elems:
+        if ix.data not in have:
             elems.append(ix)
             labs.append(f"{lab}^-1")
+    for i, lab in enumerate(labs):
+        if lab in labs[:i]:
+            raise RepeatedGenerator(f"label {lab!r} names two generators")
 
     if isinstance(group, ExtensionGroup):
         index = subgroup_index(group, elems)

@@ -416,8 +416,8 @@ def _tuple_kernel_index(kernel, ball):
     return len(rep_translates), (not escaped) and stableized
 
 
-def _z8():
-    group = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(8,)))
+def _cyclic(n):
+    group = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(n,)))
     return group, symmetric_generating_set(group, [group.element((1,))])
 
 
@@ -437,13 +437,20 @@ _FINITE = {
 def test_kernel_index_matches_tuple_closure(monkeypatch):
     results = set()
     fallback_calls = fallback_inside = 0
-    for name, make in sorted({**REGISTRY, "z8": _z8}.items()):
+    for name, make in sorted({**REGISTRY, "z8": lambda: _cyclic(8)}.items()):
         group, gens = make()
         ball = grow_ball(group, gens, 8)  # every mul_data below is a fallback
+        s0 = gens.elements[0].data
+        s0_inv = group.inv_data(s0)
         kernels = [
             kernel_approx(boundary_approx(ball, 5, 3), 2),
             [group.element(d) for d in _FINITE[name]],
-            [Element(group, d) for d in ball.data_up_to(2)],  # its closure reaches the rim
+            [Element(group, d) for d in ball.data_up_to(2)],  # holds every generator
+            # B_2 without s and s^-1 misses a generator, so Ball.closure
+            # runs; where it still generates, the closure reaches the rim,
+            # a walk leaves the ball and a product multiplied out may land
+            # inside
+            [Element(group, d) for d in ball.data_up_to(2) if d not in (s0, s0_inv)],
             # a generator outside the ball has no parent path
             [Element(group, group.mul_data(ball.data[-1], s.data)) for s in gens],
         ]
@@ -469,13 +476,73 @@ def test_kernel_index_matches_tuple_closure(monkeypatch):
     assert fallback_calls > fallback_inside > 0
 
 
+def _kernels_holding_s(group, gens, ball):
+    s = list(gens.elements)
+    return [
+        s,
+        [x for i, x in enumerate(s) if x.inverse() not in s[:i]],  # one of s, s^-1
+        [Element(group, d) for d in ball.data_up_to(2)],
+        s + [Element(group, ball.data[-1])],
+    ]
+
+
+def _assert_read_off_the_generators(monkeypatch, kernel, ball, name):
+    expected = _tuple_kernel_index(kernel, ball)
+    monkeypatch.setattr(Ball, "closure", lambda *args: pytest.fail("closure ran"))
+    got = kernel_index_estimate(kernel, ball)
+    monkeypatch.undo()
+    assert got == expected, name
+    return got
+
+
+def test_kernel_holding_the_generators_skips_the_closure(monkeypatch):
+    # <K> = G once K and its inverses hold S: one coset, and the closure
+    # escapes exactly when the ball is not all of G
+    for name, make in sorted(REGISTRY.items()):
+        group, gens = make()
+        ball = grow_ball(group, gens, 8)
+        for kernel in _kernels_holding_s(group, gens, ball):
+            assert _assert_read_off_the_generators(monkeypatch, kernel, ball, name) == (1, False)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_kernel_holding_the_generators_on_a_finite_cyclic_group(monkeypatch, n):
+    # B_4 is all of Z/4 and Z/8; with half = radius // 2 < 2 the coset count
+    # has not yet held for three layers, so only radius >= 4 certifies
+    group, gens = _cyclic(n)
+    for radius in range(2, 9):
+        ball = grow_ball(group, gens, radius)
+        for kernel in _kernels_holding_s(group, gens, ball):
+            got = _assert_read_off_the_generators(monkeypatch, kernel, ball, (n, radius))
+            assert got == (1, radius >= 4), (n, radius)
+
+
+def test_kernel_holds_the_generators_exactly_on_the_virtually_cyclic_examples():
+    # finitely many Busemann points force a virtually cyclic group, and
+    # there the kernel estimate is all of B_2; on Z^2, its rotation
+    # extension and the lamplighter it is the identity alone
+    holding = set()
+    for name, make in sorted(REGISTRY.items()):
+        group, gens = make()
+        ball = grow_ball(group, gens, 12)
+        s = {x.data for x in gens.elements}
+        for r, m in [(6, 3), (8, 4)]:
+            kernel = {x.data for x in kernel_approx(boundary_approx(ball, r, m), 2)}
+            if s <= kernel:
+                holding.add(name)
+                assert kernel == set(ball.data_up_to(2)), name
+            else:
+                assert kernel == {group.identity_data()}, name
+    assert holding == {"z_line", "cylinder_n4", "fat_cylinder_n3"}
+
+
 def test_bend_level_work_counts(monkeypatch, built, cyl30_ball67):
     # the cylinder_n30_diag bend level builds sphere 49 whole (60 vectors),
     # one vector per class on each of spheres 48 and 47 (the first witness's
     # BFS parent, then its parent) and 38 interior shadows: 102, against 218
     # with spheres 48 and 47 read whole; its Busemann flags read no reach
-    # table, and the kernel closure stays far below the 48,600 products it
-    # once took
+    # table, and its kernel holds every generator, so the index is read off
+    # the generators with no group product and no closure
     ball = cyl30_ball67
     reads = []
     monkeypatch.setattr(Ball, "reach_data", lambda self: reads.append(1))
@@ -492,9 +559,11 @@ def test_bend_level_work_counts(monkeypatch, built, cyl30_ball67):
         products.append(1)
         return mul(a, b)
 
+    closures = []
     monkeypatch.setattr(ball.group, "mul_data", counting_mul)
+    monkeypatch.setattr(Ball, "closure", lambda *args: closures.append(args))
     assert kernel_index_estimate(kernel, ball) == (1, False)
-    assert 0 < len(products) < 1000
+    assert products == [] and closures == []
 
 
 def test_cylinder_sign_match(cyl4_ball15):

@@ -952,8 +952,8 @@ def test_run_command_reuses_the_parsed_group(monkeypatch):
 
 def test_bend_reads_classes_off_their_vectors(monkeypatch):
     # the scan and beta_m read each class's vector at a ball position, so a
-    # bend run asks no functional for a value; its group products are the
-    # 120 of growth and the 540 of the kernel closure
+    # bend run asks no functional for a value; its kernel holds every
+    # generator, so only the 120 group products of growth remain
     group, _, config = parse_spec(spec_path("cylinder_n30_diag.spec"))
     values, products = [], []
 
@@ -969,7 +969,7 @@ def test_bend_reads_classes_off_their_vectors(monkeypatch):
     monkeypatch.setattr(group, "mul_data", mul_data)
     report, _ = run_command(config)
     assert report["bound"] == 7
-    assert (len(values), len(products)) == (0, 660)
+    assert (len(values), len(products)) == (0, 120)
 
 
 def test_replaced_generators_get_their_own_group():

@@ -13,7 +13,9 @@ from horobound.errors import (
     DoesNotGenerate,
     GroupMismatch,
     IdentityGenerator,
+    LabelCount,
     NonUnimodularAction,
+    RepeatedGenerator,
     SizeBudget,
     TableNotGroup,
 )
@@ -434,14 +436,23 @@ def test_generating_set_listed_inverses_keep_position():
     assert gens.labels == ("a", "A")
 
 
-def test_repeated_generator_keeps_the_labels_in_place():
-    g = FgAbelianGroup(FgAbelianSpec(free_rank=2))
-    listed = [g.element(d) for d in [(1, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]]
-    gens = symmetric_generating_set(g, listed, ["a", "a", "b", "A", "B"])
-    assert [str(x) for x in gens.elements] == ["(1,0)", "(0,1)", "(-1,0)", "(0,-1)"]
-    assert gens.labels == ("a", "b", "A", "B")
-    with pytest.raises(ValueError, match="fewer labels"):
-        symmetric_generating_set(g, listed, ["a", "a", "b", "A"])
+def test_repeated_generator_or_label_is_refused():
+    # the library refuses what the spec checks refuse, with their messages,
+    # instead of dropping a repeat or the labels past the last generator
+    g = FgAbelianGroup(FgAbelianSpec(free_rank=1))
+    one, minus = g.element((1,)), g.element((-1,))
+    with pytest.raises(RepeatedGenerator, match=r"^generator \(1\) is listed twice$"):
+        symmetric_generating_set(g, [one, one, minus])
+    with pytest.raises(RepeatedGenerator, match="^label 't' names two generators$"):
+        symmetric_generating_set(g, [one, minus], ["t", "t"])
+    with pytest.raises(LabelCount, match="^3 labels for 1 generators$"):
+        symmetric_generating_set(g, [one], ["a", "b", "c"])
+    with pytest.raises(LabelCount, match="^1 labels for 2 generators$"):
+        symmetric_generating_set(g, [one, minus], ["a"])
+    # an appended inverse's label may not take a listed one
+    g2 = FgAbelianGroup(FgAbelianSpec(free_rank=2))
+    with pytest.raises(RepeatedGenerator, match=r"^label 'a\^-1' names two generators$"):
+        symmetric_generating_set(g2, [g2.element((1, 0)), g2.element((0, 1))], ["a", "a^-1"])
 
 
 def test_identity_generator_rejected():
