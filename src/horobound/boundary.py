@@ -221,8 +221,10 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
     Only a few z can make a class an interior shadow. For every x,
     b_z(x) = d(z, x) - |z| >= -|z|, with equality at x = z, which lies in
     B_m. So b_z|B_m == vec forces min(vec) = -|z| and vec[z] = min(vec):
-    only the z on sphere -min(vec) where vec takes its minimum are tried,
-    and each b_z is built at most once per call.
+    only the z on sphere -min(vec) where vec takes its minimum are tried.
+    Each is compared on B_1, B_2, B_4, ... up to B_m and dropped at the
+    first prefix that differs, so a z that is no shadow is rarely read on
+    all of B_m; a z tried for two classes is read again for the second.
     """
     check_level(r, m, window)
     if r + m > ball.radius:
@@ -237,16 +239,11 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
         for rr in range(r - 1, r - window, -1):
             stable_keys = _sightings(ball, rr, m, stable_keys)
 
-    interior: dict[int, tuple[int, ...]] = {}  # z -> b_z|B_m, built on demand
-
     def interior_shadow(vec: tuple[int, ...]) -> bool:
         low = min(vec)
         for z in range(ball.size(-low - 1), ball.size(-low)):
-            if vec[z] == low:
-                if z not in interior:
-                    interior[z] = _busemann_vector(ball, z, m)
-                if interior[z] == vec:
-                    return True
+            if vec[z] == low and _agrees(ball, z, vec, m):
+                return True
         return False
 
     dead: set[int] = set()  # positions no upward path leads out of
@@ -264,6 +261,17 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
             )
         )
     return BoundaryApprox(ball, r, m, window, tuple(classes))
+
+
+def _agrees(ball: Ball, z: int, vec: tuple[int, ...], m: int) -> bool:
+    """Whether b_z == vec on B_m, compared on B_1, B_2, B_4, ... and B_m in
+    turn, so that a z that differs early is read only that far."""
+    k = 1
+    while _busemann_vector(ball, z, k) == vec[: ball.size(k)]:
+        if k == m:
+            return True
+        k = min(2 * k, m)
+    return False
 
 
 def _sightings(ball: Ball, rr: int, m: int, shown: dict) -> dict:

@@ -14,15 +14,19 @@ length ``size(m)``. BFS expands every layer, the outermost too, and keeps
 every product in the neighbour table: ``nbr[s][i]`` is the position of
 x_i s, or -1 for a product outside the ball, so the table is complete once
 the ball is grown. Each column ends with a -1 so that a -1 position looks
-up -1 again.
+up -1 again. A column is a list of the position ints that ``index`` holds,
+so reading an entry makes no int: an array would box a new one for every
+position above 256.
 
 Left translates of a prefix need no group arithmetic. For z = x_start,
 ``gather(start, size)`` sets pos[0] = start and
 pos[k] = nbr[parent_gen[k]][pos[parent[k]]], the position of z x_k, one
-lookup per entry. Once the image of x_k leaves the ball, the images of its
-BFS descendants read -1 too, even where they are stored: callers either
-keep |z| + m <= radius, so nothing leaves, or (``segment``) use only that a
--1 entry has |x_k| + |z x_k| > radius.
+lookup per entry. It walks a plan of (nbr[parent_gen[k]], parent[k])
+pairs that is extended only as far as a gather has read, B_m for a
+Busemann vector rather than the whole ball. Once the image of x_k leaves
+the ball, the images of its BFS descendants read -1 too, even where they
+are stored: callers either keep |z| + m <= radius, so nothing leaves, or
+(``segment``) use only that a -1 entry has |x_k| + |z x_k| > radius.
 
 ``reach_data`` gives, per position, how far a geodesic from the identity
 through x_i extends inside the ball. The length-n geodesic prefixes that
@@ -36,16 +40,19 @@ extension group a key is one integer packing the coset and the free part,
 and a product is one step-table read and one add; the keys are decoded to
 data once, after the search. For any other group a key is the data itself.
 
-Memory (tracemalloc, CPython 3.11): a grown ball retains 215 bytes per
+Memory (tracemalloc, CPython 3.11): a grown ball retains 218 bytes per
 element on Z^2 with standard generators at radius 150 (45,301 elements),
-and 178-264 bytes per element over the example groups at 18k-45k elements,
-so the default budget of 5,000,000 elements costs about 0.9-1.3 GB. Growth
-peaks at 233 bytes per element on that Z^2 ball and 288 on z2_rot4 at
-radius 60, while the keys are decoded and while the ball builds its tables.
-A ball also retains each distinct vector that has passed ``check_lipschitz``
-on it, so that a functional is checked once per distinct vector per ball:
-about 0.37 MB for the 579 distinct B_4 vectors over the six balls of ten
-passes of the criterion-06 sweep.
+275 on z2_rot4 at radius 60 and 193-235 over the other example groups at
+11k-40k elements, so the default budget of 5,000,000 elements costs about
+1.0-1.4 GB. A list column costs a pointer per entry where an array cost 4
+bytes, and the decoded index shares the column's ints instead of making
+its own. Growth peaks at 270 bytes per element on that Z^2 ball and 342 on
+z2_rot4, while the keys are decoded and while the columns are cut from the
+search's product list. The gather plan adds about 96 bytes per position it
+covers. A ball also retains each distinct vector that has passed
+``check_lipschitz`` on it, so that a functional is checked once per
+distinct vector per ball: about 0.37 MB for the 579 distinct B_4 vectors
+over the six balls of ten passes of the criterion-06 sweep.
 """
 
 from __future__ import annotations
@@ -94,7 +101,7 @@ class Ball:
         parent: array,
         parent_gen: array,
         offsets: list[int],
-        products: array,
+        products: list[int],
     ):
         self.group = group
         self.gens = gens
@@ -111,9 +118,10 @@ class Ball:
         # ball; products holds them row by row, and every column ends with
         # the -1 that a -1 position looks up
         n_gens = len(gens)
-        self.nbr = [products[g::n_gens] + array("i", [-1]) for g in range(n_gens)]
-        # position k -> the column of its parent edge, so gather reads one entry
-        self._parent_cols = [self.nbr[g] for g in parent_gen]
+        self.nbr = [products[g::n_gens] + [-1] for g in range(n_gens)]
+        # (nbr[parent_gen[k]], parent[k]) for k = 0, 1, ..., as far as a
+        # gather has read
+        self._plan: list[tuple[list[int], int]] = []
         self._lipschitz: set[tuple] = set()  # vectors that passed check_lipschitz
 
     # -- element-facing API --------------------------------------------------
@@ -177,9 +185,13 @@ class Ball:
         An entry is -1 when z x_k, or the image of a BFS ancestor of x_k,
         lies outside the ball; with |z| + |x_(size-1)| <= radius none is.
         """
+        plan = self._plan
+        if len(plan) < size:
+            cols = map(self.nbr.__getitem__, islice(self.parent_gen, len(plan), size))
+            plan.extend(zip(cols, islice(self.parent, len(plan), size)))
         pos = [start]
         append = pos.append
-        for col, p in zip(islice(self._parent_cols, 1, size), islice(self.parent, 1, size)):
+        for col, p in islice(plan, 1, size):
             append(col[pos[p]])
         return pos
 
@@ -327,14 +339,13 @@ def grow_ball(
             offsets.append(len(data))
             if offsets[k + 1] == offsets[k + 2]:
                 break
-    # 4 bytes a product instead of a pointer, before the decode; the bound
-    # append would keep the list alive
-    del record
-    products = array("i", products)
     if decode is not None:
-        index = None  # drop the key index before the data index is built
+        # the data index reuses the key index's position ints, which the
+        # products hold too; drop the key index before it is built
+        positions = list(index.values())
+        index = None
         data = decode(data)
-        index = dict(zip(data, range(len(data))))
+        index = dict(zip(data, positions))
     return Ball(group, gens, radius, data, index, parent, parent_gen, offsets, products)
 
 

@@ -41,8 +41,9 @@ import io
 import json
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import IO, Callable, Iterator
 
 from .annihilator import DEFAULT_GAP, annihilator_candidates, check_annulus
 from .boundary import STABILITY_WINDOW, boundary_approx, check_level, slow_geodesic
@@ -419,10 +420,30 @@ def _generating_set(
 # commands
 
 
-def _text_file(write) -> bytes:
-    buf = io.StringIO()
-    write(buf)
-    return buf.getvalue().encode("utf-8")
+class _SideFiles(Mapping):
+    """Side-file name -> bytes, each rendered by its writer on first read:
+    ``main`` reads them only for ``--out``, so a run without it formats
+    none."""
+
+    def __init__(self, writers: dict[str, Callable[[IO[str]], None]]):
+        self._writers = writers
+        self._blobs: dict[str, bytes] = {}
+
+    def __getitem__(self, name: str) -> bytes:
+        if name not in self._blobs:
+            buf = io.StringIO()
+            self._writers[name](buf)
+            self._blobs[name] = buf.getvalue().encode("utf-8")
+        return self._blobs[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._writers
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._writers)
+
+    def __len__(self) -> int:
+        return len(self._writers)
 
 
 def _cmd_ball(group: Group, gens: GeneratingSet, p: dict):
@@ -433,7 +454,7 @@ def _cmd_ball(group: Group, gens: GeneratingSet, p: dict):
         "size": ball.size(r),
         "layer_sizes": [ball.size(k) - ball.size(k - 1) for k in range(r + 1)],
     }
-    sides = {"ball.csv": _text_file(ball.to_csv)}
+    sides = {"ball.csv": ball.to_csv}
     if p["n"] is not None:
         dag = geodesic_prefixes(ball, p["n"], r)
         body["prefix_tree"] = {
@@ -441,7 +462,7 @@ def _cmd_ball(group: Group, gens: GeneratingSet, p: dict):
             "min_horizon": dag.min_horizon,
             "count": dag.count(),
         }
-        sides["prefixes.dot"] = _text_file(dag.to_dot)
+        sides["prefixes.dot"] = dag.to_dot
     return body, sides
 
 
@@ -456,7 +477,7 @@ def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
     check_annulus(p["m"], p["r"] + p["m"])  # before the ball is grown
     ball = grow_ball(group, gens, p["r"] + p["m"], budget=p["budget"])
     report = annihilator_candidates(ball, p["m"], gap=p["gap"])
-    return report.to_json_dict(), {"candidates.csv": _text_file(report.to_csv)}
+    return report.to_json_dict(), {"candidates.csv": report.to_csv}
 
 
 def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
@@ -547,10 +568,10 @@ _HANDLERS: dict[str, Callable] = {
 }
 
 
-def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
+def run_command(config: RunConfig) -> tuple[dict, Mapping[str, bytes]]:
     """Build the group from the config (or reuse the last build of the same
     fields) and dispatch; pure in the config. A build checks the generator
-    list as ``parse_spec`` does."""
+    list as ``parse_spec`` does. Side files are rendered when first read."""
     if config.command not in _HANDLERS:
         raise SchemaError(f"unknown command {config.command!r}")
     params = config.read_params()
@@ -569,7 +590,7 @@ def run_command(config: RunConfig) -> tuple[dict, dict[str, bytes]]:
         "config": config.describe(),
     }
     report.update(body)
-    return report, sides
+    return report, _SideFiles(sides)
 
 
 def emit_report(report: dict) -> bytes:

@@ -1,6 +1,7 @@
 """Functionals, level-(r, m) boundary snapshots, the action, slow geodesics."""
 
 import random
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -285,12 +286,12 @@ def test_stable_and_busemann_flags_match_brute_force(cyl30_ball67):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The positions whose Busemann vectors boundary code builds, in order."""
+    """(position, m) for each Busemann vector boundary code builds, in order."""
     out = []
     vector = boundary_mod._busemann_vector
 
     def counting(ball, z, m):
-        out.append(z)
+        out.append((z, m))
         return vector(ball, z, m)
 
     monkeypatch.setattr(boundary_mod, "_busemann_vector", counting)
@@ -537,17 +538,23 @@ def test_kernel_holds_the_generators_exactly_on_the_virtually_cyclic_examples():
 
 
 def test_bend_level_work_counts(monkeypatch, built, cyl30_ball67):
-    # the cylinder_n30_diag bend level builds sphere 49 whole (60 vectors),
-    # one vector per class on each of spheres 48 and 47 (the first witness's
-    # BFS parent, then its parent) and 38 interior shadows: 102, against 218
-    # with spheres 48 and 47 read whole; its Busemann flags read no reach
+    # the cylinder_n30_diag bend level builds on B_18 sphere 49 whole (60
+    # vectors) and one vector per class on each of spheres 48 and 47 (the
+    # first witness's BFS parent, then its parent): 64, against 180 with
+    # spheres 48 and 47 read whole. Its 38 interior-shadow candidates all
+    # differ before B_18: 130 builds on B_1, B_2, B_4, B_8 and B_16, 8,322
+    # entries against 26,030 on B_18. Its Busemann flags read no reach
     # table, and its kernel holds every generator, so the index is read off
     # the generators with no group product and no closure
     ball = cyl30_ball67
     reads = []
     monkeypatch.setattr(Ball, "reach_data", lambda self: reads.append(1))
     approx = boundary_approx(ball, 49, 18)
-    assert len(built) == 102 and reads == []
+    whole = [z for z, m in built if m == 18]
+    prefixes = [m for _, m in built if m < 18]
+    assert sorted(Counter(ball.dist[z] for z in whole).items()) == [(47, 2), (48, 2), (49, 60)]
+    assert len(prefixes) == 130 and sum(ball.size(m) for m in prefixes) == 8322
+    assert reads == []
     assert [(c.stable, c.busemann) for c in approx.classes] == [(True, True)] * 2
     monkeypatch.undo()
 

@@ -334,6 +334,31 @@ def test_gather_leaving_the_ball(name):
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_gather_after_a_smaller_and_after_a_larger_prefix(name):
+    """The gather plan is extended as far as a gather reads: B_3 then B_8
+    extends it twice, B_8 then B_3 reads a prefix of it."""
+    group, gens = example(name)
+    mul, inv = group.mul_data, group.inv_data
+    for radii in ([3, 8], [8, 3]):
+        ball = grow_ball(group, gens, 10)
+        for m in radii:
+            for zdata in ball.data[ball.size(1) : ball.size(2)]:  # |z| + m <= radius
+                pos = ball.gather(ball.inv_index(ball.index[zdata]), ball.size(m))
+                assert pos == [ball.index[mul(inv(zdata), x)] for x in ball.data_up_to(m)]
+
+
+def test_neighbour_entries_are_the_index_ints():
+    """A packed-key ball's neighbour columns hold the position ints its data
+    index holds, so an entry costs a pointer and no int of its own."""
+    group, gens = example("z2_rot4")
+    ball = grow_ball(group, gens, 12)
+    assert isinstance(group, ExtensionGroup) and len(ball) > 256  # past the cached ints
+    for col in ball.nbr:
+        for j in col[:-1]:
+            assert j == -1 or j is ball.index[ball.data[j]]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_segment_past_the_rim_vs_brute_force(name):
     """segment(1, y) with 2|y| > radius, where the gather leaves the ball."""
     group, gens = example(name)

@@ -56,6 +56,8 @@ def test_scale_smoke_steps_run_under_a_timeout():
          ["boundary", "cylinder_n30_diag.spec", "--r", "120", "--m", "40"]),
         ("bend on cylinder_n30_diag at (120, 40)",
          ["bend", "cylinder_n30_diag.spec", "--r", "120", "--m", "40"]),
+        ("annihilator on z2_standard at (90, 30)",
+         ["annihilator", "z2_standard.spec", "--r", "90", "--m", "30"]),
     ]:
         argv[1] = "src/horobound/specs/" + argv[1]
         step = " ".join(steps[name].split())

@@ -22,7 +22,7 @@ import horobound.cli as cli_mod
 from horobound import vabelian
 from horobound.annihilator import DEFAULT_GAP
 from horobound.boundary import STABILITY_WINDOW, Functional
-from horobound.cayley import DEFAULT_BUDGET
+from horobound.cayley import DEFAULT_BUDGET, Ball
 from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import Diagnostic, SchemaError, ValidationError
 from horobound.examples import example
@@ -502,6 +502,31 @@ def test_main_annihilator_writes_side_files(tmp_path):
     lines = (tmp_path / "candidates.csv").read_text().splitlines()
     assert lines[0] == "element,norm,rho,witness_radius,candidate"
     assert lines[1] == '"(0,0)",0,-1,0,1'
+
+
+def test_side_files_render_only_when_read(monkeypatch, tmp_path):
+    # ball.csv formats every element, which costs more than growing a
+    # lamplighter ball: a run without --out formats none, one with it once
+    writes = []
+    to_csv = Ball.to_csv
+
+    def counting(self, fp):
+        writes.append(1)
+        to_csv(self, fp)
+
+    monkeypatch.setattr(Ball, "to_csv", counting)
+    code, out, _ = run_cli(["ball", spec_path("z2_standard.spec"), "--r", "4"])
+    assert code == 0 and writes == []
+    argv = ["ball", spec_path("z2_standard.spec"), "--r", "4", "--out", str(tmp_path)]
+    code, again, _ = run_cli(argv)
+    assert code == 0 and again == out and writes == [1]
+    rows = (tmp_path / "ball.csv").read_text().splitlines()
+    assert rows[:2] == ["element,distance,parent", '"(0,0)",0,']
+
+    _, _, cfg = parse_spec(spec_path("z2_standard.spec"))
+    _, sides = run_command(replace(cfg, command="ball").with_params(r=4))
+    assert "ball.csv" in sides and list(sides) == ["ball.csv"] and writes == [1]
+    assert sides["ball.csv"] is sides["ball.csv"] and writes == [1, 1]
 
 
 BALL_SPEC = """\
