@@ -40,19 +40,17 @@ extension group a key is one integer packing the coset and the free part,
 and a product is one step-table read and one add; the keys are decoded to
 data once, after the search. For any other group a key is the data itself.
 
-Memory (tracemalloc, CPython 3.11): a grown ball retains 218 bytes per
+Memory (tracemalloc, CPython 3.11): a grown ball retains 226 bytes per
 element on Z^2 with standard generators at radius 150 (45,301 elements),
-275 on z2_rot4 at radius 60 and 193-235 over the other example groups at
-11k-40k elements, so the default budget of 5,000,000 elements costs about
-1.0-1.4 GB. A list column costs a pointer per entry where an array cost 4
-bytes, and the decoded index shares the column's ints instead of making
-its own. Growth peaks at 270 bytes per element on that Z^2 ball and 342 on
-z2_rot4, while the keys are decoded and while the columns are cut from the
-search's product list. The gather plan adds about 96 bytes per position it
-covers. A ball also retains each distinct vector that has passed
-``check_lipschitz`` on it, so that a functional is checked once per
-distinct vector per ball: about 0.37 MB for the 579 distinct B_4 vectors
-over the six balls of ten passes of the criterion-06 sweep.
+227 on z2_rot4 at radius 60 and 193-239 over the other example groups at
+11k-36k elements, so the default budget of 5,000,000 elements costs about
+1.0-1.2 GB. An extension element is one flat tuple (v_1, ..., v_d, q),
+which costs Z^2 a slot for its q = 0. A list column costs a pointer per
+entry where an array cost 4 bytes, and the decoded index shares the
+column's ints instead of making its own. Growth peaks at 278 bytes per
+element on that Z^2 ball and 294 on z2_rot4, while the keys are decoded
+and while the columns are cut from the search's product list. The gather
+plan adds about 96 bytes per position it covers.
 """
 
 from __future__ import annotations
@@ -122,7 +120,6 @@ class Ball:
         # (nbr[parent_gen[k]], parent[k]) for k = 0, 1, ..., as far as a
         # gather has read
         self._plan: list[tuple[list[int], int]] = []
-        self._lipschitz: set[tuple] = set()  # vectors that passed check_lipschitz
 
     # -- element-facing API --------------------------------------------------
     def __len__(self) -> int:
@@ -155,29 +152,6 @@ class Ball:
     def inv_index(self, i: int) -> int:
         """Position of x_i^-1, which has the norm of x_i."""
         return self.index[self.group.inv_data(self.data[i])]
-
-    def check_lipschitz(self, vec: tuple) -> None:
-        """Raise ValueError unless |vec[i]| <= |x_i| for every i and
-        |vec[i] - vec[j]| <= 1 on every edge {x_i, x_j} with i, j < len(vec).
-
-        A vector that passes is kept, and an equal tuple returns at once on
-        a later call: the check reads only the vector and this ball, and
-        len(vec) fixes the domain. A rejected vector is never kept.
-        """
-        if vec not in self._lipschitz:
-            self._walk_lipschitz(vec)
-            self._lipschitz.add(vec)
-
-    def _walk_lipschitz(self, vec: tuple) -> None:
-        size = len(vec)
-        if any(abs(v) > d for v, d in zip(vec, self.dist)):
-            raise ValueError("functional exceeds the word norm somewhere")
-        # every edge {x_i, x_j} of the domain, read once from its lower end
-        # i < j; -1 (a product outside the ball) never passes i < j
-        for col in self.nbr:
-            for i, j in enumerate(col[:size]):
-                if i < j < size and abs(vec[i] - vec[j]) > 1:
-                    raise ValueError("functional is not 1-Lipschitz along an edge")
 
     def gather(self, start: int, size: int) -> list[int]:
         """pos[k] = position of z x_k for the first ``size`` entries, z = x_start.

@@ -2,17 +2,21 @@
 
 Families:
 
-* ``fg_abelian``     -- Z^d x Z/t_1 x ... x Z/t_k, elements are integer tuples
+* ``fg_abelian``     -- Z^d x Z/t_1 x ... x Z/t_k, written as integer tuples
                         with torsion coordinates reduced.
-* ``vab_extension``  -- Z^d extended by a finite quotient Q: pairs (v, q) with
-                        unimodular action matrices and an integral 2-cocycle.
+* ``vab_extension``  -- Z^d extended by a finite quotient Q with unimodular
+                        action matrices and an integral 2-cocycle, written (v;q).
 * ``finite``         -- an explicit multiplication table, identity at index 0.
 * ``lamplighter_z2`` -- (sum_Z Z/2) x| Z, elements (lamp bitmask, lowest lamp, shift).
 
-The first three share one normal form, ``ExtensionGroup``: a coset index in a
-finite quotient Q and a free part in Z^d. A finite table is the rank-0 case
-with Q the group itself. On that normal form ``subgroup_index`` decides
-[G : <X>] exactly (Schreier's lemma), and generation is index 1.
+The first three are one class, ``ExtensionGroup``, on one data shape: the
+flat tuple (v_1, ..., v_d, q) of a free part in Z^d and a coset index q in a
+finite quotient Q. It holds the only product, inverse and ball keys; the
+family classes add their notation and spec checks. ``fg_abelian`` has
+Q = Z/t_1 x ... x Z/t_k in mixed radix, the first coordinate fastest, and
+a finite table is the rank-0 case (i,) with Q the group itself. On that
+normal form ``subgroup_index`` decides [G : <X>] exactly (Schreier's
+lemma), and generation is index 1.
 
 Every element is stored in a canonical form, so equality of stored data is
 equality in the group; this is what makes breadth-first searches over balls
@@ -24,9 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from math import prod
-from operator import add, mod, neg
+from operator import add, mod, mul, neg
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
@@ -275,29 +277,88 @@ class Group:
 
 
 class ExtensionGroup(Group):
-    """A group with a free abelian kernel Z^rank of finite index.
+    """Z^rank extended by a finite quotient Q, on the data (v_1, ..., v_d, q).
 
-    An element splits into a coset index in the finite quotient Q (identity
-    at 0) and a free part in Z^rank; ``table`` is Q's product and
-    ``action[q]`` the matrix by which q acts on the kernel. Kernel elements
-    are exactly those in coset 0, and ``xi`` is their coordinate vector.
+    q is a coset index in Q (identity at 0) and v the free part in Z^rank,
+    with the product (v; q)(w; p) = (v + A_q w + c(q, p); qp). ``action[q]``
+    is the unimodular A_q (the identity everywhere when ``action`` is None),
+    ``cocycle[q][p]`` the normalized 2-cocycle c (zero when ``cocycle`` is
+    None), ``table`` is Q's product and ``q_inverse`` its inverses. Kernel
+    elements are exactly those in coset 0, and ``xi`` is their coordinate
+    vector. The family classes add their spec checks and notation
+    (``canonical``, ``format_data``, ``parse``, ``sort_key``, ``describe``);
+    ``fg_abelian`` also multiplies in Q by mixed radix, not by a table.
     """
 
-    rank: int
-    quotient_order: int
     table: tuple[tuple[int, ...], ...]
-    action: tuple[IntMatrix, ...]
+
+    def __init__(
+        self,
+        rank: int,
+        q_inverse: Sequence[int],
+        action: Sequence[IntMatrix] | None = None,
+        cocycle: Sequence[Sequence[IntVec]] | None = None,
+    ):
+        nq = len(q_inverse)
+        self.rank = rank
+        self.quotient_order = nq
+        self.q_inverse = tuple(q_inverse)
+        self.cocycle = cocycle
+        self._identity = (0,) * (rank + 1)
+        ident = identity_matrix(rank)
+        self.action = (ident,) * nq if action is None else tuple(action)
+        # A_q and A_q^-1, None where A_q = I, so a product skips the identity
+        self._act = tuple(None if m == ident else m for m in self.action)
+        self._act_inv = tuple(None if m == ident else mat_inv_int(m) for m in self.action)
+        # (c(q, p); qp - q - p) under the key q |Q| + p, each made on first
+        # use: all |Q|^2 of them would outweigh a ball when Q is large
+        self._corrections: dict[int, IntVec] = {}
+
+    def _q_product(self, q: int, p: int) -> int:
+        return self.table[q][p]
+
+    def _correction(self, q: int, p: int) -> IntVec:
+        c = (0,) * self.rank if self.cocycle is None else self.cocycle[q][p]
+        corr = (*c, self._q_product(q, p) - q - p)
+        self._corrections[q * self.quotient_order + p] = corr
+        return corr
+
+    def identity_data(self) -> tuple:
+        return self._identity
+
+    # The product is one C-level sum of a, the moved b and the correction,
+    # through map rather than a generator expression per product; no matrix
+    # is applied where A_q = I, at q = 0 always and at every q of a trivial
+    # action. mat_vec reads only the first ``rank`` entries of the data.
+    def mul_data(self, a: tuple, b: tuple) -> tuple:
+        q = a[-1]
+        p = b[-1]
+        c = self._corrections.get(q * self.quotient_order + p) or self._correction(q, p)
+        m = self._act[q]
+        if m is not None:
+            b = (*mat_vec(m, b), p)
+        return tuple(map(add, map(add, a, b), c))
+
+    # (v; q)^-1 = (A_q^-1 (-v - c(q, p)); p) for p = q^-1, and the correction
+    # at (q, p) is (c(q, p); -q - p), so a + correction = (v + c(q, p); -p)
+    def inv_data(self, a: tuple) -> tuple:
+        q = a[-1]
+        p = self.q_inverse[q]
+        c = self._corrections.get(q * self.quotient_order + p) or self._correction(q, p)
+        w = tuple(map(neg, map(add, a, c)))
+        m = self._act_inv[q]
+        return w if m is None else (*mat_vec(m, w), p)
 
     def coset_of(self, data: tuple) -> int:
-        raise NotImplementedError
+        return data[-1]
 
     def free_part(self, data: tuple) -> IntVec:
-        raise NotImplementedError
+        return data[:-1]
 
     def join(self, vec: Sequence[int], q: int) -> tuple:
         """The data with free part ``vec`` in coset q: the inverse of
         (``free_part``, ``coset_of``)."""
-        raise NotImplementedError
+        return (*vec, q)
 
     def kernel_element(self, vec: Sequence[int]) -> Element:
         return self.element(self.join(vec, 0))
@@ -317,36 +378,33 @@ class ExtensionGroup(Group):
         in 1 .. W - 2, so distinct elements have distinct keys and decoding
         (key mod |Q|, then base-W digits) recovers q and v.
         """
-        nq, rank, join = self.quotient_order, self.rank, self.join
+        nq, rank = self.quotient_order, self.rank
         zero = (0,) * rank
-        rows = [[self.mul_data(join(zero, q), s) for s in gen_data] for q in range(nq)]
-        c = max((abs(v) for row in rows for y in row for v in self.free_part(y)), default=0)
+        rows = [[self.mul_data((*zero, q), s) for s in gen_data] for q in range(nq)]
+        c = max((abs(v) for row in rows for y in row for v in y[:-1]), default=0)
         off = (radius + 1) * c + 1
         w = 2 * off + 1
         weights = [nq * w**i for i in range(rank)]
+        # map(mul, y, weights) stops at the free part, as weights has rank entries
         steps = tuple(
-            tuple(
-                self.coset_of(y) - q + sum(d * u for d, u in zip(self.free_part(y), weights))
-                for y in row
-            )
+            tuple(y[-1] - q + sum(map(mul, y, weights)) for y in row)
             for q, row in enumerate(rows)
         )
 
         def decode(keys: list[int]) -> list[tuple]:
             digits = [[k // u % w - off for k in keys] for u in weights]
-            vecs = zip(*digits) if rank else repeat(())
-            return list(map(join, vecs, [k % nq for k in keys]))
+            return list(zip(*digits, [k % nq for k in keys]))
 
         return off * sum(weights), lambda x: map(x.__add__, steps[x % nq]), decode
 
     def in_kernel(self, data: tuple) -> bool:
-        return self.coset_of(data) == 0
+        return data[-1] == 0
 
     def xi(self, data: tuple) -> IntVec:
         """Coordinates of an element of the free abelian kernel."""
         if not self.in_kernel(data):
             raise ValueError(f"{self.format_data(data)} is not in the free abelian kernel")
-        return self.free_part(data)
+        return data[:-1]
 
     def act_vec(self, q: int, vec: Sequence) -> tuple:
         """The image of a kernel vector under the action of quotient element q."""
@@ -358,95 +416,6 @@ class ExtensionGroup(Group):
         if len(vec) != self.rank:
             raise ValueError(f"expected a rank-{self.rank} vector, got {vec}")
         return mat_vec(self.action[q], vec)
-
-
-# ---------------------------------------------------------------------------
-# family: finitely generated abelian
-
-
-class FgAbelianGroup(ExtensionGroup):
-    """Z^rank x T as a trivial-action extension; Q = T in mixed radix."""
-
-    family = "fg_abelian"
-
-    def __init__(self, spec: FgAbelianSpec):
-        if spec.free_rank < 0:
-            raise ValueError(f"free rank must be >= 0, got {spec.free_rank}")
-        for t in spec.torsion:
-            if t < 2:
-                raise ValueError(f"torsion orders must be >= 2, got {t}")
-        self.rank = spec.free_rank
-        self.torsion = tuple(spec.torsion)
-        self._n = self.rank + len(self.torsion)
-        self.quotient_order = prod(self.torsion)
-
-    # built on first use: only the vabelian pipeline reads them
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        return direct_product_table(self.torsion)
-
-    @cached_property
-    def action(self) -> tuple[IntMatrix, ...]:
-        return (identity_matrix(self.rank),) * self.quotient_order
-
-    def identity_data(self) -> tuple:
-        return (0,) * self._n
-
-    def canonical(self, data) -> tuple:
-        coords = tuple(int(x) for x in data)
-        if len(coords) != self._n:
-            raise ValueError(
-                f"expected {self._n} coordinates, got {len(coords)}"
-            )
-        free = coords[: self.rank]
-        tors = tuple(c % t for c, t in zip(coords[self.rank:], self.torsion))
-        return free + tors
-
-    # Products run in C through map over operator functions: a generator
-    # expression per product costs more than the arithmetic it does.
-    def mul_data(self, a: tuple, b: tuple) -> tuple:
-        s = tuple(map(add, a, b))
-        if not self.torsion:
-            return s
-        d = self.rank
-        return s[:d] + tuple(map(mod, s[d:], self.torsion))
-
-    def inv_data(self, a: tuple) -> tuple:
-        s = tuple(map(neg, a))
-        if not self.torsion:
-            return s
-        d = self.rank
-        return s[:d] + tuple(map(mod, s[d:], self.torsion))
-
-    def coset_of(self, data: tuple) -> int:
-        return _mixed_radix(self.torsion, data[self.rank:])
-
-    def free_part(self, data: tuple) -> IntVec:
-        return data[: self.rank]
-
-    def join(self, vec: Sequence[int], q: int) -> tuple:
-        return tuple(vec) + self._coset_coords[q]
-
-    @cached_property
-    def _coset_coords(self) -> tuple[IntVec, ...]:
-        return tuple(_mixed_radix_coords(self.torsion))
-
-    def format_data(self, data: tuple) -> str:
-        return "(" + ",".join(str(x) for x in data) + ")"
-
-    def parse(self, text: str) -> Element:
-        return self.element(_parse_int_tuple(text, self._n))
-
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "free_rank": self.rank,
-            "torsion": list(self.torsion),
-        }
-
-
-# ---------------------------------------------------------------------------
-# family: virtually abelian extension
 
 
 def _check_table(table: Sequence[Sequence[int]], what: str) -> None:
@@ -480,7 +449,79 @@ def _table_inverses(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(next(b for b in range(n) if table[a][b] == 0) for a in range(n))
 
 
+# ---------------------------------------------------------------------------
+# family: finitely generated abelian
+
+
+class FgAbelianGroup(ExtensionGroup):
+    """Z^rank x T as a trivial-action extension; Q = T in mixed radix.
+
+    Written as the free coordinates, then each torsion coordinate reduced;
+    stored as the free coordinates, then the mixed-radix index q.
+    """
+
+    family = "fg_abelian"
+
+    def __init__(self, spec: FgAbelianSpec):
+        if spec.free_rank < 0:
+            raise ValueError(f"free rank must be >= 0, got {spec.free_rank}")
+        for t in spec.torsion:
+            if t < 2:
+                raise ValueError(f"torsion orders must be >= 2, got {t}")
+        self.torsion = t = tuple(spec.torsion)
+        self._coords = _mixed_radix_coords(t)
+        inverses = [_mixed_radix(t, [-x % n for x, n in zip(c, t)]) for c in self._coords]
+        super().__init__(spec.free_rank, inverses)
+
+    # built on first use: only the vabelian pipeline reads it
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return direct_product_table(self.torsion)
+
+    def _q_product(self, q: int, p: int) -> int:
+        """qp by adding torsion coordinates, with no |Q|^2 table."""
+        t, coords = self.torsion, self._coords
+        return _mixed_radix(t, list(map(mod, map(add, coords[q], coords[p]), t)))
+
+    def canonical(self, data) -> tuple:
+        """Data from the written coordinates, or from data: the two differ
+        in length, except with one torsion order, where they agree."""
+        coords = tuple(int(x) for x in data)
+        d, t = self.rank, self.torsion
+        if len(coords) == d + len(t):
+            return coords[:d] + (_mixed_radix(t, list(map(mod, coords[d:], t))),)
+        if len(coords) != d + 1:
+            raise ValueError(f"expected {d + len(t)} coordinates, got {len(coords)}")
+        if not 0 <= coords[d] < self.quotient_order:
+            raise ValueError(f"quotient index {coords[d]} out of range")
+        return coords
+
+    def sort_key(self, data: tuple) -> tuple:
+        """The written coordinates: mixed radix puts the first torsion
+        coordinate fastest, so q alone would not sort as they do."""
+        return data[:-1] + self._coords[data[-1]]
+
+    def format_data(self, data: tuple) -> str:
+        return "(" + ",".join(str(x) for x in self.sort_key(data)) + ")"
+
+    def parse(self, text: str) -> Element:
+        return self.element(_parse_int_tuple(text, self.rank + len(self.torsion)))
+
+    def describe(self) -> dict:
+        return {
+            "family": self.family,
+            "free_rank": self.rank,
+            "torsion": list(self.torsion),
+        }
+
+
+# ---------------------------------------------------------------------------
+# family: virtually abelian extension
+
+
 class VAbExtensionGroup(ExtensionGroup):
+    """A spec's extension as it stands, written (v_1,...,v_d;q)."""
+
     family = "vab_extension"
 
     def __init__(self, spec: VAbExtensionSpec):
@@ -500,8 +541,7 @@ class VAbExtensionGroup(ExtensionGroup):
                 raise NonUnimodularAction(
                     f"action matrix for q={q} has determinant {mat_det(m)}"
                 )
-        ident = identity_matrix(d)
-        if action[0] != ident:
+        if action[0] != identity_matrix(d):
             raise BadCocycle("action at the quotient identity must be the identity matrix")
         for q in range(nq):
             for p in range(nq):
@@ -529,60 +569,25 @@ class VAbExtensionGroup(ExtensionGroup):
                     rhs = tuple(x + y for x, y in zip(cocycle[q][p], cocycle[table[q][p]][s]))
                     if lhs != rhs:
                         raise BadCocycle(f"cocycle identity fails at ({q},{p},{s})")
-        self.rank = d
         self.table = table
-        self.action = action
-        self.cocycle = cocycle
-        self.quotient_order = nq
-        self.q_inverse = _table_inverses(table)
-        # A_q and A_q^-1, None where A_q = I, so a product skips the identity
-        self._act = tuple(None if m == ident else m for m in action)
-        self._act_inv = tuple(None if m == ident else mat_inv_int(m) for m in action)
-
-    def identity_data(self) -> tuple:
-        return ((0,) * self.rank, 0)
+        super().__init__(d, _table_inverses(table), action, cocycle)
 
     def canonical(self, data) -> tuple:
-        vec, q = data
+        """Data from (v, q) as written, or from data (v_1, ..., v_d, q)."""
+        if data and isinstance(data[0], (tuple, list)):
+            vec, q = data
+        else:
+            *vec, q = data
         vec = tuple(int(x) for x in vec)
         q = int(q)
         if len(vec) != self.rank:
             raise ValueError(f"expected a rank-{self.rank} vector, got {vec}")
         if not (0 <= q < self.quotient_order):
             raise ValueError(f"quotient index {q} out of range")
-        return (vec, q)
-
-    # (v; q)(w; p) = (v + A_q w + c(q, p); qp), summed in C through map
-    # rather than a generator expression per product. No matrix is applied
-    # where A_q = I: at q = 0 always, and at every q of a trivial action.
-    def mul_data(self, a: tuple, b: tuple) -> tuple:
-        v, q = a
-        w, p = b
-        m = self._act[q]
-        tw = w if m is None else mat_vec(m, w)
-        c = self.cocycle[q][p]
-        return (tuple(map(add, map(add, v, tw), c)), self.table[q][p])
-
-    def inv_data(self, a: tuple) -> tuple:
-        v, q = a
-        p = self.q_inverse[q]
-        c = self.cocycle[q][p]
-        w = tuple(map(neg, map(add, v, c)))
-        m = self._act_inv[q]
-        return (w if m is None else mat_vec(m, w), p)
-
-    def coset_of(self, data: tuple) -> int:
-        return data[1]
-
-    def free_part(self, data: tuple) -> IntVec:
-        return data[0]
-
-    def join(self, vec: Sequence[int], q: int) -> tuple:
-        return (tuple(vec), q)
+        return (*vec, q)
 
     def format_data(self, data: tuple) -> str:
-        vec, q = data
-        return "(" + ",".join(str(x) for x in vec) + f";{q})"
+        return "(" + ",".join(str(x) for x in data[:-1]) + f";{data[-1]})"
 
     def parse(self, text: str) -> Element:
         m = re.fullmatch(r"\s*\(([^;]*);\s*(-?\d+)\s*\)\s*", text)
@@ -606,21 +611,17 @@ class VAbExtensionGroup(ExtensionGroup):
 
 
 class FiniteTableGroup(ExtensionGroup):
-    """An explicit table as the rank-0 extension: Q is the group itself."""
+    """An explicit table as the rank-0 extension: Q is the group itself,
+    and the data (i,) is the table index."""
 
     family = "finite"
-    rank = 0
 
     def __init__(self, spec: FiniteGroupSpec):
         table = tuple(tuple(row) for row in spec.table)
         _check_table(table, "group")
         self.table = table
-        self.order = self.quotient_order = len(table)
-        self.action = (identity_matrix(0),) * self.order
-        self.inverses = _table_inverses(table)
-
-    def identity_data(self) -> tuple:
-        return (0,)
+        self.order = len(table)
+        super().__init__(0, _table_inverses(table))
 
     def canonical(self, data) -> tuple:
         if isinstance(data, int):
@@ -630,21 +631,6 @@ class FiniteTableGroup(ExtensionGroup):
         if not (0 <= i < self.order):
             raise ValueError(f"index {i} out of range for group of order {self.order}")
         return (i,)
-
-    def mul_data(self, a: tuple, b: tuple) -> tuple:
-        return (self.table[a[0]][b[0]],)
-
-    def inv_data(self, a: tuple) -> tuple:
-        return (self.inverses[a[0]],)
-
-    def coset_of(self, data: tuple) -> int:
-        return data[0]
-
-    def free_part(self, data: tuple) -> IntVec:
-        return ()
-
-    def join(self, vec: Sequence[int], q: int) -> tuple:
-        return (q,)
 
     def format_data(self, data: tuple) -> str:
         return f"({data[0]})"

@@ -45,7 +45,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    """A v, for a matrix whose rows all have len(v) entries (not checked).
+    """A v, reading only the first len(row) entries of v, so an extension
+    element's data (v_1, ..., v_d, q) can be passed whole.
 
     Each row is summed in C through map; this runs once per extension-group
     product, where a generator expression would cost more than the sum.

@@ -79,14 +79,36 @@ def lamp_form(data):
     return (tuple(lamps), shift)
 
 
-def oracle_form(group):
-    """data -> the form the REGISTRY_OPS oracles read.
+def torsion_form(torsion):
+    """Flat fg_abelian data (free coords, q) -> (free coords, torsion coords):
+    q read in mixed radix, the first torsion coordinate fastest."""
 
-    The lamplighter's (mask, low, shift) is read bit by bit (``lamp_form``),
-    with no call into the package; every other family's data is used as it is.
+    def form(data):
+        q = data[-1]
+        coords = []
+        for t in torsion:
+            coords.append(q % t)
+            q //= t
+        return tuple(data[:-1]) + tuple(coords)
+
+    return form
+
+
+def oracle_form(group):
+    """data -> the form the REGISTRY_OPS oracles read, with no call into the
+    package.
+
+    Extension data is flat, (v_1, ..., v_d, q). An ``fg_abelian`` q becomes
+    its torsion coordinates (``torsion_form``), a ``vab_extension`` element
+    becomes ((v_1, ..., v_d), q), and ``finite`` data (i,) is used as it is.
+    The lamplighter's (mask, low, shift) is read bit by bit (``lamp_form``).
     """
     if group.family == "lamplighter_z2":
         return lamp_form
+    if group.family == "fg_abelian":
+        return torsion_form(group.torsion)
+    if group.family == "vab_extension":
+        return lambda data: (tuple(data[:-1]), data[-1])
     return lambda data: data
 
 
@@ -263,6 +285,22 @@ def oracle_act(h, x, ball):
     base = h.value(x_inv)
     domain = ball.data_up_to(h.domain_radius - ball.norm(x))
     return tuple(h.value(x_inv * ball.group.element(y)) - base for y in domain)
+
+
+def check_lipschitz(ball, vec):
+    """Raise ValueError unless the values ``vec`` on the first len(vec) ball
+    positions have |vec[i]| <= |x_i| for every i and |vec[i] - vec[j]| <= 1
+    on every edge {x_i, x_j} of that prefix, each edge read from both ends
+    of the ball's neighbour table (-1, outside the ball, is no edge)."""
+    size = len(vec)
+    for i in range(size):
+        if abs(vec[i]) > ball.dist[i]:
+            raise ValueError("functional exceeds the word norm somewhere")
+    for i in range(size):
+        for col in ball.nbr:
+            j = col[i]
+            if 0 <= j < size and abs(vec[i] - vec[j]) > 1:
+                raise ValueError("functional is not 1-Lipschitz along an edge")
 
 
 def oracle_segment(dist, mul, inv, universe, x, y):

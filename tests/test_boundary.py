@@ -18,7 +18,7 @@ from horobound.boundary import (
     sign_match,
     slow_geodesic,
 )
-from horobound.cayley import Ball, grow_ball, segment
+from horobound.cayley import Ball, grow_ball
 from horobound.cli import parse_spec
 from horobound.errors import (
     DomainExhausted,
@@ -30,7 +30,15 @@ from horobound.errors import (
 from horobound.examples import REGISTRY, example
 from horobound.groups import Element, FgAbelianGroup, FgAbelianSpec, symmetric_generating_set
 
-from oracles import bfs_dist, busemann_vec, cyl_ops, diag_norm, oracle_act, oracle_geodesic_defects
+from oracles import (
+    bfs_dist,
+    busemann_vec,
+    check_lipschitz,
+    cyl_ops,
+    diag_norm,
+    oracle_act,
+    oracle_geodesic_defects,
+)
 
 SPECS = resources.files("horobound") / "specs"
 
@@ -46,10 +54,11 @@ def test_functional_validation(z_ball):
         Functional(z_ball, 2, (0, -1, 1))
     with pytest.raises(ValueError, match="vanish"):
         Functional(z_ball, 2, (1, 0, 0, -1, 1))
+    check_lipschitz(z_ball, ok.vector)
     with pytest.raises(ValueError, match="word norm"):
-        Functional(z_ball, 2, (0, 2, -1, 2, -2))
+        check_lipschitz(z_ball, (0, 2, -1, 2, -2))
     with pytest.raises(ValueError, match="Lipschitz"):
-        Functional(z_ball, 2, (0, -1, 1, 2, -2))
+        check_lipschitz(z_ball, (0, -1, 1, 2, -2))
 
 
 def test_functional_value_outside_the_domain(z_ball):
@@ -80,12 +89,11 @@ def test_lipschitz_check_reads_the_outermost_sphere():
     ball = grow_ball(g5, gens, 2)
     assert ball.data_up_to(2) == [(0,), (1,), (4,), (2,), (3,)]
     with pytest.raises(ValueError, match="Lipschitz"):
-        Functional(ball, 2, tuple(values[d] for d in ball.data_up_to(2)))
-    with pytest.raises(ValueError, match="Lipschitz"):  # not remembered as checked
-        Functional(ball, 2, tuple(values[d] for d in ball.data_up_to(2)))
+        check_lipschitz(ball, tuple(values[d] for d in ball.data_up_to(2)))
     values[(2,)], values[(3,)] = 1, 0
-    ok = Functional(grow_ball(g5, gens, 2), 2, tuple(values[d] for d in ball.data_up_to(2)))
-    assert ok.vector == (0, 1, -1, 1, 0)
+    ok = tuple(values[d] for d in ball.data_up_to(2))
+    check_lipschitz(ball, ok)
+    assert ok == (0, 1, -1, 1, 0)
 
 
 def test_functional_stores_a_caller_list_as_a_tuple(z_ball):
@@ -114,11 +122,10 @@ def test_checked_vectors_never_admit_a_mutant(name):
     pool = ball.data_up_to(5)
     for _ in range(20):
         h = busemann_functional(ball, Element(group, rng.choice(pool)), 3)
-        assert Functional(ball, 3, h.vector) == h  # now a remembered vector
+        check_lipschitz(ball, h.vector)
         bad = _mutant(ball, h.vector, rng)
-        for _ in range(2):  # a rejected vector is rejected every time
-            with pytest.raises(ValueError, match="word norm|Lipschitz"):
-                Functional(ball, 3, bad)
+        with pytest.raises(ValueError, match="word norm|Lipschitz"):
+            check_lipschitz(ball, bad)
 
 
 def test_one_vector_is_checked_on_each_ball(z_ball):
@@ -127,36 +134,27 @@ def test_one_vector_is_checked_on_each_ball(z_ball):
     g5 = FgAbelianGroup(FgAbelianSpec(free_rank=0, torsion=(5,)))
     ball5 = grow_ball(g5, symmetric_generating_set(g5, [g5.element((1,))]), 3)
     vec = (0, 1, -1, 2, -2)
-    assert Functional(z_ball, 2, vec).vector == vec
+    check_lipschitz(z_ball, vec)
     with pytest.raises(ValueError, match="Lipschitz"):
-        Functional(ball5, 2, vec)
+        check_lipschitz(ball5, vec)
 
 
-def test_edge_walk_runs_once_per_distinct_vector_and_ball(monkeypatch):
-    walked = []
-    walk = Ball._walk_lipschitz
-
-    def spy(ball, vec):
-        walked.append((id(ball), vec))
-        walk(ball, vec)
-
-    monkeypatch.setattr(Ball, "_walk_lipschitz", spy)
-    built = set()
-    balls = []  # kept alive, so that no two balls share an id
-    for name in sorted(REGISTRY):  # criterion 06 at a smaller size
-        group, gens = example(name)
-        ball = grow_ball(group, gens, 10)
-        balls.append(ball)
-        rng = random.Random(2026)
-        identity = group.identity()
-        for ydata in rng.choices(ball.data_up_to(6), k=40):
-            y = group.element(ydata)
-            for z in segment(ball, identity, y):
-                h = busemann_functional(ball, z, 4)
-                built.add((id(ball), h.vector))
-                built.add((id(ball), Functional(ball, 2, h.vector[: ball.size(2)]).vector))
-    assert len(walked) == len(set(walked)) == len(built)
-    assert set(walked) == built
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_built_vectors_pass_the_lipschitz_oracle(name):
+    # Functional does not walk the edges, so the vectors the package builds
+    # are checked here: boundary classes, Busemann functionals and translates
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 12)
+    functionals = [c.functional for c in boundary_approx(ball, 8, 4).classes]
+    rng = random.Random(33)
+    for y in rng.choices(ball.data_up_to(8), k=20):
+        functionals.append(busemann_functional(ball, Element(group, y), 4))
+    vectors = [h.vector for h in functionals]
+    for h in functionals:
+        for x in range(ball.size(2)):
+            vectors.append(_translate(h, x, 4 - ball.dist[x]))
+    for vec in vectors:
+        check_lipschitz(ball, vec)
 
 
 @pytest.mark.parametrize("name,m", [("z2", 3), ("cylinder_n4", 2)])
@@ -188,7 +186,7 @@ def test_busemann_functional_needs_room(z2_ball12):
 
 def test_line_boundary_level(z_ball):
     approx = boundary_approx(z_ball, 10, 3)
-    assert z_ball.data_up_to(3) == [(0,), (1,), (-1,), (2,), (-2,), (3,), (-3,)]
+    assert z_ball.data_up_to(3) == [(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0), (3, 0), (-3, 0)]
     assert [c.functional.vector for c in approx.classes] == [
         (0, -1, 1, -2, 2, -3, 3),
         (0, 1, -1, 2, -2, 3, -3),

@@ -246,7 +246,7 @@ def test_norm_errors(z2_ball12, z_ball):
 
 
 def test_sphere_range_checked(z_ball):
-    assert set(z_ball.data[z_ball.size(1) : z_ball.size(2)]) == {(2,), (-2,)}
+    assert set(z_ball.data[z_ball.size(1) : z_ball.size(2)]) == {(2, 0), (-2, 0)}
     with pytest.raises(OutOfBall):
         z_ball.size(16)
 
@@ -393,7 +393,7 @@ def test_distance_out_of_ball(z_ball):
 def test_path_is_a_geodesic(z2_ball12):
     # on Z^2 the word norm is the l1 norm, so every pair of vertices is measured
     ball = z2_ball12
-    for data in [(3, 4), (-6, 6), (0, -12), (5, 0)]:
+    for data in [(3, 4, 0), (-6, 6, 0), (0, -12, 0), (5, 0, 0)]:
         path = [ball.data[p] for p in ball.path(ball.index[data])]
         assert path[-1] == data and len(path) == l1(data) + 1
         assert oracle_geodesic_defects(l1, zd_mul, zd_inv, path) == []

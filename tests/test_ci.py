@@ -58,6 +58,7 @@ def test_scale_smoke_steps_run_under_a_timeout():
          ["bend", "cylinder_n30_diag.spec", "--r", "120", "--m", "40"]),
         ("annihilator on z2_standard at (90, 30)",
          ["annihilator", "z2_standard.spec", "--r", "90", "--m", "30"]),
+        ("witness on z2_rot4 at (60, 20)", ["witness", "z2_rot4.spec", "--r", "60", "--m", "20"]),
     ]:
         argv[1] = "src/horobound/specs/" + argv[1]
         step = " ".join(steps[name].split())

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -43,10 +44,12 @@ from horobound.linalg import identity_matrix
 from oracles import (
     REGISTRY_OPS,
     cyl_ops,
+    dihedral_ops,
     klein_ops,
     lamp_inv,
     lamp_mul,
     lamp_parse,
+    oracle_ball,
     oracle_coset_count,
     oracle_form,
     rot4_inv,
@@ -266,9 +269,7 @@ PRODUCT_CASES = {
 
 def _random_data(group, rng, scale=10**6):
     free = tuple(rng.randint(-scale, scale) for _ in range(group.rank))
-    if isinstance(group, FgAbelianGroup):
-        return free + tuple(rng.randrange(t) for t in group.torsion)
-    return (free, rng.randrange(group.quotient_order))
+    return free + (rng.randrange(group.quotient_order),)
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
@@ -276,17 +277,89 @@ def test_products_beyond_the_registry_vs_closed_forms(name):
     make_group, make_ops = PRODUCT_CASES[name]
     group = make_group()
     mul_o, inv_o = make_ops()
+    form = oracle_form(group)
     identity = group.identity_data()
     rng = random.Random(11)
     for _ in range(300):
         a, b, c = (_random_data(group, rng) for _ in range(3))
         ab = group.mul_data(a, b)
-        assert ab == mul_o(a, b)
+        assert form(ab) == mul_o(form(a), form(b))
         assert group.canonical(ab) == ab
         ia = group.inv_data(a)
-        assert ia == inv_o(a)
+        assert form(ia) == inv_o(form(a))
         assert group.mul_data(a, ia) == identity == group.mul_data(ia, a)
         assert group.mul_data(ab, c) == group.mul_data(a, group.mul_data(b, c))
+
+
+def _s3_by_hand():
+    mul, inv, _ = dihedral_ops(3)  # D_3 = S_3
+    table = tuple(tuple(mul((a,), (b,))[0] for b in range(6)) for a in range(6))
+    group = FiniteTableGroup(FiniteGroupSpec(table))
+    return group, [(1,), (3,)], (mul, inv)
+
+
+def _units(rank, torsion):
+    group = FgAbelianGroup(FgAbelianSpec(rank, torsion))
+    n = rank + len(torsion)
+    return group, [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+# (group, written generators, hand-written (mul, inv) on the oracle form)
+SHAPE_CASES = {
+    "Z": lambda: (*_units(1, ()), (zd_mul, zd_inv)),
+    "Z^2": lambda: (*_units(2, ()), (zd_mul, zd_inv)),
+    "Z x Z/4": lambda: (*_units(1, (4,)), cyl_ops(4)[:2]),
+    "Z x Z/2 x Z/3": lambda: (*_units(1, (2, 3)), torsion_ops((2, 3))),
+    "Z/2 x Z/4": lambda: (*_units(0, (2, 4)), torsion_ops((2, 4))),
+    "z2_rot4": lambda: (
+        z2_rot4()[0], [((1, 0), 0), ((0, 1), 0), ((0, 0), 1)], (rot4_mul, rot4_inv)
+    ),
+    "Klein bottle": lambda: (
+        _order_two_extension(2, ((-1, 0), (0, 1)), (0, 1)), [((1, 0), 0), ((0, 0), 1)], klein_ops()
+    ),
+    "Z as 2Z by Z/2": lambda: (_order_two_extension(1, ((1,),), (1,)), [((0,), 1)], two_z_ops()),
+    "S_3 table": _s3_by_hand,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_CASES))
+def test_flat_data_grows_the_oracle_ball(name):
+    # every extension family stores (v_1, ..., v_d, q); read through
+    # oracle_form, its ball is the queue BFS of the hand-written arithmetic
+    group, written, (mul_o, inv_o) = SHAPE_CASES[name]()
+    form = oracle_form(group)
+    gens = symmetric_generating_set(group, [group.element(w) for w in written])
+    radius = 6
+    ball = grow_ball(group, gens, radius)
+    want = oracle_ball(mul_o, [form(s.data) for s in gens], form(group.identity_data()), radius)
+    assert [form(x) for x in ball.data] == want["data"]
+    assert list(ball.parent) == want["parent"]
+    assert list(ball.parent_gen) == want["parent_gen"]
+    assert ball.offsets == want["offsets"]
+    assert [col[:-1] for col in ball.nbr] == want["nbr"]
+    for x in ball.data:
+        assert form(group.inv_data(x)) == inv_o(form(x))
+        assert group.canonical(x) == x
+        assert group.parse(group.format_data(x)).data == x
+    # reports sort by sort_key: the written coordinates' order, which on
+    # Z x Z/2 x Z/3 is not the order of q (mixed radix, first coordinate fastest)
+    by_key = [form(x) for x in sorted(ball.data, key=group.sort_key)]
+    assert by_key == sorted(form(x) for x in ball.data)
+
+
+def test_large_quotient_grows_in_linear_memory():
+    # Z x Z/1000: a product reads one correction per (q, p) pair it meets,
+    # never a table of all 10^6 pairs
+    tracemalloc.start()
+    try:
+        group, written = _units(1, (1000,))
+        gens = symmetric_generating_set(group, [group.element(w) for w in written])
+        ball = grow_ball(group, gens, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 841
+    assert peak < 5_000_000
 
 
 def test_lamplighter_mul_on_the_word_ball_vs_oracle():
@@ -319,7 +392,7 @@ def test_lamplighter_mul_on_the_word_ball_vs_oracle():
 
 def test_element_power():
     g = FgAbelianGroup(FgAbelianSpec(free_rank=1))
-    assert (g.element((3,)) ** -2).data == (-6,)
+    assert (g.element((3,)) ** -2).data == (-6, 0)
     assert (g.element((3,)) ** 0).is_identity()
     lamp = LamplighterGroup()
     cube = lamp.element(((0,), 1)) ** 3
@@ -556,7 +629,7 @@ def test_subgroup_index_of_bundled_generators(path):
     assert subgroup_index(group, gens.elements) == 1
 
 
-# hand-written arithmetic on the same element data as each REGISTRY group
+# hand-written arithmetic on each REGISTRY group's data in oracle form
 COSET_ORACLE_OPS = {
     "z_line": (zd_mul, zd_inv, (0,)),
     "z2": (zd_mul, zd_inv, (0, 0)),
@@ -574,6 +647,7 @@ def test_coset_oracle_covers_registry_extensions():
 def test_subgroup_index_matches_coset_oracle(name):
     mul, inv, identity = COSET_ORACLE_OPS[name]
     group, gens = example(name)
+    form = oracle_form(group)
     s = gens.elements
     subgroups = {
         "S": s,
@@ -585,8 +659,8 @@ def test_subgroup_index_matches_coset_oracle(name):
     finite = 0
     for what, sub in subgroups.items():
         index = subgroup_index(group, sub)
-        data = [x.data for x in sub]
-        gen_data = [x.data for x in s]
+        data = [form(x.data) for x in sub]
+        gen_data = [form(x.data) for x in s]
         counts = [oracle_coset_count(mul, inv, identity, gen_data, data, r) for r in (8, 10)]
         if index is None:
             assert counts[0] < counts[1], (what, counts)

@@ -49,18 +49,18 @@ from oracles import l1
 def test_plane_normal_form(z2_pair):
     group, _ = z2_pair
     assert group.rank == 2 and group.quotient_order == 1
-    assert group.in_kernel((3, -2))
-    assert group.xi((3, -2)) == (3, -2)
-    assert group.kernel_element((3, -2)).data == (3, -2)
+    assert group.in_kernel((3, -2, 0))
+    assert group.xi((3, -2, 0)) == (3, -2)
+    assert group.kernel_element((3, -2)).data == (3, -2, 0)
 
 
 def test_extension_normal_form(ext4_pair):
     group, _ = ext4_pair
     assert group.rank == 1 and group.quotient_order == 4
-    assert group.in_kernel(((5,), 0)) and not group.in_kernel(((5,), 1))
-    assert group.xi(((5,), 0)) == (5,)
+    assert group.in_kernel((5, 0)) and not group.in_kernel((5, 1))
+    assert group.xi((5, 0)) == (5,)
     with pytest.raises(ValueError, match="kernel"):
-        group.xi(((5,), 2))
+        group.xi((5, 2))
     assert group.act_vec(2, (3,)) == (3,)
 
 
@@ -293,7 +293,7 @@ def test_lipschitz_hom_plane(z2_pair, z2_ball12):
     assert data.margin == 1
     assert data.checked == 313
     locus = {y.data for y in data.equality_locus}
-    assert locus == {(k, 0) for k in range(13)}
+    assert locus == {(k, 0, 0) for k in range(13)}
     assert all(data.in_cyclic(y) for y in data.equality_locus)
     assert data.f(group.element((3, 0))) == 3 == z2_ball12.norm(group.element((3, 0)))
     assert data.f(group.element((0, 5))) == 0
@@ -349,7 +349,7 @@ def test_lipschitz_hom_checks_a_fractional_functional_exactly(monkeypatch, z2_pa
     # phi = (1, 1/2): |f(y)| <= |y| with equality exactly on the non-negative powers of x
     data = _lipschitz_hom_with_phi(monkeypatch, z2_pair, z2_ball12, (1, Fraction(1, 2)))
     assert data.checked == 313
-    assert {y.data for y in data.equality_locus} == {(k, 0) for k in range(13)}
+    assert {y.data for y in data.equality_locus} == {(k, 0, 0) for k in range(13)}
 
 
 # ---------------------------------------------------------------------------
