@@ -63,7 +63,8 @@ def indistinguishability_profile(
     read from one gather from x^-1, which stays inside the ball because
     |x| + r <= ball.radius; y = 1 disagrees exactly when x != 1.
     """
-    nx = ball.norm(x)
+    x_pos = ball.position(x)
+    nx = ball.dist[x_pos]
     if r is None:
         r = ball.radius - nx
     if nx + r > ball.radius:
@@ -75,7 +76,7 @@ def indistinguishability_profile(
     if gap < 0 or gap >= r:
         raise ValueError(f"gap must lie in 0..{r - 1}, got {gap}")
     dist = ball.dist
-    pos = ball.gather(ball.inv_index(ball.index[x.data]), ball.size(r))
+    pos = ball.gather(ball.inv_index(x_pos), ball.size(r))
     rho = -1
     for k in range(len(pos) - 1, -1, -1):
         if dist[pos[k]] != dist[k]:

@@ -104,13 +104,15 @@ class Functional:
 
 def busemann_functional(ball: Ball, y: Element, m: int) -> Functional:
     """b_y(x) = d(y, x) - |y| restricted to B_m."""
-    ny = ball.norm(y)  # validates membership
+    if m < 0:
+        raise OutOfRange(f"domain radius m={m} is negative")
+    z = ball.position(y)
+    ny = ball.dist[z]
     if ny + m > ball.radius:
         raise OutOfBall(
             f"need radius {ny + m} to restrict b_y to B_{m}, have {ball.radius}"
         )
-    vec = _busemann_vector(ball, ball.index[y.data], m)
-    return Functional(ball, m, vec)
+    return Functional(ball, m, _busemann_vector(ball, z, m))
 
 
 def _busemann_vector(ball: Ball, z: int, m: int) -> tuple[int, ...]:
@@ -493,7 +495,8 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
     B_KERNEL_RADIUS.
     """
     ball = approx.ball
-    nx = ball.norm(x)
+    x_pos = ball.position(x)
+    nx = ball.dist[x_pos]
     if m < 1 or ell < m or (ell + m) * (m + 2) > 2 * nx:
         raise RangeEmpty(
             f"need m <= ell <= 2|x|/(m+2) - m; got m={m}, ell={ell}, |x|={nx}"
@@ -507,7 +510,7 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
         raise DomainExhausted(
             f"scan needs functional domain {scan_max + m}, classes have {classes[0].domain_radius}"
         )
-    path = ball.path(ball.index[x.data])
+    path = ball.path(x_pos)
     scan = bend_scan(path, m, classes[0], k_max=scan_max)
     t = scan.t
     # beta_j = s_(t+1) .. s_(t+j), the generators of alpha's edges past alpha_t,

@@ -25,8 +25,8 @@ lookup per entry. It walks a plan of (nbr[parent_gen[k]], parent[k])
 pairs that is extended only as far as a gather has read, B_m for a
 Busemann vector rather than the whole ball. Once the image of x_k leaves
 the ball, the images of its BFS descendants read -1 too, even where they
-are stored: callers either keep |z| + m <= radius, so nothing leaves, or
-(``segment``) use only that a -1 entry has |x_k| + |z x_k| > radius.
+are stored; callers keep |z| + m <= radius, so nothing leaves. A segment
+needs no gather: it is walked down the neighbour table from its far end.
 
 ``reach_data`` gives, per position, how far a geodesic from the identity
 through x_i extends inside the ball. The length-n geodesic prefixes that
@@ -120,19 +120,24 @@ class Ball:
         # (nbr[parent_gen[k]], parent[k]) for k = 0, 1, ..., as far as a
         # gather has read
         self._plan: list[tuple[list[int], int]] = []
+        self._inv: dict[int, int] = {}  # position -> its inverse's, as read
 
     # -- element-facing API --------------------------------------------------
     def __len__(self) -> int:
         return len(self.data)
 
-    def norm(self, x: Element) -> int:
-        """|x|_S, errors when x lies outside the computed radius."""
+    def position(self, x: Element) -> int:
+        """Position of x, errors when x lies outside the computed radius."""
         if x.group is not self.group:
             raise GroupMismatch(f"{x!r} belongs to a different group")
         i = self.index.get(x.data)
         if i is None:
             raise OutOfBall(f"{x} lies outside the radius-{self.radius} ball")
-        return self.dist[i]
+        return i
+
+    def norm(self, x: Element) -> int:
+        """|x|_S, errors when x lies outside the computed radius."""
+        return self.dist[self.position(x)]
 
     # -- index-facing internals ------------------------------------------------
     def size(self, r: int) -> int:
@@ -150,8 +155,12 @@ class Ball:
         return self.data[: self.size(r)]
 
     def inv_index(self, i: int) -> int:
-        """Position of x_i^-1, which has the norm of x_i."""
-        return self.index[self.group.inv_data(self.data[i])]
+        """Position of x_i^-1, which has the norm of x_i; each position is
+        inverted once per ball and remembered."""
+        j = self._inv.get(i)
+        if j is None:
+            j = self._inv[i] = self.index[self.group.inv_data(self.data[i])]
+        return j
 
     def gather(self, start: int, size: int) -> list[int]:
         """pos[k] = position of z x_k for the first ``size`` entries, z = x_start.
@@ -159,6 +168,10 @@ class Ball:
         An entry is -1 when z x_k, or the image of a BFS ancestor of x_k,
         lies outside the ball; with |z| + |x_(size-1)| <= radius none is.
         """
+        if size < 1:
+            if size < 0:
+                raise OutOfRange(f"gather size {size} is negative")
+            return []
         plan = self._plan
         if len(plan) < size:
             cols = map(self.nbr.__getitem__, islice(self.parent_gen, len(plan), size))
@@ -338,26 +351,37 @@ def distance(ball: Ball, x: Element, y: Element) -> int:
 
 
 def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
-    """{z : d(x,z) + d(z,y) = d(x,y)}, scanned exhaustively inside the ball.
+    """{z : d(x,z) + d(z,y) = d(x,y)}, walked down the neighbour table.
 
-    With u = x^-1 y and d = |u| <= R = ball.radius, z = x w lies on the
-    segment iff |w| + |u^-1 w| = d, for w in B_d. The gather from u^-1 gives
-    |u^-1 w| wherever it stays inside the ball. Skipping an entry it leaves
-    at -1 is exact: then |u^-1 w'| > R for w' = w or a BFS ancestor of w,
-    and as w' lies on a geodesic from 1 to w the triangle inequality gives
-    |w| + |u^-1 w| >= |w'| + |u^-1 w'| > R >= d, so w is not on the segment.
+    With u = x^-1 y and d = |u|, z = x w lies on the segment iff w lies on
+    [1, u] = {w : |w| + d(w, u) = d}. Start at u and step, layer by layer,
+    to every neighbour w s one layer down, |w s| = |w| - 1; the points met
+    are exactly [1, u]. Each is on it: if w is on [1, u] and |w s| = |w| - 1,
+    then d(w s, u) <= 1 + d(w, u) = d - |w s|, and the triangle inequality
+    gives the reverse bound, so w s is on [1, u]. Each is met: a geodesic
+    from 1 to w followed by one from w to u has length |w| + d(w, u) = d, so
+    it is a geodesic from 1 to u, its k-th vertex has norm k, and read from
+    u back to w it steps one layer down each time. The walk reads
+    |S| neighbour entries per point of the segment and never leaves B_d.
     """
     group = ball.group
     d = distance(ball, x, y)
     u = group.mul_data(group.inv_data(x.data), y.data)
-    pos = ball.gather(ball.inv_index(ball.index[u]), ball.size(d))
-    dist = ball.dist
+    dist, nbr = ball.dist, ball.nbr
+    layer = [ball.index[u]]
+    seen = set(layer)
+    # a -1 entry reads dist[-1], the outermost layer's norm, never a k < d
+    for k in range(d - 1, -1, -1):
+        below = []
+        for w in layer:
+            for col in nbr:
+                j = col[w]
+                if dist[j] == k and j not in seen:
+                    seen.add(j)
+                    below.append(j)
+        layer = below
     data = ball.data
-    return frozenset(
-        Element(group, group.mul_data(x.data, data[k]))
-        for k, j in enumerate(pos)
-        if j >= 0 and dist[k] + dist[j] == d
-    )
+    return frozenset(Element(group, group.mul_data(x.data, data[w])) for w in seen)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from horobound.boundary import (
     sign_match,
     slow_geodesic,
 )
-from horobound.cayley import Ball, grow_ball
+from horobound.cayley import Ball, grow_ball, segment
 from horobound.cli import parse_spec
 from horobound.errors import (
     DomainExhausted,
@@ -178,6 +178,41 @@ def test_busemann_functional_matches_oracle(name, m):
 def test_busemann_functional_needs_room(z2_ball12):
     with pytest.raises(OutOfBall):
         busemann_functional(z2_ball12, z2_ball12.group.element((10, 0)), 10)
+
+
+def test_busemann_functional_refuses_a_negative_domain(z2_ball12, monkeypatch):
+    gathers = []
+    monkeypatch.setattr(Ball, "gather", lambda self, *args: gathers.append(args))
+    with pytest.raises(OutOfRange, match="m=-1"):
+        busemann_functional(z2_ball12, z2_ball12.group.element((1, 0)), -1)
+    assert gathers == []
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_criterion_06_sweep_inverts_each_point_once(name, monkeypatch):
+    """A criterion-06 sweep inverts each point it builds a functional at
+    once on its ball; apart from those, each segment inverts its x = 1
+    twice, for d(x, y) and for x^-1 y."""
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 12)
+    calls = Counter()
+
+    def inv_data(a, real=group.inv_data):
+        calls[a] += 1
+        return real(a)
+
+    monkeypatch.setattr(group, "inv_data", inv_data)
+    identity = group.identity()
+    built = set()
+    samples = random.Random(2026).choices(ball.data_up_to(8), k=200)
+    for ydata in samples:
+        y = Element(group, ydata)
+        points = [y, *segment(ball, identity, y)]
+        for z in points:
+            busemann_functional(ball, z, 4)
+        built.update(z.data for z in points)
+    assert calls.pop(identity.data) <= 1 + 2 * len(samples)
+    assert set(calls) <= built and set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -358,9 +358,27 @@ def test_neighbour_entries_are_the_index_ints():
             assert j == -1 or j is ball.index[ball.data[j]]
 
 
+def _brute_segment(ball, x, y):
+    """Every z in the ball with d(x, z) + d(z, y) = d(x, y), distances read
+    off the ball. A point of the segment has |z| <= |x| + d(x, y) and
+    2|z| <= |x| + |y| + d(x, y) <= 2(|x| + |y|), so this is the whole
+    segment when x = 1 or |x| + |y| <= radius."""
+    group = ball.group
+    d = distance(ball, x, y)
+    out = set()
+    for zdata in ball.data_up_to(min(ball.radius, ball.norm(x) + d)):
+        z = Element(group, zdata)
+        try:
+            if distance(ball, x, z) + distance(ball, z, y) == d:
+                out.add(z)
+        except OutOfBall:
+            continue  # d(x, z) or d(z, y) > radius >= d
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_segment_past_the_rim_vs_brute_force(name):
-    """segment(1, y) with 2|y| > radius, where the gather leaves the ball."""
+    """segment(1, y) with 2|y| > radius, where u^-1 B_d leaves the ball."""
     group, gens = example(name)
     ball = grow_ball(group, gens, 12)
     identity = group.identity()
@@ -371,17 +389,65 @@ def test_segment_past_the_rim_vs_brute_force(name):
         y = Element(group, ydata)
         d = ball.dist_data(ydata)
         exercised = exercised or -1 in ball.gather(ball.inv_index(ball.index[ydata]), ball.size(d))
-        expect = set()
-        for x in ball.data_up_to(d):  # a point of the segment has |z| <= d
-            z = Element(group, x)
-            try:
-                rest = distance(ball, z, y)
-            except OutOfBall:
-                continue
-            if distance(ball, identity, z) + rest == d:
-                expect.add(z)
-        assert segment(ball, identity, y) == expect
+        assert segment(ball, identity, y) == _brute_segment(ball, identity, y)
     assert exercised
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_segment_from_any_point_vs_brute_force(name):
+    """segment(x, y) for x != 1, with |x| + |y| at the radius and below it."""
+    group, gens = example(name)
+    radius = 10
+    ball = grow_ball(group, gens, radius)
+    rng = random.Random(34)
+    pairs = []
+    for total in (radius, radius, radius - 1, radius - 1, radius - 3, 6):
+        nx = rng.randrange(1, total)
+        xs = ball.data[ball.size(nx - 1) : ball.size(nx)]
+        ys = ball.data[ball.size(total - nx - 1) : ball.size(total - nx)]
+        pairs.append((rng.choice(xs), rng.choice(ys)))
+    pairs += [tuple(rng.choices(ball.data_up_to(radius // 2), k=2)) for _ in range(4)]
+    for xdata, ydata in pairs:
+        x, y = Element(group, xdata), Element(group, ydata)
+        seg = segment(ball, x, y)
+        assert seg == _brute_segment(ball, x, y)
+        assert x in seg and y in seg
+        assert seg == segment(ball, y, x)
+
+
+def test_segment_gathers_nothing():
+    """A segment is walked down from its far end: on Z^2, segment(1, (50, 50))
+    is the 51 x 51 box, read without a gather plan on a radius-150 ball."""
+    group, gens = example("z2")
+    ball = grow_ball(group, gens, 150)
+    seg = segment(ball, group.identity(), group.element((50, 50)))
+    assert {z.data for z in seg} == {(a, b, 0) for a in range(51) for b in range(51)}
+    assert ball._plan == []
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_gather_returns_exactly_size_entries(name):
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 4)
+    for start in (0, ball.size(2) - 1):  # |x_start| + 2 <= radius
+        assert ball.gather(start, 0) == []
+        for size in range(1, ball.size(2) + 1):
+            assert len(ball.gather(start, size)) == size
+    with pytest.raises(OutOfRange, match="size -1"):
+        ball.gather(0, -1)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_inv_index_at_every_position(name):
+    """Every position's inverse, read in ascending order and then, from the
+    ball's memory, in descending order."""
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 6)
+    expect = [ball.index[group.inv_data(x)] for x in ball.data]
+    assert [ball.inv_index(i) for i in range(len(ball))] == expect
+    assert [ball.inv_index(i) for i in reversed(range(len(ball)))] == expect[::-1]
+    fresh = grow_ball(group, gens, 6)
+    assert [fresh.inv_index(i) for i in reversed(range(len(fresh)))] == expect[::-1]
 
 
 def test_distance_out_of_ball(z_ball):

@@ -64,6 +64,19 @@ def test_scale_smoke_steps_run_under_a_timeout():
         step = " ".join(steps[name].split())
         assert "PYTHONPATH=src timeout 60 python -c" in step, name
         assert f"sys.exit(main({argv}))" in step, name
+    # criterion 06 on z2_rot4 at twice the acceptance scale: a fixed sample,
+    # the functional count and no violations
+    step = " ".join(steps["criterion-06 sweep on z2_rot4 at radius 24"].split())
+    assert "PYTHONPATH=src timeout 60 python -c" in step
+    for part in [
+        "example('z2_rot4'); ball = grow_ball(g, s, 24)",
+        "random.Random(2026).choices(ball.data_up_to(16), k=200)",
+        "bf(ball, z, 8)",
+        "bf(ball, y, 8)",
+        "segment(ball, one, y)",
+        "sys.exit(len(bad) != 13659 or any(bad))",
+    ]:
+        assert part in step, part
 
 
 def test_benchmark_gate_runs_every_workload_under_a_timeout():

@@ -997,6 +997,24 @@ def test_bend_reads_classes_off_their_vectors(monkeypatch):
     assert (len(values), len(products)) == (0, 120)
 
 
+@pytest.mark.parametrize("spec,calls", [("cylinder_n30_diag.spec", 128), ("z2_rot4.spec", 305)])
+def test_a_run_remembers_its_inverses(monkeypatch, spec, calls):
+    # the ball remembers each inverse it reads, so the interior-shadow
+    # prefixes and the translates ask for it again without inverting: bend
+    # on cylinder_n30_diag made 233 calls, and boundary on z2_rot4 568,
+    # when each prefix build inverted its candidate again
+    group, _, config = parse_spec(spec_path(spec))
+    inverted = []
+
+    def inv_data(a, real=group.inv_data):
+        inverted.append(a)
+        return real(a)
+
+    monkeypatch.setattr(group, "inv_data", inv_data)
+    run_command(config)
+    assert len(inverted) == calls
+
+
 def test_replaced_generators_get_their_own_group():
     # configs that differ only in their generators, run in turn after a
     # parse, each get the generating set they name: B_2 of Z^2 has 13
