@@ -336,8 +336,8 @@ def grow_ball(
     return Ball(group, gens, radius, data, index, parent, parent_gen, offsets, products)
 
 
-def distance(ball: Ball, x: Element, y: Element) -> int:
-    """d_S(x, y) = |x^-1 y|_S, exact as long as x^-1 y is stored."""
+def _offset(ball: Ball, x: Element, y: Element) -> tuple[tuple, int]:
+    """(u, d) with u = x^-1 y and d = |u|_S, checked as ``distance`` checks."""
     group = ball.group
     if x.group is not group or y.group is not group:
         raise GroupMismatch("distance arguments must live in the ball's group")
@@ -347,7 +347,12 @@ def distance(ball: Ball, x: Element, y: Element) -> int:
         raise OutOfBall(
             f"d({x},{y}) needs {group.format_data(u)} beyond radius {ball.radius}"
         )
-    return d
+    return u, d
+
+
+def distance(ball: Ball, x: Element, y: Element) -> int:
+    """d_S(x, y) = |x^-1 y|_S, exact as long as x^-1 y is stored."""
+    return _offset(ball, x, y)[1]
 
 
 def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
@@ -365,8 +370,7 @@ def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
     |S| neighbour entries per point of the segment and never leaves B_d.
     """
     group = ball.group
-    d = distance(ball, x, y)
-    u = group.mul_data(group.inv_data(x.data), y.data)
+    u, d = _offset(ball, x, y)
     dist, nbr = ball.dist, ball.nbr
     layer = [ball.index[u]]
     seen = set(layer)

@@ -52,6 +52,7 @@ from .errors import (
     Diagnostic,
     HoroboundError,
     LabelCount,
+    OutOfRange,
     RepeatedGenerator,
     SchemaError,
     ValidationError,
@@ -482,6 +483,8 @@ def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
 
 def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
     r = p["r"]
+    if r < 1:  # before the quotient graph: the functional reads S in B_r
+        raise ValueError(f"need r >= 1, got r={r}")
     qg = quotient_graph(group, gens)
     cycles = simple_cycle_labels(qg)
     cloud = conjugate_cloud(cycles)
@@ -511,6 +514,11 @@ def _cmd_ballsystem(group: Group, gens: GeneratingSet, p: dict):
     n_max = p["n_max"]
     check_n_max(n_max)  # before any chain is built
     if isinstance(group, LamplighterGroup):
+        if n_max < 2:  # at n_max = 1 the check's range is B_0 = {1}
+            raise OutOfRange(
+                f"n_max must be >= 2 on the lamplighter, got {n_max}: the annihilator "
+                "check reads |f^-1| for each f in F_1, whose lamps B_1 need not hold"
+            )
         chain = lamp_chain(group, n_max)
     else:
         # degenerate chain: the ball system collapses to the word metric
@@ -593,13 +601,88 @@ def run_command(config: RunConfig) -> tuple[dict, Mapping[str, bytes]]:
     return report, _SideFiles(sides)
 
 
+# the report writer. The stdlib's C encoder runs only without indent, so
+# ``json.dumps(..., indent=2)`` spends most of a small report in the Python
+# generators of ``json.encoder``; this writes the same text, each dict or
+# list joining its own items into one string. Exact str, int, bool and None
+# take the table; floats, subclasses of str and int, and anything JSON
+# cannot hold go to the C encoder, which writes the first kind as
+# ``json.dumps`` does and raises TypeError on the last
+_ESCAPE = json.encoder.encode_basestring_ascii
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_SCALARS: dict[type, Callable[[object], str]] = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key: object) -> str:
+    """A dict key as ``json.dumps`` writes it: a key that is not a string
+    becomes the string of its JSON value."""
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if key is None or isinstance(key, (float, int)):
+        return _ESCAPE(_SCALARS.get(type(key), _ENCODER.encode)(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _text(o: object, nl: str, active: set[int]) -> str:
+    """o with each item of a container on its own line, indented two spaces
+    past ``nl`` (a newline and the current indent). ``active`` holds the ids
+    of the containers being written. Scalar items are formatted in place,
+    which saves a call per item."""
+    fmt = _SCALARS.get(type(o))
+    if fmt is not None:
+        return fmt(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        opener, closer = "{", "}"
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        opener, closer = "[", "]"
+    else:
+        return _ENCODER.encode(o)
+    marker = id(o)
+    if marker in active:
+        raise ValueError("Circular reference detected")
+    active.add(marker)
+    inner = nl + "  "
+    scalar = _SCALARS.get
+    if opener == "[":
+        parts = [
+            fmt(v) if (fmt := scalar(type(v))) is not None else _text(v, inner, active)
+            for v in o
+        ]
+    else:
+        parts = [
+            f"{_ESCAPE(k) if type(k) is str else _key_text(k)}: "
+            f"{fmt(v) if (fmt := scalar(type(v))) is not None else _text(v, inner, active)}"
+            for k, v in sorted(o.items())
+        ]
+    active.remove(marker)
+    return f"{opener}{inner}{(',' + inner).join(parts)}{nl}{closer}"
+
+
 def emit_report(report: dict) -> bytes:
     """Deterministic JSON bytes: sorted keys, two-space indent, trailing newline.
 
-    Strict: a value JSON cannot represent (an Element, a Fraction) raises
-    TypeError instead of being written as its str().
+    The bytes are exactly those of
+    ``(json.dumps(report, sort_keys=True, indent=2) + "\\n").encode("utf-8")``:
+    each item of a non-empty dict or list (tuples are lists) on its own line,
+    indented two spaces per depth, items separated by ``,`` and keys by
+    ``": "``, keys sorted as ``sorted(d.items())`` sorts them, keys that are
+    not strings (int, float, bool, None) quoted as their JSON value, empty
+    containers as ``{}`` and ``[]``, and every non-ASCII character escaped.
+
+    Strict: a value JSON cannot represent (an Element, a Fraction, a set)
+    raises TypeError instead of being written as its str(), as does any other
+    key; a report that contains itself raises ValueError.
     """
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (_text(report, "\n", set()) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ are included where a formula is easy to justify by hand, so the BFS oracles
 themselves can be cross-checked.
 """
 
+import json
 from collections import deque
 from fractions import Fraction
 
@@ -528,3 +529,10 @@ def oracle_metric_violation(mul, inv, identity, norm, radius):
             if nxy is None or nxy > nx + ny:
                 return ("triangle", x, y)
     return None
+
+
+# -- report bytes ----------------------------------------------------------------
+
+def oracle_report_bytes(report):
+    """The report as the stdlib's indenting encoder writes it, plus a newline."""
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("utf-8")

@@ -77,6 +77,16 @@ def test_scale_smoke_steps_run_under_a_timeout():
         "sys.exit(len(bad) != 13659 or any(bad))",
     ]:
         assert part in step, part
+    # the report writer against the stdlib encoder on a 1.38 MB report
+    step = " ".join(steps["report writer on z2_rot4 boundary at (30, 8)"].split())
+    assert "PYTHONPATH=src timeout 60 python -c" in step
+    for part in [
+        "parse_spec('src/horobound/specs/z2_rot4.spec')",
+        "run_command(replace(c, command='boundary').with_params(r=30, m=8))",
+        "out = emit_report(report)",
+        "sys.exit(out != (json.dumps(report, sort_keys=True, indent=2) + '\\n').encode('utf-8'))",
+    ]:
+        assert part in step, part
 
 
 def test_benchmark_gate_runs_every_workload_under_a_timeout():

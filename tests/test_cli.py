@@ -4,6 +4,7 @@ Exit codes: 0 for a completed run, 2 for a structured diagnostic (payload
 on stdout), 1 for anything else (message on stderr).
 """
 
+import enum
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -27,6 +29,7 @@ from horobound.cli import RunConfig, emit_report, main, parse_spec, run_command
 from horobound.errors import Diagnostic, SchemaError, ValidationError
 from horobound.examples import example
 from horobound.groups import TABLE_ORDER_BUDGET, Group, cyclic_table
+from oracles import oracle_report_bytes
 
 SPECS = resources.files("horobound") / "specs"
 
@@ -464,14 +467,93 @@ def test_emit_report_format():
 
 @pytest.mark.parametrize(
     "leak",
-    [lambda: example("z_line")[0].element((3,)), lambda: Fraction(1, 3)],
-    ids=["element", "fraction"],
+    [lambda: example("z_line")[0].element((3,)), lambda: Fraction(1, 3), lambda: {1, 2}],
+    ids=["element", "fraction", "set"],
 )
 def test_emit_report_is_strict(leak):
     with pytest.raises(TypeError):
         emit_report({"value": leak()})
     with pytest.raises(TypeError):
         emit_report({"nested": [{"value": leak()}]})
+
+
+def test_emit_report_refuses_a_tuple_key():
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        emit_report({"nested": {(1, 2): 3}})
+
+
+def test_emit_report_refuses_a_circular_report():
+    looped = {"a": [1]}
+    looped["a"].append(looped)
+    listed = [0]
+    listed.append({"b": listed})
+    for report in (looped, {"outer": listed}):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            emit_report(report)
+    shared = [1, {"x": None}]  # the same container twice, never inside itself
+    report = {"a": shared, "b": (shared, shared)}
+    assert emit_report(report) == oracle_report_bytes(report)
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 7
+
+
+class _Tag(str):
+    pass
+
+
+_CHARS = 'az09 "\\[]{},:/\x00\x1f\n\t\x7f\xe9\u4e2d\u2028\U0001f600'
+_FLOATS = (0.0, -0.0, 0.1, -2.5, 1e300, -1e-300, 1e16, float("nan"), float("inf"), float("-inf"))
+_INTS = (0, -1, 7, 2**64, -(10**40), _Level.HIGH, True, False)
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice(_FLOATS + (rng.uniform(-1e6, 1e6),))
+    if kind == 2:
+        return rng.choice(_INTS + (rng.randrange(-(10**12), 10**12),))
+    if kind == 3:
+        return _Tag(rng.choice(["", "tag", "\u00fc\\"]))
+    return None if kind == 4 else rng.choice([True, False])
+
+
+def _random_keys(rng, size):
+    """Keys of one dict, of one sortable kind: strings, numbers or None."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [None][:size]
+    if kind == 1:  # ints, floats, bools and an IntEnum sort together
+        pool = [-2, 3, 2**70, 0.5, -0.0, 1e300, float("inf"), True, _Level.HIGH, _Level.LOW]
+        return rng.sample(pool, min(size, len(pool)))
+    return ["".join(rng.choice(_CHARS) for _ in range(rng.randrange(4))) for _ in range(size)]
+
+
+def _random_value(rng, depth):
+    """Nested dicts, OrderedDicts, lists and tuples over the scalars above,
+    with empty containers at every depth."""
+    kind = rng.randrange(5) if depth < 5 else 0
+    if kind == 0:
+        return _random_scalar(rng)
+    size = rng.choice([0, 1, 2, 3, 5])
+    if kind == 1:
+        return [_random_value(rng, depth + 1) for _ in range(size)]
+    if kind == 2:
+        return tuple(_random_value(rng, depth + 1) for _ in range(size))
+    items = [(key, _random_value(rng, depth + 1)) for key in _random_keys(rng, size)]
+    return OrderedDict(items) if kind == 3 else dict(items)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_emit_report_writes_the_stdlib_bytes(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        report = {"value": _random_value(rng, 0), "tail": _random_value(rng, 3)}
+        assert emit_report(report) == oracle_report_bytes(report)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +807,17 @@ def test_main_bad_level_exits_1_before_the_ball_grows(argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("r", ["0", "-4"])
+def test_main_polytope_refuses_r_before_the_quotient_graph(monkeypatch, r):
+    def refuse(group, gens):
+        raise AssertionError("the quotient graph was built")
+
+    monkeypatch.setattr(cli_mod, "quotient_graph", refuse)
+    code, out, err = run_cli(["polytope", spec_path("z_line.spec"), "--r", r])
+    assert (code, out) == (1, b"")
+    assert err == f"error: need r >= 1, got r={r}\n"
+
+
 Z2_SPEC = spec_path("z2_standard.spec")
 
 
@@ -830,6 +923,12 @@ HUGE = str(10**12)
     "spec, n_max, message",
     [
         ("lamplighter.spec", "0", "OutOfRange: n_max must be >= 1, got 0"),
+        (
+            "lamplighter.spec",
+            "1",
+            "OutOfRange: n_max must be >= 2 on the lamplighter, got 1: the annihilator "
+            "check reads |f^-1| for each f in F_1, whose lamps B_1 need not hold",
+        ),
         ("lamplighter.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 8"),
         ("z2_standard.spec", HUGE, f"SizeBudget: n_max {HUGE} exceeds the level budget 8"),
     ],

@@ -19,6 +19,7 @@ from importlib import resources
 import pytest
 
 from horobound.cli import emit_report, parse_spec, run_command
+from oracles import oracle_report_bytes
 
 SPECS = resources.files("horobound") / "specs"
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "bundled.json"
@@ -44,12 +45,17 @@ def run_key(spec: str, command: str, params: dict) -> str:
 EXTRA_KEYS = {run_key(*run): run for run in EXTRA_RUNS}
 
 
-def digests(name: str, command: str | None = None, params: dict | None = None) -> dict[str, str]:
-    """sha256 of the report and of each side file of one bundled run."""
+def bundled_run(name: str, command: str | None = None, params: dict | None = None):
+    """The report and side files of one bundled run."""
     _, _, config = parse_spec(str(SPECS / name))
     if command is not None:
         config = replace(config, command=command).with_params(**params)
-    report, sides = run_command(config)
+    return run_command(config)
+
+
+def digests(name: str, command: str | None = None, params: dict | None = None) -> dict[str, str]:
+    """sha256 of the report and of each side file of one bundled run."""
+    report, sides = bundled_run(name, command, params)
     out = {"report.json": hashlib.sha256(emit_report(report)).hexdigest()}
     for side, blob in sorted(sides.items()):
         out[side] = hashlib.sha256(blob).hexdigest()
@@ -72,6 +78,14 @@ def test_bundled_run_matches_golden(name):
 def test_extra_run_matches_golden(key):
     stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert digests(*EXTRA_KEYS[key]) == stored[key]
+
+
+@pytest.mark.parametrize(
+    "run", [(name,) for name in SPEC_NAMES] + list(EXTRA_RUNS), ids=SPEC_NAMES + list(EXTRA_KEYS)
+)
+def test_report_bytes_match_the_stdlib_encoder(run):
+    report, _ = bundled_run(*run)
+    assert emit_report(report) == oracle_report_bytes(report)
 
 
 if __name__ == "__main__":

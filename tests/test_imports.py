@@ -128,12 +128,15 @@ def test_no_unread_private_module_level_names(path):
 
 
 # exports that no command reaches, each with what it serves: the acceptance
-# criterion or benchmark file that reads it ("path" or "path::definition")
+# criterion, test oracle or benchmark file that reads it ("path" or
+# "path::definition")
 KEPT = {
     "annihilator.functional_annihilator": (
         "tests/test_acceptance.py::test_criterion_05_annihilator_coincidence",
     ),
     "boundary.sign_match": ("tests/test_acceptance.py::test_criterion_07_sign_proportionality",),
+    # d_S(x, y) on a ball; segment reads u = x^-1 y and d together instead
+    "cayley.distance": ("tests/test_cayley.py::_brute_segment",),
     "cayley.segment": (
         "tests/test_acceptance.py::test_criterion_06_interval_monotonicity",
         "perfbench/workloads.py::BusemannSweep",  # the busemann_sweep workload
