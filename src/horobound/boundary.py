@@ -13,6 +13,8 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .cayley import Ball
@@ -107,27 +109,30 @@ def busemann_functional(ball: Ball, y: Element, m: int) -> Functional:
     if m < 0:
         raise OutOfRange(f"domain radius m={m} is negative")
     z = ball.position(y)
-    ny = ball.dist[z]
+    dist = ball.dist
+    ny = dist[z]
     if ny + m > ball.radius:
         raise OutOfBall(
             f"need radius {ny + m} to restrict b_y to B_{m}, have {ball.radius}"
         )
-    return Functional(ball, m, _busemann_vector(ball, z, m))
+    vector = [dist[j] - ny for j in ball.gather(ball.inv_index(z), ball.size(m))]
+    return Functional(ball, m, vector)
 
 
-def _busemann_vector(ball: Ball, z: int, m: int) -> tuple[int, ...]:
-    """b_z on B_m in BFS order, for the point at position z; |z| + m <= radius."""
-    dist = ball.dist
-    nz = dist[z]
-    return tuple([dist[j] - nz for j in ball.gather(ball.inv_index(z), ball.size(m))])
+def _distances(ball: Ball, z: int, m: int) -> tuple[int, ...]:
+    """d(z, x) for x in B_m in BFS order by one C call, for z a position with
+    |z| + m <= radius; B_0 is read by hand, as itemgetter(i) is a bare int."""
+    pos = ball.gather(ball.inv_index(z), ball.size(m))
+    return itemgetter(*pos)(ball.dist) if m else (ball.dist[pos[0]],)
 
 
 def _sphere_vectors(ball: Ball, r: int, m: int) -> dict[tuple[int, ...], list[int]]:
-    """vector -> positions of the sphere-r points realizing it, in BFS order."""
+    """vector -> positions of the sphere-r points realizing it, in BFS order;
+    every point has norm r, so r is subtracted once per deduped vector."""
     out: dict[tuple[int, ...], list[int]] = {}
     for z in range(ball.size(r - 1), ball.size(r)):
-        out.setdefault(_busemann_vector(ball, z, m), []).append(z)
-    return out
+        out.setdefault(_distances(ball, z, m), []).append(z)
+    return {tuple([d - r for d in raw]): points for raw, points in out.items()}
 
 
 @dataclass(frozen=True)
@@ -244,8 +249,9 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
 
     def interior_shadow(vec: tuple[int, ...]) -> bool:
         low = min(vec)
+        raw = tuple([v - low for v in vec])  # d(z, .) for a z on sphere -low
         for z in range(ball.size(-low - 1), ball.size(-low)):
-            if vec[z] == low and _agrees(ball, z, vec, m):
+            if vec[z] == low and _agrees(ball, z, raw, m):
                 return True
         return False
 
@@ -266,11 +272,11 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
     return BoundaryApprox(ball, r, m, window, tuple(classes))
 
 
-def _agrees(ball: Ball, z: int, vec: tuple[int, ...], m: int) -> bool:
-    """Whether b_z == vec on B_m, compared on B_1, B_2, B_4, ... and B_m in
-    turn, so that a z that differs early is read only that far."""
+def _agrees(ball: Ball, z: int, raw: tuple[int, ...], m: int) -> bool:
+    """Whether d(z, .) == raw on B_m, compared on B_1, B_2, B_4, ... and B_m
+    in turn, so that a z that differs early is read only that far."""
     k = 1
-    while _busemann_vector(ball, z, k) == vec[: ball.size(k)]:
+    while _distances(ball, z, k) == raw[: ball.size(k)]:
         if k == m:
             return True
         k = min(2 * k, m)
@@ -281,13 +287,15 @@ def _sightings(ball: Ball, rr: int, m: int, shown: dict) -> dict:
     """The vectors of ``shown`` (vector -> points on sphere rr+1) that sphere
     rr realizes, each with the points on sphere rr seen realizing it."""
     parent = ball.parent
+    # b_z = d(z, .) - rr on sphere rr, so vec is read there as vec + rr
+    wanted = {tuple([v + rr for v in vec]): vec for vec in shown}
     found: dict[tuple[int, ...], list[int]] = {}
     tried: set[int] = set()
 
     def sight(z: int) -> None:
         tried.add(z)
-        vec = _busemann_vector(ball, z, m)
-        if vec in shown:
+        vec = wanted.get(_distances(ball, z, m))
+        if vec is not None:
             found.setdefault(vec, []).append(z)
 
     for vec, points in shown.items():
@@ -328,19 +336,6 @@ def _reaches_rim(ball: Ball, points: list[int], dead: set[int]) -> bool:
 # group action on functionals
 
 
-def _translate(h: Functional, x_pos: int, m: int) -> tuple[int, ...]:
-    """The vector of x.h on B_m, for x at ball position x_pos.
-
-    Needs |x| + m <= h.domain_radius: then |x^-1 y| <= h.domain_radius for
-    every y in B_m, so every entry is in h's domain.
-    """
-    ball = h.ball
-    x_inv = ball.inv_index(x_pos)
-    values = h.vector
-    base = values[x_inv]
-    return tuple([values[j] - base for j in ball.gather(x_inv, ball.size(m))])
-
-
 def kernel_approx(approx: BoundaryApprox, search_radius: int) -> list[Element]:
     """Elements of B_search fixing every Busemann class on the common domain.
 
@@ -355,13 +350,21 @@ def kernel_approx(approx: BoundaryApprox, search_radius: int) -> list[Element]:
             f"search radius {search_radius} leaves no common domain inside B_{approx.m}"
         )
     ball = approx.ball
-    classes = approx.busemann_classes()
+    vectors = [h.vector for h in approx.busemann_classes()]
+
+    @lru_cache(maxsize=None)
+    def shifted(c: int, base: int, size: int) -> tuple[int, ...]:
+        return tuple([v + base for v in vectors[c][:size]])
+
     out = []
     for x in range(ball.size(search_radius)):
-        # x.h and h agree on B_{m - |x|}, the largest domain x.h has
-        m = approx.m - ball.dist[x]
-        size = ball.size(m)
-        if all(_translate(h, x, m) == h.vector[:size] for h in classes):
+        # x fixes h when (x.h)(y) = h(x^-1 y) - h(x^-1) is h(y) on B_{m - |x|},
+        # the largest domain x.h has: one gather of pos[k] = x^-1 x_k serves
+        # every class, and m - |x| >= 1, so the itemgetter returns a tuple
+        size = ball.size(approx.m - ball.dist[x])
+        pos = ball.gather(ball.inv_index(x), size)
+        read = itemgetter(*pos)
+        if all(read(v) == shifted(c, v[pos[0]], size) for c, v in enumerate(vectors)):
             out.append(Element(ball.group, ball.data[x]))
     return out
 
@@ -485,7 +488,7 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
     """Extract beta_j = alpha_t^-1 alpha_{t+j} (j <= ell) from a geodesic to x.
 
     x should be an annihilator element; the admissible range is
-    m <= ell <= 2|x|/(m+2) - m. alpha is x's BFS parent path in the
+    1 <= m <= ell <= 2|x|/(m+2) - m. alpha is x's BFS parent path in the
     approximation's ball, and alpha and beta stay ball positions: each
     class is read at beta_m as its vector entry. The scan runs over
     0 <= k <= m*r with r = floor(|x|/(m+2)) + 1 against the first stable
@@ -499,7 +502,7 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
     nx = ball.dist[x_pos]
     if m < 1 or ell < m or (ell + m) * (m + 2) > 2 * nx:
         raise RangeEmpty(
-            f"need m <= ell <= 2|x|/(m+2) - m; got m={m}, ell={ell}, |x|={nx}"
+            f"need 1 <= m <= ell <= 2|x|/(m+2) - m; got m={m}, ell={ell}, |x|={nx}"
         )
     classes = approx.stable_classes()
     if not classes:

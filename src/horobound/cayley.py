@@ -35,10 +35,11 @@ the positions x with |x| <= n and reach(x) >= r, its edges the neighbour
 entries that go one layer up (``PrefixDag``). Prefixes are counted layer by
 layer in O(|B_n| |S|), never listed; there can be exponentially many.
 
-BFS runs on the keys the group hands out (``Group.ball_keys``). For an
-extension group a key is one integer packing the coset and the free part,
-and a product is one step-table read and one add; the keys are decoded to
-data once, after the search. For any other group a key is the data itself.
+BFS runs on the keys the group hands out (``Group.ball_keys``), forming each
+layer's products in one comprehension, flat in (position, generator) order;
+a new element at entry t has parent and generator divmod(t, |S|). An extension
+group's key is one integer packing coset and free part, a product is one add,
+and the keys are decoded once after the search; other groups' keys are data.
 
 Memory (tracemalloc, CPython 3.11): a grown ball retains 226 bytes per
 element on Z^2 with standard generators at radius 150 (45,301 elements),
@@ -47,10 +48,10 @@ element on Z^2 with standard generators at radius 150 (45,301 elements),
 1.0-1.2 GB. An extension element is one flat tuple (v_1, ..., v_d, q),
 which costs Z^2 a slot for its q = 0. A list column costs a pointer per
 entry where an array cost 4 bytes, and the decoded index shares the
-column's ints instead of making its own. Growth peaks at 278 bytes per
-element on that Z^2 ball and 294 on z2_rot4, while the keys are decoded
-and while the columns are cut from the search's product list. The gather
-plan adds about 96 bytes per position it covers.
+column's ints. Growth peaks at 278 bytes per element on that Z^2 ball and
+294 on z2_rot4, while the keys are decoded, and at 307 on the lamplighter
+at radius 16, whose outermost layer's products are held at once. The
+gather plan adds about 96 bytes per position it covers.
 """
 
 from __future__ import annotations
@@ -304,24 +305,26 @@ def grow_ball(
     parent = array("i", [-1])
     parent_gen = array(_small(len(gens)), [0])
     offsets = [0, 1]
+    n_gens = len(gens)
     products: list[int] = []
     record = products.append
     for k in range(radius + 1):
         grow = k < radius  # layer k's new products form layer k + 1
-        for i in range(offsets[k], offsets[k + 1]):
-            for g, y in enumerate(expand(data[i])):
-                j = index.get(y, -1)
-                if j < 0 and grow:
-                    j = len(data)
-                    if j >= budget:
-                        raise BallTooLarge(
-                            f"ball exceeded budget of {budget} elements at radius {k + 1}"
-                        )
-                    index[y] = j
-                    data.append(y)
-                    parent.append(i)
-                    parent_gen.append(g)
-                record(j)
+        # the layer's products, flat: entry t is x_(offsets[k] + t // |S|) s_(t % |S|)
+        for t, y in enumerate(expand(data[offsets[k] : offsets[k + 1]])):
+            j = index.get(y, -1)
+            if j < 0 and grow:
+                j = len(data)
+                if j >= budget:
+                    raise BallTooLarge(
+                        f"ball exceeded budget of {budget} elements at radius {k + 1}"
+                    )
+                index[y] = j
+                data.append(y)
+                i, g = divmod(t, n_gens)
+                parent.append(offsets[k] + i)
+                parent_gen.append(g)
+            record(j)
         if grow:
             offsets.append(len(data))
             if offsets[k + 1] == offsets[k + 2]:

@@ -53,6 +53,7 @@ from .errors import (
     HoroboundError,
     LabelCount,
     OutOfRange,
+    RangeEmpty,
     RepeatedGenerator,
     SchemaError,
     ValidationError,
@@ -542,7 +543,9 @@ def _cmd_bend(group: Group, gens: GeneratingSet, p: dict):
         x = group.parse(p["x"])
     except ValueError as exc:
         raise SchemaError(f"[run] x: {exc}") from None
-    check_level(r, m)  # before the ball is grown
+    check_level(r, m)  # before the ball is grown, as is the scan range
+    if not 1 <= scan_m <= ell:
+        raise RangeEmpty(f"need 1 <= scan_m <= ell, got scan_m={scan_m}, ell={ell}")
     ball = grow_ball(group, gens, r + m, budget=p["budget"])
     approx = boundary_approx(ball, r, m)
     sg = slow_geodesic(x, scan_m, ell, approx)

@@ -54,8 +54,8 @@ from .linalg import (
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
-# (identity key, key of x -> keys of x s in generator order, keys -> data or None)
-BallKeys = tuple[object, Callable[[object], Iterable], Callable[[list], list[tuple]] | None]
+# (identity key, a layer's keys -> their products flat in (x, s) order, keys -> data or None)
+BallKeys = tuple[object, Callable[[list], list], Callable[[list], list[tuple]] | None]
 
 __all__ = [
     "Element",
@@ -249,14 +249,14 @@ class Group:
 
     def ball_keys(self, gen_data: Sequence[tuple], radius: int) -> BallKeys:
         """The keys a breadth-first search out to ``radius`` stores elements
-        under: the identity's key, the keys of x s for s in ``gen_data`` in
-        order given the key of x, and the list of keys -> the list of their
-        data (None: a key is its data).
+        under: the identity's key, the list of keys of one layer -> the keys
+        of x s for x in it and s in ``gen_data``, flat in (x, s) order, and
+        the list of keys -> the list of their data (None: a key is its data).
 
         Here a key is the data and a product is ``mul_data``.
         """
         mul = self.mul_data
-        return self.identity_data(), lambda x: [mul(x, s) for s in gen_data], None
+        return self.identity_data(), lambda ks: [mul(x, s) for x in ks for s in gen_data], None
 
     # element-level wrappers ------------------------------------------------
     def identity(self) -> Element:
@@ -395,7 +395,7 @@ class ExtensionGroup(Group):
             digits = [[k // u % w - off for k in keys] for u in weights]
             return list(zip(*digits, [k % nq for k in keys]))
 
-        return off * sum(weights), lambda x: map(x.__add__, steps[x % nq]), decode
+        return off * sum(weights), lambda ks: [x + d for x in ks for d in steps[x % nq]], decode
 
     def in_kernel(self, data: tuple) -> bool:
         return data[-1] == 0

@@ -8,8 +8,9 @@ import pytest
 
 from horobound import boundary as boundary_mod
 from horobound.boundary import (
+    BoundaryApprox,
+    BoundaryClass,
     Functional,
-    _translate,
     bend_scan,
     boundary_approx,
     busemann_functional,
@@ -142,19 +143,16 @@ def test_one_vector_is_checked_on_each_ball(z_ball):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_built_vectors_pass_the_lipschitz_oracle(name):
     # Functional does not walk the edges, so the vectors the package builds
-    # are checked here: boundary classes, Busemann functionals and translates
+    # are checked here: boundary classes and Busemann functionals. kernel_approx
+    # builds no translate; it compares reads of h with h plus a constant
     group, gens = example(name)
     ball = grow_ball(group, gens, 12)
     functionals = [c.functional for c in boundary_approx(ball, 8, 4).classes]
     rng = random.Random(33)
     for y in rng.choices(ball.data_up_to(8), k=20):
         functionals.append(busemann_functional(ball, Element(group, y), 4))
-    vectors = [h.vector for h in functionals]
     for h in functionals:
-        for x in range(ball.size(2)):
-            vectors.append(_translate(h, x, 4 - ball.dist[x]))
-    for vec in vectors:
-        check_lipschitz(ball, vec)
+        check_lipschitz(ball, h.vector)
 
 
 @pytest.mark.parametrize("name,m", [("z2", 3), ("cylinder_n4", 2)])
@@ -213,6 +211,19 @@ def test_criterion_06_sweep_inverts_each_point_once(name, monkeypatch):
         built.update(z.data for z in points)
     assert calls.pop(identity.data) <= 1 + len(samples)
     assert set(calls) <= built and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_a_read_of_one_entry_is_a_tuple(name):
+    # itemgetter of one index returns the bare entry. B_0 is the only read
+    # of one entry: boundary_approx and kernel_approx read B_k for k >= 1,
+    # which holds the identity and a generator, so no level reaches one
+    group, gens = example(name)
+    ball = grow_ball(group, gens, 6)
+    assert ball.size(1) > 1
+    for z in range(ball.size(3)):
+        assert boundary_mod._distances(ball, z, 0) == (ball.dist[z],)
+    assert boundary_mod._distances(ball, 0, 1) == tuple(ball.dist[: ball.size(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +302,9 @@ def _check_flags(ball, r, m):
     sphere scan can see it."""
     spheres = {rr: set(boundary_mod._sphere_vectors(ball, rr, m)) for rr in range(1, r + 1)}
     parents = {ball.parent[z] for z in range(ball.size(r - 1), ball.size(r))}
-    parent_keys = {boundary_mod._busemann_vector(ball, z, m) for z in parents}
+    parent_keys = {
+        busemann_functional(ball, Element(ball.group, ball.data[z]), m).vector for z in parents
+    }
     reach = ball.reach_data()
     for window in range(1, r + 2):
         approx = boundary_approx(ball, r, m, window=window)
@@ -319,15 +332,16 @@ def test_stable_and_busemann_flags_match_brute_force(cyl30_ball67):
 
 @pytest.fixture
 def built(monkeypatch):
-    """(position, m) for each Busemann vector boundary code builds, in order."""
+    """(position, m) for each read of d(z, .) on B_m that boundary code
+    makes, in order: one per Busemann vector it builds."""
     out = []
-    vector = boundary_mod._busemann_vector
+    distances = boundary_mod._distances
 
     def counting(ball, z, m):
         out.append((z, m))
-        return vector(ball, z, m)
+        return distances(ball, z, m)
 
-    monkeypatch.setattr(boundary_mod, "_busemann_vector", counting)
+    monkeypatch.setattr(boundary_mod, "_distances", counting)
     return out
 
 
@@ -359,21 +373,36 @@ def test_bundled_boundary_levels_build_no_more_than_whole_spheres(built):
 # the action
 
 
+def _only(h, ball):
+    """A level whose one Busemann class is h, for kernel_approx to read."""
+    witness = Element(ball.group, ball.data[0])
+    only = BoundaryClass(h, 1, (witness,), stable=True, interior_shadow=False, busemann=True)
+    return BoundaryApprox(ball, 0, h.domain_radius, 1, (only,))
+
+
 def test_act_definition_holds(z2_ball12):
+    # x fixes h in kernel_approx exactly when x.h, by its definition through
+    # Element products, equals h on the largest domain x.h has
     group = z2_ball12.group
     h = busemann_functional(z2_ball12, group.element((7, 2)), 3)
+    kernel = kernel_approx(_only(h, z2_ball12), 2)
     rng = random.Random(9)
     pool = z2_ball12.data_up_to(2)
+    fixes = set()
     for _ in range(20):
         x = Element(group, rng.choice(pool))
-        m = h.domain_radius - z2_ball12.norm(x)
-        assert _translate(h, z2_ball12.index[x.data], m) == oracle_act(h, x, z2_ball12)
+        moved = oracle_act(h, x, z2_ball12)
+        fixed = moved == h.vector[: len(moved)]
+        fixes.add(fixed)
+        assert (x in kernel) == fixed, x
+    assert fixes == {True, False}
 
 
 def test_act_on_line_restricts(z_ball):
     h = boundary_approx(z_ball, 10, 3).busemann_classes()[0]
     x = z_ball.group.element((2,))
-    assert _translate(h, z_ball.index[x.data], 1) == oracle_act(h, x, z_ball) == (0, -1, 1)
+    assert oracle_act(h, x, z_ball) == h.vector[:3] == (0, -1, 1)
+    assert x in kernel_approx(_only(h, z_ball), 2)
 
 
 def _act_kernel(approx, search_radius, ball):
@@ -709,3 +738,5 @@ def test_slow_geodesic_range_guard(cyl30_approx):
     x = cyl30_approx.ball.group.element((0, 15))
     with pytest.raises(RangeEmpty):
         slow_geodesic(x, 2, 21, cyl30_approx)
+    with pytest.raises(RangeEmpty, match=r"need 1 <= m <= ell .* got m=0, ell=8"):
+        slow_geodesic(x, 0, 8, cyl30_approx)

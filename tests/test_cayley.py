@@ -114,6 +114,28 @@ def test_bundled_extension_balls_match_oracle(name, monkeypatch):
         _assert_ball_is_oracle(ball)
 
 
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in SPECS.iterdir() if p.name.endswith(".spec"))
+)
+def test_bundled_spec_balls_match_oracle_in_their_own_order(name):
+    """Each bundled group in its spec file's generator order, which may
+    differ from REGISTRY's. Where two (position, generator) pairs of one
+    layer reach the same new element, the first is its parent."""
+    group, gens, _ = parse_spec(str(SPECS / name))
+    ball = grow_ball(group, gens, 6)
+    _assert_ball_is_oracle(ball)
+    first, ties = {}, 0
+    for i in range(len(ball)):
+        for g, col in enumerate(ball.nbr):
+            j = col[i]
+            if j >= 0 and ball.dist[j] == ball.dist[i] + 1:
+                ties += j in first
+                first.setdefault(j, (i, g))
+    assert all((ball.parent[j], ball.parent_gen[j]) == pair for j, pair in first.items())
+    assert len(first) == len(ball) - 1
+    assert (ties > 0) == (name != "z_line.spec")
+
+
 def test_every_bundled_extension_spec_is_covered():
     names = {p.name for p in SPECS.iterdir() if p.name.endswith(".spec")}
     assert set(BUNDLED_RADII) == names - {"lamplighter.spec"}

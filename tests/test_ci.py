@@ -1,7 +1,7 @@
 """The CI workflow tests every minor Python from the oldest that
 pyproject.toml admits to 3.13, runs the goldens again under a fixed second
-hash seed, runs its scale smoke steps under a timeout, and runs the
-benchmark's correctness gate on every workload.
+hash seed, runs its scale smoke steps and an oracle check of grown balls
+under a timeout, and runs the benchmark's correctness gate on every workload.
 
 The workflow and pyproject.toml are read as text: ``tomllib`` only arrived
 in Python 3.11.
@@ -85,6 +85,20 @@ def test_scale_smoke_steps_run_under_a_timeout():
         "run_command(replace(c, command='boundary').with_params(r=30, m=8))",
         "out = emit_report(report)",
         "sys.exit(out != (json.dumps(report, sort_keys=True, indent=2) + '\\n').encode('utf-8'))",
+    ]:
+        assert part in step, part
+    # grow_ball against oracle_ball, field by field, in each spec's own order
+    step = " ".join(steps["grown balls against the oracle on z2_rot4 and lamplighter"].split())
+    assert "PYTHONPATH=src:tests timeout 60 python -c" in step
+    for part in [
+        "from oracles import oracle_ball",
+        "parse_spec(f'src/horobound/specs/{name}.spec')[:2], r) for name, r in "
+        "[('z2_rot4', 40), ('lamplighter', 10)]",
+        "grow_ball(g, s, r), "
+        "oracle_ball(g.mul_data, [x.data for x in s.elements], g.identity_data(), r)",
+        "[b.data, list(b.parent), list(b.parent_gen), b.offsets, [col[:-1] for col in b.nbr]] "
+        "!= [want[k] for k in ('data', 'parent', 'parent_gen', 'offsets', 'nbr')]",
+        "sys.exit(bool(bad))",
     ]:
         assert part in step, part
 

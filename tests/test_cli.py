@@ -807,6 +807,19 @@ def test_main_bad_level_exits_1_before_the_ball_grows(argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("scan_m, ell", [(0, 8), (-1, 8), (2, 1), (1, 0), (1, -1)])
+def test_main_bend_refuses_the_scan_range_before_the_ball_grows(tmp_path, monkeypatch, scan_m, ell):
+    text = (SPECS / "cylinder_n30_diag.spec").read_text(encoding="utf-8")
+    text = text.replace("scan_m = 2", f"scan_m = {scan_m}").replace("ell = 8", f"ell = {ell}")
+    spec = tmp_path / "bend.spec"
+    spec.write_text(text, encoding="utf-8")
+    grown = []
+    monkeypatch.setattr(cli_mod, "grow_ball", lambda *args, **kwargs: grown.append(args))
+    code, out, err = run_cli(["bend", str(spec)])
+    assert (code, out, grown) == (1, b"", [])
+    assert err == f"error: RangeEmpty: need 1 <= scan_m <= ell, got scan_m={scan_m}, ell={ell}\n"
+
+
 @pytest.mark.parametrize("r", ["0", "-4"])
 def test_main_polytope_refuses_r_before_the_quotient_graph(monkeypatch, r):
     def refuse(group, gens):
