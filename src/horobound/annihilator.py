@@ -137,12 +137,15 @@ class AnnihilatorReport:
             )
 
 
-def check_annulus(m: int, radius: int) -> None:
-    """Refuse an m that leaves no annulus in a ball of this radius; it reads
-    no ball, so a run can call it before the ball is grown. The error names
-    the annulus radius r = radius - m too, the level a run is given as."""
+def check_annulus(m: int, radius: int, gap: int = DEFAULT_GAP) -> None:
+    """Refuse an m that leaves no annulus in a ball of this radius, or a gap
+    outside 0..r-1 for the annulus radius r = radius - m; it reads no ball,
+    so a run can call it before the ball is grown. The error names r too,
+    the level a run is given as."""
     if not (0 < m < radius):
         raise OutOfBall(f"need 0 < m < ball radius {radius}, got m={m}, r={radius - m}")
+    if not (0 <= gap < radius - m):
+        raise ValueError(f"gap must lie in 0..{radius - m - 1}, got {gap}")
 
 
 def annihilator_candidates(
@@ -155,7 +158,7 @@ def annihilator_candidates(
     in-ball pairwise products escape it; the true common zero set is a
     subgroup, so a clean report is structural evidence, a dirty one disproof.
     """
-    check_annulus(m, ball.radius)
+    check_annulus(m, ball.radius, gap)
     r = ball.radius - m
     group = ball.group
     profiles = []

@@ -35,9 +35,10 @@ the positions x with |x| <= n and reach(x) >= r, its edges the neighbour
 entries that go one layer up (``PrefixDag``). Prefixes are counted layer by
 layer in O(|B_n| |S|), never listed; there can be exponentially many.
 
-BFS runs on the keys the group hands out (``Group.ball_keys``), forming each
-layer's products in one comprehension, flat in (position, generator) order;
-a new element at entry t has parent and generator divmod(t, |S|). An extension
+BFS runs on the keys the group hands out (``Group.ball_keys``), forming a
+layer's products ``SLICE`` keys at a time, each slice in one comprehension,
+flat in (position, generator) order; a new element at entry t of a slice
+from position lo has parent lo + t // |S| and generator t % |S|. An extension
 group's key is one integer packing coset and free part, a product is one add,
 and the keys are decoded once after the search; other groups' keys are data.
 
@@ -48,9 +49,10 @@ element on Z^2 with standard generators at radius 150 (45,301 elements),
 1.0-1.2 GB. An extension element is one flat tuple (v_1, ..., v_d, q),
 which costs Z^2 a slot for its q = 0. A list column costs a pointer per
 entry where an array cost 4 bytes, and the decoded index shares the
-column's ints. Growth peaks at 278 bytes per element on that Z^2 ball and
-294 on z2_rot4, while the keys are decoded, and at 307 on the lamplighter
-at radius 16, whose outermost layer's products are held at once. The
+column's ints. Growth peaks at 275 bytes per element on that Z^2 ball and
+290 on z2_rot4, while the keys are decoded, and at 229 on the lamplighter
+at radius 16. A slice holds at most SLICE |S| products; that lamplighter's
+outermost layer has 37,572, and held at once they peaked at 303. The
 gather plan adds about 96 bytes per position it covers.
 """
 
@@ -69,12 +71,13 @@ __all__ = [
     "Ball",
     "PrefixDag",
     "grow_ball",
-    "distance",
     "segment",
+    "check_prefix_depth",
     "geodesic_prefixes",
 ]
 
 DEFAULT_BUDGET = 5_000_000
+SLICE = 4096  # keys expanded at once, which bounds the products held
 
 
 def _small(bound: int) -> str:
@@ -310,21 +313,23 @@ def grow_ball(
     record = products.append
     for k in range(radius + 1):
         grow = k < radius  # layer k's new products form layer k + 1
-        # the layer's products, flat: entry t is x_(offsets[k] + t // |S|) s_(t % |S|)
-        for t, y in enumerate(expand(data[offsets[k] : offsets[k + 1]])):
-            j = index.get(y, -1)
-            if j < 0 and grow:
-                j = len(data)
-                if j >= budget:
-                    raise BallTooLarge(
-                        f"ball exceeded budget of {budget} elements at radius {k + 1}"
-                    )
-                index[y] = j
-                data.append(y)
-                i, g = divmod(t, n_gens)
-                parent.append(offsets[k] + i)
-                parent_gen.append(g)
-            record(j)
+        # the layer's products, SLICE keys at a time, flat: entry t of a
+        # slice from position lo is x_(lo + t // |S|) s_(t % |S|)
+        for lo in range(offsets[k], offsets[k + 1], SLICE):
+            for t, y in enumerate(expand(data[lo : min(lo + SLICE, offsets[k + 1])])):
+                j = index.get(y, -1)
+                if j < 0 and grow:
+                    j = len(data)
+                    if j >= budget:
+                        raise BallTooLarge(
+                            f"ball exceeded budget of {budget} elements at radius {k + 1}"
+                        )
+                    index[y] = j
+                    data.append(y)
+                    i, g = divmod(t, n_gens)
+                    parent.append(lo + i)
+                    parent_gen.append(g)
+                record(j)
         if grow:
             offsets.append(len(data))
             if offsets[k + 1] == offsets[k + 2]:
@@ -337,25 +342,6 @@ def grow_ball(
         data = decode(data)
         index = dict(zip(data, positions))
     return Ball(group, gens, radius, data, index, parent, parent_gen, offsets, products)
-
-
-def _offset(ball: Ball, x: Element, y: Element) -> tuple[tuple, int]:
-    """(u, d) with u = x^-1 y and d = |u|_S, checked as ``distance`` checks."""
-    group = ball.group
-    if x.group is not group or y.group is not group:
-        raise GroupMismatch("distance arguments must live in the ball's group")
-    u = group.mul_data(group.inv_data(x.data), y.data)
-    d = ball.dist_data(u)
-    if d is None:
-        raise OutOfBall(
-            f"d({x},{y}) needs {group.format_data(u)} beyond radius {ball.radius}"
-        )
-    return u, d
-
-
-def distance(ball: Ball, x: Element, y: Element) -> int:
-    """d_S(x, y) = |x^-1 y|_S, exact as long as x^-1 y is stored."""
-    return _offset(ball, x, y)[1]
 
 
 def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
@@ -373,7 +359,12 @@ def segment(ball: Ball, x: Element, y: Element) -> frozenset[Element]:
     |S| neighbour entries per point of the segment and never leaves B_d.
     """
     group = ball.group
-    u, d = _offset(ball, x, y)
+    if x.group is not group or y.group is not group:
+        raise GroupMismatch("segment endpoints must live in the ball's group")
+    u = group.mul_data(group.inv_data(x.data), y.data)
+    d = ball.dist_data(u)
+    if d is None:
+        raise OutOfBall(f"d({x},{y}) needs {group.format_data(u)} beyond radius {ball.radius}")
     dist, nbr = ball.dist, ball.nbr
     layer = [ball.index[u]]
     seen = set(layer)
@@ -442,14 +433,20 @@ class PrefixDag:
         fp.write("}\n")
 
 
+def check_prefix_depth(n: int, r: int) -> None:
+    """Refuse a prefix depth n outside 0..r; it reads no ball, so a run can
+    call it before the ball is grown."""
+    if not (0 <= n <= r):
+        raise ValueError(f"need 0 <= n <= r, got n={n}, r={r}")
+
+
 def geodesic_prefixes(ball: Ball, n: int, r: int) -> PrefixDag:
     """DAG of all length-n prefixes extendable to geodesics of length r.
 
     A vertex x needs reach(x) >= r. Every such x is reached through its BFS
     parent, whose reach is at least as large, so each vertex lies on a prefix.
     """
-    if not (0 <= n <= r):
-        raise ValueError(f"need 0 <= n <= r, got n={n}, r={r}")
+    check_prefix_depth(n, r)
     if r > ball.radius:
         raise OutOfBall(f"horizon {r} exceeds ball radius {ball.radius}")
     reach = ball.reach_data()

@@ -47,7 +47,7 @@ from typing import IO, Callable, Iterator
 
 from .annihilator import DEFAULT_GAP, annihilator_candidates, check_annulus
 from .boundary import STABILITY_WINDOW, boundary_approx, check_level, slow_geodesic
-from .cayley import DEFAULT_BUDGET, geodesic_prefixes, grow_ball
+from .cayley import DEFAULT_BUDGET, check_prefix_depth, geodesic_prefixes, grow_ball
 from .errors import (
     Diagnostic,
     HoroboundError,
@@ -58,7 +58,6 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .examples import lamp_chain
 from .groups import (
     Element,
     FgAbelianSpec,
@@ -78,7 +77,6 @@ from .metrics import (
     DEFAULT_SET_BUDGET,
     bs_annihilator_check,
     build_ball_system,
-    check_n_max,
     metric_axiom_check,
 )
 from .vabelian import (
@@ -450,6 +448,8 @@ class _SideFiles(Mapping):
 
 def _cmd_ball(group: Group, gens: GeneratingSet, p: dict):
     r = p["r"]
+    if p["n"] is not None:
+        check_prefix_depth(p["n"], r)  # before the ball is grown
     ball = grow_ball(group, gens, r, budget=p["budget"])
     body = {
         "radius": r,
@@ -476,7 +476,7 @@ def _cmd_boundary(group: Group, gens: GeneratingSet, p: dict):
 
 
 def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
-    check_annulus(p["m"], p["r"] + p["m"])  # before the ball is grown
+    check_annulus(p["m"], p["r"] + p["m"], p["gap"])  # before the ball is grown
     ball = grow_ball(group, gens, p["r"] + p["m"], budget=p["budget"])
     report = annihilator_candidates(ball, p["m"], gap=p["gap"])
     return report.to_json_dict(), {"candidates.csv": report.to_csv}
@@ -513,18 +513,13 @@ def _cmd_witness(group: Group, gens: GeneratingSet, p: dict):
 
 def _cmd_ballsystem(group: Group, gens: GeneratingSet, p: dict):
     n_max = p["n_max"]
-    check_n_max(n_max)  # before any chain is built
-    if isinstance(group, LamplighterGroup):
-        if n_max < 2:  # at n_max = 1 the check's range is B_0 = {1}
-            raise OutOfRange(
-                f"n_max must be >= 2 on the lamplighter, got {n_max}: the annihilator "
-                "check reads |f^-1| for each f in F_1, whose lamps B_1 need not hold"
-            )
-        chain = lamp_chain(group, n_max)
-    else:
-        # degenerate chain: the ball system collapses to the word metric
-        chain = [[group.identity()] for _ in range(n_max)]
-    bs = build_ball_system(group, gens, chain, n_max, budget=p["budget"])
+    if n_max == 1 and isinstance(group, LamplighterGroup):
+        # the check's range is B_0 = {1}; n_max < 1 is the library's refusal
+        raise OutOfRange(
+            f"n_max must be >= 2 on the lamplighter, got {n_max}: the annihilator "
+            "check reads |f^-1| for each f in F_1, whose lamps B_1 need not hold"
+        )
+    bs = build_ball_system(group, gens, None, n_max, budget=p["budget"])
     checks = [
         bs_annihilator_check(bs, Element(group, data), 1).to_json_dict()
         for data in sorted(bs.chain[0], key=group.sort_key)

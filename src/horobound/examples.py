@@ -7,7 +7,6 @@ randomized property suites.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from typing import Callable
 
 from .groups import (
@@ -20,7 +19,6 @@ from .groups import (
     VAbExtensionGroup,
     VAbExtensionSpec,
     cyclic_table,
-    lamp_normal_form,
     symmetric_generating_set,
 )
 
@@ -33,10 +31,6 @@ __all__ = [
     "fat_cylinder",
     "z2_rot4",
     "lamplighter",
-    "lamp_chain",
-    "LampChain",
-    "Window",
-    "WindowCosets",
 ]
 
 Pair = tuple[Group, GeneratingSet]
@@ -139,123 +133,6 @@ def lamplighter() -> Pair:
     listed = [group.element(((), 1)), group.element(((0,), 0))]
     gens = symmetric_generating_set(group, listed, ["t", "a"])
     return group, gens
-
-
-def _dark(data: tuple, a: int, b: int) -> tuple:
-    """Lamplighter data with the lamps at positions a..b switched off."""
-    mask, low, shift = data
-    ones = (1 << (b - a + 1)) - 1
-    mask &= ~(ones << (a - low) if a >= low else ones >> (low - a))
-    return lamp_normal_form(mask, low, shift)
-
-
-class Window(Set):
-    """F_j = the lamp patterns on [-j, j] with shift 0: a subgroup of
-    2^(2j+1) elements, inside F_{j+1}. Size and membership are closed forms;
-    members (data, or Elements of ``group`` if given) are listed when iterated.
-    """
-
-    __slots__ = ("j", "group")
-
-    def __init__(self, j: int, group: LamplighterGroup | None = None):
-        self.j, self.group = j, group
-
-    def __len__(self) -> int:
-        return 1 << (2 * self.j + 1)
-
-    def __contains__(self, x) -> bool:
-        if self.group is not None:
-            if not isinstance(x, Element) or x.group is not self.group:
-                return False
-            x = x.data
-        mask, low, shift = x
-        return not shift and (not mask or -self.j <= low and low + mask.bit_length() <= self.j + 1)
-
-    def __iter__(self):
-        j, group = self.j, self.group
-        for mask in range(len(self)):
-            data = lamp_normal_form(mask, -j, 0)
-            yield data if group is None else Element(group, data)
-
-    @classmethod
-    def _from_iterable(cls, items) -> frozenset:
-        return frozenset(items)
-
-
-class WindowCosets:
-    """The double cosets F_n g F_n of F_n = ``Window(n)``, in closed form.
-
-    (a, 0) (f, u) (b, 0) = (f + a + t^u b, u), so F_n (f, u) F_n is every
-    (f', u) with f' = f outside W = [-n, n] u [u - n, u + n]. Its key is
-    (f with the lamps of W off, u), itself a member, and its size 2^|W|.
-    The left coset F_n (f, u) is keyed by f with the lamps of [-n, n] off.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.subgroup = Window(n)
-
-    def key(self, data: tuple) -> tuple:
-        n, u = self.n, data[2]
-        return _dark(_dark(data, -n, n), u - n, u + n)
-
-    find = key  # every element has a key, with no enumeration
-
-    def left_key(self, data: tuple) -> tuple:
-        return _dark(data, -self.n, self.n)
-
-    def absorbs(self, x: tuple, sub) -> bool:
-        """Whether x h lies in F_n x for every h in sub = F_j: x F_j x^-1 is the
-        window [-j, j] moved by the shift s of x, inside [-n, n] if |s| <= n - j."""
-        return isinstance(sub, Window) and abs(x[2]) <= self.n - sub.j
-
-    def size(self, key: tuple) -> int:
-        width = 2 * self.n + 1
-        return 1 << (2 * width - max(0, width - abs(key[2])))
-
-    def members(self, key: tuple):
-        """The 2^|W| members: key with every pattern on W switched on."""
-        mask, low, u = key
-        n = self.n
-        base = min(low, -n, u - n)
-        lit = mask << (low - base)
-        window = 0
-        for p in {*range(-n, n + 1), *range(u - n, u + n + 1)}:
-            window |= 1 << (p - base)
-        sub = window
-        while True:
-            yield lamp_normal_form(lit | sub, base, u)
-            if not sub:
-                return
-            sub = (sub - 1) & window
-
-    @staticmethod
-    def level(data: tuple) -> int:
-        """The least n >= 2 with data = (f, u) in F_n t^u F_n, |u| <= n. Its two
-        windows then overlap, so f lies in [min(0, u) - n, max(0, u) + n]."""
-        mask, low, u = data
-        n = -u if u < 0 else u
-        if mask:
-            left, right = (u, 0) if u < 0 else (0, u)
-            n = max(n, left - low, low + mask.bit_length() - 1 - right)
-        return n if n > 2 else 2
-
-
-class LampChain(tuple):
-    """F_1 .. F_{n_max}, F_j = ``Window(j, group)``: nested subgroups made
-    from (group, n_max) alone, so ``build_ball_system`` checks only the
-    group and keeps the double cosets of F_n in closed form (``WindowCosets``).
-    """
-
-    def __new__(cls, group: LamplighterGroup, n_max: int):
-        if n_max < 1:
-            raise ValueError(f"need n_max >= 1, got {n_max}")
-        return super().__new__(cls, (Window(j, group) for j in range(1, n_max + 1)))
-
-
-def lamp_chain(group: LamplighterGroup, n_max: int) -> LampChain:
-    """F_1 .. F_{n_max} where F_j = lamp patterns supported on [-j, j]."""
-    return LampChain(group, n_max)
 
 
 REGISTRY: dict[str, Callable[[], Pair]] = {

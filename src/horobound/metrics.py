@@ -6,30 +6,39 @@ chain only the two outer blocks count, B_n = F_n (B_1 B_{n-1} u B_{n-1} B_1) F_n
 (proved at ``_build_level``), and the second block is the inverse of the
 first, so each level is built as X u X^-1 with X = F_n B_1 B_{n-1} F_n. The
 norm |g| = min{n : g in B_n} is a proper left-invariant metric in which every
-element of every F_n eventually looks like the identity. Sets are exact; the
-chain and B_1, which the metric rests on, are checked, not assumed.
+element of every F_n eventually looks like the identity. Sets are exact; B_1
+and a chain the caller gives are checked, not assumed. The lamplighter's own
+chain, the windows F_j = lamp patterns on [-j, j], is built here and is
+nested subgroups by construction.
 
 Each level n >= 2 is thus a union of F_n double cosets and is kept as one
 representative and one size per double coset. The chain supplies the key of
-a double coset and one element per left coset: closed forms for the
-lamplighter window chain (``examples.LampChain``), whose subgroups are
-never listed, an enumeration for any other. The build, the axiom check and
-the annihilator check multiply representatives; bi-invariance lets each
-product stand for its double coset. Elements are listed only where a
-sphere is read, and the element budget bounds what is held: representatives
-kept, members of enumerated double cosets and listed sphere elements.
+a double coset and one element per left coset: closed forms for the window
+chain (``Window``, ``WindowCosets``), whose subgroups are never listed, an
+enumeration for any other. The build, the axiom check and the annihilator
+check multiply representatives; bi-invariance lets each product stand for
+its double coset. Elements are listed only where a sphere is read, and the
+element budget bounds what is held: representatives kept, members of
+enumerated double cosets and listed sphere elements.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import AxiomViolation, GroupMismatch, NotASubgroup, OutOfRange, SizeBudget
-from .examples import LampChain, Window, WindowCosets
-from .groups import Element, GeneratingSet, Group, check_subgroup
+from .groups import (
+    Element,
+    GeneratingSet,
+    Group,
+    LamplighterGroup,
+    check_subgroup,
+    lamp_normal_form,
+)
 
 __all__ = [
     "DEFAULT_SET_BUDGET",
@@ -37,8 +46,9 @@ __all__ = [
     "BallSystem",
     "BsAnnihilatorReport",
     "MetricAxiomReport",
+    "Window",
+    "WindowCosets",
     "build_ball_system",
-    "check_n_max",
     "bs_annihilator_check",
     "metric_axiom_check",
 ]
@@ -112,6 +122,100 @@ class _Enumerated:
 
     def members(self, key: tuple) -> set:
         return self._members[key]
+
+
+def _dark(data: tuple, a: int, b: int) -> tuple:
+    """Lamplighter data with the lamps at positions a..b switched off."""
+    mask, low, shift = data
+    ones = (1 << (b - a + 1)) - 1
+    mask &= ~(ones << (a - low) if a >= low else ones >> (low - a))
+    return lamp_normal_form(mask, low, shift)
+
+
+class Window(Set):
+    """F_j = the lamp patterns on [-j, j] with shift 0: a subgroup of
+    2^(2j+1) lamplighter data, inside F_{j+1}. Size and membership are
+    closed forms; members are listed when iterated.
+    """
+
+    __slots__ = ("j",)
+
+    def __init__(self, j: int):
+        self.j = j
+
+    def __len__(self) -> int:
+        return 1 << (2 * self.j + 1)
+
+    def __contains__(self, x) -> bool:
+        mask, low, shift = x
+        return not shift and (not mask or -self.j <= low and low + mask.bit_length() <= self.j + 1)
+
+    def __iter__(self):
+        for mask in range(len(self)):
+            yield lamp_normal_form(mask, -self.j, 0)
+
+    @classmethod
+    def _from_iterable(cls, items) -> frozenset:
+        return frozenset(items)
+
+
+class WindowCosets:
+    """The double cosets F_n g F_n of F_n = ``Window(n)``, in closed form.
+
+    (a, 0) (f, u) (b, 0) = (f + a + t^u b, u), so F_n (f, u) F_n is every
+    (f', u) with f' = f outside W = [-n, n] u [u - n, u + n]. Its key is
+    (f with the lamps of W off, u), itself a member, and its size 2^|W|.
+    The left coset F_n (f, u) is keyed by f with the lamps of [-n, n] off.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.subgroup = Window(n)
+
+    def key(self, data: tuple) -> tuple:
+        n, u = self.n, data[2]
+        return _dark(_dark(data, -n, n), u - n, u + n)
+
+    find = key  # every element has a key, with no enumeration
+
+    def left_key(self, data: tuple) -> tuple:
+        return _dark(data, -self.n, self.n)
+
+    def absorbs(self, x: tuple, sub) -> bool:
+        """Whether x h lies in F_n x for every h in sub = F_j: x F_j x^-1 is the
+        window [-j, j] moved by the shift s of x, inside [-n, n] if |s| <= n - j."""
+        return isinstance(sub, Window) and abs(x[2]) <= self.n - sub.j
+
+    def size(self, key: tuple) -> int:
+        width = 2 * self.n + 1
+        return 1 << (2 * width - max(0, width - abs(key[2])))
+
+    def members(self, key: tuple):
+        """The 2^|W| members: key with every pattern on W switched on."""
+        mask, low, u = key
+        n = self.n
+        base = min(low, -n, u - n)
+        lit = mask << (low - base)
+        window = 0
+        for p in {*range(-n, n + 1), *range(u - n, u + n + 1)}:
+            window |= 1 << (p - base)
+        sub = window
+        while True:
+            yield lamp_normal_form(lit | sub, base, u)
+            if not sub:
+                return
+            sub = (sub - 1) & window
+
+    @staticmethod
+    def level(data: tuple) -> int:
+        """The least n >= 2 with data = (f, u) in F_n t^u F_n, |u| <= n. Its two
+        windows then overlap, so f lies in [min(0, u) - n, max(0, u) + n]."""
+        mask, low, u = data
+        n = -u if u < 0 else u
+        if mask:
+            left, right = (u, 0) if u < 0 else (0, u)
+            n = max(n, left - low, low + mask.bit_length() - 1 - right)
+        return n if n > 2 else 2
 
 
 class _Level:
@@ -288,37 +392,32 @@ def _build_level(group: Group, levels: list, cosets, held: _Held) -> _Level:
     return _Level(cosets, reps)
 
 
-def check_n_max(n_max: int) -> None:
-    """Refuse n_max outside 1..DEFAULT_MAX_LEVELS, before a chain is built:
-    a chain but the window chain is n_max lists, and no run past 8 is measured."""
-    if n_max < 1:
-        raise OutOfRange(f"n_max must be >= 1, got {n_max}")
-    if n_max > DEFAULT_MAX_LEVELS:
-        raise SizeBudget(f"n_max {n_max} exceeds the level budget {DEFAULT_MAX_LEVELS}")
-
-
 def build_ball_system(
     group: Group,
     s1: GeneratingSet,
-    f_chain: Sequence[Iterable[Element]],
+    f_chain: Sequence[Iterable[Element]] | None,
     n_max: int,
     budget: int = DEFAULT_SET_BUDGET,
 ) -> BallSystem:
     """Compute B_0..B_{n_max} for the chain, verifying every assumption.
 
-    B_1 must be symmetric, each F_n a finite subgroup of the group, and the
-    chain nested; a ``LampChain`` is all three by construction, so only its
-    group is checked, in O(n_max), and no F_j is listed. The element budget
-    bounds what the system holds (``_Held``), not the levels' sizes. Every
-    level n >= 2 is symmetric by construction (see
-    ``_build_level``), so B_1, the only level taken from the caller, is the
-    one symmetry check. Level n >= 2 is kept over F_n double cosets, in
-    closed form for a ``LampChain``.
+    ``f_chain=None`` takes the group's own chain, built once n_max passes its
+    check: on a lamplighter the window chain F_j = ``Window(j)``, nested
+    subgroups by construction, in closed form and never listed; else
+    F_n = {e}, the word metric. Any other chain must be nested finite
+    subgroups of the group, and B_1 symmetric. The element budget bounds
+    what the system holds (``_Held``), not the levels' sizes. Every level
+    n >= 2 is symmetric by construction (see ``_build_level``), so B_1, the
+    only level taken from the caller, is the one symmetry check. Level
+    n >= 2 is kept over F_n double cosets.
     """
-    check_n_max(n_max)
+    if n_max < 1:
+        raise OutOfRange(f"n_max must be >= 1, got {n_max}")
+    if n_max > DEFAULT_MAX_LEVELS:  # no run past 8 is measured
+        raise SizeBudget(f"n_max {n_max} exceeds the level budget {DEFAULT_MAX_LEVELS}")
     if budget < 1:
         raise OutOfRange(f"budget must be >= 1, got {budget}")
-    if len(f_chain) < n_max:
+    if f_chain is not None and len(f_chain) < n_max:
         raise NotASubgroup(f"chain supplies {len(f_chain)} subgroups, need {n_max}")
     if s1.group is not group:
         raise NotASubgroup("generating set belongs to a different group")
@@ -328,12 +427,12 @@ def build_ball_system(
         if group.inv_data(x) not in b1:
             raise AxiomViolation("B_1 is not symmetric", element=group.format_data(x))
     held = _Held(budget)
-    if isinstance(f_chain, LampChain):
-        if any(f.group is not group for f in f_chain[:n_max]):
-            raise NotASubgroup("chain holds an element of a different group")
+    if f_chain is None and isinstance(group, LamplighterGroup):
         chain = tuple(Window(j) for j in range(1, n_max + 1))
         cosets_of = WindowCosets
     else:
+        if f_chain is None:  # F_n = {e}: the word metric
+            f_chain = [[group.identity()]] * n_max
         members = [list(f) for f in f_chain[:n_max]]
         if any(x.group is not group for f in members for x in f):
             raise NotASubgroup("chain holds an element of a different group")

@@ -4,7 +4,7 @@ import pytest
 
 from horobound.boundary import boundary_approx
 from horobound.cayley import grow_ball
-from horobound.examples import example, fat_cylinder, lamp_chain
+from horobound.examples import example, fat_cylinder
 from horobound.groups import (
     FgAbelianGroup,
     FgAbelianSpec,
@@ -140,5 +140,4 @@ def lamp_pair():
 @pytest.fixture(scope="session")
 def lamp_bs4(lamp_pair):
     group, gens = lamp_pair
-    chain = lamp_chain(group, 4)
-    return build_ball_system(group, gens, chain, 4)
+    return build_ball_system(group, gens, None, 4)

@@ -271,6 +271,12 @@ def oracle_distance(dist, mul, inv, x, y):
     return dist[mul(inv(x), y)]
 
 
+def ball_distance(ball, x, y):
+    """d_S(x, y) = |x^-1 y|_S for Elements x, y, read off a grown ball;
+    None when x^-1 y lies outside it."""
+    return ball.dist_data((x.inverse() * y).data)
+
+
 def busemann_vec(dist, mul, inv, y, domain):
     """(d(y, x) - |y| for x in domain), all read off the oracle table."""
     ny = dist[y]

@@ -330,6 +330,63 @@ def test_stable_and_busemann_flags_match_brute_force(cyl30_ball67):
     assert ("z2_rot4", 8, 2) in scanned
 
 
+def _fibre_norm(group, gens):
+    """D = the largest norm of an element whose free part is 0, read off
+    the first ball, doubling the radius, that holds all |Q| of them."""
+    radius = 4
+    while True:
+        ball = grow_ball(group, gens, radius)
+        norms = [ball.dist[i] for i, x in enumerate(ball.data) if not any(x[: group.rank])]
+        if len(norms) == group.quotient_order:
+            return max(norms)
+        radius *= 2
+
+
+def _stable_busemann_counts(group, gens, base):
+    """Classes both stable and Busemann at (base + 4m, m), m = 2 .. 6, each
+    level on its own ball of radius r + m, as a run grows it."""
+    counts = []
+    for m in range(2, 7):
+        r = base + 4 * m
+        approx = boundary_approx(grow_ball(group, gens, r + m), r, m)
+        counts.append(len(approx.stable_busemann_classes()))
+    return counts
+
+
+def test_busemann_count_follows_the_rank():
+    # The paper: finitely many Busemann points force a virtually cyclic
+    # group, so on Z^d by a finite Q the stable Busemann classes stay bounded
+    # in m exactly when d <= 1. A rank-1 group looks like Z^2 until r passes
+    # its finite fibre, so it is read at r = D + 4m; a single radius for every
+    # group would read cylinder_n30_diag (D = 30) as rank 2. Rank 2 is read
+    # at r = 4m, where Z^2 has 4 + 4(2m - 1) = 8m classes. z2_rot4 runs once,
+    # from its spec, as it costs most
+    groups = {f"examples.{name}": REGISTRY[name]() for name in sorted(REGISTRY)}
+    del groups["examples.z2_rot4"], groups["examples.lamplighter_z2"]
+    for path in sorted(SPECS.iterdir()):
+        if path.name.endswith(".spec") and path.name != "lamplighter.spec":
+            groups[path.name] = parse_spec(str(path))[:2]
+    z = FgAbelianGroup(FgAbelianSpec(free_rank=1))
+    z3 = FgAbelianGroup(FgAbelianSpec(free_rank=1, torsion=(3,)))
+    wide = {
+        "Z, S = {+-2, +-3}": (z, [(2,), (3,)], 6),
+        "Z, S = {+-1, +-5}": (z, [(1,), (5,)], 10),
+        "Z x Z/3, S = {+-(1,0), +-(2,1)}": (z3, [(1, 0), (2, 1)], 12),
+    }
+    for name, (group, listed, _) in wide.items():
+        groups[name] = group, symmetric_generating_set(group, [group.element(x) for x in listed])
+    assert len(groups) == 17
+    for name, (group, gens) in groups.items():
+        if group.rank == 1:
+            fibre = _fibre_norm(group, gens)
+            want = [wide[name][2] if name in wide else 2] * 5
+        else:  # Z^2, or z2_rot4 with its Q = Z/4
+            fibre = 0
+            want = [(32 if group.quotient_order == 4 else 8) * m for m in range(2, 7)]
+        assert name != "cylinder_n30_diag.spec" or fibre == 30
+        assert _stable_busemann_counts(group, gens, fibre) == want, name
+
+
 @pytest.fixture
 def built(monkeypatch):
     """(position, m) for each read of d(z, .) on B_m that boundary code

@@ -8,10 +8,9 @@ from itertools import permutations
 
 import pytest
 
-from horobound import cli, vabelian
+from horobound import cayley, cli, vabelian
 from horobound.cayley import (
     Ball,
-    distance,
     geodesic_prefixes,
     grow_ball,
     segment,
@@ -34,6 +33,7 @@ from horobound.groups import (
 )
 
 from oracles import (
+    ball_distance,
     bfs_dist,
     cyl_closed_norm,
     diag_norm,
@@ -134,6 +134,37 @@ def test_bundled_spec_balls_match_oracle_in_their_own_order(name):
     assert all((ball.parent[j], ball.parent_gen[j]) == pair for j, pair in first.items())
     assert len(first) == len(ball) - 1
     assert (ties > 0) == (name != "z_line.spec")
+
+
+@pytest.mark.parametrize("name", ["z2_rot4.spec", "lamplighter.spec", "z2_standard.spec"])
+def test_ball_in_slices_cut_mid_layer_matches_oracle(name, monkeypatch):
+    # 7 keys a slice cuts every layer past the first few mid-way, and at no
+    # multiple of |S|, so each slice's parents start from its own position
+    monkeypatch.setattr(cayley, "SLICE", 7)
+    group, gens, _ = parse_spec(str(SPECS / name))
+    _assert_ball_is_oracle(grow_ball(group, gens, 8))
+
+
+def test_lamplighter_growth_expands_a_slice_at_a_time(monkeypatch):
+    # the radius-16 rim holds 12,524 elements, 37,572 products at once
+    # before slicing; each expand call now returns at most SLICE |S|
+    group, gens, _ = parse_spec(str(SPECS / "lamplighter.spec"))
+    ball_keys, sizes = group.ball_keys, []
+
+    def recording(gen_data, radius):
+        start, expand, decode = ball_keys(gen_data, radius)
+
+        def counted(keys):
+            products = expand(keys)
+            sizes.append(len(products))
+            return products
+
+        return start, counted, decode
+
+    monkeypatch.setattr(group, "ball_keys", recording)
+    ball = grow_ball(group, gens, 16)
+    assert max(sizes) == cayley.SLICE * len(gens) == 4096 * 3
+    assert sum(sizes) == len(ball) * len(gens)
 
 
 def test_every_bundled_extension_spec_is_covered():
@@ -304,7 +335,7 @@ def test_distance_and_segment_vs_oracle(cyl4_ball15, cyl4_pair):
     for _ in range(40):
         a, b = rng.choice(pool), rng.choice(pool)
         x, y = Element(group, a), Element(group, b)
-        d = distance(cyl4_ball15, x, y)
+        d = ball_distance(cyl4_ball15, x, y)
         assert d == table[group.mul_data(group.inv_data(a), b)]
         seg = {z.data for z in segment(cyl4_ball15, x, y)}
         expect = oracle_segment(
@@ -386,15 +417,14 @@ def _brute_segment(ball, x, y):
     2|z| <= |x| + |y| + d(x, y) <= 2(|x| + |y|), so this is the whole
     segment when x = 1 or |x| + |y| <= radius."""
     group = ball.group
-    d = distance(ball, x, y)
+    d = ball_distance(ball, x, y)
     out = set()
     for zdata in ball.data_up_to(min(ball.radius, ball.norm(x) + d)):
         z = Element(group, zdata)
-        try:
-            if distance(ball, x, z) + distance(ball, z, y) == d:
-                out.add(z)
-        except OutOfBall:
-            continue  # d(x, z) or d(z, y) > radius >= d
+        to_z, from_z = ball_distance(ball, x, z), ball_distance(ball, z, y)
+        # None: d(x, z) or d(z, y) > radius >= d
+        if to_z is not None and from_z is not None and to_z + from_z == d:
+            out.add(z)
     return out
 
 
@@ -473,9 +503,10 @@ def test_inv_index_at_every_position(name):
 
 
 def test_distance_out_of_ball(z_ball):
+    # d(-10, 10) = 20 is past the radius, so no segment is walked
     g = z_ball.group
-    with pytest.raises(OutOfBall):
-        distance(z_ball, g.element((-10,)), g.element((10,)))
+    with pytest.raises(OutOfBall, match=r"d\(\(-10\),\(10\)\) needs \(20\) beyond radius"):
+        segment(z_ball, g.element((-10,)), g.element((10,)))
 
 
 def test_path_is_a_geodesic(z2_ball12):

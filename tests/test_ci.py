@@ -87,6 +87,16 @@ def test_scale_smoke_steps_run_under_a_timeout():
         "sys.exit(out != (json.dumps(report, sort_keys=True, indent=2) + '\\n').encode('utf-8'))",
     ]:
         assert part in step, part
+    # the rank-2 class count at (80, 20) through run_command
+    step = " ".join(steps["stable Busemann classes on z2_standard at (80, 20)"].split())
+    assert "PYTHONPATH=src timeout 60 python -c" in step
+    for part in [
+        "parse_spec('src/horobound/specs/z2_standard.spec')",
+        "run_command(replace(c, command='boundary').with_params(r=80, m=20))",
+        "n = sum(k['stable'] and k['busemann'] for k in report['classes'])",
+        "sys.exit(n != 160)",
+    ]:
+        assert part in step, part
     # grow_ball against oracle_ball, field by field, in each spec's own order
     step = " ".join(steps["grown balls against the oracle on z2_rot4 and lamplighter"].split())
     assert "PYTHONPATH=src:tests timeout 60 python -c" in step

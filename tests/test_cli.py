@@ -21,6 +21,7 @@ from importlib import resources
 import pytest
 
 import horobound.cli as cli_mod
+import horobound.metrics as metrics_mod
 from horobound import vabelian
 from horobound.annihilator import DEFAULT_GAP
 from horobound.boundary import STABILITY_WINDOW, Functional
@@ -820,6 +821,41 @@ def test_main_bend_refuses_the_scan_range_before_the_ball_grows(tmp_path, monkey
     assert err == f"error: RangeEmpty: need 1 <= scan_m <= ell, got scan_m={scan_m}, ell={ell}\n"
 
 
+@pytest.mark.parametrize(
+    "spec, argv, run, message",
+    [
+        ("cylinder_n3.spec", ["annihilator"], "gap = -1", "gap must lie in 0..11, got -1"),
+        ("cylinder_n3.spec", ["annihilator", "--r", "1"], "", "gap must lie in 0..0, got 2"),
+        ("cylinder_n3.spec", ["annihilator", "--r", "2", "--m", "2"], "gap = 2",
+         "gap must lie in 0..1, got 2"),
+        ("z2_standard.spec", ["ball", "--r", "5"], "n = -1", "need 0 <= n <= r, got n=-1, r=5"),
+        ("z2_standard.spec", ["ball", "--r", "5"], "n = 6", "need 0 <= n <= r, got n=6, r=5"),
+        ("cylinder_n3.spec", ["annihilator"], "", None),
+        ("z2_standard.spec", ["ball", "--r", "5"], "n = 5", None),
+    ],
+)
+def test_main_refuses_gap_and_prefix_depth_before_the_ball_grows(
+    tmp_path, monkeypatch, spec, argv, run, message
+):
+    # the spec's [run] section comes last, so the extra key lands in it; a
+    # valid run of each command grows its ball exactly once
+    path = tmp_path / spec
+    path.write_text((SPECS / spec).read_text(encoding="utf-8") + run + "\n", encoding="utf-8")
+    grown, grow = [], cli_mod.grow_ball
+
+    def counted(*args, **kwargs):
+        grown.append(1)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "grow_ball", counted)
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    if message is None:
+        assert (code, err, grown) == (0, "", [1])
+    else:
+        assert (code, out, grown) == (1, b"", [])
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("r", ["0", "-4"])
 def test_main_polytope_refuses_r_before_the_quotient_graph(monkeypatch, r):
     def refuse(group, gens):
@@ -947,22 +983,15 @@ HUGE = str(10**12)
     ],
 )
 def test_main_ballsystem_refuses_n_max_before_building_a_chain(monkeypatch, spec, n_max, message):
-    # the lamplighter chain is a tuple of n_max windows and the degenerate
-    # chain on Z^2 a list of n_max lists, so n_max is checked first. The
-    # guards make a chain being built fail at once instead of filling memory
-    calls = [0]
-    identity = Group.identity
+    # build_ball_system builds the chain, n_max windows on the lamplighter
+    # and n_max copies of [identity] on Z^2, only once n_max passes its
+    # check; a chain begun first fails here at once instead of filling memory
+    def refuse(*args):
+        raise AssertionError("a chain was built")
 
-    def counted(self):
-        calls[0] += 1
-        assert calls[0] < 1000, "a degenerate chain is being built"
-        return identity(self)
-
-    def refuse(group, n):
-        raise AssertionError("a lamplighter chain was built")
-
-    monkeypatch.setattr(Group, "identity", counted)
-    monkeypatch.setattr(cli_mod, "lamp_chain", refuse)
+    monkeypatch.setattr(metrics_mod, "Window", refuse)
+    monkeypatch.setattr(metrics_mod, "WindowCosets", refuse)
+    monkeypatch.setattr(Group, "identity", refuse)
     start = time.perf_counter()
     code, out, err = run_cli(["ballsystem", spec_path(spec), "--n-max", n_max])
     assert time.perf_counter() - start < 1

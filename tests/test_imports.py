@@ -135,8 +135,6 @@ KEPT = {
         "tests/test_acceptance.py::test_criterion_05_annihilator_coincidence",
     ),
     "boundary.sign_match": ("tests/test_acceptance.py::test_criterion_07_sign_proportionality",),
-    # d_S(x, y) on a ball; segment reads u = x^-1 y and d together instead
-    "cayley.distance": ("tests/test_cayley.py::_brute_segment",),
     "cayley.segment": (
         "tests/test_acceptance.py::test_criterion_06_interval_monotonicity",
         "perfbench/workloads.py::BusemannSweep",  # the busemann_sweep workload
@@ -203,6 +201,16 @@ def unreached_exports(sources: dict[str, str], root: str, kept) -> list[str]:
         for name in exported(tree)
         if not name.startswith("__") and (mod, name) not in reached
     ]
+
+
+def test_no_module_imports_the_examples():
+    # the example groups are fixtures for the tests and the benchmark; the
+    # package builds its one chain, the lamplighter windows, in metrics
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                assert not any("examples" in name.split(".") for name in names), path.name
 
 
 def test_reach_scanner_flags_only_unreached_exports():

@@ -18,7 +18,7 @@ from horobound.errors import (
     OutOfRange,
     SizeBudget,
 )
-from horobound.examples import Window, WindowCosets, cylinder, example, lamp_chain
+from horobound.examples import cylinder, example
 from horobound.groups import (
     Element,
     FiniteGroupSpec,
@@ -32,6 +32,8 @@ from horobound.groups import (
 )
 from horobound.metrics import (
     BallSystem,
+    Window,
+    WindowCosets,
     _left_transversal,
     bs_annihilator_check,
     build_ball_system,
@@ -71,14 +73,13 @@ def _enumerated_double_coset(group, f, g):
 
 
 def test_window_cosets_match_enumeration(lamp_pair):
-    # the closed form of LampChain against F_n g F_n multiplied out, for
-    # seeded g with lamps in [-8, 8] and shifts in [-6, 6]
+    # the closed form of the window chain against F_n g F_n multiplied out,
+    # for seeded g with lamps in [-8, 8] and shifts in [-6, 6]
     group, _ = lamp_pair
-    chain = lamp_chain(group, 4)
     mul = group.mul_data
     rng = random.Random(2026)
     for n in range(1, 5):
-        f = frozenset(x.data for x in chain[n - 1])
+        f = frozenset(Window(n))
         cosets = WindowCosets(n)
         for _ in range(3):
             lamps = [p for p in range(-8, 9) if rng.random() < 0.4]
@@ -100,7 +101,6 @@ def test_window_cosets_match_enumeration(lamp_pair):
 def test_windows_match_their_listed_elements(lamp_pair):
     # F_j in closed form against the patterns on [-j, j] listed one by one
     group, _ = lamp_pair
-    chain = lamp_chain(group, 4)
     previous = None
     for j in range(1, 5):
         positions = range(-j, j + 1)
@@ -118,11 +118,6 @@ def test_windows_match_their_listed_elements(lamp_pair):
         for outside in (((j + 1,), 0), ((-j - 1,), 0), ((), 1), ((0,), -1), ((-j, j + 1), 0)):
             assert group.element(outside).data not in window
         assert window - {group.identity_data()} == listed - {group.identity_data()}
-        # the chain's F_j holds the same members as Elements of its group
-        assert [x.data for x in chain[j - 1]] == members
-        assert all(x in chain[j - 1] for x in chain[j - 1])
-        assert LamplighterGroup().identity() not in chain[j - 1]
-        assert group.identity_data() not in chain[j - 1]
         if previous is not None:
             assert previous <= window and not window <= previous
             assert frozenset(previous) <= window
@@ -138,7 +133,7 @@ def test_closed_form_norm_matches_the_level_walk(lamp_pair):
     # every element of B_5, each once, from the sphere of the level walk
     # that first holds it; then seeded elements in and past B_5
     group, gens = lamp_pair
-    bs = build_ball_system(group, gens, lamp_chain(group, 5), 5)
+    bs = build_ball_system(group, gens, None, 5)
     assert bs._by_key
     for n, level in enumerate(bs._levels):
         below = bs._levels[n - 1] if n else ()
@@ -187,7 +182,7 @@ def test_t2_generator_takes_the_fallbacks(lamp_pair):
     gens = symmetric_generating_set(
         group, [group.parse("({};1)"), group.parse("({0};0)"), group.parse("({};2)")]
     )
-    bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+    bs = build_ball_system(group, gens, None, 3)
     assert not bs._by_key
     assert sorted(bs._levels[2].reps) == [(0, 0, u) for u in range(-4, 5)]
     _assert_levels_match_oracle(bs, lamp_mul, gens)
@@ -200,7 +195,7 @@ def test_lamplighter_levels_in_closed_form(lamp_pair):
     # B_n is the 2n + 1 double cosets F_n t^u F_n, |u| <= n, of 2^(2n+1+|u|)
     # elements each, so |B_n| = 2^(2n+1) (2^(n+2) - 3)
     group, gens = lamp_pair
-    bs = build_ball_system(group, gens, lamp_chain(group, 5), 5)
+    bs = build_ball_system(group, gens, None, 5)
     sizes = bs.layer_sizes()
     assert sizes[2:] == [2 ** (2 * n + 1) * (2 ** (n + 2) - 3) for n in range(2, 6)]
     assert sizes[2:] == [416, 3712, 31232, 256000]
@@ -213,7 +208,7 @@ def test_lamplighter_run_lists_no_sphere_above_s1(lamp_pair):
     # B_1 only; the annihilator check reads S_2's exceptions off f B_1, and
     # B_2, B_3 and B_4 stay representatives
     group, gens = lamp_pair
-    bs = build_ball_system(group, gens, lamp_chain(group, 4), 4)
+    bs = build_ball_system(group, gens, None, 4)
     metric_axiom_check(bs)
     for data in bs.chain[0]:
         bs_annihilator_check(bs, Element(group, data), 1)
@@ -539,7 +534,7 @@ def _count_products(monkeypatch, cls):
 
 def test_subgroup_check_work_is_near_linear(lamp_pair, monkeypatch):
     group, _ = lamp_pair
-    chain = [frozenset(x.data for x in level) for level in lamp_chain(group, 5)]
+    chain = [frozenset(Window(j)) for j in range(1, 6)]
     calls = _count_products(monkeypatch, LamplighterGroup)
     for i, f in enumerate(chain):
         calls[0] = 0
@@ -553,9 +548,8 @@ def test_ball_system_work_counts(lamp_pair, monkeypatch):
     # F_3 in B_1 F_2, read off in closed form, times the 5 representatives
     # of B_2 at B_3; 3 times 7 at B_4. The mirror blocks are taken as inverses
     group, gens = lamp_pair
-    chain = lamp_chain(group, 4)
     calls = _count_products(monkeypatch, LamplighterGroup)
-    build_ball_system(group, gens, chain, 4)
+    build_ball_system(group, gens, None, 4)
     assert calls[0] == 16 + 15 + 21
 
 
@@ -563,7 +557,6 @@ def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
     # no subgroup check, the symmetry check of B_1 4, and X^-1 at B_2, B_3
     # and B_4, one per representative, 5 + 7 + 9
     group, gens = lamp_pair
-    chain = lamp_chain(group, 4)
     calls = [0]
     inv = LamplighterGroup.inv_data
 
@@ -572,7 +565,7 @@ def test_ball_system_inversion_counts(lamp_pair, monkeypatch):
         return inv(self, a)
 
     monkeypatch.setattr(LamplighterGroup, "inv_data", counted)
-    build_ball_system(group, gens, chain, 4)
+    build_ball_system(group, gens, None, 4)
     assert calls[0] == 25
 
 
@@ -580,20 +573,18 @@ def test_asymmetric_b1_is_refused_before_any_product(lamp_pair, monkeypatch):
     group, _ = lamp_pair
     t, a = group.parse("({};1)"), group.parse("({0};0)")
     gens = GeneratingSet((t, a), ("t", "a"))  # no t^-1
-    chain = lamp_chain(group, 3)
 
     def refuse(self, a, b):
         raise AssertionError("a product was taken")
 
     monkeypatch.setattr(LamplighterGroup, "mul_data", refuse)
     with pytest.raises(AxiomViolation, match="B_1 is not symmetric") as hit:
-        build_ball_system(group, gens, chain, 3)
+        build_ball_system(group, gens, None, 3)
     assert hit.value.witness == {"element": "({};1)"}
 
 
 def test_budget_below_one_is_refused(lamp_pair, monkeypatch):
     group, gens = lamp_pair
-    chain = lamp_chain(group, 3)
 
     def refuse(self, a, b):
         raise AssertionError("a product was taken")
@@ -601,7 +592,7 @@ def test_budget_below_one_is_refused(lamp_pair, monkeypatch):
     monkeypatch.setattr(LamplighterGroup, "mul_data", refuse)  # no level is built
     for budget in (0, -1):
         with pytest.raises(OutOfRange, match=f"budget must be >= 1, got {budget}"):
-            build_ball_system(group, gens, chain, 3, budget=budget)
+            build_ball_system(group, gens, None, 3, budget=budget)
 
 
 def test_axiom_check_sorts_each_sphere_once(lamp_bs4, monkeypatch):
@@ -663,12 +654,12 @@ def test_budgets(lamp_pair):
         with pytest.raises(SizeBudget, match=re.escape(
             f"B_{n} exceeded the element budget {budget} while {step} (holding {holding})"
         )):
-            build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=budget)
+            build_ball_system(group, gens, None, 4, budget=budget)
     # |B_4| = 31,232 is far past a budget of 100; the axiom check lists S_0
     # and S_1 (1 + 3), the annihilator check no more, and S_2 (412) is the
     # first sphere read that does not fit
     lamp = group.element(((0,), 0))
-    bs = build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=100)
+    bs = build_ball_system(group, gens, None, 4, budget=100)
     metric_axiom_check(bs)
     assert bs._held.count == 34
     bs_annihilator_check(bs, lamp, 1)
@@ -677,13 +668,13 @@ def test_budgets(lamp_pair):
         "B_2 exceeded the element budget 100 while listing its sphere (holding 446)"
     )):
         bs.sphere_data(2)
-    bs = build_ball_system(group, gens, lamp_chain(group, 4), 4, budget=446)
+    bs = build_ball_system(group, gens, None, 4, budget=446)
     metric_axiom_check(bs)
     bs_annihilator_check(bs, lamp, 1)
     bs.sphere_data(2)
     assert bs._held.count == 446
     with pytest.raises(SizeBudget, match="exceeds the level budget 8"):
-        build_ball_system(group, gens, lamp_chain(group, 9), 9)
+        build_ball_system(group, gens, None, 9)
 
 
 def test_budget_cuts_an_enumerated_double_coset():
@@ -780,7 +771,7 @@ def test_annihilator_check_matches_sphere_listing(lamp_pair):
     group, gens = lamp_pair
     cases = []
     for n_max in (3, 4, 5):
-        bs = build_ball_system(group, gens, lamp_chain(group, n_max), n_max)
+        bs = build_ball_system(group, gens, None, n_max)
         for n in range(1, n_max + 1):
             members = list(bs.chain[n - 1])
             cases += [(bs, Element(group, d), n) for d in members[:: max(1, len(members) // 8)]]
@@ -922,7 +913,7 @@ def test_axiom_check_reports_a_missing_product(lamp_pair):
     # stay symmetric unions of cosets, so the violation is found among the
     # representative pairs of a walked level, with their own norms
     group, gens = lamp_pair
-    bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+    bs = build_ball_system(group, gens, None, 3)
     f3, t3 = bs.chain[2], group.element(((), 3)).data
     mul, inv = group.mul_data, group.inv_data
     norm = _norms(bs)
@@ -975,7 +966,7 @@ def test_axiom_check_reports_a_level_off_its_cosets(lamp_pair):
     # t^2 and t^-2 moved from B_2 to B_3: B_2 is no longer a union of F_2
     # cosets, so it is not walked, and the pair t^-1 * t^-1 names the level
     group, gens = lamp_pair
-    bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+    bs = build_ball_system(group, gens, None, 3)
     t, t2 = group.element(((), -1)), group.element(((), 2)).data
     norm = _norms(bs)
     norm[t2] = norm[group.inv_data(t2)] = 3
@@ -1060,7 +1051,7 @@ def test_axiom_check_agrees_with_all_pairs(lamp_pair, name):
         mul, inv, identity = dihedral_ops(32)
     else:
         group, gens = lamp_pair
-        bs = build_ball_system(group, gens, lamp_chain(group, 3), 3)
+        bs = build_ball_system(group, gens, None, 3)
         mul, inv, identity = lamp_mul, lamp_inv, ((), 0)
     group = bs.group
     form = oracle_form(group)
