@@ -23,11 +23,12 @@ from .errors import (
     DomainExhausted,
     DomainMismatch,
     GroupMismatch,
+    InfiniteKernelIndex,
     OutOfBall,
     OutOfRange,
     RangeEmpty,
 )
-from .groups import Element
+from .groups import Element, ExtensionGroup, subgroup_index
 
 __all__ = [
     "Functional",
@@ -39,6 +40,7 @@ __all__ = [
     "busemann_functional",
     "boundary_approx",
     "check_level",
+    "check_scan",
     "kernel_approx",
     "kernel_index_estimate",
     "sign_match",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 STABILITY_WINDOW = 3
-KERNEL_RADIUS = 2  # slow_geodesic estimates [G:K] from the kernel's elements in B_2
+KERNEL_RADIUS = 2  # slow_geodesic takes K as the kernel's elements in B_2
 
 
 class Functional:
@@ -369,43 +371,26 @@ def kernel_approx(approx: BoundaryApprox, search_radius: int) -> list[Element]:
     return out
 
 
-def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int, bool]:
-    """(index of <kernel> seen in the ball, certified-exact flag).
+def kernel_index_estimate(kernel: Sequence[Element], ball: Ball) -> tuple[int | None, bool]:
+    """([G:<kernel>], certified flag), with None for an infinite index.
 
-    The subgroup closure runs inside the ball; if it escapes, or the coset
-    count keeps growing through the last layers examined, the value is only a
-    floor and ``exact`` is False. So ``exact`` can be True only when the
-    closure is finite and stays inside the ball. In an infinite group such a
-    subgroup has infinite index, so there ``exact`` is always False: ``bend``
-    reports ``kernel_index_exact: false`` on cylinder_n30_diag.
-
-    When the kernel and its inverses hold every generator, <kernel> = G and
-    the answer is read off the generators with no closure: the closure
-    would reach all of the ball along BFS parent paths, so one coset is seen
-    at every layer, and it escapes exactly when some neighbour entry reads
-    -1, that is when the ball is not all of G (the Cayley graph is
-    connected).
+    A kernel whose elements and inverses hold every generator spans G, so
+    the index 1 is read off the generators; the flag is then true only when
+    the ball is all of G (no neighbour entry reads -1) and radius // 2 >= 2,
+    so ``bend`` reports ``kernel_index_exact: false`` on cylinder_n30_diag.
+    Every other kernel is decided exactly by ``groups.subgroup_index``; a
+    group with no extension normal form (the lamplighter) raises GroupMismatch.
     """
     group = ball.group
     gens = {x.data for x in kernel} | {group.inv_data(x.data) for x in kernel}
     gens.discard(group.identity_data())
-    half = ball.radius // 2
     if gens.issuperset(s.data for s in ball.gens.elements):
-        return 1, half >= 2 and not any(-1 in col[:-1] for col in ball.nbr)
-    inside, escaped = ball.closure(sorted(gens, key=group.sort_key), ball.radius)
-
-    size = ball.size(half)
-    # rep^-1 x for every x in B_half, one gather per representative;
-    # |rep^-1 x| <= 2 * half <= radius keeps every entry in the ball
-    rep_translates: list[list[int]] = []
-    counts = []
-    for rr in range(half + 1):
-        for x in range(ball.size(rr - 1), ball.size(rr)):
-            if not any(pos[x] in inside for pos in rep_translates):
-                rep_translates.append(ball.gather(ball.inv_index(x), size))
-        counts.append(len(rep_translates))
-    stableized = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
-    return len(rep_translates), escaped is None and stableized
+        return 1, ball.radius // 2 >= 2 and not any(-1 in col[:-1] for col in ball.nbr)
+    if not isinstance(group, ExtensionGroup):
+        raise GroupMismatch(
+            f"[G:K] for K missing a generator needs a normal form; {group.family} has none"
+        )
+    return subgroup_index(group, kernel), True
 
 
 @dataclass(frozen=True)
@@ -484,35 +469,42 @@ class SlowGeodesic:
     scan: BendScan
 
 
-def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowGeodesic:
-    """Extract beta_j = alpha_t^-1 alpha_{t+j} (j <= ell) from a geodesic to x.
-
-    x should be an annihilator element; the admissible range is
-    1 <= m <= ell <= 2|x|/(m+2) - m. alpha is x's BFS parent path in the
-    approximation's ball, and alpha and beta stay ball positions: each
-    class is read at beta_m as its vector entry. The scan runs over
-    0 <= k <= m*r with r = floor(|x|/(m+2)) + 1 against the first stable
-    class, and the returned certificate checks |h(beta_m)| <= 6*[G:K] + 1
-    for every stable class h, raising the BoundViolated diagnostic
-    otherwise. [G:K] is estimated from the kernel elements in
-    B_KERNEL_RADIUS.
-    """
-    ball = approx.ball
-    x_pos = ball.position(x)
-    nx = ball.dist[x_pos]
+def check_scan(m: int, ell: int, nx: int, domain: int) -> int:
+    """Refuse a scan of window m and length ell to a point of norm nx that
+    classes on B_domain cannot hold, before any level is built; return the
+    scan's last start m * (nx // (m + 2) + 1)."""
     if m < 1 or ell < m or (ell + m) * (m + 2) > 2 * nx:
         raise RangeEmpty(
             f"need 1 <= m <= ell <= 2|x|/(m+2) - m; got m={m}, ell={ell}, |x|={nx}"
         )
+    scan_max = m * (nx // (m + 2) + 1)
+    if scan_max + m > domain:
+        raise DomainExhausted(
+            f"scan needs functional domain {scan_max + m}, classes have {domain}"
+        )
+    return scan_max
+
+
+def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowGeodesic:
+    """Extract beta_j = alpha_t^-1 alpha_{t+j} (j <= ell) from a geodesic to x.
+
+    x should be an annihilator element; the admissible range is
+    1 <= m <= ell <= 2|x|/(m+2) - m (``check_scan``). alpha is x's BFS
+    parent path in the approximation's ball, and alpha and beta stay ball
+    positions: each class is read at beta_m as its vector entry. The scan
+    runs over 0 <= k <= m*r with r = floor(|x|/(m+2)) + 1 against the first
+    stable class, and the returned certificate checks
+    |h(beta_m)| <= 6*[G:K] + 1 for every stable class h, raising the
+    BoundViolated diagnostic otherwise. K is generated by the kernel
+    elements in B_KERNEL_RADIUS; an infinite [G:K], a truncation artifact,
+    raises the InfiniteKernelIndex diagnostic.
+    """
+    ball = approx.ball
+    x_pos = ball.position(x)
+    scan_max = check_scan(m, ell, ball.dist[x_pos], approx.m)
     classes = approx.stable_classes()
     if not classes:
         raise RangeEmpty(f"no stable classes at level (r={approx.r}, m={approx.m})")
-    r_par = nx // (m + 2) + 1
-    scan_max = m * r_par
-    if scan_max + m > classes[0].domain_radius:
-        raise DomainExhausted(
-            f"scan needs functional domain {scan_max + m}, classes have {classes[0].domain_radius}"
-        )
     path = ball.path(x_pos)
     scan = bend_scan(path, m, classes[0], k_max=scan_max)
     t = scan.t
@@ -523,6 +515,14 @@ def slow_geodesic(x: Element, m: int, ell: int, approx: BoundaryApprox) -> SlowG
         beta.append(ball.nbr[ball.parent_gen[p]][beta[-1]])
     kern = kernel_approx(approx, KERNEL_RADIUS)
     index, exact = kernel_index_estimate(kern, ball)
+    if index is None:
+        raise InfiniteKernelIndex(
+            f"the kernel in B_{KERNEL_RADIUS} at level (r={approx.r}, m={approx.m}) "
+            "generates a subgroup of infinite index",
+            r=approx.r,
+            m=approx.m,
+            kernel=[str(x) for x in kern],
+        )
     bound = 6 * index + 1
     # |beta_m| <= m <= scan_max < domain radius, so beta_m is in every domain
     values = tuple(h.vector[beta[m]] for h in classes)

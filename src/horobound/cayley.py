@@ -186,56 +186,6 @@ class Ball:
             append(col[pos[p]])
         return pos
 
-    def closure(self, gens: list[tuple], bound: int) -> tuple[set[int], tuple | None]:
-        """Positions of the products of ``gens`` that lie in B_bound, and the
-        first product that leaves B_bound (None when none does).
-
-        Breadth-first from the identity, layer by layer, expanding each
-        position by ``gens`` in list order, so the seeds are the first layer.
-        The walk goes on past an escape and gathers everything reachable
-        inside B_bound. For a generator u = s_1 .. s_k along its BFS parent
-        path, w u is k neighbour-table lookups from w. A lookup reads -1 once
-        some w s_1 .. s_j leaves the ball, although w u itself may lie
-        inside, so only then is w u multiplied out; u outside the ball is
-        always multiplied. ``kernel_index_estimate`` calls this only for a
-        kernel that misses some generator: one holding S spans G, and its
-        closure would be the whole ball.
-        """
-        if not (0 <= bound <= self.radius):
-            raise OutOfBall(f"bound {bound} outside 0..{self.radius}")
-        group, data, index, dist = self.group, self.data, self.index, self.dist
-        nbr = self.nbr
-        walks = []  # (u, the neighbour columns s_1 .. s_k, or None for u outside the ball)
-        for u in gens:
-            i = index.get(u)
-            cols = None if i is None else [nbr[self.parent_gen[p]] for p in self.path(i)[1:]]
-            walks.append((u, cols))
-        inside = {0}
-        frontier = [0]
-        escaped = None
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for u, cols in walks:
-                    v = -1
-                    if cols is not None:
-                        v = w
-                        for col in cols:
-                            v = col[v]
-                    if v < 0:
-                        prod = group.mul_data(data[w], u)
-                        v = index.get(prod, -1)
-                    if v in inside:
-                        continue
-                    if v < 0 or dist[v] > bound:
-                        if escaped is None:
-                            escaped = prod if v < 0 else data[v]
-                        continue
-                    inside.add(v)
-                    nxt.append(v)
-            frontier = nxt
-        return inside, escaped
-
     def path(self, i: int) -> list[int]:
         """Positions of the BFS parent path from the identity to x_i, a
         geodesic: path[k] has norm k, and x_path[k] = x_path[k-1] s for

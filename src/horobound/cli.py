@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Callable, Iterator
 
 from .annihilator import DEFAULT_GAP, annihilator_candidates, check_annulus
-from .boundary import STABILITY_WINDOW, boundary_approx, check_level, slow_geodesic
+from .boundary import STABILITY_WINDOW, boundary_approx, check_level, check_scan, slow_geodesic
 from .cayley import DEFAULT_BUDGET, check_prefix_depth, geodesic_prefixes, grow_ball
 from .errors import (
     Diagnostic,
@@ -484,12 +484,15 @@ def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
 
 def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
     r = p["r"]
-    if r < 1:  # before the quotient graph: the functional reads S in B_r
-        raise ValueError(f"need r >= 1, got r={r}")
     qg = quotient_graph(group, gens)
     cycles = simple_cycle_labels(qg)
     cloud = conjugate_cloud(cycles)
     poly = cloud_hull(cloud)
+    e_prime = select_extreme(poly, p["extreme"])
+    w = cloud.provenance[e_prime][0][1]
+    nw = cycles.norms[w.data]
+    if r < nw:  # before the ball is grown: the functional reads |w| in B_r
+        raise ValueError(f"need r >= |w| = {nw} for the cycle label w = {w}, got r={r}")
     ball = grow_ball(group, gens, r, budget=p["budget"])
     body = {
         "quotient_graph": qg.to_json_dict(),
@@ -497,9 +500,7 @@ def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
         "cloud": cloud.to_json_dict(),
         "hull": poly.to_json_dict(),
         "membership": step1_membership(poly, ball, r).to_json_dict(),
-        "functional": lipschitz_hom(
-            poly, select_extreme(poly, p["extreme"]), cloud, ball
-        ).to_json_dict(),
+        "functional": lipschitz_hom(poly, e_prime, cloud, ball).to_json_dict(),
     }
     return body, {}
 
@@ -542,6 +543,7 @@ def _cmd_bend(group: Group, gens: GeneratingSet, p: dict):
     if not 1 <= scan_m <= ell:
         raise RangeEmpty(f"need 1 <= scan_m <= ell, got scan_m={scan_m}, ell={ell}")
     ball = grow_ball(group, gens, r + m, budget=p["budget"])
+    check_scan(scan_m, ell, ball.norm(x), m)  # before the level is built
     approx = boundary_approx(ball, r, m)
     sg = slow_geodesic(x, scan_m, ell, approx)
     body = {

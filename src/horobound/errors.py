@@ -25,6 +25,7 @@ __all__ = [
     "DomainMismatch",
     "RangeEmpty",
     "BoundViolated",
+    "InfiniteKernelIndex",
     "DimensionCap",
     "NotConnected",
     "NotExtreme",
@@ -114,6 +115,11 @@ class RangeEmpty(HoroboundError):
 
 class BoundViolated(Diagnostic):
     """A finite-level certificate exceeded its stated bound."""
+
+
+class InfiniteKernelIndex(Diagnostic):
+    """The kernel seen at a finite level generates a subgroup of infinite
+    index, so no bound 6[G:K]+1 exists there."""
 
 
 # -- vabelian ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .boundary import busemann_functional
+from .boundary import busemann_functional, check_level
 from .cayley import Ball, grow_ball, DEFAULT_BUDGET
 from .errors import (
     GroupMismatch,
@@ -537,8 +537,7 @@ def infinite_boundary_witness(
         raise ValueError(
             f"kernel rank {group.rank} < 2: a line has a two-point boundary, nothing to count"
         )
-    if not (0 < m < r):
-        raise ValueError(f"need 0 < m < r, got m={m}, r={r}")
+    check_level(r, m)
     if k < 1:
         raise OutOfRange(f"need k >= 1 distinct restrictions, got k={k}")
     ball = grow_ball(group, gens, r + m, budget=budget)

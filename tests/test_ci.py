@@ -97,6 +97,15 @@ def test_scale_smoke_steps_run_under_a_timeout():
         "sys.exit(n != 160)",
     ]:
         assert part in step, part
+    # bend on Z^2 must end in the infinite-index diagnostic
+    step = " ".join(steps["bend on z2_standard at (80, 20)"].split())
+    assert "run: | PYTHONPATH=src timeout 60 python -c" in step
+    for part in [
+        "parse_spec('src/horobound/specs/z2_standard.spec')",
+        "run_command(replace(c, command='bend').with_params(r=80, m=20, scan_m=2, ell=8, x='(20,0)'))",
+        "except InfiniteKernelIndex as exc: print(exc.payload) sys.exit(0) sys.exit(1)",
+    ]:
+        assert part in step, part
     # grow_ball against oracle_ball, field by field, in each spec's own order
     step = " ".join(steps["grown balls against the oracle on z2_rot4 and lamplighter"].split())
     assert "PYTHONPATH=src:tests timeout 60 python -c" in step

@@ -856,15 +856,87 @@ def test_main_refuses_gap_and_prefix_depth_before_the_ball_grows(
         assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("r", ["0", "-4"])
-def test_main_polytope_refuses_r_before_the_quotient_graph(monkeypatch, r):
-    def refuse(group, gens):
-        raise AssertionError("the quotient graph was built")
+@pytest.mark.parametrize(
+    "spec, r, w, nw",
+    [("z_line.spec", -4, "(-1)", 1), ("z_line.spec", 0, "(-1)", 1)]
+    + [("cylinder_n4_ext.spec", r, "(-4;0)", 4) for r in (1, 2, 3)]
+    + [("cylinder_n4.spec", r, "(-4,0)", 4) for r in (1, 2, 3)]
+    + [("fat_cylinder_n3.spec", r, "(-3,0)", 3) for r in (1, 2)]
+    + [("cylinder_n4_ext.spec", 4, None, None), ("z2_rot4.spec", 1, None, None)],
+)
+def test_main_polytope_refuses_r_below_the_cycle_norm_before_the_ball_grows(
+    monkeypatch, spec, r, w, nw
+):
+    # the functional reads |w| for the cycle label w of the selected extreme
+    # point, so a radius below it is refused before the ball grows; a valid
+    # run grows it once
+    grown, grow = [], cli_mod.grow_ball
 
-    monkeypatch.setattr(cli_mod, "quotient_graph", refuse)
-    code, out, err = run_cli(["polytope", spec_path("z_line.spec"), "--r", r])
-    assert (code, out) == (1, b"")
-    assert err == f"error: need r >= 1, got r={r}\n"
+    def counted(*args, **kwargs):
+        grown.append(1)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "grow_ball", counted)
+    code, out, err = run_cli(["polytope", spec_path(spec), "--r", str(r)])
+    if w is None:
+        assert (code, err, grown) == (0, "", [1])
+    else:
+        assert (code, out, grown) == (1, b"", [])
+        assert err == f"error: need r >= |w| = {nw} for the cycle label w = {w}, got r={r}\n"
+
+
+def _bend_spec(tmp_path, old, new):
+    text = (SPECS / "cylinder_n30_diag.spec").read_text(encoding="utf-8")
+    spec = tmp_path / "bend.spec"
+    spec.write_text(text.replace(old, new), encoding="utf-8")
+    return str(spec)
+
+
+@pytest.mark.parametrize(
+    "edit, flags, message",
+    [pytest.param(None, ["--m", str(m)],
+                  f"DomainExhausted: scan needs functional domain 18, classes have {m}", id=f"m={m}")
+     for m in (1, 9, 17)]
+    + [
+        pytest.param(("ell = 8", "ell = 21"), [],
+                     "RangeEmpty: need 1 <= m <= ell <= 2|x|/(m+2) - m; got m=2, ell=21, |x|=30",
+                     id="ell=21"),
+        pytest.param(("x = (0,15)", "x = (80,0)"), [],
+                     "OutOfBall: (80,0) lies outside the radius-67 ball", id="x=(80,0)"),
+        pytest.param(None, [], None, id="bundled"),
+    ],
+)
+def test_main_bend_refuses_a_scan_the_level_cannot_hold_before_building_it(
+    tmp_path, monkeypatch, edit, flags, message
+):
+    # |x| is read off the grown ball, so a scan too long for |x| or for the
+    # level's m, and an x outside the ball, are refused before the level is
+    # built; the bundled run builds it once
+    spec = spec_path("cylinder_n30_diag.spec") if edit is None else _bend_spec(tmp_path, *edit)
+    built, build = [], cli_mod.boundary_approx
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "boundary_approx", counted)
+    code, out, err = run_cli(["bend", spec, *flags])
+    if message is None:
+        assert (code, err, built) == (0, "", [1])
+    else:
+        assert (code, out, built) == (1, b"", [])
+        assert err == f"error: {message}\n"
+
+
+def test_main_bend_infinite_kernel_index_exits_2():
+    # at (40, 18) on cylinder_n30_diag the kernel in B_2 is {e}, of infinite
+    # index, so the run ends in a diagnostic and certifies no bound
+    argv = ["bend", spec_path("cylinder_n30_diag.spec"), "--r", "40", "--m", "18"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert report["diagnostic"] == "InfiniteKernelIndex"
+    assert report["detail"] == {"r": 40, "m": 18, "kernel": ["(0,0)"]}
 
 
 Z2_SPEC = spec_path("z2_standard.spec")
