@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from horobound import cayley, cli, vabelian
+from horobound import cayley, vabelian
 from horobound.cayley import (
     Ball,
     geodesic_prefixes,
@@ -105,7 +105,7 @@ def test_bundled_extension_balls_match_oracle(name, monkeypatch):
         balls.append(grow_ball(*args, **kwargs))
         return balls[-1]
 
-    monkeypatch.setattr(cli, "grow_ball", recording)
+    monkeypatch.setattr(cayley, "grow_ball", recording)
     monkeypatch.setattr(vabelian, "grow_ball", recording)
     run_command(config)
     assert isinstance(balls[0].group, ExtensionGroup)

@@ -1,7 +1,8 @@
 """The CI workflow tests every minor Python from the oldest that
 pyproject.toml admits to 3.13, runs the goldens again under a fixed second
-hash seed, runs its scale smoke steps and an oracle check of grown balls
-under a timeout, and runs the benchmark's correctness gate on every workload.
+hash seed and once more with each bundled spec in a fresh process, runs its
+scale smoke steps and an oracle check of grown balls under a timeout, and
+runs the benchmark's correctness gate on every workload.
 
 The workflow and pyproject.toml are read as text: ``tomllib`` only arrived
 in Python 3.11.
@@ -118,6 +119,25 @@ def test_scale_smoke_steps_run_under_a_timeout():
         "[b.data, list(b.parent), list(b.parent_gen), b.offsets, [col[:-1] for col in b.nbr]] "
         "!= [want[k] for k in ('data', 'parent', 'parent_gen', 'offsets', 'nbr')]",
         "sys.exit(bool(bad))",
+    ]:
+        assert part in step, part
+
+
+def test_bundled_specs_run_in_fresh_processes_against_the_goldens():
+    # each spec under its own [run] command through the module entry point,
+    # one process per spec, every written file against its stored digest
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = " ".join(_steps(workflow)["bundled specs in fresh processes against the goldens"].split())
+    assert "run: | PYTHONPATH=src timeout 60 python -c" in step
+    for part in [
+        "golden = json.loads(pathlib.Path('tests/golden/bundled.json').read_text(encoding='utf-8'))",
+        "specs = sorted(pathlib.Path('src/horobound/specs').glob('*.spec'))",
+        "command = re.search(r'^command\\s*=\\s*(\\w+)', spec.read_text(encoding='utf-8'), re.M).group(1)",
+        "subprocess.run([sys.executable, '-m', 'horobound.cli', command, str(spec), '--out', out], "
+        "check=True, stdout=subprocess.DEVNULL)",
+        "got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in pathlib.Path(out).iterdir()}",
+        "if got != golden[spec.name]: bad.append(spec.name)",
+        "sys.exit(len(specs) != 11 or bool(bad))",
     ]:
         assert part in step, part
 

@@ -4,10 +4,13 @@ Exit codes: 0 for a completed run, 2 for a structured diagnostic (payload
 on stdout), 1 for anything else (message on stderr).
 """
 
+import ast
 import enum
+import importlib
 import io
 import json
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -20,6 +23,8 @@ from importlib import resources
 
 import pytest
 
+import horobound.boundary as boundary_mod
+import horobound.cayley as cayley_mod
 import horobound.cli as cli_mod
 import horobound.metrics as metrics_mod
 from horobound import vabelian
@@ -386,7 +391,42 @@ def test_handler_gets_exactly_its_typed_row(monkeypatch, command):
     _, _, cfg = parse_spec(Z2_SPEC)
     run_command(replace(cfg, command=command, params=tuple(sorted(given.items()))))
     typed = {k: v if k in cli_mod.TEXT else int(v) for k, v in given.items()}
-    assert seen == [{k: typed.get(k, default) for k, default in row.items()}]
+    assert seen == [{k: typed.get(k, library_default(default)) for k, default in row.items()}]
+
+
+def library_default(default):
+    """A PARAMS default as a run reads it: (module, name) names a constant
+    of the package's module, anything else is the value itself."""
+    if isinstance(default, tuple):
+        module, name = default
+        return getattr(importlib.import_module(f"horobound.{module}"), name)
+    return default
+
+
+def test_library_defaults_are_defined_once():
+    # each (module, name) default is a module-level constant of that module
+    # and of no other, cli included
+    sources = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in pathlib.Path(cli_mod.__file__).parent.glob("*.py")
+    }
+    named = {default for row in cli_mod.PARAMS.values() for default in row.values()
+             if isinstance(default, tuple)}
+    assert {name for _, name in named} == {
+        "DEFAULT_BUDGET", "STABILITY_WINDOW", "DEFAULT_GAP", "WITNESS_K", "DEFAULT_SELECTOR",
+        "DEFAULT_SET_BUDGET",
+    }
+    for module, name in sorted(named):
+        defining = [
+            mod
+            for mod, tree in sources.items()
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and name in {t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                         if isinstance(t, ast.Name)}
+        ]
+        assert defining == [module], name
+        assert isinstance(library_default((module, name)), (int, str))
 
 
 @pytest.mark.parametrize(
@@ -394,13 +434,18 @@ def test_handler_gets_exactly_its_typed_row(monkeypatch, command):
     [
         ("z_line.spec", "boundary", "window", STABILITY_WINDOW),
         ("cylinder_n4.spec", "annihilator", "gap", DEFAULT_GAP),
+        ("z2_standard.spec", "witness", "k", vabelian.WITNESS_K),
+        ("z2_standard.spec", "witness", "extreme", vabelian.DEFAULT_SELECTOR),
+        ("lamplighter.spec", "ballsystem", "budget", metrics_mod.DEFAULT_SET_BUDGET),
     ],
 )
 def test_absent_parameter_runs_at_the_library_default(spec, command, key, default):
-    # the config echo lists the parameters that were given, so it is left out
+    # the config echo lists the parameters that were given, so it is left
+    # out; a key the spec's [run] section sets is dropped for the absent run
     def body(**params):
         _, _, cfg = parse_spec(spec_path(spec))
-        report, sides = run_command(replace(cfg, command=command).with_params(**params))
+        cfg = replace(cfg, command=command, params=tuple(kv for kv in cfg.params if kv[0] != key))
+        report, sides = run_command(cfg.with_params(**params))
         del report["config"]
         return emit_report(report), sides
 
@@ -728,6 +773,63 @@ def test_module_entry_point_loads_once():
     assert proc.stderr == ""
 
 
+# the package modules a run of each command loads, past the package, cli
+# and the three modules cli imports (errors, groups, linalg)
+COMMAND_MODULES = {
+    ("ball", "z_line.spec"): {"cayley"},
+    ("boundary", "z_line.spec"): {"boundary", "cayley"},
+    ("bend", "cylinder_n30_diag.spec"): {"boundary", "cayley"},
+    ("annihilator", "cylinder_n3.spec"): {"annihilator", "boundary", "cayley"},
+    ("polytope", "cylinder_n4_ext.spec"): {"boundary", "cayley", "polytope", "vabelian"},
+    ("witness", "z2_standard.spec"): {"boundary", "cayley", "polytope", "vabelian"},
+    ("ballsystem", "lamplighter.spec"): {"metrics"},
+}
+CLI_MODULES = {"horobound", "horobound.cli", "horobound.errors", "horobound.groups",
+               "horobound.linalg"}
+
+
+def _modules_loaded_by(statement):
+    """The modules a fresh interpreter loads while it runs ``statement``,
+    with stdout held in memory."""
+    code = (
+        "import io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.stdout = io.TextIOWrapper(io.BytesIO())\n"
+        f"{statement}\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_cli_loads_no_pipeline():
+    loaded = _modules_loaded_by("import horobound.cli")
+    assert {m for m in loaded if m.startswith("horobound")} == CLI_MODULES
+    assert "argparse" not in loaded
+
+
+@pytest.mark.parametrize("command, spec", sorted(COMMAND_MODULES))
+def test_a_run_loads_only_its_own_pipeline(command, spec):
+    # each handler imports its pipeline in its body, so a run of one command
+    # loads no other command's modules; a module-level import put back into
+    # cli shows here, where the in-process tests, which load every module
+    # into one interpreter, cannot see it
+    loaded = _modules_loaded_by(
+        f"from horobound.cli import main; assert main([{command!r}, {spec_path(spec)!r}]) == 0"
+    )
+    want = CLI_MODULES | {f"horobound.{name}" for name in COMMAND_MODULES[command, spec]}
+    assert {m for m in loaded if m.startswith("horobound")} == want
+
+
 def test_main_subcommand_overrides_run_section():
     # z_line.spec says boundary; the subcommand wins
     code, out, _ = run_cli(["ball", spec_path("z_line.spec")])
@@ -815,7 +917,7 @@ def test_main_bend_refuses_the_scan_range_before_the_ball_grows(tmp_path, monkey
     spec = tmp_path / "bend.spec"
     spec.write_text(text, encoding="utf-8")
     grown = []
-    monkeypatch.setattr(cli_mod, "grow_ball", lambda *args, **kwargs: grown.append(args))
+    monkeypatch.setattr(cayley_mod, "grow_ball", lambda *args, **kwargs: grown.append(args))
     code, out, err = run_cli(["bend", str(spec)])
     assert (code, out, grown) == (1, b"", [])
     assert err == f"error: RangeEmpty: need 1 <= scan_m <= ell, got scan_m={scan_m}, ell={ell}\n"
@@ -841,13 +943,13 @@ def test_main_refuses_gap_and_prefix_depth_before_the_ball_grows(
     # valid run of each command grows its ball exactly once
     path = tmp_path / spec
     path.write_text((SPECS / spec).read_text(encoding="utf-8") + run + "\n", encoding="utf-8")
-    grown, grow = [], cli_mod.grow_ball
+    grown, grow = [], cayley_mod.grow_ball
 
     def counted(*args, **kwargs):
         grown.append(1)
         return grow(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "grow_ball", counted)
+    monkeypatch.setattr(cayley_mod, "grow_ball", counted)
     code, out, err = run_cli([argv[0], str(path), *argv[1:]])
     if message is None:
         assert (code, err, grown) == (0, "", [1])
@@ -870,13 +972,13 @@ def test_main_polytope_refuses_r_below_the_cycle_norm_before_the_ball_grows(
     # the functional reads |w| for the cycle label w of the selected extreme
     # point, so a radius below it is refused before the ball grows; a valid
     # run grows it once
-    grown, grow = [], cli_mod.grow_ball
+    grown, grow = [], cayley_mod.grow_ball
 
     def counted(*args, **kwargs):
         grown.append(1)
         return grow(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "grow_ball", counted)
+    monkeypatch.setattr(cayley_mod, "grow_ball", counted)
     code, out, err = run_cli(["polytope", spec_path(spec), "--r", str(r)])
     if w is None:
         assert (code, err, grown) == (0, "", [1])
@@ -913,13 +1015,13 @@ def test_main_bend_refuses_a_scan_the_level_cannot_hold_before_building_it(
     # level's m, and an x outside the ball, are refused before the level is
     # built; the bundled run builds it once
     spec = spec_path("cylinder_n30_diag.spec") if edit is None else _bend_spec(tmp_path, *edit)
-    built, build = [], cli_mod.boundary_approx
+    built, build = [], boundary_mod.boundary_approx
 
     def counted(*args, **kwargs):
         built.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "boundary_approx", counted)
+    monkeypatch.setattr(boundary_mod, "boundary_approx", counted)
     code, out, err = run_cli(["bend", spec, *flags])
     if message is None:
         assert (code, err, built) == (0, "", [1])

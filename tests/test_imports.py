@@ -1,10 +1,12 @@
-"""No module of the package imports a name at module level that it never
-uses, defines a private module-level name that it never reads, exports a
-name that nothing reaches, or takes a parameter that it never reads, and no
-exported error type goes unraised.
+"""No module of the package imports a name that it never uses, defines a
+private module-level name that it never reads, exports a name that nothing
+reaches, or takes a parameter that it never reads, and no exported error
+type goes unraised.
 
-An import counts as used when the module reads it anywhere, annotations
-included; listing it in ``__all__`` does not count, as no module re-exports.
+A module-level import counts as used when the module reads it anywhere,
+annotations included; listing it in ``__all__`` does not count, as no
+module re-exports. An import in a function body counts as used when that
+function reads it.
 A private function, class or constant (``_name``) counts as read when a
 module-level statement other than its own definition reads it, so a helper
 left behind by a refactor, or one that only calls itself, is found. An
@@ -38,18 +40,39 @@ def exported(tree: ast.Module) -> list[str]:
     return []
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _bound(statements) -> dict[str, int]:
+    """Name -> line for each name the import statements among ``statements`` bind."""
     imported = {}
-    for node in tree.body:
+    for node in statements:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+    return imported
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    """A module-level import that the module never reads, and an import in
+    a function body that the function never reads."""
+    tree = ast.parse(source)
+    scopes = [(tree.body, tree)] + [
+        (list(ast.walk(fn)), fn)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    found = {
+        (line, name)
+        for statements, scope in scopes
+        for name, line in _bound(statements).items()
+        if name not in _names(scope)
+    }
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 def unread_private_names(source: str) -> list[str]:
@@ -87,8 +110,13 @@ def test_scanner_flags_only_unused_names():
         "@dataclass\n"
         "class A:\n"
         "    xs: Sequence[int]\n"
+        "def handler():\n"
+        "    from .y import run, spare\n"
+        "    return run()\n"
     )
-    assert unused_imports(source) == ["line 2: os", "line 3: field", "line 5: alias"]
+    assert unused_imports(source) == [
+        "line 2: os", "line 3: field", "line 5: alias", "line 11: spare",
+    ]
 
 
 def test_sources_are_found():
@@ -154,7 +182,9 @@ def unreached_exports(sources: dict[str, str], root: str, kept) -> list[str]:
     name such a statement loads is reached, followed through
     ``from .x import y`` to the module defining it, and the whole of a
     reached top-level definition (function, class or assignment) is read in
-    turn. Names in ``kept`` ("module.name") are reached too. A name a module
+    turn. A ``from .x import y`` inside a definition binds ``y`` for the
+    whole of that definition, so a handler that imports its pipeline in its
+    body reaches what it calls. Names in ``kept`` ("module.name") are reached too. A name a module
     only imports and lists in ``__all__`` is never its own, so a re-export
     is flagged; dunder names are package metadata and exempt.
     """
@@ -192,9 +222,15 @@ def unreached_exports(sources: dict[str, str], root: str, kept) -> list[str]:
         reach(tuple(name.split(".")))
     while todo:
         mod, node = todo.pop()
+        local = {  # module-level imports never enter todo
+            alias.asname or alias.name: (n.module, alias.name)
+            for n in ast.walk(node)
+            if isinstance(n, ast.ImportFrom) and n.level == 1
+            for alias in n.names
+        }
         for n in ast.walk(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                reach((mod, n.id))
+                reach(local.get(n.id, (mod, n.id)))
     return [
         f"{mod}.{name}"
         for mod, tree in trees.items()
@@ -215,7 +251,13 @@ def test_no_module_imports_the_examples():
 
 def test_reach_scanner_flags_only_unreached_exports():
     sources = {
-        "cli": "from .x import entry as run\nrun()\n",
+        "cli": (
+            "from .x import entry as run\n"
+            "run()\n"
+            "def handler():\n"
+            "    from .z import deep as go\n"
+            "    return go()\n"
+        ),
         "x": (
             "__all__ = ['entry', 'inner', 'stray', 'table']\n"
             "LIMIT = 3\n"
@@ -231,8 +273,16 @@ def test_reach_scanner_flags_only_unreached_exports():
             "    return 4\n"
         ),
         "y": "from .x import inner as again\n__all__ = ['again', '__version__']\n",
+        "z": (
+            "__all__ = ['deep', 'idle']\n"
+            "def deep():\n"
+            "    return 1\n"
+            "def idle():\n"
+            "    from .x import stray\n"
+            "    return stray()\n"
+        ),
     }
-    assert unreached_exports(sources, "cli", ["x.table"]) == ["x.stray", "y.again"]
+    assert unreached_exports(sources, "cli", ["x.table"]) == ["x.stray", "y.again", "z.idle"]
 
 
 def test_every_export_is_reached_or_kept():
