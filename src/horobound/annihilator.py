@@ -6,6 +6,9 @@ norm at which x and 1 still disagree; an element is a candidate when its
 disagreements die out a clean annulus (the gap) before the comparison
 horizon. Candidacy is evidence, never proof: no finite ball certifies
 membership in the true common zero set.
+
+Profiles, candidates and violating pairs are ball positions; elements are
+formatted only where a report writes them.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from .groups import Element
 
 __all__ = [
     "DEFAULT_GAP",
-    "Profile",
     "AnnihilatorReport",
     "FunctionalZeroSets",
-    "indistinguishability_profile",
     "annihilator_candidates",
     "check_annulus",
     "functional_annihilator",
@@ -34,107 +35,52 @@ DEFAULT_GAP = 2
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Last disagreement radius of d(x, .) against d(1, .), and the verdict."""
-
-    element: Element
-    rho: int
-    r: int
-    gap: int
-
-    @property
-    def candidate(self) -> bool:
-        return self.rho < self.r - self.gap
-
-    @property
-    def witness_radius(self) -> int:
-        """Smallest radius from which agreement is observed: rho + 1."""
-        return self.rho + 1
-
-
-def indistinguishability_profile(
-    x: Element, ball: Ball, r: int | None = None, gap: int = DEFAULT_GAP
-) -> Profile:
-    """rho(x) = max{|y| <= r : d(x, y) != d(1, y)}, -1 when no disagreement.
-
-    The comparison radius defaults to the largest the ball supports for this
-    x, namely ball.radius - |x|. Candidacy means the whole outer annulus of
-    width gap is disagreement-free. With y = x_k, d(x, y) = |x^-1 x_k| is
-    read from one gather from x^-1, which stays inside the ball because
-    |x| + r <= ball.radius; y = 1 disagrees exactly when x != 1.
-    """
-    x_pos = ball.position(x)
-    nx = ball.dist[x_pos]
-    if r is None:
-        r = ball.radius - nx
-    if nx + r > ball.radius:
-        raise OutOfBall(
-            f"profile at scale {r} for |x|={nx} needs ball radius {nx + r}, have {ball.radius}"
-        )
-    if r < 1:
-        raise OutOfBall(f"comparison radius {r} is empty")
-    if gap < 0 or gap >= r:
-        raise ValueError(f"gap must lie in 0..{r - 1}, got {gap}")
-    dist = ball.dist
-    pos = ball.gather(ball.inv_index(x_pos), ball.size(r))
-    rho = -1
-    for k in range(len(pos) - 1, -1, -1):
-        if dist[pos[k]] != dist[k]:
-            rho = dist[k]
-            break
-    return Profile(x, rho, r, gap)
-
-
-@dataclass(frozen=True)
 class AnnihilatorReport:
-    """Profiles over B_m, the candidate set, and subgroup-shadow evidence."""
+    """Profiles over B_m, the candidate set, and subgroup-shadow evidence.
+
+    ``rho[x]`` is the last disagreement radius of the element at position x
+    of B_m, -1 when it never disagrees; its witness radius is rho + 1, and
+    it is a candidate when rho < r - gap. ``candidates`` and the pairs of
+    ``product_violations`` are positions in ``ball``.
+    """
 
     ball: Ball
     m: int
     r: int
     gap: int
-    profiles: tuple[Profile, ...]
-    candidates: tuple[Element, ...]
+    rho: tuple[int, ...]
+    candidates: tuple[int, ...]
     inverse_closed: bool
-    product_violations: tuple[tuple[Element, Element], ...]
-
-    def candidate_data(self) -> set[tuple]:
-        return {c.data for c in self.candidates}
+    product_violations: tuple[tuple[int, int], ...]
 
     def to_json_dict(self) -> dict:
+        fmt, data, cut = self.ball.group.format_data, self.ball.data, self.r - self.gap
         return {
             "m": self.m,
             "r": self.r,
             "gap": self.gap,
             "profiles": [
                 {
-                    "element": str(p.element),
-                    "rho": p.rho,
-                    "witness_radius": p.witness_radius,
-                    "candidate": p.candidate,
+                    "element": fmt(data[x]),
+                    "rho": rho,
+                    "witness_radius": rho + 1,
+                    "candidate": rho < cut,
                 }
-                for p in self.profiles
+                for x, rho in enumerate(self.rho)
             ],
-            "candidates": [str(c) for c in self.candidates],
+            "candidates": [fmt(data[x]) for x in self.candidates],
             "inverse_closed": self.inverse_closed,
             "product_violations": [
-                [str(a), str(b)] for a, b in self.product_violations
+                [fmt(data[a]), fmt(data[b])] for a, b in self.product_violations
             ],
         }
 
     def to_csv(self, fp: IO[str]) -> None:
+        fmt, data, cut = self.ball.group.format_data, self.ball.data, self.r - self.gap
         w = csv.writer(fp, lineterminator="\n")
         w.writerow(["element", "norm", "rho", "witness_radius", "candidate"])
-        for p in self.profiles:
-            w.writerow(
-                [
-                    str(p.element),
-                    self.ball.norm(p.element),
-                    p.rho,
-                    p.witness_radius,
-                    int(p.candidate),
-                ]
-            )
+        for x, rho in enumerate(self.rho):
+            w.writerow([fmt(data[x]), self.ball.dist[x], rho, rho + 1, int(rho < cut)])
 
 
 def check_annulus(m: int, radius: int, gap: int = DEFAULT_GAP) -> None:
@@ -153,40 +99,41 @@ def annihilator_candidates(
 ) -> AnnihilatorReport:
     """Profile every x in B_m against the annulus up to r = ball.radius - m.
 
-    Candidates are the elements whose last disagreement falls below r - gap.
-    The report also records whether the set is inverse-closed and which
-    in-ball pairwise products escape it; the true common zero set is a
-    subgroup, so a clean report is structural evidence, a dirty one disproof.
+    rho(x) = max{|y| <= r : d(x, y) != d(1, y)}, -1 when there is none. With
+    y = x_k, d(x, y) = |x^-1 x_k| is read from one gather from x^-1, which
+    stays inside the ball because |x| + r <= ball.radius, and the gather is
+    scanned from the top down for the last disagreement; y = 1 disagrees
+    exactly when x != 1. Candidates are the x whose last disagreement falls
+    below r - gap. The report also records whether the set is
+    inverse-closed and which in-ball pairwise products escape it; the true
+    common zero set is a subgroup, so a clean report is structural
+    evidence, a dirty one disproof.
     """
     check_annulus(m, ball.radius, gap)
     r = ball.radius - m
-    group = ball.group
-    profiles = []
-    candidates = []
-    for data in ball.data_up_to(m):
-        p = indistinguishability_profile(Element(group, data), ball, r, gap)
-        profiles.append(p)
-        if p.candidate:
-            candidates.append(p.element)
+    dist, size, inner = ball.dist, ball.size(r), ball.size(m)
+    rho = []
+    for x in range(inner):
+        pos = ball.gather(ball.inv_index(x), size)
+        for k in range(size - 1, -1, -1):
+            if dist[pos[k]] != dist[k]:
+                rho.append(dist[k])
+                break
+        else:
+            rho.append(-1)
+    candidates = [x for x in range(inner) if rho[x] < r - gap]
 
-    cand_data = {c.data for c in candidates}
-    inverse_closed = all(group.inv_data(d) in cand_data for d in cand_data)
+    cand = set(candidates)
+    inverse_closed = all(ball.inv_index(x) in cand for x in candidates)
+    mul, data, index = ball.group.mul_data, ball.data, ball.index
     violations = []
     for a in candidates:
         for b in candidates:
-            prod = group.mul_data(a.data, b.data)
-            d = ball.dist_data(prod)
-            if d is not None and d <= m and prod not in cand_data:
+            i = index.get(mul(data[a], data[b]))
+            if i is not None and i < inner and i not in cand:
                 violations.append((a, b))
     return AnnihilatorReport(
-        ball,
-        m,
-        r,
-        gap,
-        tuple(profiles),
-        tuple(candidates),
-        inverse_closed,
-        tuple(violations),
+        ball, m, r, gap, tuple(rho), tuple(candidates), inverse_closed, tuple(violations)
     )
 
 

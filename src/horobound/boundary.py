@@ -59,7 +59,7 @@ class Functional:
     the identity by construction, and a vector lists values by position in
     one ball's BFS order, so equality and hashing use the ball (by identity),
     domain_radius and vector. How a class is realized at a level (its
-    witnesses, stability and Busemann flag) lives on ``BoundaryClass``.
+    points, stability and Busemann flag) lives on ``BoundaryClass``.
 
     A construction checks the vector's length and that it vanishes at the
     identity. That it is 1-Lipschitz and bounded by the word norm holds by
@@ -139,9 +139,12 @@ def _sphere_vectors(ball: Ball, r: int, m: int) -> dict[tuple[int, ...], list[in
 
 @dataclass(frozen=True)
 class BoundaryClass:
+    """A class of a level: its functional, and ``points``, the positions of
+    the sphere-r points realizing it in BFS order, the first of which the
+    report writes as the class's witness."""
+
     functional: Functional
-    count: int
-    witnesses: tuple[Element, ...]
+    points: tuple[int, ...]
     stable: bool
     interior_shadow: bool
     busemann: bool
@@ -177,7 +180,7 @@ class BoundaryApprox:
         return len(self.classes)
 
     def to_json_dict(self) -> dict:
-        fmt = self.ball.group.format_data
+        fmt, data = self.ball.group.format_data, self.ball.data
         return {
             "level": {"r": self.r, "m": self.m, "window": self.window},
             "class_count": len(self.classes),
@@ -186,8 +189,8 @@ class BoundaryApprox:
             "classes": [
                 {
                     "values": list(c.functional.vector),
-                    "count": c.count,
-                    "witness": str(c.witnesses[0]),
+                    "count": len(c.points),
+                    "witness": fmt(data[c.points[0]]),
                     "stable": c.stable,
                     "interior_shadow": c.interior_shadow,
                     "busemann": c.busemann,
@@ -216,7 +219,7 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
 
     Stability needs one sighting of each vector per sphere. Going down from
     sphere r-1, each sphere first tries the BFS parents of the points that
-    showed a vector one sphere up, from each class's first witness on, then
+    showed a vector one sphere up, from each class's first point on, then
     reads the rest of the sphere in BFS order until every vector still in
     play is seen. No point is built twice, so this never builds more
     vectors than reading the spheres whole.
@@ -239,7 +242,6 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
     check_level(r, m, window)
     if r + m > ball.radius:
         raise OutOfBall(f"level ({r},{m}) needs ball radius {r + m}, have {ball.radius}")
-    group = ball.group
     current = _sphere_vectors(ball, r, m)
 
     # vector -> points seen realizing it, on each sphere from r down in turn
@@ -264,8 +266,7 @@ def boundary_approx(ball: Ball, r: int, m: int, window: int = STABILITY_WINDOW) 
         classes.append(
             BoundaryClass(
                 functional=Functional(ball, m, vec),
-                count=len(points),
-                witnesses=tuple(Element(group, ball.data[z]) for z in points),
+                points=tuple(points),
                 stable=vec in stable_keys,
                 interior_shadow=interior_shadow(vec),
                 busemann=_reaches_rim(ball, points, dead),

@@ -505,26 +505,10 @@ def _cmd_annihilator(group: Group, gens: GeneratingSet, p: dict):
 
 def _cmd_polytope(group: Group, gens: GeneratingSet, p: dict):
     from .cayley import grow_ball
-    from .vabelian import (
-        cloud_hull,
-        conjugate_cloud,
-        lipschitz_hom,
-        quotient_graph,
-        select_extreme,
-        simple_cycle_labels,
-        step1_membership,
-    )
+    from .vabelian import extreme_hull, lipschitz_hom, step1_membership
 
     r = p["r"]
-    qg = quotient_graph(group, gens)
-    cycles = simple_cycle_labels(qg)
-    cloud = conjugate_cloud(cycles)
-    poly = cloud_hull(cloud)
-    e_prime = select_extreme(poly, p["extreme"])
-    w = cloud.provenance[e_prime][0][1]
-    nw = cycles.norms[w.data]
-    if r < nw:  # before the ball is grown: the functional reads |w| in B_r
-        raise ValueError(f"need r >= |w| = {nw} for the cycle label w = {w}, got r={r}")
+    qg, cycles, cloud, poly, e_prime = extreme_hull(group, gens, p["extreme"], r)
     ball = grow_ball(group, gens, r, budget=p["budget"])
     body = {
         "quotient_graph": qg.to_json_dict(),

@@ -46,6 +46,7 @@ __all__ = [
     "conjugate_cloud",
     "cloud_hull",
     "select_extreme",
+    "extreme_hull",
     "step1_membership",
     "lipschitz_hom",
     "infinite_boundary_witness",
@@ -510,6 +511,28 @@ def select_extreme(poly: RationalPolytope, selector: str) -> Point:
     return poly.vertices[i]
 
 
+def extreme_hull(
+    group: Group, gens: GeneratingSet, selector: str, radius: int, name: str = "r"
+) -> tuple[QuotientGraph, SimpleCycleSet, Cloud, RationalPolytope, Point]:
+    """The pipeline up to the selected extreme point: quotient graph, cycle
+    labels, cloud, hull and e'. It grows no ball of the run's radius, so a
+    run calls it first: a bad selector, or a ball ``radius`` (named ``name``
+    in the message) below the norm of the cycle label w that the functional
+    reads in the ball, is refused before the ball grows."""
+    qg = quotient_graph(group, gens)
+    cycles = simple_cycle_labels(qg)
+    cloud = conjugate_cloud(cycles)
+    poly = cloud_hull(cloud)
+    e_prime = select_extreme(poly, selector)
+    w = cloud.provenance[e_prime][0][1]
+    nw = cycles.norms[w.data]
+    if radius < nw:
+        raise ValueError(
+            f"need {name} >= |w| = {nw} for the cycle label w = {w}, got {name}={radius}"
+        )
+    return qg, cycles, cloud, poly, e_prime
+
+
 # how many distinct restrictions a witness looks for, and which extreme point
 # of the hull it reads the functional from, unless told otherwise
 WITNESS_K = 5
@@ -527,11 +550,11 @@ def infinite_boundary_witness(
 ) -> WitnessReport:
     """Produce k pairwise-distinct Busemann restrictions at level (r, m).
 
-    Runs the whole pipeline, then walks kernel elements in ball order,
-    keeping representatives of new <x>-cosets whose pushed-out restriction
-    b_{y x^n}|B_m differs from everything kept so far. Reaching k certifies
-    that the boundary at this level has at least k classes; the report is
-    honest about falling short.
+    Runs the whole pipeline, the hull before the ball (``extreme_hull``),
+    then walks kernel elements in ball order, keeping representatives of new
+    <x>-cosets whose pushed-out restriction b_{y x^n}|B_m differs from
+    everything kept so far. Reaching k certifies that the boundary at this
+    level has at least k classes; the report is honest about falling short.
     """
     if _extension(group).rank < 2:
         raise ValueError(
@@ -540,12 +563,8 @@ def infinite_boundary_witness(
     check_level(r, m)
     if k < 1:
         raise OutOfRange(f"need k >= 1 distinct restrictions, got k={k}")
+    _, cycles, cloud, poly, e_prime = extreme_hull(group, gens, selector, r + m, "r + m")
     ball = grow_ball(group, gens, r + m, budget=budget)
-    qg = quotient_graph(group, gens)
-    cycles = simple_cycle_labels(qg)
-    cloud = conjugate_cloud(cycles)
-    poly = cloud_hull(cloud)
-    e_prime = select_extreme(poly, selector)
     data = lipschitz_hom(poly, e_prime, cloud, ball)
 
     nx = ball.norm(data.x)

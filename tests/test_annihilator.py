@@ -4,14 +4,9 @@ import io
 
 import pytest
 
-from horobound.annihilator import (
-    annihilator_candidates,
-    functional_annihilator,
-    indistinguishability_profile,
-)
+from horobound.annihilator import annihilator_candidates, functional_annihilator
 from horobound.boundary import boundary_approx
-from horobound.cayley import grow_ball
-from horobound.errors import OutOfBall
+from horobound.cayley import Ball, grow_ball
 from horobound.examples import REGISTRY, cylinder
 from horobound.groups import Element
 
@@ -29,82 +24,88 @@ def _oracle(name, radius):
     return group, gens, mul, inv, table, form
 
 
-def test_identity_profile(cyl4_ball15):
-    p = indistinguishability_profile(cyl4_ball15.group.identity(), cyl4_ball15)
-    assert p.rho == -1 and p.r == 15
-    assert p.candidate and p.witness_radius == 0
+def _rho(ball, report, data):
+    return report.rho[ball.index[data]]
+
+
+def test_identity_never_disagrees(cyl4_ball15):
+    report = annihilator_candidates(cyl4_ball15, 3)
+    assert report.r == 12 and _rho(cyl4_ball15, report, (0, 0)) == -1
+    assert report.candidates[0] == 0
 
 
 def test_torsion_profiles(cyl4_ball15):
-    group = cyl4_ball15.group
+    report = annihilator_candidates(cyl4_ball15, 3)
     for y in [1, 2, 3]:
-        p = indistinguishability_profile(group.element((0, y)), cyl4_ball15)
-        assert p.rho == 3 and p.r == 13
-        assert p.candidate and p.witness_radius == 4
+        x = cyl4_ball15.index[(0, y)]
+        assert report.rho[x] == 3 and x in report.candidates
 
 
 def test_profile_disagrees_at_the_identity():
     # in Z x Z/2 the element x = (0,1) permutes S = {(+-1,0), (+-1,1)}, so on
     # B_1 it disagrees with 1 only at y = 1, where d(x, 1) = |x| = 2
     group, gens = cylinder(2)
-    ball = grow_ball(group, gens, 4)
-    p = indistinguishability_profile(group.element((0, 1)), ball, r=1, gap=0)
-    assert p.rho == 0 and p.candidate
+    ball = grow_ball(group, gens, 3)
+    report = annihilator_candidates(ball, 2, gap=0)
+    assert report.r == 1
+    assert _rho(ball, report, (0, 1)) == 0 and ball.index[(0, 1)] in report.candidates
 
 
 def test_escaping_profiles(cyl4_ball15):
-    group = cyl4_ball15.group
-    a = indistinguishability_profile(group.element((1, 0)), cyl4_ball15)
-    assert a.rho == 14 and a.r == 14 and not a.candidate
-    b = indistinguishability_profile(group.element((2, 1)), cyl4_ball15)
-    assert b.rho == 13 and b.r == 13 and not b.candidate
+    report = annihilator_candidates(cyl4_ball15, 3)
+    for data in [(1, 0), (2, 1)]:
+        x = cyl4_ball15.index[data]
+        assert report.rho[x] == report.r == 12 and x not in report.candidates
 
 
-def test_profile_radius_guard(cyl4_ball15):
-    group = cyl4_ball15.group
-    with pytest.raises(OutOfBall):
-        indistinguishability_profile(group.element((0, 1)), cyl4_ball15, r=14)
-
-
-def test_profile_gap_guard(cyl4_ball15):
-    x = cyl4_ball15.group.element((1, 0))  # rho = r = 14: never a candidate
-    for gap in (-1, 14):
-        with pytest.raises(ValueError, match=r"gap must lie in 0\.\.13, got"):
-            indistinguishability_profile(x, cyl4_ball15, gap=gap)
-    assert not indistinguishability_profile(x, cyl4_ball15, gap=0).candidate
-    with pytest.raises(ValueError, match=r"gap must lie in 0\.\.11, got 12"):
-        annihilator_candidates(cyl4_ball15, 3, gap=12)
+def test_candidates_gap_guard(cyl4_ball15):
+    for gap in (-1, 12):
+        with pytest.raises(ValueError, match=rf"gap must lie in 0\.\.11, got {gap}"):
+            annihilator_candidates(cyl4_ball15, 3, gap=gap)
+    # rho = r = 12 at (1,0): no gap makes it a candidate
+    report = annihilator_candidates(cyl4_ball15, 3, gap=0)
+    assert cyl4_ball15.index[(1, 0)] not in report.candidates
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_profiles_match_oracle(name):
     radius, m = 8, 3
+    r = radius - m
     group, gens, mul, inv, table, form = _oracle(name, radius)
     ball = grow_ball(group, gens, radius)
+    report = annihilator_candidates(ball, m, gap=0)
+    want = []
     for x in ball.data_up_to(m):
         xo = form(x)
-        r = radius - table[xo]
         # max{|y| <= r : d(x, y) != d(1, y)} with d(x, y) = |x^-1 y|
-        rho = max(
+        want.append(max(
             (k for y, k in table.items() if k <= r and table[mul(inv(xo), y)] != k),
             default=-1,
-        )
-        p = indistinguishability_profile(Element(group, x), ball)
-        assert (p.rho, p.r) == (rho, r), x
+        ))
+    assert report.r == r and list(report.rho) == want
+    assert report.candidates == tuple(x for x, rho in enumerate(want) if rho < r)
 
 
 def test_candidate_report(cyl4_ball15):
     report = annihilator_candidates(cyl4_ball15, 3)
     assert report.r == 12 and report.gap == 2
     # ball BFS order, not sorted coordinates
-    assert [str(c) for c in report.candidates] == ["(0,0)", "(0,3)", "(0,1)", "(0,2)"]
-    assert report.candidate_data() == TORSION4
+    assert [cyl4_ball15.data[x] for x in report.candidates] == [(0, 0), (0, 3), (0, 1), (0, 2)]
     assert report.inverse_closed
     assert report.product_violations == ()
-    assert len(report.profiles) == len(cyl4_ball15.data_up_to(3))
-    profiled = {p.element.data: p for p in report.profiles}
-    assert profiled[(0, 2)].candidate
-    assert (9, 0) not in profiled
+    assert len(report.rho) == cyl4_ball15.size(3)
+
+
+def test_violating_pairs_are_positions(monkeypatch, cyl4_ball15):
+    # a product that lands in B_m outside the candidates is reported as its
+    # pair of positions; one past B_m or outside the ball is not
+    ball = cyl4_ball15
+    mul = ball.group.mul_data
+    landing = {((0, 1), (0, 2)): (1, 0), ((0, 3), (0, 3)): (9, 0), ((0, 2), (0, 2)): (99, 0)}
+    monkeypatch.setattr(ball.group, "mul_data", lambda a, b: landing.get((a, b)) or mul(a, b))
+    report = annihilator_candidates(ball, 3)
+    assert report.product_violations == ((ball.index[(0, 1)], ball.index[(0, 2)]),)
+    assert report.to_json_dict()["product_violations"] == [["(0,1)", "(0,2)"]]
 
 
 def test_report_csv(cyl4_ball15):
@@ -115,7 +116,7 @@ def test_report_csv(cyl4_ball15):
     assert lines[0] == "element,norm,rho,witness_radius,candidate"
     assert lines[1] == '"(0,0)",0,-1,0,1'
     assert lines[2] == '"(1,0)",1,12,13,0'
-    assert len(lines) == 1 + len(report.profiles)
+    assert len(lines) == 1 + len(report.rho)
 
 
 def test_report_json_shape(cyl4_ball15):
@@ -146,15 +147,27 @@ def test_functional_annihilator_on_line(z_ball):
 
 
 def test_annihilator_work_counts(monkeypatch, cyl4_ball15):
-    # profiles read one gather each; only the 4 x 4 candidate products remain
+    # profiles read one gather each, by position: no element is made and no
+    # position looked up; only the 4 x 4 candidate products remain
     group = cyl4_ball15.group
-    products = []
-    mul = group.mul_data
+    products, made, looked_up = [], [], []
+    mul, init, position = group.mul_data, Element.__init__, Ball.position
 
     def counting(a, b):
         products.append(1)
         return mul(a, b)
 
+    def making(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    def looking_up(self, x):
+        looked_up.append(1)
+        return position(self, x)
+
     monkeypatch.setattr(group, "mul_data", counting)
+    monkeypatch.setattr(Element, "__init__", making)
+    monkeypatch.setattr(Ball, "position", looking_up)
     annihilator_candidates(cyl4_ball15, 3)
     assert len(products) <= 16
+    assert (made, looked_up) == ([], [])

@@ -243,10 +243,11 @@ def test_line_boundary_level(z_ball):
         (0, 1, -1, 2, -2, 3, -3),
     ]
     for c in approx.classes:
-        assert c.count == 1
+        assert len(c.points) == 1
         assert c.stable and c.busemann and c.interior_shadow
         assert not c.candidate
-    assert [str(c.witnesses[0]) for c in approx.classes] == ["(10)", "(-10)"]
+    assert [z_ball.data[c.points[0]] for c in approx.classes] == [(10, 0), (-10, 0)]
+    assert [c["witness"] for c in approx.to_json_dict()["classes"]] == ["(10)", "(-10)"]
     d = approx.to_json_dict()
     assert d["class_count"] == 2 and d["stable_class_count"] == 2
 
@@ -318,8 +319,7 @@ def _check_flags(ball, r, m):
             assert c.stable == (window <= r and all(
                 vec in spheres[rr] for rr in range(r - window + 1, r + 1)
             ))
-            points = [ball.index[w.data] for w in c.witnesses]
-            assert c.busemann == any(reach[z] >= ball.radius for z in points)
+            assert c.busemann == any(reach[z] >= ball.radius for z in c.points)
     return bool(spheres[r] & spheres[r - 1] - parent_keys)
 
 
@@ -437,8 +437,7 @@ def test_bundled_boundary_levels_build_no_more_than_whole_spheres(built):
 
 def _only(h, ball):
     """A level whose one Busemann class is h, for kernel_approx to read."""
-    witness = Element(ball.group, ball.data[0])
-    only = BoundaryClass(h, 1, (witness,), stable=True, interior_shadow=False, busemann=True)
+    only = BoundaryClass(h, (0,), stable=True, interior_shadow=False, busemann=True)
     return BoundaryApprox(ball, 0, h.domain_radius, 1, (only,))
 
 

@@ -1,8 +1,9 @@
 """The CI workflow tests every minor Python from the oldest that
 pyproject.toml admits to 3.13, runs the goldens again under a fixed second
 hash seed and once more with each bundled spec in a fresh process, runs its
-scale smoke steps and an oracle check of grown balls under a timeout, and
-runs the benchmark's correctness gate on every workload.
+scale smoke steps, a witness refused before its ball grows and an oracle
+check of grown balls under a timeout, and runs the benchmark's correctness
+gate on every workload.
 
 The workflow and pyproject.toml are read as text: ``tomllib`` only arrived
 in Python 3.11.
@@ -119,6 +120,20 @@ def test_scale_smoke_steps_run_under_a_timeout():
         "[b.data, list(b.parent), list(b.parent_gen), b.offsets, [col[:-1] for col in b.nbr]] "
         "!= [want[k] for k in ('data', 'parent', 'parent_gen', 'offsets', 'nbr')]",
         "sys.exit(bool(bad))",
+    ]:
+        assert part in step, part
+
+
+def test_witness_with_a_bad_extreme_ends_in_not_extreme():
+    # the selector is refused before the radius-600 ball grows, so the run
+    # exits 1 naming NotExtreme inside the timeout, and not BallTooLarge
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = " ".join(_steps(workflow)["witness with a bad extreme on z2_rot4 at (400, 200)"].split())
+    for part in [
+        "err=$(PYTHONPATH=src timeout 60 python -m horobound.cli witness "
+        "src/horobound/specs/z2_rot4.spec --r 400 --m 200 --extreme index:99 --budget 1000 "
+        "2>&1 >/dev/null) || code=$?",
+        "[ \"$code\" = 1 ] && printf '%s\\n' \"$err\" | grep -q NotExtreme",
     ]:
         assert part in step, part
 

@@ -987,6 +987,50 @@ def test_main_polytope_refuses_r_below_the_cycle_norm_before_the_ball_grows(
         assert err == f"error: need r >= |w| = {nw} for the cycle label w = {w}, got r={r}\n"
 
 
+# Z^2 x Z/4 as an extension with trivial action: the lex extreme point's
+# cycle label is w = (-4,0;0), of norm 4
+EXT2 = """[group]
+family = vab_extension
+rank = 2
+quotient = cyclic:4
+
+[generators]
+elements = (1,0;0) (-1,0;0) (1,0;1) (-1,0;3) (1,0;3) (-1,0;1) (0,1;0) (0,-1;0)
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, argv, message",
+    [
+        ("z2_rot4.spec", ["--r", "400", "--m", "200", "--extreme", "index:99", "--budget", "1000"],
+         "NotExtreme: extreme index 99 out of range 0..3"),
+        ("z2_standard.spec", ["--extreme", "foo"], "unknown extreme-point selector 'foo'"),
+        ("ext2", ["--r", "2", "--m", "1"],
+         "need r + m >= |w| = 4 for the cycle label w = (-4,0;0), got r + m=3"),
+        ("ext2", ["--r", "3", "--m", "1"], None),
+    ],
+)
+def test_main_witness_refuses_the_extreme_before_the_ball_grows(
+    tmp_path, monkeypatch, spec, argv, message
+):
+    # the hull and its extreme point come first, so a bad selector, or a
+    # radius r + m below the norm of the cycle label that lipschitz_hom reads
+    # in the ball, is refused before the ball grows; a valid run grows it once
+    if spec == "ext2":
+        path = tmp_path / "ext2.spec"
+        path.write_text(EXT2, encoding="utf-8")
+        spec = str(path)
+    else:
+        spec = spec_path(spec)
+    done = _record_work(monkeypatch)
+    code, out, err = run_cli(["witness", spec, *argv])
+    if message is None:
+        assert (code, err, done) == (0, "", ["grow_ball"])
+    else:
+        assert (code, out, done) == (1, b"", [])
+        assert err == f"error: {message}\n"
+
+
 def _bend_spec(tmp_path, old, new):
     text = (SPECS / "cylinder_n30_diag.spec").read_text(encoding="utf-8")
     spec = tmp_path / "bend.spec"
@@ -1028,6 +1072,106 @@ def test_main_bend_refuses_a_scan_the_level_cannot_hold_before_building_it(
     else:
         assert (code, out, built) == (1, b"", [])
         assert err == f"error: {message}\n"
+
+
+# a valid run of each command: its spec, and the [run] row that replaces the
+# spec's own; budget stays at its default
+PROBE_BASE = {
+    "ball": ("z_line.spec", {"r": 10, "n": 3}),
+    "boundary": ("z_line.spec", {"r": 10, "m": 3, "window": 3}),
+    "annihilator": ("cylinder_n4.spec", {"r": 12, "m": 3, "gap": 2}),
+    "polytope": ("cylinder_n4_ext.spec", {"r": 8, "extreme": "lex"}),
+    "witness": ("z2_standard.spec", {"r": 14, "m": 2, "k": 5, "extreme": "lex"}),
+    "ballsystem": ("lamplighter.spec", {"n_max": 4}),
+    "bend": ("cylinder_n30_diag.spec", {"r": 49, "m": 18, "scan_m": 2, "ell": 8, "x": "(0,15)"}),
+}
+# range edges that are no key's value: |w| = 4 for polytope's lex extreme on
+# cylinder_n4_ext; for bend at |x| = 30, ell <= 2|x|/(scan_m+2) - scan_m = 13
+EXTRA_EDGES = {"polytope": (4,), "bend": (13,)}
+BAD_TEXT = {"extreme": ("foo", "index:-1", "index:99"), "x": ("(1,", "(999,0)")}
+
+
+def _probe_values(command, key):
+    """-1, 0, 1, 2 and each range edge +- 1 for an integer key, where the
+    edges are the other keys' values (ranges are stated in terms of each
+    other) and EXTRA_EDGES; the bad strings for a text key."""
+    if key in cli_mod.TEXT:
+        return BAD_TEXT[key]
+    row = PROBE_BASE[command][1]
+    edges = [v for k, v in row.items() if k != key and k not in cli_mod.TEXT]
+    edges += EXTRA_EDGES.get(command, ())
+    return sorted({-1, 0, 1, 2} | {e + d for e in edges for d in (-1, 0, 1)})
+
+
+def _record_work(monkeypatch):
+    """The list that each main step appends its name to as it completes:
+    grow_ball, bound in cayley and in vabelian, but not inside
+    simple_cycle_labels, whose small cycle-norm ball is part of the hull;
+    build_ball_system; and boundary_approx, which also appends "entered"
+    when it starts."""
+    done, depth = [], [0]
+
+    def completing(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "boundary_approx":
+                done.append("entered")
+            result = fn(*args, **kwargs)
+            if not (name == "grow_ball" and depth[0]):
+                done.append(name)
+            return result
+
+        return wrapper
+
+    def in_hull(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return cycles(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    cycles = vabelian.simple_cycle_labels
+    grow = completing("grow_ball", cayley_mod.grow_ball)
+    monkeypatch.setattr(cayley_mod, "grow_ball", grow)
+    monkeypatch.setattr(vabelian, "grow_ball", grow)
+    monkeypatch.setattr(vabelian, "simple_cycle_labels", in_hull)
+    monkeypatch.setattr(boundary_mod, "boundary_approx",
+                        completing("boundary_approx", boundary_mod.boundary_approx))
+    monkeypatch.setattr(metrics_mod, "build_ball_system",
+                        completing("build_ball_system", metrics_mod.build_ball_system))
+    return done
+
+
+@pytest.mark.parametrize("command", sorted(cli_mod.PARAMS))
+def test_every_refusal_comes_before_the_work(tmp_path, monkeypatch, command):
+    # every run that exits 1 completes no main ball, no boundary level and no
+    # ball system. The one exception: bend reads |x| off its ball, so
+    # check_scan (and an x outside the ball) may refuse after grow_ball,
+    # before boundary_approx. A bend level with no stable class is what the
+    # level holds, not a bad parameter, and is read only off the built level
+    done = _record_work(monkeypatch)
+    spec, row = PROBE_BASE[command]
+    assert set(row) | {"budget"} == set(cli_mod.PARAMS[command])
+    head = (SPECS / spec).read_text(encoding="utf-8").split("[run]")[0]
+    late, allowed, refused = [], [], 0
+    for key in cli_mod.PARAMS[command]:
+        for value in _probe_values(command, key):
+            lines = [f"{k} = {v}" for k, v in {**row, key: value}.items()]
+            path = tmp_path / "probe.spec"
+            path.write_text(head + "[run]\n" + "\n".join(lines) + "\n", encoding="utf-8")
+            del done[:]
+            code, _, err = run_cli([command, str(path)])
+            if code != 1 or "RangeEmpty: no stable classes at level" in err:
+                continue
+            refused += 1
+            if done and command == "bend" and done == ["grow_ball"]:
+                allowed.append((key, value))
+            elif done:
+                late.append((key, value, tuple(done)))
+    assert refused and late == []
+    if command == "bend":
+        assert {("m", 1), ("m", 2), ("ell", 14), ("x", "(999,0)")} <= set(allowed)
+    else:
+        assert allowed == []
 
 
 def test_main_bend_infinite_kernel_index_exits_2():
